@@ -10,7 +10,7 @@ import numpy as np
 
 from . import fitting, io, synth, tracking
 from .config import RunConfig, apply_overrides, load_config
-from .io import NOISE_ID, SensorGeometry
+from .io import NOISE_ID
 
 
 def _parse_geometry(text: str) -> tuple[int, int]:
@@ -29,8 +29,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, help="entropy lower bound (bits)")
     parser.add_argument("--beta", type=float, help="entropy upper bound (bits)")
     parser.add_argument("--scale-mode", choices=("fixed", "ikose"))
-    parser.add_argument("--threads", type=int, help="worker threads for per-window fits")
-    parser.add_argument("--seed", type=int)
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -41,8 +39,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         "entropy_alpha": getattr(args, "alpha", None),
         "entropy_beta": getattr(args, "beta", None),
         "scale_mode": getattr(args, "scale_mode", None),
-        "workers": getattr(args, "threads", None),
-        "seed": getattr(args, "seed", None),
     }
     geometry = getattr(args, "geometry", None)
     if geometry is not None:
@@ -59,17 +55,7 @@ def cmd_associate(args: argparse.Namespace) -> int:
     config = _build_config(args)
     stream = _read_stream(args.events, config)
     results = fitting.run_eda(stream, config)
-
-    assignment = np.full(len(stream), NOISE_ID, dtype=np.int64)
-    next_id = 0
-    for res in results:
-        local = res.assignment.copy()
-        for k in range(res.num_models):
-            local[res.assignment == k] = next_id + k
-        lo = res.window.offset
-        assignment[lo:lo + len(res.window)] = local
-        next_id += res.num_models
-    io.write_associations(assignment, args.out)
+    io.write_associations(fitting.relabel(results, len(stream)), args.out)
 
     for i, res in enumerate(results):
         sizes = ",".join(str(int(m.inliers.size)) for m in res.instances) or "-"
@@ -94,19 +80,8 @@ def cmd_track(args: argparse.Namespace) -> int:
         return 1
     out_rows = []
     for pair in pairs:
-        lo = int(np.searchsorted(stream.t, pair.t_curr, side="left"))
-        hi = int(np.searchsorted(stream.t, pair.t_next, side="right"))
         try:
-            from .grouping import EventWindow
-
-            window = EventWindow(
-                stream.geometry,
-                stream.t[lo:hi], stream.u[lo:hi], stream.v[lo:hi], stream.p[lo:hi],
-                t_start=pair.t_curr, t_end=pair.t_next, offset=lo,
-            )
-            res = fitting.fit_window(window, config)
-            box = tracking.propagate_box(window, res, pair.gt_curr, pair.t_next,
-                                         config.min_inliers)
+            box = tracking.track_pair(stream, pair, config)
             out_rows.append([pair.t_next, box.x, box.y, box.w, box.h])
         except (ValueError, tracking.TrackingFailure) as exc:
             print(f"pair at t={pair.t_curr:.6f}: tracking failure ({exc})", file=sys.stderr)

@@ -21,7 +21,6 @@ class RunConfig:
     entropy_beta: float = 4.5
     entropy_grid: int = 8
     max_window_s: float = 0.1
-    entropy_confidence: float = 0.95
     # hypothesis generation
     num_slices: int = 10
     max_pairs: int = 4096
@@ -33,9 +32,6 @@ class RunConfig:
     min_inliers: int = 3
     # tracking / eval
     n_rep: int = 5
-    # execution
-    workers: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
@@ -46,8 +42,6 @@ class RunConfig:
             raise ValueError("entropy grid must be >= 1")
         if self.max_window_s <= 0:
             raise ValueError("max_window_s must be positive")
-        if not 0 < self.entropy_confidence < 1:
-            raise ValueError("confidence must lie in (0, 1)")
         if self.num_slices < 2:
             raise ValueError("num_slices must be >= 2")
         if self.max_pairs < 1:
@@ -64,8 +58,6 @@ class RunConfig:
             raise ValueError("min_inliers must be >= 1")
         if self.n_rep < 1:
             raise ValueError("n_rep must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     @property
     def geometry(self) -> SensorGeometry:
@@ -80,7 +72,6 @@ KEY_MAP = {
     "entropy.beta": "entropy_beta",
     "entropy.grid": "entropy_grid",
     "entropy.max_window_s": "max_window_s",
-    "entropy.confidence": "entropy_confidence",
     "hypo.num_slices": "num_slices",
     "hypo.max_pairs": "max_pairs",
     "hypo.parallel_tol": "parallel_tol",
@@ -89,8 +80,6 @@ KEY_MAP = {
     "fit.ikose_k": "ikose_k",
     "fit.min_inliers": "min_inliers",
     "eval.n_rep": "n_rep",
-    "run.workers": "workers",
-    "run.seed": "seed",
 }
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

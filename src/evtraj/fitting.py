@@ -317,19 +317,25 @@ def fit_window(window: EventWindow, config) -> AssociationResult:
 
 
 def run_eda(stream, config) -> List[AssociationResult]:
-    """Cut the stream into windows and fit each one, in stream order.
-
-    ``config.workers > 1`` fits windows on a thread pool; results keep window
-    order, so the output is identical to the sequential run.
-    """
+    """Cut the stream into windows and fit each one, in stream order."""
     from .grouping import EntropyInterval, cut_windows
 
     interval = EntropyInterval(config.entropy_alpha, config.entropy_beta)
     windows = cut_windows(stream, interval, config.entropy_grid, config.max_window_s)
-    workers = getattr(config, "workers", 1)
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda w: fit_window(w, config), windows))
     return [fit_window(w, config) for w in windows]
+
+
+def relabel(results: Sequence[AssociationResult], n_events: int) -> np.ndarray:
+    """Stream-wide trajectory ids for the per-window results of :func:`run_eda`.
+
+    Each window's local ids are shifted by the model count of the windows
+    before it; noise stays ``NOISE_ID``.
+    """
+    assignment = np.full(n_events, NOISE_ID, dtype=np.int64)
+    next_id = 0
+    for res in results:
+        lo = res.window.offset
+        local = res.assignment
+        assignment[lo:lo + local.size] = np.where(local == NOISE_ID, NOISE_ID, local + next_id)
+        next_id += res.num_models
+    return assignment

@@ -70,6 +70,15 @@ class EventWindow:
         if self.t.size and (self.t[0] < self.t_start or self.t[-1] > self.t_end):
             raise ValueError("window events outside [t_start, t_end]")
 
+    @classmethod
+    def of(cls, stream: EventStream, lo: int, hi: int, t_start: float, t_end: float) -> "EventWindow":
+        """The events ``stream[lo:hi]`` as a window over ``[t_start, t_end]``."""
+        return cls(
+            stream.geometry,
+            stream.t[lo:hi], stream.u[lo:hi], stream.v[lo:hi], stream.p[lo:hi],
+            t_start=t_start, t_end=t_end, offset=lo,
+        )
+
     def __len__(self) -> int:
         return int(self.t.size)
 
@@ -198,8 +207,7 @@ def cut_windows(
     """
     if len(stream) == 0:
         raise GroupingError("cannot cut an empty stream")
-    t = stream.t
-    tl = t.tolist()
+    tl = stream.t.tolist()
     ul = stream.u.tolist()
     vl = stream.v.tolist()
     pl = stream.p.tolist()
@@ -211,13 +219,7 @@ def cut_windows(
     frame = AtsltdFrame(stream.geometry, w_start, grid)
 
     def emit(lo: int, hi: int, t0: float, t1: float) -> None:
-        windows.append(
-            EventWindow(
-                stream.geometry,
-                t[lo:hi], stream.u[lo:hi], stream.v[lo:hi], stream.p[lo:hi],
-                t_start=t0, t_end=t1, offset=lo,
-            )
-        )
+        windows.append(EventWindow.of(stream, lo, hi, t0, t1))
 
     for i in range(n):
         ti = tl[i]

@@ -196,20 +196,17 @@ def format_associations(assignment: np.ndarray) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def write_associations(result, sink) -> None:
-    """Write an association result (anything with ``.assignment``) to a path or file."""
-    assignment = getattr(result, "assignment", result)
-    payload = format_associations(assignment)
-    if hasattr(sink, "write"):
-        data = payload if "b" in getattr(sink, "mode", "b") else payload.decode("utf-8")
-        sink.write(data)
-    else:
-        with open(sink, "wb") as fh:
-            fh.write(payload)
+def write_associations(assignment: np.ndarray, path) -> None:
+    """Write a per-event trajectory assignment to the file at ``path``."""
+    with open(path, "wb") as fh:
+        fh.write(format_associations(assignment))
 
 
 def read_associations(source: Union[bytes, str]) -> np.ndarray:
-    """Read back :func:`format_associations` output; returns the assignment array."""
+    """Read back :func:`format_associations` output; returns the assignment array.
+
+    Every index in ``[0, rows)`` must appear exactly once.
+    """
     pairs = []
     for lineno, line in enumerate(_decode(source).splitlines(), start=1):
         line = line.strip()
@@ -222,10 +219,14 @@ def read_associations(source: Union[bytes, str]) -> np.ndarray:
             pairs.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
-    assignment = np.full(len(pairs), NOISE_ID, dtype=np.int64)
-    for lineno, (idx, label) in enumerate(pairs, start=1):
+    assignment = np.empty(len(pairs), dtype=np.int64)
+    seen = set()
+    for idx, label in pairs:
         if not 0 <= idx < assignment.size:
             raise FormatError(f"event index {idx} out of range")
+        if idx in seen:
+            raise FormatError(f"event index {idx} listed twice")
+        seen.add(idx)
         assignment[idx] = label
     return assignment
 

@@ -130,24 +130,29 @@ def propagate_box(
     return BoundingBox(x0, y0, max(x1 - x0, 1.0), max(y1 - y0, 1.0))
 
 
-def _eval_pair(stream: EventStream, pair: TrackingPair, config) -> float:
+def track_pair(stream: EventStream, pair: TrackingPair, config) -> BoundingBox:
+    """Fit the events between the pair's frames and propagate its current box.
+
+    Raises :class:`TrackingFailure` when the window holds fewer than
+    ``config.min_inliers`` events, its fit fails, or too few of its events
+    inside the box are associated.
+    """
     lo = int(np.searchsorted(stream.t, pair.t_curr, side="left"))
     hi = int(np.searchsorted(stream.t, pair.t_next, side="right"))
     if hi - lo < config.min_inliers:
-        return 0.0
-    window = EventWindow(
-        stream.geometry,
-        stream.t[lo:hi], stream.u[lo:hi], stream.v[lo:hi], stream.p[lo:hi],
-        t_start=pair.t_curr, t_end=pair.t_next, offset=lo,
-    )
+        raise TrackingFailure(f"only {hi - lo} events between the frames")
+    window = EventWindow.of(stream, lo, hi, pair.t_curr, pair.t_next)
     result = fit_window(window, config)
     if result.failed:
-        return 0.0
+        raise TrackingFailure("no trajectory fitted between the frames")
+    return propagate_box(window, result, pair.gt_curr, pair.t_next, config.min_inliers)
+
+
+def _eval_pair(stream: EventStream, pair: TrackingPair, config) -> float:
     try:
-        est = propagate_box(window, result, pair.gt_curr, pair.t_next, config.min_inliers)
+        return iou(track_pair(stream, pair, config), pair.gt_next)
     except TrackingFailure:
         return 0.0
-    return iou(est, pair.gt_next)
 
 
 def evaluate(
@@ -156,17 +161,15 @@ def evaluate(
     config,
     n_rep: int = DEFAULT_N_REP,
 ) -> EvalReport:
-    """Score each tracking pair over ``n_rep`` repetitions and aggregate.
+    """Score each tracking pair and aggregate over ``n_rep`` repetitions.
 
     Failed propagations score overlap 0. The pipeline is deterministic, so
-    the repetitions double as a determinism check.
+    each pair is fitted once and its row repeated ``n_rep`` times.
     """
     if not pairs:
         raise ValueError("no tracking pairs")
-    overlaps = np.zeros((n_rep, len(pairs)))
-    for rep in range(n_rep):
-        for j, pair in enumerate(pairs):
-            overlaps[rep, j] = _eval_pair(stream, pair, config)
+    row = [_eval_pair(stream, pair, config) for pair in pairs]
+    overlaps = np.tile(np.asarray(row, dtype=np.float64), (n_rep, 1))
     success = (overlaps >= SUCCESS_THRESHOLD).astype(np.float64)
     return EvalReport(
         aor=float(overlaps.mean()),

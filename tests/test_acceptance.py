@@ -214,37 +214,6 @@ def test_slice_count_tradeoff(sweep_scene):
     assert aor[10] >= max(aor.values()) - 0.01
 
 
-# --- determinism across thread counts --------------------------------------
-
-def test_association_output_independent_of_thread_count(tmp_path):
-    rate = 1200.0
-    doc = {
-        "geometry": [64, 64],
-        "duration": 0.05,
-        "motions": [
-            {"kind": "point", "velocity": [960, 0], "start_region": [6, 10, 2, 2],
-             "event_rate": rate, "noise_sigma": 0.32, "time_profile": "regular"},
-            {"kind": "point", "velocity": [0, 960], "start_region": [44, 6, 2, 2],
-             "event_rate": rate, "noise_sigma": 0.32, "time_profile": "regular"},
-        ],
-        "clutter_rate": 0.4 * rate,
-        "clutter_span": [0.12, 0.88],
-        "seed": 0,
-    }
-    scene = tmp_path / "scene.yaml"
-    scene.write_text(yaml.safe_dump(doc))
-    events = tmp_path / "events.txt"
-    assert main(["synth", str(scene), "--out", str(events)]) == 0
-    payloads = []
-    for threads in ("1", "4"):
-        out = tmp_path / f"assoc{threads}.txt"
-        rc = main(["associate", str(events), "--out", str(out),
-                   "--geometry", "64x64", "--threads", threads])
-        assert rc == 0
-        payloads.append(out.read_bytes())
-    assert payloads[0] == payloads[1]
-
-
 # --- property suites: serialization round trips and window partition -------
 
 @st.composite

@@ -14,7 +14,9 @@ from conftest import (
 )
 from evtraj import io
 from evtraj.cli import build_parser, main, _build_config
+from evtraj.config import RunConfig
 from evtraj.io import NOISE_ID, SensorGeometry
+from evtraj.tracking import BoundingBox, TrackingPair, track_pair
 
 
 def lane_scene_doc(num_motions, clutter_frac=0.2, seed=0):
@@ -118,16 +120,6 @@ class TestAssociateCommand:
         assignment = io.read_associations(out.read_bytes())
         assert {0, 1} <= set(np.unique(assignment))
 
-    def test_thread_count_does_not_change_output(self, tmp_path, scene_file):
-        events = self._synth(tmp_path, scene_file, 2)
-        outs = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"assoc{threads}.txt"
-            assert main(["associate", str(events), "--out", str(out),
-                         "--geometry", "64x64", "--threads", threads]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
     def test_missing_input_fails_cleanly(self, tmp_path, capsys):
         rc = main(["associate", str(tmp_path / "nope.txt"),
                    "--out", str(tmp_path / "o.txt")])
@@ -135,20 +127,25 @@ class TestAssociateCommand:
         assert "error" in capsys.readouterr().err
 
 
+def frame_rows(pairs):
+    """Box annotation rows for the frames the pairs span."""
+    rows = [[p.t_curr, p.gt_curr.x, p.gt_curr.y, p.gt_curr.w, p.gt_curr.h] for p in pairs]
+    last = pairs[-1]
+    rows.append([last.t_next, last.gt_next.x, last.gt_next.y, last.gt_next.w, last.gt_next.h])
+    return rows
+
+
+def write_track_files(tmp_path, rows):
+    events = tmp_path / "events.txt"
+    events.write_bytes(io.serialize_stream(track_stream()))
+    boxes = tmp_path / "pairs.txt"
+    boxes.write_bytes(io.format_box_annotations(np.array(rows)))
+    return events, boxes
+
+
 class TestEvalCommand:
     def _write_stream_and_pairs(self, tmp_path, n_pairs=3):
-        stream = track_stream()
-        events = tmp_path / "events.txt"
-        events.write_bytes(io.serialize_stream(stream))
-        pairs = track_pairs(n_pairs)
-        rows = [[p.t_curr, p.gt_curr.x, p.gt_curr.y, p.gt_curr.w, p.gt_curr.h]
-                for p in pairs]
-        last = pairs[-1]
-        rows.append([last.t_next, last.gt_next.x, last.gt_next.y,
-                     last.gt_next.w, last.gt_next.h])
-        boxes = tmp_path / "pairs.txt"
-        boxes.write_bytes(io.format_box_annotations(np.array(rows)))
-        return events, boxes
+        return write_track_files(tmp_path, frame_rows(track_pairs(n_pairs)))
 
     def test_human_output(self, tmp_path, capsys):
         events, boxes = self._write_stream_and_pairs(tmp_path)
@@ -178,6 +175,39 @@ class TestEvalCommand:
         rc = main(["eval", str(events), str(single), "--geometry", "64x64"])
         assert rc == 1
         assert "fewer than two" in capsys.readouterr().err
+
+
+class TestTrackCommand:
+    def _track(self, tmp_path, rows):
+        events, boxes = write_track_files(tmp_path, rows)
+        out = tmp_path / "tracked.txt"
+        rc = main(["track", str(events), str(boxes), "--out", str(out),
+                   "--geometry", "64x64"])
+        return rc, out
+
+    def test_rows_match_track_pair(self, tmp_path, capsys):
+        pairs = track_pairs(4)
+        rc, out = self._track(tmp_path, frame_rows(pairs))
+        assert rc == 0
+        assert f"tracked 4/4 pairs -> {out}" in capsys.readouterr().out
+        rows = io.read_box_annotations(out.read_bytes())
+        assert rows.shape == (4, 5)
+        stream, config = track_stream(), RunConfig(width=64, height=64)
+        for row, pair in zip(rows, pairs):
+            box = track_pair(stream, pair, config)
+            assert row.tolist() == [pair.t_next, box.x, box.y, box.w, box.h]
+
+    def test_failed_pair_is_reported_and_skipped(self, tmp_path, capsys):
+        # the last pair lies past the end of the stream and holds no events
+        rows = frame_rows(track_pairs(2)) + [[10.0, 1, 1, 4, 4], [10.02, 1, 1, 4, 4]]
+        rc, out = self._track(tmp_path, rows)
+        assert rc == 0
+        captured = capsys.readouterr()
+        n_rows = io.read_box_annotations(out.read_bytes()).shape[0]
+        assert 2 <= n_rows < 4
+        assert f"tracked {n_rows}/4 pairs" in captured.out
+        assert captured.err.count("tracking failure") == 4 - n_rows
+        assert "pair at t=10.000000: tracking failure" in captured.err
 
 
 class TestPlotCommand:
@@ -245,16 +275,22 @@ class TestBenchCommand:
 class TestConfigPlumbing:
     def test_flags_override_config_file(self, tmp_path):
         cfg_file = tmp_path / "run.yaml"
-        cfg_file.write_text(yaml.safe_dump({"fit.tau": 0.05, "run.seed": 7}))
+        cfg_file.write_text(yaml.safe_dump({"fit.tau": 0.05, "entropy.alpha": 1.0}))
         parser = build_parser()
         args = parser.parse_args(["associate", "e.txt", "--out", "o.txt",
                                   "--config", str(cfg_file), "--tau", "0.02",
                                   "--geometry", "32x48", "--slices", "6"])
         cfg = _build_config(args)
         assert cfg.tau == 0.02       # flag beats file
-        assert cfg.seed == 7         # file beats default
+        assert cfg.entropy_alpha == 1.0  # file beats default
         assert cfg.width == 32 and cfg.height == 48
         assert cfg.num_slices == 6
+
+    @pytest.mark.parametrize("flag", ["--threads", "--seed"])
+    def test_removed_flags_are_rejected(self, flag):
+        parser = build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args(["associate", "e", "--out", "o", flag, "2"])
 
     def test_bad_geometry_flag(self):
         parser = build_parser()

@@ -15,7 +15,6 @@ SAMPLE_VALUES = {
     "entropy_beta": 5.5,
     "entropy_grid": 4,
     "max_window_s": 0.25,
-    "entropy_confidence": 0.9,
     "num_slices": 7,
     "max_pairs": 99,
     "parallel_tol": 5e-4,
@@ -24,8 +23,6 @@ SAMPLE_VALUES = {
     "ikose_k": 0.05,
     "min_inliers": 4,
     "n_rep": 2,
-    "workers": 3,
-    "seed": 42,
 }
 
 
@@ -36,7 +33,7 @@ def test_defaults():
     assert cfg.num_slices == 10
     assert cfg.tau == 0.01
     assert cfg.scale_mode == "fixed"
-    assert cfg.workers == 1
+    assert cfg.n_rep == 5
     assert cfg.geometry == SensorGeometry(240, 180)
 
 
@@ -101,10 +98,10 @@ def test_flag_beats_file_beats_default(tmp_path_factory, file_keys):
 
 def test_flag_overrides_file(tmp_path):
     path = tmp_path / "run.yaml"
-    path.write_text(yaml.safe_dump({"fit.tau": 0.05, "run.seed": 9}))
+    path.write_text(yaml.safe_dump({"fit.tau": 0.05, "hypo.num_slices": 9}))
     cfg = load_config(str(path), {"fit.tau": 0.08})
-    assert cfg.tau == 0.08  # flag wins
-    assert cfg.seed == 9    # file survives where no flag is given
+    assert cfg.tau == 0.08       # flag wins
+    assert cfg.num_slices == 9   # file survives where no flag is given
 
 
 @pytest.mark.parametrize(
@@ -115,7 +112,7 @@ def test_flag_overrides_file(tmp_path):
         {"entropy_alpha": 5.0, "entropy_beta": 4.0},
         {"entropy_grid": 0},
         {"max_window_s": 0.0},
-        {"entropy_confidence": 1.0},
+        {"height": 0},
         {"num_slices": 1},
         {"max_pairs": 0},
         {"parallel_tol": 0.0},
@@ -124,7 +121,7 @@ def test_flag_overrides_file(tmp_path):
         {"ikose_k": 1.0},
         {"min_inliers": 0},
         {"n_rep": 0},
-        {"workers": 0},
+        {"ikose_k": 0.0},
     ],
 )
 def test_validation_rejects_bad_values(bad):

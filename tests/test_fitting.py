@@ -14,6 +14,7 @@ from evtraj.fitting import (
     estimate_tau_ikose,
     fit_window,
     point_line_distances,
+    relabel,
     residual,
     residual_matrix,
     run_eda,
@@ -351,13 +352,28 @@ class TestRunEda:
         assert all(o2 == o1 + s for o1, s, o2 in zip(offsets, sizes, offsets[1:]))
         assert offsets[-1] + sizes[-1] == len(data.stream)
 
-    def test_deterministic_across_worker_counts(self):
+    def test_deterministic(self):
         data = generate_scene(lane_scene(2, seed=4))
-        from dataclasses import replace
-        base = lane_config()
-        seq = run_eda(data.stream, base)
-        par = run_eda(data.stream, replace(base, workers=4))
-        assert len(seq) == len(par)
-        for a, b in zip(seq, par):
+        first = run_eda(data.stream, lane_config())
+        second = run_eda(data.stream, lane_config())
+        assert len(first) == len(second)
+        for a, b in zip(first, second):
             assert np.array_equal(a.assignment, b.assignment)
             assert a.num_models == b.num_models
+
+
+class TestRelabel:
+    def result(self, offset, local, num_models):
+        n = len(local)
+        window = EventWindow(GEOM, np.linspace(0.0, 1.0, n), np.zeros(n, np.int32),
+                             np.zeros(n, np.int32), np.zeros(n, np.uint8),
+                             t_start=0.0, t_end=1.0, offset=offset)
+        model = WeightedModel(hyp([0, 0, 0], [0, 0, 1]), 0, np.empty(0, dtype=int), 0.0, 0.0)
+        return AssociationResult(window, [model] * num_models,
+                                 np.asarray(local, dtype=np.int64), failed=num_models == 0)
+
+    def test_ids_shift_by_earlier_model_counts(self):
+        results = [self.result(0, [1, NOISE_ID, 0], 2),
+                   self.result(3, [NOISE_ID, NOISE_ID], 0),
+                   self.result(5, [0, 0, NOISE_ID], 1)]
+        assert relabel(results, 8).tolist() == [1, NOISE_ID, 0, NOISE_ID, NOISE_ID, 2, 2, NOISE_ID]

@@ -275,6 +275,16 @@ class TestEstimateInterval:
 
 
 class TestEventWindow:
+    def test_of_slices_the_stream(self):
+        stream = make_stream([(0.1 * i, i, 2 * i, i % 2) for i in range(6)])
+        window = EventWindow.of(stream, 2, 5, 0.15, 0.45)
+        assert len(window) == 3 and window.offset == 2
+        assert (window.t_start, window.t_end) == (0.15, 0.45)
+        assert window.geometry == stream.geometry
+        for a, b in ((window.t, stream.t), (window.u, stream.u),
+                     (window.v, stream.v), (window.p, stream.p)):
+            assert np.array_equal(a, b[2:5])
+
     def test_requires_positive_span(self):
         with pytest.raises(ValueError):
             EventWindow(GEOM, np.array([0.5]), np.array([1]), np.array([1]),

@@ -176,6 +176,16 @@ def test_read_associations_rejects_bad_index():
         read_associations(b"5 0\n")
 
 
+@pytest.mark.parametrize("payload", [b"0 1\n0 2\n", b"1 0\n1 0\n", b"0 1\n2 2\n"])
+def test_read_associations_rejects_duplicate_or_missing_index(payload):
+    with pytest.raises(FormatError):
+        read_associations(payload)
+
+
+def test_read_associations_accepts_any_row_order():
+    assert read_associations(b"1 5\n0 -1\n").tolist() == [NOISE_ID, 5]
+
+
 def test_box_annotations_round_trip():
     rows = np.array([[0.0, 1.5, 2.5, 10.0, 20.0], [0.5, 2.0, 3.0, 10.0, 20.0]])
     assert np.array_equal(read_box_annotations(format_box_annotations(rows)), rows)

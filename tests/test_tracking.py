@@ -21,6 +21,7 @@ from evtraj.tracking import (
     iou,
     pairs_from_annotations,
     propagate_box,
+    track_pair,
 )
 
 GEOM = SensorGeometry(64, 64)
@@ -94,11 +95,7 @@ class TestPairsFromAnnotations:
 def _window_and_fit(stream, t0, t1, config):
     lo = int(np.searchsorted(stream.t, t0, side="left"))
     hi = int(np.searchsorted(stream.t, t1, side="right"))
-    window = EventWindow(
-        stream.geometry,
-        stream.t[lo:hi], stream.u[lo:hi], stream.v[lo:hi], stream.p[lo:hi],
-        t_start=t0, t_end=t1, offset=lo,
-    )
+    window = EventWindow.of(stream, lo, hi, t0, t1)
     return window, fit_window(window, config)
 
 
@@ -165,9 +162,19 @@ class TestEvaluate:
 
     def test_repetitions_are_deterministic(self):
         stream = track_stream()
-        report = evaluate(stream, track_pairs(3), lane_config(), n_rep=3)
-        assert np.array_equal(report.per_pair[0], report.per_pair[1])
-        assert np.array_equal(report.per_pair[0], report.per_pair[2])
+        first = evaluate(stream, track_pairs(3), lane_config(), n_rep=3)
+        second = evaluate(stream, track_pairs(3), lane_config(), n_rep=3)
+        assert np.array_equal(first.per_pair, second.per_pair)
+        assert first.aor == second.aor and first.ar == second.ar
+
+    def test_rows_repeat_the_per_pair_scores(self):
+        stream = track_stream()
+        pairs = track_pairs(3)
+        report = evaluate(stream, pairs, lane_config(), n_rep=3)
+        row = [iou(track_pair(stream, p, lane_config()), p.gt_next) for p in pairs]
+        assert report.per_pair.shape == (3, 3)
+        assert all(r.tolist() == row for r in report.per_pair)
+        assert report.aor == float(report.per_pair.mean())
 
     def test_empty_window_scores_zero(self):
         stream = track_stream()
@@ -179,3 +186,10 @@ class TestEvaluate:
     def test_no_pairs_rejected(self):
         with pytest.raises(ValueError):
             evaluate(track_stream(), [], lane_config())
+
+
+class TestTrackPair:
+    def test_too_few_events_raises(self):
+        late = TrackingPair(10.0, 10.02, BoundingBox(0, 0, 4, 4), BoundingBox(0, 0, 4, 4))
+        with pytest.raises(TrackingFailure, match="0 events"):
+            track_pair(track_stream(), late, lane_config())
