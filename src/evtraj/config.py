@@ -99,7 +99,7 @@ def _resolve_key(key: str) -> str:
         return KEY_MAP[key]
     if key in _FIELD_TYPES:
         return key
-    raise KeyError(f"unknown config key {key!r}")
+    raise ValueError(f"unknown config key {key!r}")
 
 
 def apply_overrides(config: RunConfig, overrides: Mapping[str, Any]) -> RunConfig:

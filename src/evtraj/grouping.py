@@ -159,12 +159,6 @@ class AtsltdFrame:
         return self._channel(self._raw_off)
 
 
-def update_frame(frame: AtsltdFrame, event: Event) -> AtsltdFrame:
-    """Apply one event to the surface (in place) and return the frame."""
-    frame.update(event)
-    return frame
-
-
 def nzge_entropy(frame: AtsltdFrame, grid: int | None = None) -> float:
     """Non-zero grid entropy, recomputed from the normalized combined surface.
 

@@ -1,6 +1,6 @@
 """Parsing, validation, and serialization of event streams and annotations.
 
-File formats (all UTF-8 text, `#`-prefixed comment lines skipped):
+File formats (all UTF-8 text, blank lines and `#`-prefixed comment lines skipped):
 
 * event file:        ``t u v p`` per line, t in decimal seconds, p in {0, 1}
 * association file:  ``event_index trajectory_id`` per line, -1 = noise
@@ -9,8 +9,10 @@ File formats (all UTF-8 text, `#`-prefixed comment lines skipped):
 from __future__ import annotations
 
 import io as _stdio
+import re
+import warnings
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -22,6 +24,14 @@ POLARITY_ON = 1
 
 class FormatError(ValueError):
     """Malformed or inconsistent input data."""
+
+
+class _InvalidRow(FormatError):
+    """Row ``index`` of an event stream or table is invalid; readers name its line."""
+
+    def __init__(self, index: int, reason: str) -> None:
+        super().__init__(f"event {index}: {reason}")
+        self.index, self.reason = index, reason
 
 
 @dataclass(frozen=True)
@@ -46,11 +56,20 @@ class Event:
     p: int
 
 
+def _first_failure(checks) -> None:
+    """Raise :class:`_InvalidRow` for the lowest flagged row; ties go to the earlier check."""
+    failures = [(int(bad.argmax()), k) for k, (bad, _) in enumerate(checks) if bad.any()]
+    if failures:
+        i, k = min(failures)
+        raise _InvalidRow(i, checks[k][1](i))
+
+
 class EventStream:
     """An immutable, time-ordered sequence of events with a fixed geometry.
 
     Events are stored as parallel numpy arrays; single events materialize as
-    :class:`Event` on indexed access.
+    :class:`Event` on indexed access. Every event is validated before any field
+    is narrowed to its stored dtype.
     """
 
     __slots__ = ("geometry", "t", "u", "v", "p")
@@ -63,26 +82,23 @@ class EventStream:
         v: np.ndarray,
         p: np.ndarray,
     ) -> None:
-        t = np.asarray(t, dtype=np.float64)
-        u = np.asarray(u, dtype=np.int32)
-        v = np.asarray(v, dtype=np.int32)
-        p = np.asarray(p, dtype=np.uint8)
-        n = t.size
-        if not (u.size == v.size == p.size == n):
+        t = np.ascontiguousarray(t, dtype=np.float64)
+        u, v, p = np.asarray(u), np.asarray(v), np.asarray(p)
+        if not (u.size == v.size == p.size == t.size):
             raise ValueError("event field arrays must have equal length")
-        if n:
-            if not np.all(np.isfinite(t)):
-                raise FormatError("non-finite timestamp")
-            if t[0] < 0:
-                raise FormatError("negative timestamp")
-            if np.any(np.diff(t) < 0):
-                raise FormatError("timestamps are not non-decreasing")
-            if np.any(u < 0) or np.any(u >= geometry.width):
-                raise FormatError("u coordinate out of sensor bounds")
-            if np.any(v < 0) or np.any(v >= geometry.height):
-                raise FormatError("v coordinate out of sensor bounds")
-            if np.any(p > 1):
-                raise FormatError("polarity must be 0 or 1")
+        w, h = geometry.width, geometry.height
+        pixel = (u >= 0) & (u < w) & (v >= 0) & (v < h) & (u == np.trunc(u)) & (v == np.trunc(v))
+        _first_failure((
+            (~np.isfinite(t) | (t < 0), lambda i: f"invalid timestamp {t[i]}"),
+            (np.r_[False, t[1:] < t[:-1]],
+             lambda i: f"timestamp regression ({t[i]} < {t[i - 1]})"),
+            (~pixel,
+             lambda i: f"coordinate ({u[i]}, {v[i]}) is not a pixel of the {w}x{h} sensor"),
+            ((p != 0) & (p != 1), lambda i: f"polarity must be 0 or 1, got {p[i]}"),
+        ))
+        u = np.ascontiguousarray(u, dtype=np.int32)
+        v = np.ascontiguousarray(v, dtype=np.int32)
+        p = np.ascontiguousarray(p, dtype=np.uint8)
         for a in (t, u, v, p):
             a.setflags(write=False)
         object.__setattr__(self, "geometry", geometry)
@@ -117,71 +133,75 @@ class EventStream:
 
     @classmethod
     def from_events(cls, geometry: SensorGeometry, events: Sequence[Event]) -> "EventStream":
-        return cls(
-            geometry,
-            np.array([e.t for e in events], dtype=np.float64),
-            np.array([e.u for e in events], dtype=np.int32),
-            np.array([e.v for e in events], dtype=np.int32),
-            np.array([e.p for e in events], dtype=np.uint8),
-        )
+        fields = [[getattr(e, name) for e in events] for name in ("t", "u", "v", "p")]
+        return cls(geometry, *fields)
 
 
-def _decode(source: Union[bytes, str]) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    return source
+_COMMENT_LINE = re.compile(r"\n[^\S\n]*#[^\n]*")
+
+
+def _loadtxt(lines, dtype: list) -> np.ndarray:
+    """``np.loadtxt`` that rejects ``1.5`` or ``1e3`` in an integer field; blank input is quiet.
+
+    NumPy releases since 1.23 that still read such a token truncate it and only
+    warn with a :class:`DeprecationWarning`, which is an error here.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:  # comments=None: an inline `#` after data is a field-count error
+            return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+        except DeprecationWarning as exc:
+            raise ValueError(exc) from exc
+
+
+def _read_table(source: Union[bytes, str], dtype: list, build: Callable[[np.ndarray], object]):
+    """Parse one row of numbers, one per ``dtype`` field, per non-comment line into ``build``.
+
+    Every :class:`FormatError`, including an :class:`_InvalidRow` from ``build``, names its line.
+    """
+    text = source.decode("utf-8") if isinstance(source, bytes) else source
+    # Lines end where str.splitlines ends them. Comment lines are blanked, not
+    # removed, so line numbers hold; np.loadtxt skips blank lines.
+    text = _COMMENT_LINE.sub("\n", "\n" + "\n".join(text.splitlines()))[1:]
+    try:
+        rows = _loadtxt(_stdio.StringIO(text), dtype)
+    except ValueError:
+        raise FormatError(_unreadable_line(text, dtype)) from None
+    try:
+        return build(rows)
+    except _InvalidRow as exc:
+        rows_at = [n for n, line in enumerate(text.split("\n"), start=1) if line.strip()]
+        raise FormatError(f"line {rows_at[exc.index]}: {exc.reason}") from None
+
+
+def _unreadable_line(text: str, dtype: list) -> str:
+    """Name the first line np.loadtxt rejects; runs only after it rejected ``text``."""
+    lines = text.split("\n")
+    lo, hi = 0, len(lines)  # rows load independently: lines[:lo] load, lines[:hi] do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _loadtxt(lines[lo:mid], dtype)
+            lo = mid
+        except ValueError:
+            hi = mid
+    names = " ".join(name for name, _ in dtype)
+    return f"line {hi}: expected {len(dtype)} numbers `{names}`, got {lines[lo].strip()!r}"
 
 
 def parse_stream(source: Union[bytes, str], geometry: SensorGeometry) -> EventStream:
     """Parse a `t u v p` event file. Out-of-order input is rejected, not sorted."""
-    ts, us, vs, ps = [], [], [], []
-    prev_t = -np.inf
-    for lineno, line in enumerate(_decode(source).splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise FormatError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-        try:
-            t = float(parts[0])
-            u = int(parts[1])
-            v = int(parts[2])
-            p = int(parts[3])
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
-        if not np.isfinite(t) or t < 0:
-            raise FormatError(f"line {lineno}: invalid timestamp {parts[0]}")
-        if t < prev_t:
-            raise FormatError(f"line {lineno}: timestamp regression ({t} < {prev_t})")
-        if not (0 <= u < geometry.width and 0 <= v < geometry.height):
-            raise FormatError(f"line {lineno}: coordinate ({u}, {v}) out of bounds "
-                              f"for {geometry.width}x{geometry.height}")
-        if p not in (0, 1):
-            raise FormatError(f"line {lineno}: polarity must be 0 or 1, got {parts[3]}")
-        prev_t = t
-        ts.append(t)
-        us.append(u)
-        vs.append(v)
-        ps.append(p)
-    return EventStream(
-        geometry,
-        np.array(ts, dtype=np.float64),
-        np.array(us, dtype=np.int32),
-        np.array(vs, dtype=np.int32),
-        np.array(ps, dtype=np.uint8),
-    )
+    return _read_table(source, [("t", "f8"), ("u", "i8"), ("v", "i8"), ("p", "i8")],
+                       lambda r: EventStream(geometry, r["t"], r["u"], r["v"], r["p"]))
 
 
 def serialize_stream(stream: EventStream) -> bytes:
     """Inverse of :func:`parse_stream`; timestamps keep full double precision."""
     out = _stdio.StringIO()
-    t = stream.t.tolist()
-    u = stream.u.tolist()
-    v = stream.v.tolist()
-    p = stream.p.tolist()
-    for i in range(len(t)):
-        out.write(f"{t[i]!r} {u[i]} {v[i]} {p[i]}\n")
+    fields = (stream.t.tolist(), stream.u.tolist(), stream.v.tolist(), stream.p.tolist())
+    for t, u, v, p in zip(*fields):
+        out.write(f"{t!r} {u} {v} {p}\n")
     return out.getvalue().encode("utf-8")
 
 
@@ -202,52 +222,34 @@ def write_associations(assignment: np.ndarray, path) -> None:
         fh.write(format_associations(assignment))
 
 
+def _assignment(rows: np.ndarray) -> np.ndarray:
+    idx, n = rows["event_index"], rows.size
+    _first_failure([((idx < 0) | (idx >= n), lambda i: f"event index {idx[i]} out of range")])
+    counts = np.bincount(idx, minlength=n)  # all in range, so a missing index means a repeat
+    _first_failure([(counts[idx] > 1, lambda i: f"event index {idx[i]} listed more than once")])
+    assignment = np.empty(n, dtype=np.int64)
+    assignment[idx] = rows["trajectory_id"]
+    return assignment
+
+
 def read_associations(source: Union[bytes, str]) -> np.ndarray:
     """Read back :func:`format_associations` output; returns the assignment array.
 
     Every index in ``[0, rows)`` must appear exactly once.
     """
-    pairs = []
-    for lineno, line in enumerate(_decode(source).splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"line {lineno}: expected 2 fields")
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
-    assignment = np.empty(len(pairs), dtype=np.int64)
-    seen = set()
-    for idx, label in pairs:
-        if not 0 <= idx < assignment.size:
-            raise FormatError(f"event index {idx} out of range")
-        if idx in seen:
-            raise FormatError(f"event index {idx} listed twice")
-        seen.add(idx)
-        assignment[idx] = label
-    return assignment
+    return _read_table(source, [("event_index", "i8"), ("trajectory_id", "i8")], _assignment)
+
+
+def _boxes(rows: np.ndarray) -> np.ndarray:
+    boxes = rows.view(np.float64).reshape(-1, 5)
+    ok = np.isfinite(boxes).all(axis=1) & (boxes[:, 3] > 0) & (boxes[:, 4] > 0)
+    _first_failure([(~ok, lambda i: "box fields must be finite, with positive w and h")])
+    return boxes
 
 
 def read_box_annotations(source: Union[bytes, str]) -> np.ndarray:
     """Read `frame_timestamp x y w h` ground-truth boxes as an (n, 5) float array."""
-    rows = []
-    for lineno, line in enumerate(_decode(source).splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise FormatError(f"line {lineno}: expected 5 fields, got {len(parts)}")
-        try:
-            rows.append([float(x) for x in parts])
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
-        if rows[-1][3] <= 0 or rows[-1][4] <= 0:
-            raise FormatError(f"line {lineno}: non-positive box size")
-    return np.array(rows, dtype=np.float64).reshape(-1, 5)
+    return _read_table(source, [(f, "f8") for f in ("frame_timestamp", "x", "y", "w", "h")], _boxes)
 
 
 def format_box_annotations(rows: np.ndarray) -> bytes:

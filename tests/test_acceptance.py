@@ -272,6 +272,9 @@ def test_windows_partition_the_stream(stream):
 
 # --- throughput floor -------------------------------------------------------
 
+# The 30K rate is advisory on a shared machine, so its warning stays a warning
+# under the suite's warnings-as-errors filter; only the 10K floor fails.
+@pytest.mark.filterwarnings("default:throughput:UserWarning")
 def test_throughput_floor(tmp_path, capsys):
     doc = {
         "geometry": [240, 180],

@@ -296,3 +296,13 @@ class TestConfigPlumbing:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["associate", "e", "--out", "o", "--geometry", "big"])
+
+    def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys):
+        cfg_file = tmp_path / "old.yaml"
+        cfg_file.write_text(yaml.safe_dump({"run.seed": 3}))
+        events = tmp_path / "events.txt"
+        events.write_bytes(b"0.1 1 1 0\n")
+        rc = main(["associate", str(events), "--out", str(tmp_path / "o.txt"),
+                   "--config", str(cfg_file)])
+        assert rc == 1
+        assert "unknown config key" in capsys.readouterr().err

@@ -59,7 +59,7 @@ def test_apply_overrides_ignores_none_values():
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown config key"):
         apply_overrides(RunConfig(), {"fit.gamma": 1.0})
 
 

@@ -14,7 +14,6 @@ from evtraj.grouping import (
     cut_windows,
     estimate_interval,
     nzge_entropy,
-    update_frame,
 )
 from evtraj.io import Event, EventStream, SensorGeometry
 
@@ -44,7 +43,7 @@ def surface_oracle(geometry, window_start, events):
 class TestUpdateFrame:
     def test_first_event_sets_cell_to_one(self):
         frame = AtsltdFrame(GEOM, window_start=0.0)
-        update_frame(frame, Event(0.5, 3, 7, 1))
+        frame.update(Event(0.5, 3, 7, 1))
         assert frame.on_channel[7, 3] == 1.0
         assert frame.on_channel.sum() == 1.0
         assert frame.off_channel.sum() == 0.0

@@ -1,4 +1,6 @@
 """Event stream and annotation format tests."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -65,11 +67,82 @@ def test_parse_keeps_duplicate_events():
         b"nan 0 0 0",  # non-finite timestamp
         b"0.1 0 0",  # missing field
         b"0.1 a 0 0",  # non-numeric field
+        b"0.1 0 0 0 # x",  # inline comment
+        b"0.1 1.5 0 0",  # non-integral coordinate
+        b"0.1 0 0 0 0",  # extra field
+        b"0.1 99999999999 0 0",  # coordinate past int32
     ],
 )
 def test_parse_rejects_malformed_lines(line):
     with pytest.raises(FormatError, match="line 1"):
         parse_stream(line, GEOM)
+
+
+def test_parse_error_counts_comment_and_blank_lines():
+    with pytest.raises(FormatError, match="line 4"):
+        parse_stream(b"# h\n\n0.1 0 0 0\n0.2 0 0 5", GEOM)
+
+
+def test_parse_comment_only_input():
+    assert len(parse_stream(b"# header\n  # more\n\n", GEOM)) == 0
+
+
+def _float_parsing_loadtxt(real):
+    """np.loadtxt as NumPy releases since 1.23 that still accept ``1.5`` in an integer field."""
+
+    def loadtxt(fname, dtype, **kwargs):
+        try:
+            return real(fname, dtype=dtype, **kwargs)
+        except ValueError:
+            try:
+                warnings.warn("Parsing an integer via a float is deprecated.", DeprecationWarning)
+            except DeprecationWarning as exc:  # loadtxt chains a raised warning
+                raise ValueError("could not convert") from exc
+            if hasattr(fname, "seek"):
+                fname.seek(0)
+            as_float = [(name, "f8") for name, _ in dtype]
+            return real(fname, dtype=as_float, **kwargs).astype(dtype)
+
+    return loadtxt
+
+
+@pytest.mark.parametrize("float_parsing_numpy", [False, True], ids=["numpy", "float_parsing_numpy"])
+@pytest.mark.parametrize(
+    "read, payload, line",
+    [
+        (lambda s: parse_stream(s, GEOM), b"0.1 1.5 0 0", 1),
+        (lambda s: parse_stream(s, GEOM), b"0.1 1e3 0 0", 1),
+        (lambda s: parse_stream(s, GEOM), b"0.1 0 0 0\n0.2 1.5 0 0\n0.3 0 0 0", 2),
+        (read_associations, b"0.5 0\n", 1),
+        (read_associations, b"0 1\n1 0.5\n", 2),
+    ],
+    ids=["u_1.5", "u_1e3", "u_1.5_on_line_2", "index_0.5", "id_0.5_on_line_2"],
+)
+def test_integer_fields_reject_non_integral_tokens(monkeypatch, float_parsing_numpy, read,
+                                                   payload, line):
+    # Runs under Python's default warning filters, which hide library
+    # DeprecationWarnings, so the suite-wide error filter cannot do the rejecting.
+    if float_parsing_numpy:
+        monkeypatch.setattr(np, "loadtxt", _float_parsing_loadtxt(np.loadtxt))
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        with pytest.raises(FormatError, match=f"line {line}:"):
+            read(payload)
+
+
+@pytest.mark.parametrize(
+    "u, p",
+    [
+        (np.array([0, 2**32], dtype=np.int64), [0, 0]),  # would wrap to 0 in int32
+        ([0, 0], [0, 256]),  # would wrap to 0 in uint8
+        ([0, 0], [0, 1.7]),  # would truncate to 1
+        ([0, 5.9], [0, 0]),  # would truncate to 5
+    ],
+    ids=["u_2**32", "p_256", "p_1.7", "u_5.9"],
+)
+def test_stream_rejects_fields_before_narrowing(u, p):
+    with pytest.raises(FormatError, match="event 1"):
+        EventStream(GEOM, [0.1, 0.2], u, [0, 0], p)
 
 
 def test_stream_is_immutable():
@@ -194,6 +267,12 @@ def test_box_annotations_round_trip():
 def test_box_annotations_reject_degenerate_box():
     with pytest.raises(FormatError):
         read_box_annotations(b"0.0 1 1 0 5\n")
+
+
+@pytest.mark.parametrize("payload", [b"0.0 nan 1 5 5\n", b"0.0 1 1 5 inf\n"])
+def test_box_annotations_reject_non_finite_field(payload):
+    with pytest.raises(FormatError, match="line 1"):
+        read_box_annotations(payload)
 
 
 def test_box_annotations_reject_bad_field_count():
