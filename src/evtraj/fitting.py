@@ -17,11 +17,14 @@ from typing import List, Sequence
 import numpy as np
 from scipy import stats
 
-from .grouping import EventWindow
+from .grouping import EntropyInterval, EventWindow, cut_windows
 from .hypotheses import (
+    HypothesisError,
     HypothesisSet,
     LineHypothesis,
     LineSet,
+    generate,
+    select_representatives,
     time_scale,
     window_voxels,
 )
@@ -55,19 +58,11 @@ class NoiseScale:
 
 
 @dataclass(frozen=True)
-class ResidualMatrix:
-    """Column-normalized voxel-to-line residuals (events x representatives)."""
-
-    values: np.ndarray
-    column_norms: np.ndarray
-
-
-@dataclass(frozen=True)
 class WeightedModel:
     """A surviving hypothesis with its inliers and both weighting stages."""
 
     hypothesis: LineHypothesis
-    rep_index: int
+    rep_index: int  # position among the window's representatives, not in HypothesisSet.all
     inliers: np.ndarray
     w_stage1: float
     w_final: float
@@ -99,19 +94,14 @@ def point_line_distances(voxels: np.ndarray, starts: np.ndarray, ends: np.ndarra
     return np.linalg.norm(cross, axis=2) / lengths
 
 
-def residual(voxel: np.ndarray, hyp: LineHypothesis) -> float:
-    """Raw (pre-normalization) distance from one voxel to one hypothesis line."""
-    return float(point_line_distances(np.asarray(voxel), hyp.start, hyp.end)[0, 0])
+def residual_matrix(vox: np.ndarray, lines: LineSet) -> np.ndarray:
+    """Voxel-to-line residuals (events x lines), each column scaled to unit norm.
 
-
-def residual_matrix(window: EventWindow, reps: HypothesisSet) -> ResidualMatrix:
-    rep_lines = reps.representatives
-    if len(rep_lines) == 0:
-        raise FitError("no representative hypotheses")
-    raw = point_line_distances(window_voxels(window), rep_lines.starts, rep_lines.ends)
+    An all-zero column stays zero.
+    """
+    raw = point_line_distances(vox, lines.starts, lines.ends)
     norms = np.linalg.norm(raw, axis=0)
-    safe = np.where(norms > 0, norms, 1.0)
-    return ResidualMatrix(raw / safe, norms)
+    return raw / np.where(norms > 0, norms, 1.0)
 
 
 def estimate_tau_ikose(column: np.ndarray, k_ratio: float = DEFAULT_IKOSE_K) -> NoiseScale:
@@ -142,12 +132,12 @@ def estimate_tau_ikose(column: np.ndarray, k_ratio: float = DEFAULT_IKOSE_K) -> 
 
 
 def select_inliers(
-    matrix: ResidualMatrix,
+    values: np.ndarray,
     scale: NoiseScale,
     min_inliers: int = DEFAULT_MIN_INLIERS,
 ) -> List[tuple[int, np.ndarray]]:
-    """Per-representative inlier index sets; hypotheses below the floor are dropped."""
-    mask = matrix.values < scale.tau
+    """Per-column inlier index sets of a residual matrix; columns below the floor are dropped."""
+    mask = values < scale.tau
     survivors = []
     for j in range(mask.shape[1]):
         idx = np.flatnonzero(mask[:, j])
@@ -210,23 +200,24 @@ def select_model_count(weights: Sequence[float]) -> int:
 
 
 def weigh_models(
-    window: EventWindow,
-    reps: HypothesisSet,
+    vox: np.ndarray,
+    reps: LineSet,
     survivors: Sequence[tuple[int, np.ndarray]],
+    s_t: float,
 ) -> List[WeightedModel]:
-    """Apply both weighting stages to the surviving representatives."""
-    vox = window_voxels(window)
-    s_t = time_scale(window.geometry)
-    rep_lines = reps.representatives
+    """Apply both weighting stages to the surviving representatives.
+
+    ``s_t`` is the length of the normalized time axis (:func:`time_scale`).
+    """
     models = []
     for j, inliers in survivors:
-        hyp = rep_lines[j]
+        hyp = reps[j]
         w1 = stage1_weight(vox[inliers, 2], s_t)
         contrast = warp_and_contrast(vox, inliers, hyp)
         models.append(
             WeightedModel(
                 hypothesis=hyp,
-                rep_index=int(reps.rep_indices[j]),
+                rep_index=j,
                 inliers=inliers,
                 w_stage1=w1,
                 w_final=stage2_weight(w1, contrast),
@@ -236,44 +227,27 @@ def weigh_models(
 
 
 def associate(
-    window: EventWindow,
+    vox: np.ndarray,
     hyps: HypothesisSet,
     instances: Sequence[WeightedModel],
-    parallel_tol: float,
     scale: NoiseScale,
-) -> AssociationResult:
-    """Assign each event to the instance with its minimum sub-tau family residual.
+) -> np.ndarray:
+    """Per-event instance ids: the instance whose family fits the event best.
 
-    Each instance's family is the set of generated hypotheses parallel to it
-    (cosine distance <= parallel_tol); residuals against the family columns
-    are normalized like the representative columns. Events below tau for no
-    family are labeled noise.
+    An instance's family is ``hyps.families[instance.rep_index]``, the
+    hypotheses parallel to its representative. An event's residual to an
+    instance is its smallest normalized residual over the family; the event
+    goes to the instance with the smallest one (ties: the earlier instance),
+    or to noise when that residual is not below tau.
     """
     if not instances:
         raise FitError("no instances to associate against")
-    vox = window_voxels(window)
-    n = vox.shape[0]
-    units = hyps.all.unit_directions()
-    best = np.full(n, np.inf)
-    label = np.full(n, NOISE_ID, dtype=np.int64)
-    for idx, inst in enumerate(instances):
-        d = inst.hypothesis.direction
-        ud = d / np.linalg.norm(d)
-        fam = np.flatnonzero(1.0 - units @ ud <= parallel_tol)
-        if fam.size == 0:
-            continue
-        fam_min = np.full(n, np.inf)
-        chunk = max(1, 4_000_000 // max(n, 1))
-        for lo in range(0, fam.size, chunk):
-            sub = fam[lo:lo + chunk]
-            raw = point_line_distances(vox, hyps.all.starts[sub], hyps.all.ends[sub])
-            norms = np.linalg.norm(raw, axis=0)
-            vals = raw / np.where(norms > 0, norms, 1.0)
-            fam_min = np.minimum(fam_min, vals.min(axis=1))
-        better = (fam_min < scale.tau) & (fam_min < best)
-        label[better] = idx
-        best[better] = fam_min[better]
-    return AssociationResult(window=window, instances=list(instances), assignment=label)
+    fam_min = np.stack([
+        residual_matrix(vox, hyps.all.take(hyps.families[m.rep_index])).min(axis=1, initial=np.inf)
+        for m in instances
+    ])
+    owner = np.argmin(fam_min, axis=0)
+    return np.where(fam_min.min(axis=0) < scale.tau, owner, NOISE_ID)
 
 
 def _all_noise(window: EventWindow) -> AssociationResult:
@@ -291,35 +265,33 @@ def fit_window(window: EventWindow, config) -> AssociationResult:
     Failures (no usable slices, no surviving model) degrade to a flagged
     all-noise result instead of raising.
     """
-    from .hypotheses import HypothesisError, generate, select_representatives
-
     try:
         lines = generate(window, config.num_slices, config.max_pairs)
-        reps = select_representatives(lines, config.parallel_tol)
-        matrix = residual_matrix(window, reps)
+        hyps = select_representatives(lines, config.parallel_tol)
+        reps = hyps.representatives
+        vox = window_voxels(window)
+        values = residual_matrix(vox, reps)
         if config.scale_mode == "fixed":
             scale = NoiseScale(config.tau, "fixed")
         elif config.scale_mode == "ikose":
-            taus = [estimate_tau_ikose(matrix.values[:, j], config.ikose_k).tau
-                    for j in range(matrix.values.shape[1])]
+            taus = [estimate_tau_ikose(values[:, j], config.ikose_k).tau
+                    for j in range(values.shape[1])]
             scale = NoiseScale(float(np.median(taus)), "estimated")
         else:
             raise ValueError(f"unknown scale_mode {config.scale_mode!r}")
-        survivors = select_inliers(matrix, scale, config.min_inliers)
-        models = weigh_models(window, reps, survivors)
+        survivors = select_inliers(values, scale, config.min_inliers)
+        models = weigh_models(vox, reps, survivors, time_scale(window.geometry))
         finals = [m.w_final for m in models]
         num_models = 1 if len(models) < 2 else select_model_count(finals)
         order = np.argsort(finals, kind="stable")[:num_models]
         instances = [models[int(i)] for i in order]
-        return associate(window, reps, instances, config.parallel_tol, scale)
+        return AssociationResult(window, instances, associate(vox, hyps, instances, scale))
     except (HypothesisError, NoSurvivingModelError):
         return _all_noise(window)
 
 
 def run_eda(stream, config) -> List[AssociationResult]:
     """Cut the stream into windows and fit each one, in stream order."""
-    from .grouping import EntropyInterval, cut_windows
-
     interval = EntropyInterval(config.entropy_alpha, config.entropy_beta)
     windows = cut_windows(stream, interval, config.entropy_grid, config.max_window_s)
     return [fit_window(w, config) for w in windows]

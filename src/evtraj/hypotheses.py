@@ -96,13 +96,14 @@ class LineSet:
 class HypothesisSet:
     """All generated hypotheses plus their non-parallel representatives.
 
-    ``rep_members[k]`` lists the indices (into ``all``) of the hypotheses
-    clustered under representative ``rep_indices[k]``.
+    ``families`` is an (R, H) boolean array: row ``k`` marks every hypothesis
+    in ``all`` within the parallel tolerance of representative
+    ``rep_indices[k]``. Families may overlap.
     """
 
     all: LineSet
     rep_indices: np.ndarray
-    rep_members: List[np.ndarray]
+    families: np.ndarray
 
     @property
     def representatives(self) -> LineSet:
@@ -158,23 +159,19 @@ def generate(
     return LineSet(starts, ends)
 
 
-def cosine_distance(a: LineHypothesis, b: LineHypothesis) -> float:
-    """1 - cos(angle) between the two direction vectors; range [0, 2]."""
-    da, db = a.direction, b.direction
-    return float(1.0 - np.dot(da, db) / (np.linalg.norm(da) * np.linalg.norm(db)))
-
-
 def select_representatives(
     hyps: LineSet,
     parallel_tol: float = DEFAULT_PARALLEL_TOL,
 ) -> HypothesisSet:
     """Greedily cluster near-parallel hypotheses and pick one representative each.
 
-    Hypotheses within ``parallel_tol`` cosine distance count as parallel
-    neighbors. The unassigned hypothesis with the most neighbors (ties: lowest
-    index) becomes a representative and absorbs its unassigned neighbors;
-    repeat until every hypothesis belongs to exactly one cluster.
-    Representatives end up mutually non-parallel.
+    Hypotheses within ``parallel_tol`` cosine distance (1 - cos of the angle
+    between their directions) are parallel. The unassigned hypothesis with the
+    most parallel neighbors (ties: lowest index) becomes a representative and
+    absorbs its unassigned neighbors; repeat until every hypothesis is
+    absorbed. Representatives end up mutually non-parallel. Each
+    representative's family is all of its parallel neighbors, absorbed
+    earlier or not.
     """
     n = len(hyps)
     if n == 0:
@@ -190,14 +187,10 @@ def select_representatives(
 
     unassigned = np.ones(n, dtype=bool)
     rep_indices: List[int] = []
-    members: List[np.ndarray] = []
     while unassigned.any():
-        masked_view = np.where(unassigned, counts, -1)
-        r = int(np.argmax(masked_view))
-        group = np.flatnonzero(adj[r] & unassigned)
-        if r not in group:  # numerically guaranteed, but keep the invariant explicit
-            group = np.sort(np.append(group, r))
+        r = int(np.argmax(np.where(unassigned, counts, -1)))
         rep_indices.append(r)
-        members.append(group)
-        unassigned[group] = False
-    return HypothesisSet(hyps, np.asarray(rep_indices, dtype=np.int64), members)
+        unassigned[adj[r]] = False
+        unassigned[r] = False  # adj[r, r] may round to False
+    reps = np.asarray(rep_indices, dtype=np.int64)
+    return HypothesisSet(hyps, reps, adj[reps])

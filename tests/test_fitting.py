@@ -8,14 +8,12 @@ from evtraj.fitting import (
     AssociationResult,
     NoiseScale,
     NoSurvivingModelError,
-    ResidualMatrix,
     WeightedModel,
     associate,
     estimate_tau_ikose,
     fit_window,
     point_line_distances,
     relabel,
-    residual,
     residual_matrix,
     run_eda,
     select_inliers,
@@ -26,7 +24,14 @@ from evtraj.fitting import (
     weigh_models,
 )
 from evtraj.grouping import EventWindow
-from evtraj.hypotheses import LineHypothesis, LineSet, generate, select_representatives
+from evtraj.hypotheses import (
+    LineHypothesis,
+    LineSet,
+    generate,
+    select_representatives,
+    time_scale,
+    window_voxels,
+)
 from evtraj.io import NOISE_ID, SensorGeometry
 from evtraj.synth import generate_scene
 
@@ -47,21 +52,26 @@ def hyp(start, end):
     return LineHypothesis(np.asarray(start, dtype=float), np.asarray(end, dtype=float))
 
 
+def distance(point, h):
+    """Distance from one voxel to one hypothesis line."""
+    return float(point_line_distances(point, h.start, h.end)[0, 0])
+
+
 class TestResidual:
     def test_point_on_line_is_zero(self):
         h = hyp([0, 0, 0], [3, 4, 5])
-        assert residual(np.array([1.5, 2.0, 2.5]), h) == pytest.approx(0.0, abs=1e-12)
+        assert distance(np.array([1.5, 2.0, 2.5]), h) == pytest.approx(0.0, abs=1e-12)
 
     def test_three_four_five(self):
         # line along the t axis; point offset (3, 4) in the image plane
         h = hyp([0, 0, 0], [0, 0, 10])
-        assert residual(np.array([3.0, 4.0, 7.0]), h) == pytest.approx(5.0)
+        assert distance(np.array([3.0, 4.0, 7.0]), h) == pytest.approx(5.0)
 
     def test_independent_of_segment_length(self):
         a = hyp([0, 0, 0], [0, 0, 1])
         b = hyp([0, 0, 0], [0, 0, 100])
         p = np.array([2.0, 0.0, 0.5])
-        assert residual(p, a) == pytest.approx(residual(p, b))
+        assert distance(p, a) == pytest.approx(distance(p, b))
 
     @given(
         st.tuples(st.floats(-20, 20), st.floats(-20, 20), st.floats(-20, 20)),
@@ -71,7 +81,7 @@ class TestResidual:
         h = hyp([1, 2, 0], [4, 6, 12])
         hc = hyp(np.array([1, 2, 0]) * c, np.array([4, 6, 12]) * c)
         p = np.asarray(point)
-        assert residual(p * c, hc) == pytest.approx(c * residual(p, h), rel=1e-9, abs=1e-9)
+        assert distance(p * c, hc) == pytest.approx(c * distance(p, h), rel=1e-9, abs=1e-9)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(0)
@@ -81,42 +91,46 @@ class TestResidual:
         batch = point_line_distances(vox, starts, ends)
         for i in range(20):
             for j in range(4):
-                single = residual(vox[i], hyp(starts[j], ends[j]))
+                single = distance(vox[i], hyp(starts[j], ends[j]))
                 assert batch[i, j] == pytest.approx(single)
 
 
 class TestResidualMatrix:
-    def _reps(self, starts, ends):
-        return select_representatives(LineSet(np.asarray(starts, float),
-                                              np.asarray(ends, float)), 1e-6)
+    @staticmethod
+    def _lines(starts, ends):
+        return LineSet(np.asarray(starts, float), np.asarray(ends, float))
 
     def test_single_event_single_line_normalizes_to_one(self):
-        win = make_window([0.5], [10], [20])
-        reps = self._reps([[0, 0, 0]], [[0, 0, 64]])
-        m = residual_matrix(win, reps)
-        assert m.values == pytest.approx(np.array([[1.0]]))
-        raw = residual(np.array([10.0, 20.0, 32.0]), reps.representatives[0])
-        assert m.column_norms[0] == pytest.approx(raw)
+        vox = window_voxels(make_window([0.5], [10], [20]))
+        lines = self._lines([[0, 0, 0]], [[0, 0, 64]])
+        m = residual_matrix(vox, lines)
+        assert m == pytest.approx(np.array([[1.0]]))
+        raw = point_line_distances(vox, lines.starts, lines.ends)
+        assert raw[0, 0] == pytest.approx(np.hypot(10.0, 20.0))
 
     def test_equal_raw_residuals_normalize_to_inverse_sqrt_n(self):
         # four events all at distance 5 from the time axis
-        win = make_window([0.25, 0.25, 0.75, 0.75], [3, 5, 3, 5], [4, 0, 4, 0])
-        reps = self._reps([[0, 0, 0]], [[0, 0, 64]])
-        m = residual_matrix(win, reps)
-        assert m.values[:, 0] == pytest.approx(np.full(4, 0.5))
-        assert m.column_norms[0] == pytest.approx(10.0)
+        vox = window_voxels(make_window([0.25, 0.25, 0.75, 0.75], [3, 5, 3, 5], [4, 0, 4, 0]))
+        lines = self._lines([[0, 0, 0]], [[0, 0, 64]])
+        m = residual_matrix(vox, lines)
+        assert m[:, 0] == pytest.approx(np.full(4, 0.5))
+        raw = point_line_distances(vox, lines.starts, lines.ends)
+        assert np.linalg.norm(raw[:, 0]) == pytest.approx(10.0)
 
     def test_columns_have_unit_norm(self):
         rng = np.random.default_rng(1)
-        win = make_window(
+        vox = window_voxels(make_window(
             np.sort(rng.uniform(0, 1, 50)),
             rng.integers(0, 64, 50), rng.integers(0, 64, 50),
-        )
+        ))
         starts = rng.uniform(0, 10, (5, 3))
         starts[:, 2] = 0.0
         ends = starts + rng.uniform(1, 10, (5, 3))
-        m = residual_matrix(win, self._reps(starts, ends))
-        assert np.linalg.norm(m.values, axis=0) == pytest.approx(np.ones(5))
+        m = residual_matrix(vox, self._lines(starts, ends))
+        assert np.linalg.norm(m, axis=0) == pytest.approx(np.ones(5))
+        # each column is the raw column divided by its norm
+        raw = point_line_distances(vox, starts, ends)
+        assert m * np.linalg.norm(raw, axis=0) == pytest.approx(raw)
 
 
 class TestIkose:
@@ -155,8 +169,7 @@ class TestSelectInliers:
             [0.003, 0.6],
             [0.010, 0.7],
         ])
-        matrix = ResidualMatrix(values, np.linalg.norm(values, axis=0))
-        out = select_inliers(matrix, NoiseScale(0.01), min_inliers=3)
+        out = select_inliers(values, NoiseScale(0.01), min_inliers=3)
         # column 0: 0.010 is not < tau; column 1: only one inlier -> dropped
         assert len(out) == 1
         j, idx = out[0]
@@ -165,9 +178,8 @@ class TestSelectInliers:
 
     def test_all_dropped_raises(self):
         values = np.full((5, 2), 0.9)
-        matrix = ResidualMatrix(values, np.linalg.norm(values, axis=0))
         with pytest.raises(NoSurvivingModelError):
-            select_inliers(matrix, NoiseScale(0.01))
+            select_inliers(values, NoiseScale(0.01))
 
     def test_noise_scale_validation(self):
         with pytest.raises(ValueError):
@@ -277,17 +289,23 @@ class TestAssociate:
 
     def test_events_pick_their_line_and_outlier_is_noise(self):
         win, reps, instances, order = self._setup()
-        res = associate(win, reps, instances, 1e-3, NoiseScale(0.05))
+        assignment = associate(window_voxels(win), reps, instances, NoiseScale(0.05))
         truth = np.array([0, 0, 0, 1, 1, 1, NOISE_ID])[order]
-        assert np.array_equal(res.assignment, truth)
-        assert res.num_models == 2
-        assert not res.failed
+        assert assignment.dtype == np.int64
+        assert np.array_equal(assignment, truth)
+
+    def test_ties_go_to_the_earlier_instance(self):
+        # two instances with the same family fit every event equally well
+        _, reps, instances, _ = self._setup()
+        vox = window_voxels(make_window([0.1, 0.3, 0.5, 0.9], [10, 11, 10, 12], [10, 10, 11, 10]))
+        twins = [instances[0], instances[0]]
+        assert associate(vox, reps, twins, NoiseScale(1.0)).tolist() == [0, 0, 0, 0]
 
     def test_requires_instances(self):
         win, reps, _, _ = self._setup()
         from evtraj.fitting import FitError
         with pytest.raises(FitError):
-            associate(win, reps, [], 1e-3, NoiseScale(0.05))
+            associate(window_voxels(win), reps, [], NoiseScale(0.05))
 
 
 class TestFitWindow:
@@ -297,6 +315,27 @@ class TestFitWindow:
         assert res.failed
         assert res.num_models == 0
         assert np.all(res.assignment == NOISE_ID)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 63), st.integers(0, 63)),
+                 min_size=1, max_size=40),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from(["fixed", "ikose"]),
+    )
+    def test_degenerate_windows_never_raise(self, events, single_pixel, equal_t, scale_mode):
+        t, u, v = (np.array(x) for x in zip(*sorted(events)))
+        if single_pixel:
+            u, v = np.full_like(u, u[0]), np.full_like(v, v[0])
+        if equal_t:
+            t = np.full_like(t, t[0])
+        res = fit_window(make_window(t, u, v), lane_config(scale_mode=scale_mode))
+        assert res.assignment.shape == (t.size,)
+        assert np.all((res.assignment >= NOISE_ID) & (res.assignment < res.num_models))
+        if res.failed:
+            assert res.num_models == 0
+            assert np.all(res.assignment == NOISE_ID)
 
     def test_clean_single_motion(self):
         data = generate_scene(lane_scene(1, seed=0, clutter_frac=0.0))
@@ -320,12 +359,11 @@ class TestFitWindow:
         cfg = lane_config()
         lines = generate(win, cfg.num_slices, cfg.max_pairs)
         reps = select_representatives(lines, cfg.parallel_tol)
-        matrix = residual_matrix(win, reps)
-        survivors = select_inliers(matrix, NoiseScale(cfg.tau), cfg.min_inliers)
-        models = weigh_models(win, reps, survivors)
-        from evtraj.hypotheses import time_scale, window_voxels
         vox = window_voxels(win)
         s_t = time_scale(win.geometry)
+        matrix = residual_matrix(vox, reps.representatives)
+        survivors = select_inliers(matrix, NoiseScale(cfg.tau), cfg.min_inliers)
+        models = weigh_models(vox, reps.representatives, survivors, s_t)
         for m in models:
             w1 = stage1_weight(vox[m.inliers, 2], s_t)
             c = warp_and_contrast(vox, m.inliers, m.hypothesis)

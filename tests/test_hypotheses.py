@@ -8,7 +8,6 @@ from evtraj.hypotheses import (
     HypothesisError,
     LineHypothesis,
     LineSet,
-    cosine_distance,
     generate,
     select_representatives,
     slice_window,
@@ -33,6 +32,12 @@ def window_from_arrays(t, u, v, t_start=0.0, t_end=1.0):
 def hyp(direction, start=(0.0, 0.0, 0.0)):
     start = np.asarray(start, dtype=float)
     return LineHypothesis(start, start + np.asarray(direction, dtype=float))
+
+
+def cosine_distance(a: LineHypothesis, b: LineHypothesis) -> float:
+    """1 - cos(angle) between the two direction vectors; range [0, 2]."""
+    da, db = a.direction, b.direction
+    return float(1.0 - np.dot(da, db) / (np.linalg.norm(da) * np.linalg.norm(db)))
 
 
 class TestNormalization:
@@ -163,14 +168,16 @@ class TestSelectRepresentatives:
         hyps = LineSet(starts, ends)
         result = select_representatives(hyps, 1e-3)
         assert len(result.rep_indices) == 1
-        assert result.rep_members[0].size == 5
+        assert result.families.shape == (1, 5)
+        assert result.families[0].all()
 
     def test_orthogonal_directions_stay_apart(self):
         dirs = np.array([[1.0, 0, 1], [-1.0, 0, 1], [0, 1.0, 1]])
         hyps = LineSet(np.zeros((3, 3)), dirs)
         result = select_representatives(hyps, 1e-3)
         assert len(result.rep_indices) == 3
-        assert all(m.size == 1 for m in result.rep_members)
+        # each family holds its representative only
+        assert np.array_equal(result.families, np.eye(3, dtype=bool)[result.rep_indices])
 
     def test_two_jittered_bundles(self):
         rng = np.random.default_rng(1)
@@ -192,8 +199,8 @@ class TestSelectRepresentatives:
         result = select_representatives(hyps, tol)
         assert len(result.rep_indices) == 2
         labels = np.array(labels)
-        for members in result.rep_members:
-            assert np.unique(labels[members]).size == 1
+        for family in result.families:
+            assert np.unique(labels[family]).size == 1
 
     def test_coverage_partition(self):
         rng = np.random.default_rng(2)
@@ -201,8 +208,9 @@ class TestSelectRepresentatives:
         dirs[:, 2] = np.abs(dirs[:, 2]) + 0.1
         hyps = LineSet(np.zeros((50, 3)), dirs)
         result = select_representatives(hyps, 1e-2)
-        members = np.concatenate(result.rep_members)
-        assert np.array_equal(np.sort(members), np.arange(50))
+        # every hypothesis lies in the family of some representative
+        assert result.families.shape == (len(result.rep_indices), 50)
+        assert result.families.any(axis=0).all()
 
     def test_member_distance_bound(self):
         rng = np.random.default_rng(3)
@@ -211,9 +219,10 @@ class TestSelectRepresentatives:
         dirs[:, 2] = np.abs(dirs[:, 2]) + 0.1
         hyps = LineSet(np.zeros((80, 3)), dirs)
         result = select_representatives(hyps, tol)
-        for rep, members in zip(result.rep_indices, result.rep_members):
-            for m in members:
-                assert cosine_distance(hyps[int(rep)], hyps[int(m)]) <= 2 * tol + 1e-12
+        for rep, family in zip(result.rep_indices, result.families):
+            assert family[rep]
+            for m in np.flatnonzero(family):
+                assert cosine_distance(hyps[int(rep)], hyps[int(m)]) <= tol + 1e-12
 
     def test_representatives_mutually_non_parallel(self):
         rng = np.random.default_rng(4)
@@ -235,7 +244,23 @@ class TestSelectRepresentatives:
         a = select_representatives(hyps, 1e-2)
         b = select_representatives(hyps, 1e-2)
         assert np.array_equal(a.rep_indices, b.rep_indices)
-        assert all(np.array_equal(x, y) for x, y in zip(a.rep_members, b.rep_members))
+        assert np.array_equal(a.families, b.families)
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-2, 0.2])
+    def test_families_are_the_parallel_sets(self, tol):
+        # row k is exactly {i : cosine_distance(rep_k, i) <= tol}
+        rng = np.random.default_rng(6)
+        dirs = rng.normal(0, 1, (120, 3))
+        dirs[:, 2] = np.abs(dirs[:, 2]) + 0.1
+        # near-duplicates so that families hold more than their representative
+        dirs = np.concatenate([dirs, dirs[:40] + rng.normal(0, 1e-3, (40, 3))])
+        hyps = LineSet(np.zeros_like(dirs), dirs)
+        result = select_representatives(hyps, tol)
+        assert result.families.sum() > len(result.rep_indices)
+        for rep, family in zip(result.rep_indices, result.families):
+            brute = [i for i in range(len(hyps))
+                     if cosine_distance(hyps[int(rep)], hyps[i]) <= tol]
+            assert np.flatnonzero(family).tolist() == brute
 
     def test_empty_input_rejected(self):
         with pytest.raises(HypothesisError):
