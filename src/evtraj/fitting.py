@@ -59,7 +59,7 @@ class NoiseScale:
 
 @dataclass(frozen=True)
 class WeightedModel:
-    """A surviving hypothesis with its inliers and both weighting stages."""
+    """A selected model instance: its hypothesis, its inliers and both weighting stages."""
 
     hypothesis: LineHypothesis
     rep_index: int  # position among the window's representatives, not in HypothesisSet.all
@@ -83,15 +83,22 @@ class AssociationResult:
 
 
 def point_line_distances(voxels: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Perpendicular distances from (n, 3) voxels to the m infinite lines."""
+    """Perpendicular distances from (n, 3) voxels to the m infinite lines.
+
+    ``|(p - s) x d| / |d|`` with ``d = e - s``, built one component at a time
+    on (n, m) arrays with the products, differences and left-to-right sums of
+    ``np.cross`` and ``np.linalg.norm``, so the bits match theirs.
+    """
     voxels = np.asarray(voxels, dtype=np.float64).reshape(-1, 3)
     starts = np.asarray(starts, dtype=np.float64).reshape(-1, 3)
     ends = np.asarray(ends, dtype=np.float64).reshape(-1, 3)
-    d = ends - starts
-    lengths = np.linalg.norm(d, axis=1)
-    diff = voxels[:, None, :] - starts[None, :, :]
-    cross = np.cross(diff, d[None, :, :])
-    return np.linalg.norm(cross, axis=2) / lengths
+    dx, dy, dz = (ends - starts).T
+    lengths = np.sqrt((dx * dx + dy * dy) + dz * dz)
+    px, py, pz = (voxels[:, k:k + 1] - starts[:, k] for k in range(3))
+    cx = py * dz - pz * dy
+    cy = pz * dx - px * dz
+    cz = px * dy - py * dx
+    return np.sqrt((cx * cx + cy * cy) + cz * cz) / lengths
 
 
 def residual_matrix(vox: np.ndarray, lines: LineSet) -> np.ndarray:
@@ -100,7 +107,7 @@ def residual_matrix(vox: np.ndarray, lines: LineSet) -> np.ndarray:
     An all-zero column stays zero.
     """
     raw = point_line_distances(vox, lines.starts, lines.ends)
-    norms = np.linalg.norm(raw, axis=0)
+    norms = np.sqrt(np.add.reduce(raw * raw, axis=0))
     return raw / np.where(norms > 0, norms, 1.0)
 
 
@@ -138,45 +145,53 @@ def select_inliers(
 ) -> List[tuple[int, np.ndarray]]:
     """Per-column inlier index sets of a residual matrix; columns below the floor are dropped."""
     mask = values < scale.tau
-    survivors = []
-    for j in range(mask.shape[1]):
-        idx = np.flatnonzero(mask[:, j])
-        if idx.size >= min_inliers:
-            survivors.append((j, idx))
-    if not survivors:
+    keep = np.flatnonzero(mask.sum(axis=0) >= min_inliers)
+    if not keep.size:
         raise NoSurvivingModelError("all hypotheses dropped at the inlier floor")
-    return survivors
+    return [(j, np.flatnonzero(mask[:, j])) for j in keep.tolist()]
 
 
-def stage1_weight(inlier_times: np.ndarray, s_t: float) -> float:
-    """Mean squared deviation of inlier (normalized) timestamps from mid-window."""
-    t = np.asarray(inlier_times, dtype=np.float64)
-    return float(np.mean((t - s_t / 2.0) ** 2))
+def _segment_means(x: np.ndarray, bounds: List[int]) -> np.ndarray:
+    """Mean of each segment ``x[bounds[k]:bounds[k + 1]]``, bit-identical to ``np.mean``.
+
+    Each segment is summed on its own: numpy's pairwise summation depends on
+    the segment, so ``np.add.reduceat`` would round differently.
+    """
+    return np.array([x[lo:hi].sum() / (hi - lo) for lo, hi in zip(bounds, bounds[1:])])
 
 
 def warp_and_contrast(
     voxels: np.ndarray,
-    inliers: np.ndarray,
-    hyp: LineHypothesis,
-) -> float:
-    """Contrast of the inlier image warped along the hypothesis to the t=0 plane.
+    inliers: Sequence[np.ndarray],
+    directions: np.ndarray,
+) -> np.ndarray:
+    """Contrast of each inlier set's image warped along its direction to the t=0 plane.
 
-    Inliers translate along the hypothesis direction, land on integer pixels,
-    and accumulate into a count image cropped to the non-zero extent. Counts
-    are normalized by their maximum so the variance (the returned contrast)
-    stays in [0, 1].
+    ``inliers[k]`` (non-empty) translates along ``directions[k]``, lands on
+    integer pixels, and accumulates into a count image cropped to its non-zero
+    extent. Counts are normalized by their maximum so the variance (the
+    contrast) stays in [0, 1]. All images share one flat count buffer, each at
+    its own offset.
     """
-    pts = np.asarray(voxels, dtype=np.float64)[np.asarray(inliers)]
-    d = hyp.direction
-    plane = pts[:, :2] - (d[:2] / d[2]) * pts[:, 2:3]
+    sizes = np.array([idx.size for idx in inliers])
+    if not sizes.all():
+        raise ValueError("every inlier set needs at least one voxel")
+    first = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    pts = np.asarray(voxels, dtype=np.float64)[np.concatenate(inliers)]
+    d = np.asarray(directions, dtype=np.float64)
+    plane = pts[:, :2] - (d[:, :2] / d[:, 2:3])[owner] * pts[:, 2:3]
     ij = np.rint(plane).astype(np.int64)
-    ij -= ij.min(axis=0)
-    w = int(ij[:, 0].max()) + 1
-    h = int(ij[:, 1].max()) + 1
-    counts = np.zeros((h, w))
-    np.add.at(counts, (ij[:, 1], ij[:, 0]), 1.0)
-    norm = counts / counts.max()
-    return float(np.mean((norm - norm.mean()) ** 2))
+    ij -= np.minimum.reduceat(ij, first)[owner]
+    w, h = (np.maximum.reduceat(ij, first) + 1).T
+    area = w * h
+    end = np.cumsum(area)
+    offset = end - area
+    counts = np.bincount(offset[owner] + ij[:, 1] * w[owner] + ij[:, 0], minlength=end[-1])
+    norm = counts / np.repeat(np.maximum.reduceat(counts, offset), area)
+    bounds = [0, *end.tolist()]
+    dev = (norm - np.repeat(_segment_means(norm, bounds), area)) ** 2
+    return _segment_means(dev, bounds)
 
 
 def stage2_weight(w: float, contrast: float) -> float:
@@ -204,26 +219,20 @@ def weigh_models(
     reps: LineSet,
     survivors: Sequence[tuple[int, np.ndarray]],
     s_t: float,
-) -> List[WeightedModel]:
-    """Apply both weighting stages to the surviving representatives.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both weighting stages for every survivor at once: ``(w_stage1, w_final)``.
 
-    ``s_t`` is the length of the normalized time axis (:func:`time_scale`).
+    Stage 1 is the mean squared deviation of a survivor's inlier timestamps
+    from mid-window; ``s_t`` is the length of the normalized time axis
+    (:func:`time_scale`). Stage 2 scales it by one minus the contrast of the
+    inliers warped along the survivor's representative.
     """
-    models = []
-    for j, inliers in survivors:
-        hyp = reps[j]
-        w1 = stage1_weight(vox[inliers, 2], s_t)
-        contrast = warp_and_contrast(vox, inliers, hyp)
-        models.append(
-            WeightedModel(
-                hypothesis=hyp,
-                rep_index=j,
-                inliers=inliers,
-                w_stage1=w1,
-                w_final=stage2_weight(w1, contrast),
-            )
-        )
-    return models
+    cols = [j for j, _ in survivors]
+    inliers = [idx for _, idx in survivors]
+    bounds = [0, *np.cumsum([idx.size for idx in inliers]).tolist()]
+    w1 = _segment_means((vox[np.concatenate(inliers), 2] - s_t / 2.0) ** 2, bounds)
+    contrast = warp_and_contrast(vox, inliers, reps.directions()[cols])
+    return w1, stage2_weight(w1, contrast)
 
 
 def associate(
@@ -280,11 +289,12 @@ def fit_window(window: EventWindow, config) -> AssociationResult:
         else:
             raise ValueError(f"unknown scale_mode {config.scale_mode!r}")
         survivors = select_inliers(values, scale, config.min_inliers)
-        models = weigh_models(vox, reps, survivors, time_scale(window.geometry))
-        finals = [m.w_final for m in models]
-        num_models = 1 if len(models) < 2 else select_model_count(finals)
-        order = np.argsort(finals, kind="stable")[:num_models]
-        instances = [models[int(i)] for i in order]
+        w1, finals = weigh_models(vox, reps, survivors, time_scale(window.geometry))
+        num_models = 1 if finals.size < 2 else select_model_count(finals)
+        instances = []
+        for i in np.argsort(finals, kind="stable")[:num_models].tolist():
+            j, inliers = survivors[i]
+            instances.append(WeightedModel(reps[j], j, inliers, float(w1[i]), float(finals[i])))
         return AssociationResult(window, instances, associate(vox, hyps, instances, scale))
     except (HypothesisError, NoSurvivingModelError):
         return _all_noise(window)

@@ -196,13 +196,21 @@ def parse_stream(source: Union[bytes, str], geometry: SensorGeometry) -> EventSt
                        lambda r: EventStream(geometry, r["t"], r["u"], r["v"], r["p"]))
 
 
+def _format_rows(row_format: str, *columns: np.ndarray) -> bytes:
+    """UTF-8 text of ``row_format`` once per row, filled from one element of each column.
+
+    One ``%`` over the interleaved column values formats the whole table.
+    """
+    n = len(columns[0]) if columns else 0
+    values = [None] * (n * len(columns))
+    for k, column in enumerate(columns):
+        values[k::len(columns)] = column.tolist()
+    return ((row_format * n) % tuple(values)).encode("utf-8")
+
+
 def serialize_stream(stream: EventStream) -> bytes:
     """Inverse of :func:`parse_stream`; timestamps keep full double precision."""
-    out = _stdio.StringIO()
-    fields = (stream.t.tolist(), stream.u.tolist(), stream.v.tolist(), stream.p.tolist())
-    for t, u, v, p in zip(*fields):
-        out.write(f"{t!r} {u} {v} {p}\n")
-    return out.getvalue().encode("utf-8")
+    return _format_rows("%r %d %d %d\n", stream.t, stream.u, stream.v, stream.p)
 
 
 ASSOCIATION_HEADER = "# event_index trajectory_id"
@@ -210,10 +218,9 @@ ASSOCIATION_HEADER = "# event_index trajectory_id"
 
 def format_associations(assignment: np.ndarray) -> bytes:
     """Render a per-event trajectory assignment (noise = -1) as text."""
-    lines = [ASSOCIATION_HEADER]
-    for i, label in enumerate(np.asarray(assignment).tolist()):
-        lines.append(f"{i} {int(label)}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    labels = np.asarray(assignment)
+    return (ASSOCIATION_HEADER + "\n").encode("utf-8") + _format_rows(
+        "%d %d\n", np.arange(labels.size), labels)
 
 
 def write_associations(assignment: np.ndarray, path) -> None:
@@ -253,7 +260,4 @@ def read_box_annotations(source: Union[bytes, str]) -> np.ndarray:
 
 
 def format_box_annotations(rows: np.ndarray) -> bytes:
-    out = _stdio.StringIO()
-    for t, x, y, w, h in np.asarray(rows, dtype=float).tolist():
-        out.write(f"{t!r} {x!r} {y!r} {w!r} {h!r}\n")
-    return out.getvalue().encode("utf-8")
+    return _format_rows("%r %r %r %r %r\n", *np.asarray(rows, dtype=float).T)

@@ -25,8 +25,9 @@ from conftest import (
 )
 from evtraj import io
 from evtraj.cli import main
-from evtraj.fitting import fit_window, point_line_distances, stage1_weight, stage2_weight
+from evtraj.fitting import fit_window, point_line_distances, stage2_weight, weigh_models
 from evtraj.grouping import EntropyInterval, cut_windows
+from evtraj.hypotheses import LineSet
 from evtraj.io import NOISE_ID, EventStream, SensorGeometry
 from evtraj.synth import CLUTTER_LABEL, brute_force_lines, generate_scene
 from evtraj.tracking import evaluate
@@ -90,9 +91,14 @@ def test_residual_matches_dense_scan_oracle():
 
 def test_weight_closed_forms_are_exact():
     s_t = 64.0
-    # every inlier at the window start (or end): exactly (s_t / 2)^2
-    assert stage1_weight(np.zeros(7), s_t) == (s_t / 2.0) ** 2
-    assert stage1_weight(np.full(7, s_t), s_t) == (s_t / 2.0) ** 2
+    # every inlier at the window start (or end), all on one pixel: stage 1 is
+    # exactly (s_t / 2)^2 and the zero contrast leaves it untouched
+    vox = np.zeros((14, 3))
+    vox[7:, 2] = s_t
+    vertical = LineSet(np.zeros((1, 3)), np.array([[0.0, 0.0, s_t]]))
+    w1, final = weigh_models(vox, vertical, [(0, np.arange(7)), (0, np.arange(7, 14))], s_t)
+    assert w1.tolist() == [(s_t / 2.0) ** 2] * 2
+    assert final.tolist() == w1.tolist()
     # zero contrast leaves the first-stage weight untouched
     for w in (0.0, 1.0, 341.25, 1024.0):
         assert stage2_weight(w, 0.0) == w

@@ -18,7 +18,6 @@ from evtraj.fitting import (
     run_eda,
     select_inliers,
     select_model_count,
-    stage1_weight,
     stage2_weight,
     warp_and_contrast,
     weigh_models,
@@ -57,6 +56,50 @@ def distance(point, h):
     return float(point_line_distances(point, h.start, h.end)[0, 0])
 
 
+# --- references: the per-call formulations that the batched code replaced --
+
+def cross_point_line_distances(voxels, starts, ends):
+    """``np.cross`` / ``np.linalg.norm`` form of :func:`point_line_distances`."""
+    d = ends - starts
+    lengths = np.linalg.norm(d, axis=1)
+    diff = voxels[:, None, :] - starts[None, :, :]
+    return np.linalg.norm(np.cross(diff, d[None, :, :]), axis=2) / lengths
+
+
+def per_survivor_contrast(voxels, inliers, direction):
+    """One survivor's warped-image contrast with ``np.add.at`` and ``np.mean``."""
+    pts = voxels[inliers]
+    plane = pts[:, :2] - (direction[:2] / direction[2]) * pts[:, 2:3]
+    ij = np.rint(plane).astype(np.int64)
+    ij -= ij.min(axis=0)
+    counts = np.zeros((int(ij[:, 1].max()) + 1, int(ij[:, 0].max()) + 1))
+    np.add.at(counts, (ij[:, 1], ij[:, 0]), 1.0)
+    norm = counts / counts.max()
+    return float(np.mean((norm - norm.mean()) ** 2))
+
+
+def per_survivor_weights(vox, reps, survivors, s_t):
+    """:func:`weigh_models` one survivor at a time."""
+    w1 = [float(np.mean((vox[idx, 2] - s_t / 2.0) ** 2)) for _, idx in survivors]
+    contrast = [per_survivor_contrast(vox, idx, reps.ends[j] - reps.starts[j])
+                for j, idx in survivors]
+    return np.array(w1), np.array([w * (1.0 - c) for w, c in zip(w1, contrast)])
+
+
+def contrast(voxels, inliers, h):
+    """Contrast of one inlier set warped along one hypothesis."""
+    return warp_and_contrast(voxels, [np.asarray(inliers)], h.direction[None, :])[0]
+
+
+def stage1(times, s_t):
+    """Stage-1 weight of one survivor whose inliers have the given normalized times."""
+    times = np.asarray(times, dtype=np.float64)
+    vox = np.column_stack([np.zeros_like(times), np.zeros_like(times), times])
+    vertical = LineSet(np.zeros((1, 3)), np.array([[0.0, 0.0, s_t]]))
+    w1, _ = weigh_models(vox, vertical, [(0, np.arange(times.size))], s_t)
+    return w1[0]
+
+
 class TestResidual:
     def test_point_on_line_is_zero(self):
         h = hyp([0, 0, 0], [3, 4, 5])
@@ -93,6 +136,21 @@ class TestResidual:
             for j in range(4):
                 single = distance(vox[i], hyp(starts[j], ends[j]))
                 assert batch[i, j] == pytest.approx(single)
+
+    @given(
+        st.lists(st.tuples(*[st.floats(-1e3, 1e3)] * 3), min_size=1, max_size=30),
+        st.lists(st.tuples(*[st.floats(-1e3, 1e3)] * 6), min_size=1, max_size=8),
+    )
+    def test_bit_identical_to_cross_product_reference(self, voxels, endpoints):
+        vox = np.array(voxels)
+        starts, ends = np.hsplit(np.array(endpoints), 2)
+        ends[np.linalg.norm(ends - starts, axis=1) < 1e-3, 2] += 1.0  # no degenerate line
+        raw = point_line_distances(vox, starts, ends)
+        ref = cross_point_line_distances(vox, starts, ends)
+        assert np.array_equal(raw, ref)
+        norms = np.linalg.norm(ref, axis=0)
+        assert np.array_equal(residual_matrix(vox, LineSet(starts, ends)),
+                              ref / np.where(norms > 0, norms, 1.0))
 
 
 class TestResidualMatrix:
@@ -190,23 +248,23 @@ class TestSelectInliers:
 
 class TestStage1Weight:
     def test_all_mid_window_is_zero(self):
-        assert stage1_weight(np.full(10, 32.0), 64.0) == pytest.approx(0.0)
+        assert stage1(np.full(10, 32.0), 64.0) == pytest.approx(0.0)
 
     def test_all_at_window_edge(self):
-        assert stage1_weight(np.zeros(5), 64.0) == pytest.approx(32.0 ** 2)
-        assert stage1_weight(np.full(5, 64.0), 64.0) == pytest.approx(32.0 ** 2)
+        assert stage1(np.zeros(5), 64.0) == pytest.approx(32.0 ** 2)
+        assert stage1(np.full(5, 64.0), 64.0) == pytest.approx(32.0 ** 2)
 
     def test_uniform_times_approach_variance_limit(self):
         rng = np.random.default_rng(4)
         s = 64.0
         t = rng.uniform(0, s, 200000)
-        assert stage1_weight(t, s) == pytest.approx(s ** 2 / 12.0, rel=0.02)
+        assert stage1(t, s) == pytest.approx(s ** 2 / 12.0, rel=0.02)
 
     def test_edge_heavy_outweighs_uniform(self):
         s = 64.0
         edges = np.array([0.0, 0.0, s, s])
         uniform = np.linspace(0, s, 50)
-        assert stage1_weight(edges, s) > stage1_weight(uniform, s)
+        assert stage1(edges, s) > stage1(uniform, s)
 
 
 class TestWarpContrast:
@@ -214,13 +272,13 @@ class TestWarpContrast:
         # static point: every inlier lands on the same pixel
         pts = np.array([[5.0, 7.0, t] for t in np.linspace(0, 64, 9)])
         h = hyp([5, 7, 0], [5, 7, 64])
-        assert warp_and_contrast(pts, np.arange(9), h) == pytest.approx(0.0)
+        assert contrast(pts, np.arange(9), h) == pytest.approx(0.0)
 
     def test_two_of_four_cells(self):
         # two occupied pixels out of a 4-wide strip: counts 1,0,0,1 -> var 0.25
         pts = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
         h = hyp([0, 0, 0], [0, 0, 64])
-        assert warp_and_contrast(pts, np.array([0, 1]), h) == pytest.approx(0.25)
+        assert contrast(pts, np.array([0, 1]), h) == pytest.approx(0.25)
 
     def test_true_velocity_focuses_better_than_wrong(self):
         rng = np.random.default_rng(5)
@@ -232,13 +290,65 @@ class TestWarpContrast:
         wrong = hyp([5, 20, 0], [5, 52, 64])
         idx = np.arange(60)
         # warping along the true line collapses events onto few pixels
-        # (low contrast); the wrong line smears them into a sparse strip
-        assert warp_and_contrast(pts, idx, true) < warp_and_contrast(pts, idx, wrong)
+        # (low contrast); the wrong line smears them into a sparse strip;
+        # one call warps both
+        both = warp_and_contrast(pts, [idx, idx], np.array([true.direction, wrong.direction]))
+        assert both[0] < both[1]
+        assert both.tolist() == [contrast(pts, idx, true), contrast(pts, idx, wrong)]
 
     def test_stage2_arithmetic(self):
         assert stage2_weight(2.0, 0.25) == pytest.approx(1.5)
         assert stage2_weight(3.0, 0.0) == pytest.approx(3.0)
         assert stage2_weight(3.0, 1.0) == pytest.approx(0.0)
+
+
+@st.composite
+def survivor_sets(draw):
+    """Voxels, representatives and survivors for :func:`weigh_models`.
+
+    Plane coordinates may be negative, directions run from steep (parallel to
+    the time axis) to shallow (8 px per unit of time), and an inlier set may
+    hold a single voxel.
+    """
+    n = draw(st.integers(1, 40))
+    coord = st.one_of(st.integers(-40, 40).map(float), st.floats(-40.0, 40.0))
+    vox = np.array(draw(st.lists(st.tuples(coord, coord, st.floats(0.0, 16.0)),
+                                 min_size=n, max_size=n)))
+    k = draw(st.integers(1, 6))
+    slope = st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3), st.floats(-8.0, 8.0))
+    starts, ends = [], []
+    for _ in range(k):
+        start = np.array(draw(st.tuples(coord, coord, st.floats(0.0, 16.0))))
+        dz = draw(st.floats(0.5, 16.0))
+        starts.append(start)
+        ends.append(start + np.array([draw(slope) * dz, draw(slope) * dz, dz]))
+    survivors = draw(st.lists(
+        st.tuples(st.integers(0, k - 1),
+                  st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+                  .map(lambda idx: np.array(sorted(idx), dtype=np.int64))),
+        min_size=1, max_size=8))
+    return vox, LineSet(np.array(starts), np.array(ends)), survivors
+
+
+class TestBatchedWeighting:
+    @settings(deadline=None)
+    @given(survivor_sets(), st.sampled_from([16.0, 64.0, 240.0]))
+    def test_bit_identical_to_per_survivor_reference(self, case, s_t):
+        vox, reps, survivors = case
+        w1, final = weigh_models(vox, reps, survivors, s_t)
+        ref_w1, ref_final = per_survivor_weights(vox, reps, survivors, s_t)
+        assert np.array_equal(w1, ref_w1)
+        assert np.array_equal(final, ref_final)
+        inliers = [idx for _, idx in survivors]
+        dirs = reps.directions()[[j for j, _ in survivors]]
+        assert np.array_equal(warp_and_contrast(vox, inliers, dirs),
+                              [per_survivor_contrast(vox, idx, d) for idx, d in zip(inliers, dirs)])
+
+    def test_empty_inlier_set_is_rejected(self):
+        vox = np.zeros((3, 3))
+        with pytest.raises(ValueError):
+            warp_and_contrast(vox, [np.arange(3), np.empty(0, dtype=np.int64)],
+                              np.array([[0.0, 0.0, 1.0]] * 2))
 
 
 class TestSelectModelCount:
@@ -354,21 +464,19 @@ class TestFitWindow:
                 assert 0.0 <= m.w_final <= m.w_stage1 + 1e-12
 
     def test_weigh_models_matches_manual_stages(self):
-        data = generate_scene(lane_scene(1, seed=3, clutter_frac=0.0))
-        win = lane_window(data)
         cfg = lane_config()
-        lines = generate(win, cfg.num_slices, cfg.max_pairs)
-        reps = select_representatives(lines, cfg.parallel_tol)
-        vox = window_voxels(win)
-        s_t = time_scale(win.geometry)
-        matrix = residual_matrix(vox, reps.representatives)
-        survivors = select_inliers(matrix, NoiseScale(cfg.tau), cfg.min_inliers)
-        models = weigh_models(vox, reps.representatives, survivors, s_t)
-        for m in models:
-            w1 = stage1_weight(vox[m.inliers, 2], s_t)
-            c = warp_and_contrast(vox, m.inliers, m.hypothesis)
-            assert m.w_stage1 == pytest.approx(w1)
-            assert m.w_final == pytest.approx(stage2_weight(w1, c))
+        for motions in (1, 3):  # one survivor, then seventeen
+            win = lane_window(generate_scene(lane_scene(motions, seed=3, clutter_frac=0.0)))
+            lines = generate(win, cfg.num_slices, cfg.max_pairs)
+            reps = select_representatives(lines, cfg.parallel_tol).representatives
+            vox = window_voxels(win)
+            s_t = time_scale(win.geometry)
+            matrix = residual_matrix(vox, reps)
+            survivors = select_inliers(matrix, NoiseScale(cfg.tau), cfg.min_inliers)
+            w1, final = weigh_models(vox, reps, survivors, s_t)
+            ref_w1, ref_final = per_survivor_weights(vox, reps, survivors, s_t)
+            assert np.array_equal(w1, ref_w1)
+            assert np.array_equal(final, ref_final)
 
 
 class TestRunEda:

@@ -278,3 +278,56 @@ def test_box_annotations_reject_non_finite_field(payload):
 def test_box_annotations_reject_bad_field_count():
     with pytest.raises(FormatError, match="line 1"):
         read_box_annotations(b"0.0 1 1 5\n")
+
+
+# --- the per-line formatters that the one-%-per-file writers replaced ------
+
+def per_line_serialize(stream):
+    return "".join(f"{t!r} {u} {v} {p}\n" for t, u, v, p in zip(
+        stream.t.tolist(), stream.u.tolist(), stream.v.tolist(), stream.p.tolist())).encode()
+
+
+def per_line_associations(assignment):
+    lines = ["# event_index trajectory_id"]
+    lines += [f"{i} {int(label)}" for i, label in enumerate(np.asarray(assignment).tolist())]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def per_line_boxes(rows):
+    return "".join(f"{t!r} {x!r} {y!r} {w!r} {h!r}\n"
+                   for t, x, y, w, h in np.asarray(rows, dtype=float).tolist()).encode()
+
+
+# floats whose shortest repr is not the obvious decimal
+ODD_FLOATS = [1e-05, 0.30000000000000004, 123456.789, 1e16, 5e-324, 2.0 ** 53 + 2, 0.1 + 0.7]
+
+
+@st.composite
+def odd_streams(draw):
+    n = draw(st.integers(min_value=0, max_value=60))
+    ts = sorted(draw(st.lists(st.one_of(st.sampled_from(ODD_FLOATS),
+                                        st.floats(min_value=0.0, max_value=1e17)),
+                              min_size=n, max_size=n)))
+    us = draw(st.lists(st.integers(0, GEOM.width - 1), min_size=n, max_size=n))
+    vs = draw(st.lists(st.integers(0, GEOM.height - 1), min_size=n, max_size=n))
+    ps = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return EventStream(GEOM, np.array(ts, dtype=np.float64), np.array(us, dtype=np.int32),
+                       np.array(vs, dtype=np.int32), np.array(ps, dtype=np.uint8))
+
+
+@given(odd_streams())
+def test_serialize_matches_per_line_formatter(stream):
+    assert serialize_stream(stream) == per_line_serialize(stream)
+
+
+@given(st.lists(st.integers(-1, 2 ** 63 - 1), max_size=60))
+def test_format_associations_matches_per_line_formatter(labels):
+    arr = np.array(labels, dtype=np.int64)
+    assert format_associations(arr) == per_line_associations(arr)
+
+
+@given(st.lists(st.lists(st.one_of(st.sampled_from(ODD_FLOATS + [-0.0, -2.5]), st.floats()),
+                         min_size=5, max_size=5), max_size=30))
+def test_format_box_annotations_matches_per_line_formatter(rows):
+    table = np.array(rows, dtype=float).reshape(-1, 5)
+    assert format_box_annotations(table) == per_line_boxes(table)
