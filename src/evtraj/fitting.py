@@ -275,10 +275,10 @@ def fit_window(window: EventWindow, config) -> AssociationResult:
     all-noise result instead of raising.
     """
     try:
-        lines = generate(window, config.num_slices, config.max_pairs)
+        vox = window_voxels(window)
+        lines = generate(window, config.num_slices, config.max_pairs, vox)
         hyps = select_representatives(lines, config.parallel_tol)
         reps = hyps.representatives
-        vox = window_voxels(window)
         values = residual_matrix(vox, reps)
         if config.scale_mode == "fixed":
             scale = NoiseScale(config.tau, "fixed")

@@ -8,16 +8,19 @@ exceeded (safety valve for near-static scenes).
 
 The decayed value of a cell written at time ``s`` is ``(s - t0) / (t - t0)``
 where ``t0`` is the window start and ``t`` the last update. Internally only
-raw write offsets ``s - t0`` are stored; normalization happens on read. Since
+raw write offsets ``s - t0`` are stored, and only for the pixels and grid
+tiles written since the window start; normalization happens on read. Since
 the grid entropy is invariant under a common positive rescaling of all tile
 sums, the entropy can be maintained incrementally in O(1) per event directly
-on the raw offsets.
+on the raw offsets. One frame is reset at every window start, and the
+per-event update runs inside one frame method over each window's events.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import stats
@@ -49,7 +52,7 @@ class EntropyInterval:
 
 @dataclass(frozen=True)
 class EventWindow:
-    """A contiguous time-bounded slice of an event stream.
+    """A contiguous time-bounded slice of an event stream, in time order.
 
     ``offset`` is the index of the first event within the parent stream, so
     per-window results can be mapped back to global event indices.
@@ -69,6 +72,8 @@ class EventWindow:
             raise ValueError("window must have positive span")
         if self.t.size and (self.t[0] < self.t_start or self.t[-1] > self.t_end):
             raise ValueError("window events outside [t_start, t_end]")
+        if (self.t[1:] < self.t[:-1]).any():
+            raise ValueError("window events out of time order")
 
     @classmethod
     def of(cls, stream: EventStream, lo: int, hi: int, t_start: float, t_end: float) -> "EventWindow":
@@ -87,12 +92,15 @@ class EventWindow:
         return self.t_end - self.t_start
 
 
-def _xlog2(x: float) -> float:
-    return x * math.log2(x) if x > 0.0 else 0.0
-
-
 class AtsltdFrame:
-    """Two-channel time surface with linear decay and incremental grid entropy."""
+    """Two-channel time surface with linear decay and incremental grid entropy.
+
+    Only the pixels and tiles written since the window start hold state (raw
+    write offsets per pixel and channel, raw sums per tile), so a frame costs
+    nothing per sensor pixel and :meth:`reset` starts the next window on the
+    same frame. Events are applied by :meth:`scan`, which runs over a range of
+    events; :meth:`update_raw` applies one.
+    """
 
     def __init__(self, geometry: SensorGeometry, window_start: float, grid: int = DEFAULT_GRID):
         if grid < 1:
@@ -101,62 +109,121 @@ class AtsltdFrame:
             raise ValueError("frame dimensions must be >= grid")
         self.geometry = geometry
         self.grid = int(grid)
+        self._tiles_per_row = -(-geometry.width // self.grid)
+        self._latest: Dict[int, float] = {}   # pixel -> raw offset of its last write
+        self._on: Dict[int, float] = {}       # pixel -> raw offset of its last ON write
+        self._off: Dict[int, float] = {}
+        self._tiles: Dict[int, float] = {}    # tile -> sum of its pixels' latest offsets
+        self.reset(window_start)
+
+    def reset(self, window_start: float) -> None:
+        """Empty the surface and start a new window at ``window_start``."""
         self.window_start = float(window_start)
-        self.last_update = float(window_start)
-        h, w = geometry.height, geometry.width
-        # raw write offsets (s - window_start); -1 marks never-written cells
-        self._raw_on = np.full((h, w), -1.0)
-        self._raw_off = np.full((h, w), -1.0)
-        gh = -(-h // grid)
-        gw = -(-w // grid)
-        self._tiles = np.zeros((gh, gw))
+        self.last_update = self.window_start
+        for state in (self._latest, self._on, self._off, self._tiles):
+            state.clear()
         self._tile_total = 0.0          # S  = sum of tile sums
         self._tile_xlog = 0.0           # T  = sum of tile * log2(tile)
+        self._entropy = 0.0
+
+    def locate(self, u, v) -> Tuple[List[int], List[int]]:
+        """Flat pixel and tile indices of pixel coordinates, as :meth:`scan` takes them."""
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        w, h = self.geometry.width, self.geometry.height
+        outside = (u < 0) | (u >= w) | (v < 0) | (v >= h)
+        if outside.any():
+            i = int(outside.argmax())
+            raise GroupingError(f"({u.flat[i]}, {v.flat[i]}) is not a pixel of the {w}x{h} frame")
+        g = self.grid
+        return (v * w + u).tolist(), ((v // g) * self._tiles_per_row + u // g).tolist()
 
     def update(self, event: Event) -> None:
         self.update_raw(event.u, event.v, event.p, event.t)
 
     def update_raw(self, u: int, v: int, p: int, t: float) -> None:
-        if t < self.last_update:
-            raise GroupingError(f"event at t={t} precedes last update {self.last_update}")
-        raw = t - self.window_start
-        prev = max(self._raw_on[v, u], self._raw_off[v, u], 0.0)
-        if p:
-            self._raw_on[v, u] = raw
-        else:
-            self._raw_off[v, u] = raw
-        delta = raw - prev
-        if delta != 0.0:
-            g = self.grid
-            ti, tj = v // g, u // g
-            a = self._tiles[ti, tj]
-            b = a + delta
-            self._tiles[ti, tj] = b
-            self._tile_total += delta
-            self._tile_xlog += _xlog2(b) - _xlog2(a)
-        self.last_update = t
+        pixels, tiles = self.locate([u], [v])
+        self.scan([t], pixels, tiles, [p], 0, 1)
+
+    def scan(
+        self,
+        t: Sequence[float],
+        pixels: Sequence[int],
+        tiles: Sequence[int],
+        p: Sequence[int],
+        lo: int,
+        hi: int,
+        interval: Optional[EntropyInterval] = None,
+    ) -> int:
+        """Apply events ``lo:hi`` in order, stopping at the first that closes the window.
+
+        ``pixels`` and ``tiles`` come from :meth:`locate`. An event closes the
+        window when its timestamp is past the window start and the entropy
+        after its update lies in ``interval``. Returns that event's index, or
+        ``hi`` when no event closes the window (always, without an interval).
+        """
+        alpha, beta = (interval.alpha, interval.beta) if interval else (math.inf, -math.inf)
+        w0 = self.window_start
+        last = self.last_update
+        latest, on, off, sums = self._latest, self._on, self._off, self._tiles
+        total, xlog, h = self._tile_total, self._tile_xlog, self._entropy
+        log2 = math.log2
+        try:
+            for i in range(lo, hi):
+                ti = t[i]
+                if ti < last:
+                    raise GroupingError(f"event at t={ti} precedes last update {last}")
+                last = ti
+                raw = ti - w0
+                k = pixels[i]
+                # offsets only grow within a window, so a pixel's last write
+                # is the larger of its two channels
+                delta = raw - latest.get(k, 0.0)
+                latest[k] = raw
+                if p[i]:
+                    on[k] = raw
+                else:
+                    off[k] = raw
+                if delta != 0.0:
+                    c = tiles[i]
+                    a = sums.get(c, 0.0)
+                    b = a + delta
+                    sums[c] = b
+                    total += delta
+                    xlog += (b * log2(b) if b > 0.0 else 0.0) - (a * log2(a) if a > 0.0 else 0.0)
+                    # grid entropy from S and T: log2(S) - T / S, clamped at 0
+                    h = log2(total) - xlog / total if total > 0.0 else 0.0
+                    if not h > 0.0:
+                        h = 0.0
+                if ti > w0 and alpha <= h <= beta:
+                    return i
+            return hi
+        finally:
+            self.last_update = last
+            self._tile_total, self._tile_xlog, self._entropy = total, xlog, h
 
     @property
     def entropy(self) -> float:
         """Grid entropy of the combined surface, in bits (incremental form)."""
-        s = self._tile_total
-        if s <= 0.0:
-            return 0.0
-        return max(0.0, math.log2(s) - self._tile_xlog / s)
+        return self._entropy
 
-    def _channel(self, raw: np.ndarray) -> np.ndarray:
-        denom = self.last_update - self.window_start
-        if denom <= 0.0:
-            return np.where(raw == 0.0, 1.0, 0.0)
-        return np.where(raw < 0.0, 0.0, raw / denom)
+    def _channel(self, raw: Dict[int, float]) -> np.ndarray:
+        h, w = self.geometry.height, self.geometry.width
+        out = np.zeros(h * w)
+        if raw:
+            cells = np.fromiter(raw.keys(), dtype=np.int64, count=len(raw))
+            offsets = np.fromiter(raw.values(), dtype=np.float64, count=len(raw))
+            denom = self.last_update - self.window_start
+            out[cells] = np.where(offsets == 0.0, 1.0, 0.0) if denom <= 0.0 else offsets / denom
+        return out.reshape(h, w)
 
     @property
     def on_channel(self) -> np.ndarray:
-        return self._channel(self._raw_on)
+        return self._channel(self._on)
 
     @property
     def off_channel(self) -> np.ndarray:
-        return self._channel(self._raw_off)
+        return self._channel(self._off)
 
 
 def nzge_entropy(frame: AtsltdFrame, grid: int | None = None) -> float:
@@ -202,41 +269,44 @@ def cut_windows(
     if len(stream) == 0:
         raise GroupingError("cannot cut an empty stream")
     tl = stream.t.tolist()
-    ul = stream.u.tolist()
-    vl = stream.v.tolist()
     pl = stream.p.tolist()
     n = len(tl)
 
     windows: List[EventWindow] = []
-    start_idx = 0
+    start_idx = i = 0
     w_start = tl[0]
     frame = AtsltdFrame(stream.geometry, w_start, grid)
+    pixels, tiles = frame.locate(stream.u, stream.v)
 
     def emit(lo: int, hi: int, t0: float, t1: float) -> None:
         windows.append(EventWindow.of(stream, lo, hi, t0, t1))
 
-    for i in range(n):
+    while i < n:
         ti = tl[i]
-        if ti - w_start > max_window and i > start_idx:
-            t_end = w_start + max_window
-            emit(start_idx, i, w_start, t_end)
-            start_idx = i
-            w_start = t_end
-            frame = AtsltdFrame(stream.geometry, w_start, grid)
         if ti - w_start > max_window:
-            # the current window is empty and the next event is beyond its
-            # span: hop over the event-free stretch in whole-span steps
-            steps = int((ti - w_start) / max_window)
-            w_start += steps * max_window
-            while ti - w_start > max_window:
-                w_start += max_window
-            frame = AtsltdFrame(stream.geometry, w_start, grid)
-        frame.update_raw(ul[i], vl[i], pl[i], ti)
-        if ti > w_start and interval.contains(frame.entropy):
-            emit(start_idx, i + 1, w_start, ti)
-            start_idx = i + 1
-            w_start = ti
-            frame = AtsltdFrame(stream.geometry, w_start, grid)
+            if i > start_idx:
+                t_end = w_start + max_window
+                emit(start_idx, i, w_start, t_end)
+                start_idx = i
+                w_start = t_end
+            if ti - w_start > max_window:
+                # the current window is empty and the next event is beyond its
+                # span: hop over the event-free stretch in whole-span steps
+                steps = int((ti - w_start) / max_window)
+                w_start += steps * max_window
+                while ti - w_start > max_window:
+                    w_start += max_window
+            frame.reset(w_start)
+        # events before ``stop`` lie within max_window of the window start
+        stop = bisect.bisect_right(tl, max_window, i, n, key=lambda t: t - w_start)
+        j = frame.scan(tl, pixels, tiles, pl, i, stop, interval)
+        if j < stop:
+            emit(start_idx, j + 1, w_start, tl[j])
+            start_idx = i = j + 1
+            w_start = tl[j]
+            frame.reset(w_start)
+        else:
+            i = stop
 
     if start_idx < n:
         count = n - start_idx
@@ -266,8 +336,8 @@ def estimate_interval(
     samples = []
     for win in windows:
         frame = AtsltdFrame(win.geometry, win.t_start, grid)
-        for u, v, p, t in zip(win.u.tolist(), win.v.tolist(), win.p.tolist(), win.t.tolist()):
-            frame.update_raw(u, v, p, t)
+        pixels, tiles = frame.locate(win.u, win.v)
+        frame.scan(win.t.tolist(), pixels, tiles, win.p.tolist(), 0, len(win))
         samples.append(nzge_entropy(frame, grid))
     arr = np.asarray(samples)
     mean = float(arr.mean())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -110,11 +110,12 @@ class HypothesisSet:
         return self.all.take(self.rep_indices)
 
 
-def slice_window(window: EventWindow, num_slices: int = DEFAULT_NUM_SLICES) -> List[np.ndarray]:
-    """Partition the window span into equal-duration bins of event indices.
+def _slice_bounds(window: EventWindow, num_slices: int) -> np.ndarray:
+    """Event index bounds of the equal-duration time slices of a window.
 
-    Timestamps exactly on a bin boundary go to the earlier bin; bins may be
-    empty.
+    Slice ``k`` holds events ``bounds[k]:bounds[k + 1]``: window events are in
+    time order, so each slice is a contiguous range. Timestamps exactly on a
+    slice boundary go to the earlier slice.
     """
     if num_slices < 2:
         raise ValueError("num_slices must be >= 2")
@@ -123,35 +124,51 @@ def slice_window(window: EventWindow, num_slices: int = DEFAULT_NUM_SLICES) -> L
     dt = window.span / num_slices
     idx = np.ceil((window.t - window.t_start) / dt).astype(int) - 1
     idx = np.clip(idx, 0, num_slices - 1)
-    return [np.flatnonzero(idx == k) for k in range(num_slices)]
+    return np.searchsorted(idx, np.arange(num_slices + 1))
+
+
+def slice_window(window: EventWindow, num_slices: int = DEFAULT_NUM_SLICES) -> List[np.ndarray]:
+    """Partition the window span into equal-duration bins of event indices.
+
+    Timestamps exactly on a bin boundary go to the earlier bin; bins may be
+    empty.
+    """
+    bounds = _slice_bounds(window, num_slices).tolist()
+    return [np.arange(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def generate(
     window: EventWindow,
     num_slices: int = DEFAULT_NUM_SLICES,
     max_pairs: int = DEFAULT_MAX_PAIRS,
+    voxels: Optional[np.ndarray] = None,
 ) -> LineSet:
     """Generate hypotheses from the first-slice x last-slice voxel cross product.
 
     Falls back to the first and last non-empty slices under sparse data. When
     the cross product exceeds ``max_pairs``, both slices are strided with a
     fixed step so the result stays deterministic. Pairs that do not advance in
-    time are skipped.
+    time are skipped. ``voxels`` is the window's :func:`window_voxels`, for a
+    caller that already has them.
     """
-    slices = slice_window(window, num_slices)
-    nonempty = [s for s in slices if s.size]
-    if len(nonempty) < 2:
+    bounds = _slice_bounds(window, num_slices).tolist()
+    n = bounds[-1]
+    # the first non-empty slice starts at event 0, the last ends at event n
+    first = range(0, min(b for b in bounds if b > 0))
+    if first.stop == n:
         raise HypothesisError("all events fall into a single time slice")
-    first, last = nonempty[0], nonempty[-1]
-    if first.size * last.size > max_pairs:
-        stride = math.ceil(math.sqrt(first.size * last.size / max_pairs))
-        while math.ceil(first.size / stride) * math.ceil(last.size / stride) > max_pairs:
+    last = range(max(b for b in bounds if b < n), n)
+    if len(first) * len(last) > max_pairs:
+        stride = math.ceil(math.sqrt(len(first) * len(last) / max_pairs))
+        while math.ceil(len(first) / stride) * math.ceil(len(last) / stride) > max_pairs:
             stride += 1
         first = first[::stride]
         last = last[::stride]
-    vox = window_voxels(window)
-    starts = np.repeat(vox[first], last.size, axis=0)
-    ends = np.tile(vox[last], (first.size, 1))
+    vox = window_voxels(window) if voxels is None else voxels
+    first_vox = vox[first.start:first.stop:first.step]
+    last_vox = vox[last.start:last.stop:last.step]
+    starts = np.repeat(first_vox, len(last), axis=0)
+    ends = np.tile(last_vox, (len(first), 1))
     keep = ends[:, 2] > starts[:, 2]
     starts, ends = starts[keep], ends[keep]
     if starts.shape[0] == 0:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from evtraj.grouping import (
@@ -40,6 +40,136 @@ def surface_oracle(geometry, window_start, events):
     return on, off
 
 
+def _xlog2(x: float) -> float:
+    return x * math.log2(x) if x > 0.0 else 0.0
+
+
+class DenseFrame:
+    """Reference frame: full H x W raw surfaces and a full tile array, one
+    method call per event. This is the dense form that the sparse
+    AtsltdFrame replaced; results must match it bit for bit."""
+
+    def __init__(self, geometry, window_start, grid):
+        self.window_start = float(window_start)
+        self.last_update = float(window_start)
+        h, w = geometry.height, geometry.width
+        self.grid = grid
+        self.raw_on = np.full((h, w), -1.0)
+        self.raw_off = np.full((h, w), -1.0)
+        self.tiles = np.zeros((-(-h // grid), -(-w // grid)))
+        self.total = 0.0
+        self.xlog = 0.0
+
+    def update_raw(self, u, v, p, t):
+        if t < self.last_update:
+            raise GroupingError(f"event at t={t} precedes last update {self.last_update}")
+        raw = t - self.window_start
+        prev = max(self.raw_on[v, u], self.raw_off[v, u], 0.0)
+        if p:
+            self.raw_on[v, u] = raw
+        else:
+            self.raw_off[v, u] = raw
+        delta = raw - prev
+        if delta != 0.0:
+            ti, tj = v // self.grid, u // self.grid
+            a = self.tiles[ti, tj]
+            b = a + delta
+            self.tiles[ti, tj] = b
+            self.total += delta
+            self.xlog += _xlog2(b) - _xlog2(a)
+        self.last_update = t
+
+    @property
+    def entropy(self):
+        s = self.total
+        if s <= 0.0:
+            return 0.0
+        return max(0.0, math.log2(s) - self.xlog / s)
+
+    def channel(self, raw):
+        denom = self.last_update - self.window_start
+        if denom <= 0.0:
+            return np.where(raw == 0.0, 1.0, 0.0)
+        return np.where(raw < 0.0, 0.0, raw / denom)
+
+
+def dense_cut_windows(stream, interval, grid, max_window):
+    """The per-event scan over DenseFrame that cut_windows replaced, as
+    ``(offset, len, t_start, t_end)`` per window."""
+    tl, ul, vl, pl = (a.tolist() for a in (stream.t, stream.u, stream.v, stream.p))
+    n = len(tl)
+    windows = []
+    start_idx = 0
+    w_start = tl[0]
+    frame = DenseFrame(stream.geometry, w_start, grid)
+    for i in range(n):
+        ti = tl[i]
+        if ti - w_start > max_window and i > start_idx:
+            t_end = w_start + max_window
+            windows.append((start_idx, i - start_idx, w_start, t_end))
+            start_idx = i
+            w_start = t_end
+            frame = DenseFrame(stream.geometry, w_start, grid)
+        if ti - w_start > max_window:
+            steps = int((ti - w_start) / max_window)
+            w_start += steps * max_window
+            while ti - w_start > max_window:
+                w_start += max_window
+            frame = DenseFrame(stream.geometry, w_start, grid)
+        frame.update_raw(ul[i], vl[i], pl[i], ti)
+        if ti > w_start and interval.contains(frame.entropy):
+            windows.append((start_idx, i + 1 - start_idx, w_start, ti))
+            start_idx = i + 1
+            w_start = ti
+            frame = DenseFrame(stream.geometry, w_start, grid)
+    if start_idx < n:
+        t_last = tl[-1]
+        if n - start_idx >= 2 and t_last > w_start:
+            windows.append((start_idx, n - start_idx, w_start, t_last))
+        elif windows:
+            lo, _, t0, t1 = windows.pop()
+            windows.append((lo, n - lo, t0, max(t1, t_last)))
+        else:
+            windows.append((start_idx, n - start_idx, w_start, max(t_last, w_start + max_window)))
+    return windows
+
+
+def dense_entropies(stream, grid):
+    """Entropy after each event of one uncut DenseFrame started at the first event."""
+    frame = DenseFrame(stream.geometry, float(stream.t[0]), grid)
+    out = []
+    for t, u, v, p in zip(stream.t.tolist(), stream.u.tolist(), stream.v.tolist(),
+                          stream.p.tolist()):
+        frame.update_raw(u, v, p, t)
+        out.append(frame.entropy)
+    return out
+
+
+@st.composite
+def scan_streams(draw, max_window=0.05):
+    """Streams with equal timestamps, repeated pixels, both polarities, gaps
+    longer than ``max_window`` and geometries that are not a multiple of the
+    grid."""
+    grid = draw(st.integers(1, 8))
+    width = draw(st.integers(grid, 3 * grid + 5))
+    height = draw(st.integers(grid, 3 * grid + 5))
+    pool = draw(st.lists(st.tuples(st.integers(0, width - 1), st.integers(0, height - 1)),
+                         min_size=1, max_size=12))
+    n = draw(st.integers(1, 60))
+    # microsecond steps, as sensors report them: zero, short, exactly the
+    # span limit, or a gap past it
+    us = round(max_window * 1e6)
+    steps = draw(st.lists(
+        st.one_of(st.just(0), st.integers(1, us // 3), st.just(us),
+                  st.integers(us, 5 * us)).map(lambda k: k / 1e6),
+        min_size=n, max_size=n))
+    t = draw(st.integers(0, 10**7)) / 1e6 + np.cumsum(steps)
+    pixels = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    p = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    u, v = zip(*pixels)
+    return EventStream(SensorGeometry(width, height), t, u, v, p), grid
+
+
 class TestUpdateFrame:
     def test_first_event_sets_cell_to_one(self):
         frame = AtsltdFrame(GEOM, window_start=0.0)
@@ -66,6 +196,32 @@ class TestUpdateFrame:
         frame.update(Event(1.0, 1, 1, 1))
         with pytest.raises(GroupingError):
             frame.update(Event(0.5, 2, 2, 1))
+
+    @pytest.mark.parametrize("u, v", [(-1, -3), (32, 0), (0, 32), (-1, 5), (5, -1)])
+    def test_rejects_pixel_outside_geometry(self, u, v):
+        frame = AtsltdFrame(GEOM, window_start=0.0)
+        with pytest.raises(GroupingError):
+            frame.update(Event(0.01, u, v, 1))
+        assert frame.entropy == 0.0
+        assert not frame.on_channel.any()
+
+    @settings(deadline=None)
+    @given(scan_streams(), st.integers(0, 60))
+    def test_bit_identical_to_dense_frame(self, case, reset_at):
+        # one frame reset mid-stream stands in for a window cut
+        stream, grid = case
+        t0 = float(stream.t[0])
+        frame = AtsltdFrame(stream.geometry, t0, grid)
+        dense = DenseFrame(stream.geometry, t0, grid)
+        for i, e in enumerate(stream):
+            if i == reset_at:
+                frame.reset(e.t)
+                dense = DenseFrame(stream.geometry, e.t, grid)
+            frame.update_raw(e.u, e.v, e.p, e.t)
+            dense.update_raw(e.u, e.v, e.p, e.t)
+            assert frame.entropy == dense.entropy
+        assert np.array_equal(frame.on_channel, dense.channel(dense.raw_on))
+        assert np.array_equal(frame.off_channel, dense.channel(dense.raw_off))
 
     def test_channels_stay_in_unit_range(self):
         rng = np.random.default_rng(0)
@@ -233,6 +389,46 @@ class TestCutWindows:
             oracle = oracle[:-2] + [(oracle[-2][0], oracle[-1][1])]
         assert got == oracle
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bit_identical_to_dense_scan(self, data):
+        max_window = 0.05
+        stream, grid = data.draw(scan_streams(max_window))
+        band = data.draw(st.one_of(
+            st.just((50.0, 60.0)),                    # never fires
+            st.just((0.0, 64.0)),                     # fires on every later event
+            st.tuples(st.floats(0.0, 6.0), st.floats(0.0, 6.0)).map(sorted),
+        ))
+        interval = EntropyInterval(*band)
+        got = [(w.offset, len(w), w.t_start, w.t_end)
+               for w in cut_windows(stream, interval, grid, max_window)]
+        assert got == dense_cut_windows(stream, interval, grid, max_window)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scan_streams())
+    # a stream whose last entropy moves by a few ulps when log2 is rounded
+    # differently, as np.log2 does here
+    @example((make_stream([(0.0, 1, 1, 1), (0.023288, 9, 1, 0), (0.048738, 17, 1, 1)]), 8))
+    def test_point_bands_bit_identical_to_dense_scan(self, case):
+        # with no span limit the first window closes where the entropy equals
+        # the band exactly, so a change in the last bit of any entropy the
+        # stream reaches moves a cut
+        stream, grid = case
+        for h in sorted(set(dense_entropies(stream, grid))):
+            interval = EntropyInterval(h, h)
+            got = [(w.offset, len(w), w.t_start, w.t_end)
+                   for w in cut_windows(stream, interval, grid, 1e3)]
+            assert got == dense_cut_windows(stream, interval, grid, 1e3)
+
+    def test_single_trailing_event_fold_matches_dense_scan(self):
+        # the third event closes a window (entropy ~0.918) and leaves one event
+        events = [(0.0, 1, 1, 1), (0.01, 9, 9, 0), (0.02, 1, 9, 1), (0.2, 9, 1, 1)]
+        stream = make_stream(events)
+        interval = EntropyInterval(0.9, 2.0)
+        got = [(w.offset, len(w), w.t_start, w.t_end)
+               for w in cut_windows(stream, interval, 8, 1.0)]
+        assert got == dense_cut_windows(stream, interval, 8, 1.0) == [(0, 4, 0.0, 0.2)]
+
     def test_empty_stream_rejected(self):
         empty = EventStream(GEOM, np.array([]), np.array([]), np.array([]), np.array([]))
         with pytest.raises(GroupingError):
@@ -293,6 +489,11 @@ class TestEventWindow:
         with pytest.raises(ValueError):
             EventWindow(GEOM, np.array([2.0]), np.array([1]), np.array([1]),
                         np.array([1]), t_start=0.0, t_end=1.0)
+
+    def test_rejects_events_out_of_time_order(self):
+        with pytest.raises(ValueError):
+            EventWindow(GEOM, np.array([0.2, 0.1, 0.3]), np.ones(3, np.int32),
+                        np.ones(3, np.int32), np.ones(3, np.uint8), t_start=0.0, t_end=1.0)
 
     def test_entropy_interval_validation(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 """Line hypothesis generation and representative clustering tests."""
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from evtraj.grouping import EventWindow
 from evtraj.hypotheses import (
@@ -38,6 +40,69 @@ def cosine_distance(a: LineHypothesis, b: LineHypothesis) -> float:
     """1 - cos(angle) between the two direction vectors; range [0, 2]."""
     da, db = a.direction, b.direction
     return float(1.0 - np.dot(da, db) / (np.linalg.norm(da) * np.linalg.norm(db)))
+
+
+def flatnonzero_slices(window, num_slices):
+    """Reference slicing: one ``flatnonzero`` scan per slice, as ``slice_window``
+    did before it read contiguous bounds."""
+    if num_slices < 2:
+        raise ValueError("num_slices must be >= 2")
+    if len(window) < 2:
+        raise HypothesisError("window must hold at least 2 events")
+    dt = window.span / num_slices
+    idx = np.ceil((window.t - window.t_start) / dt).astype(int) - 1
+    idx = np.clip(idx, 0, num_slices - 1)
+    return [np.flatnonzero(idx == k) for k in range(num_slices)]
+
+
+def reference_generate(window, num_slices, max_pairs):
+    """Reference generation over the list of per-slice index arrays."""
+    nonempty = [s for s in flatnonzero_slices(window, num_slices) if s.size]
+    if len(nonempty) < 2:
+        raise HypothesisError("all events fall into a single time slice")
+    first, last = nonempty[0], nonempty[-1]
+    if first.size * last.size > max_pairs:
+        stride = math.ceil(math.sqrt(first.size * last.size / max_pairs))
+        while math.ceil(first.size / stride) * math.ceil(last.size / stride) > max_pairs:
+            stride += 1
+        first = first[::stride]
+        last = last[::stride]
+    vox = window_voxels(window)
+    starts = np.repeat(vox[first], last.size, axis=0)
+    ends = np.tile(vox[last], (first.size, 1))
+    keep = ends[:, 2] > starts[:, 2]
+    starts, ends = starts[keep], ends[keep]
+    if starts.shape[0] == 0:
+        raise HypothesisError("no valid endpoint pairs (degenerate time span)")
+    return LineSet(starts, ends)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HypothesisError as exc:
+        return exc
+
+
+@st.composite
+def sliced_windows(draw):
+    """Windows whose events sit on slice boundaries or in a random sub-span, so
+    leading and trailing slices may be empty and all events may share one."""
+    num_slices = draw(st.integers(2, 12))
+    t_start = draw(st.sampled_from([0.0, 0.7, 12.345]))
+    span = draw(st.sampled_from([1.0, 0.3, 0.05]))
+    t_end = t_start + span
+    dt = span / num_slices
+    lo, hi = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+    times = draw(st.lists(
+        st.one_of(st.integers(0, num_slices).map(lambda k: t_start + k * dt),
+                  st.floats(t_start + lo * span, t_start + hi * span)),
+        min_size=1, max_size=80))
+    t = np.clip(np.sort(np.asarray(times)), t_start, t_end)
+    n = t.size
+    u = draw(st.lists(st.integers(0, 63), min_size=n, max_size=n))
+    v = draw(st.lists(st.integers(0, 63), min_size=n, max_size=n))
+    return window_from_arrays(t, u, v, t_start, t_end), num_slices
 
 
 class TestNormalization:
@@ -131,6 +196,27 @@ class TestGenerate:
         win = window_from_arrays([0.5, 0.5, 0.5], [1, 2, 3], [1, 2, 3])
         with pytest.raises(HypothesisError):
             generate(win, 10, 100)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sliced_windows(), st.sampled_from([1, 3, 20, 4096]))
+    def test_bit_identical_to_flatnonzero_slices(self, case, max_pairs):
+        # small caps exercise the strided path
+        win, num_slices = case
+        want = outcome(reference_generate, win, num_slices, max_pairs)
+        for got in (outcome(generate, win, num_slices, max_pairs),
+                    outcome(generate, win, num_slices, max_pairs, window_voxels(win))):
+            assert type(got) is type(want)
+            if isinstance(want, HypothesisError):
+                assert str(got) == str(want)
+            else:
+                assert got.starts.tobytes() == want.starts.tobytes()
+                assert got.ends.tobytes() == want.ends.tobytes()
+        if len(win) >= 2:
+            got_slices = slice_window(win, num_slices)
+            want_slices = flatnonzero_slices(win, num_slices)
+            assert len(got_slices) == len(want_slices)
+            for a, b in zip(got_slices, want_slices):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestCosineDistance:
