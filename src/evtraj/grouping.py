@@ -214,7 +214,8 @@ class AtsltdFrame:
             cells = np.fromiter(raw.keys(), dtype=np.int64, count=len(raw))
             offsets = np.fromiter(raw.values(), dtype=np.float64, count=len(raw))
             denom = self.last_update - self.window_start
-            out[cells] = np.where(offsets == 0.0, 1.0, 0.0) if denom <= 0.0 else offsets / denom
+            # with no time elapsed every write sits at the window start
+            out[cells] = 1.0 if denom <= 0.0 else offsets / denom
         return out.reshape(h, w)
 
     @property
@@ -297,7 +298,8 @@ def cut_windows(
                 while ti - w_start > max_window:
                     w_start += max_window
             frame.reset(w_start)
-        # events before ``stop`` lie within max_window of the window start
+        # the stream is time-ordered, so the span test is monotone in the
+        # index: the events before ``stop`` lie within max_window of w_start
         stop = bisect.bisect_right(tl, max_window, i, n, key=lambda t: t - w_start)
         j = frame.scan(tl, pixels, tiles, pl, i, stop, interval)
         if j < stop:
