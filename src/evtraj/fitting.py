@@ -17,6 +17,7 @@ from typing import List, Sequence
 import numpy as np
 from scipy import stats
 
+from .config import RunConfig
 from .grouping import EntropyInterval, EventWindow, cut_windows
 from .hypotheses import (
     HypothesisError,
@@ -29,10 +30,6 @@ from .hypotheses import (
     window_voxels,
 )
 from .io import NOISE_ID
-
-DEFAULT_TAU = 0.01
-DEFAULT_IKOSE_K = 0.01
-DEFAULT_MIN_INLIERS = 3
 
 _TAU_EPS = 1e-12
 
@@ -111,7 +108,7 @@ def residual_matrix(vox: np.ndarray, lines: LineSet) -> np.ndarray:
     return raw / np.where(norms > 0, norms, 1.0)
 
 
-def estimate_tau_ikose(column: np.ndarray, k_ratio: float = DEFAULT_IKOSE_K) -> NoiseScale:
+def estimate_tau_ikose(column: np.ndarray, k_ratio: float = RunConfig.ikose_k) -> NoiseScale:
     """K-th ordered residual scale estimate, with one trimming iteration.
 
     tau = r_(K) / q, K = ceil(k_ratio * n), q the standard normal quantile at
@@ -141,7 +138,7 @@ def estimate_tau_ikose(column: np.ndarray, k_ratio: float = DEFAULT_IKOSE_K) -> 
 def select_inliers(
     values: np.ndarray,
     scale: NoiseScale,
-    min_inliers: int = DEFAULT_MIN_INLIERS,
+    min_inliers: int = RunConfig.min_inliers,
 ) -> List[tuple[int, np.ndarray]]:
     """Per-column inlier index sets of a residual matrix; columns below the floor are dropped."""
     mask = values < scale.tau
@@ -194,10 +191,6 @@ def warp_and_contrast(
     return _segment_means(dev, bounds)
 
 
-def stage2_weight(w: float, contrast: float) -> float:
-    return w * (1.0 - contrast)
-
-
 def select_model_count(weights: Sequence[float]) -> int:
     """Elbow position in the ascending sorted weights; 1 if no elbow exists.
 
@@ -232,7 +225,7 @@ def weigh_models(
     bounds = [0, *np.cumsum([idx.size for idx in inliers]).tolist()]
     w1 = _segment_means((vox[np.concatenate(inliers), 2] - s_t / 2.0) ** 2, bounds)
     contrast = warp_and_contrast(vox, inliers, reps.directions()[cols])
-    return w1, stage2_weight(w1, contrast)
+    return w1, w1 * (1.0 - contrast)
 
 
 def associate(
@@ -290,9 +283,8 @@ def fit_window(window: EventWindow, config) -> AssociationResult:
             raise ValueError(f"unknown scale_mode {config.scale_mode!r}")
         survivors = select_inliers(values, scale, config.min_inliers)
         w1, finals = weigh_models(vox, reps, survivors, time_scale(window.geometry))
-        num_models = 1 if finals.size < 2 else select_model_count(finals)
         instances = []
-        for i in np.argsort(finals, kind="stable")[:num_models].tolist():
+        for i in np.argsort(finals, kind="stable")[:select_model_count(finals)].tolist():
             j, inliers = survivors[i]
             instances.append(WeightedModel(reps[j], j, inliers, float(w1[i]), float(finals[i])))
         return AssociationResult(window, instances, associate(vox, hyps, instances, scale))

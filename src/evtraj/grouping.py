@@ -1,10 +1,10 @@
 """Asynchronous event accumulation and entropy-driven window cutting.
 
-Events update a two-channel time surface with linear decay: the most recent
-write at a pixel holds 1 and older writes fade toward 0 proportionally to
-their age within the window. A window is cut when the grid entropy of the
-surface enters a configured confidence interval, or when a maximum span is
-exceeded (safety valve for near-static scenes).
+Events update a time surface with linear decay: the most recent write at a
+pixel holds 1 and older writes fade toward 0 proportionally to their age
+within the window, whatever their polarity. A window is cut when the grid
+entropy of the surface enters a configured confidence interval, or when a
+maximum span is exceeded (safety valve for near-static scenes).
 
 The decayed value of a cell written at time ``s`` is ``(s - t0) / (t - t0)``
 where ``t0`` is the window start and ``t`` the last update. Internally only
@@ -25,10 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import stats
 
-from .io import Event, EventStream, SensorGeometry
-
-DEFAULT_GRID = 8
-DEFAULT_MAX_WINDOW_S = 0.1
+from .config import RunConfig
+from .io import EventStream, SensorGeometry
 
 
 class GroupingError(ValueError):
@@ -93,16 +91,17 @@ class EventWindow:
 
 
 class AtsltdFrame:
-    """Two-channel time surface with linear decay and incremental grid entropy.
+    """Time surface with linear decay and incremental grid entropy.
 
-    Only the pixels and tiles written since the window start hold state (raw
-    write offsets per pixel and channel, raw sums per tile), so a frame costs
+    Only the pixels and tiles written since the window start hold state (the
+    raw offset of each pixel's last write, raw sums per tile), so a frame costs
     nothing per sensor pixel and :meth:`reset` starts the next window on the
     same frame. Events are applied by :meth:`scan`, which runs over a range of
     events; :meth:`update_raw` applies one.
     """
 
-    def __init__(self, geometry: SensorGeometry, window_start: float, grid: int = DEFAULT_GRID):
+    def __init__(self, geometry: SensorGeometry, window_start: float,
+                 grid: int = RunConfig.entropy_grid):
         if grid < 1:
             raise ValueError("grid must be >= 1")
         if geometry.width < grid or geometry.height < grid:
@@ -111,8 +110,6 @@ class AtsltdFrame:
         self.grid = int(grid)
         self._tiles_per_row = -(-geometry.width // self.grid)
         self._latest: Dict[int, float] = {}   # pixel -> raw offset of its last write
-        self._on: Dict[int, float] = {}       # pixel -> raw offset of its last ON write
-        self._off: Dict[int, float] = {}
         self._tiles: Dict[int, float] = {}    # tile -> sum of its pixels' latest offsets
         self.reset(window_start)
 
@@ -120,8 +117,8 @@ class AtsltdFrame:
         """Empty the surface and start a new window at ``window_start``."""
         self.window_start = float(window_start)
         self.last_update = self.window_start
-        for state in (self._latest, self._on, self._off, self._tiles):
-            state.clear()
+        self._latest.clear()
+        self._tiles.clear()
         self._tile_total = 0.0          # S  = sum of tile sums
         self._tile_xlog = 0.0           # T  = sum of tile * log2(tile)
         self._entropy = 0.0
@@ -138,19 +135,16 @@ class AtsltdFrame:
         g = self.grid
         return (v * w + u).tolist(), ((v // g) * self._tiles_per_row + u // g).tolist()
 
-    def update(self, event: Event) -> None:
-        self.update_raw(event.u, event.v, event.p, event.t)
-
     def update_raw(self, u: int, v: int, p: int, t: float) -> None:
+        """Apply one event. ``p`` is ignored: the surface has no polarity channels."""
         pixels, tiles = self.locate([u], [v])
-        self.scan([t], pixels, tiles, [p], 0, 1)
+        self.scan([t], pixels, tiles, 0, 1)
 
     def scan(
         self,
         t: Sequence[float],
         pixels: Sequence[int],
         tiles: Sequence[int],
-        p: Sequence[int],
         lo: int,
         hi: int,
         interval: Optional[EntropyInterval] = None,
@@ -165,7 +159,7 @@ class AtsltdFrame:
         alpha, beta = (interval.alpha, interval.beta) if interval else (math.inf, -math.inf)
         w0 = self.window_start
         last = self.last_update
-        latest, on, off, sums = self._latest, self._on, self._off, self._tiles
+        latest, sums = self._latest, self._tiles
         total, xlog, h = self._tile_total, self._tile_xlog, self._entropy
         log2 = math.log2
         try:
@@ -176,14 +170,8 @@ class AtsltdFrame:
                 last = ti
                 raw = ti - w0
                 k = pixels[i]
-                # offsets only grow within a window, so a pixel's last write
-                # is the larger of its two channels
                 delta = raw - latest.get(k, 0.0)
                 latest[k] = raw
-                if p[i]:
-                    on[k] = raw
-                else:
-                    off[k] = raw
                 if delta != 0.0:
                     c = tiles[i]
                     a = sums.get(c, 0.0)
@@ -204,12 +192,15 @@ class AtsltdFrame:
 
     @property
     def entropy(self) -> float:
-        """Grid entropy of the combined surface, in bits (incremental form)."""
+        """Grid entropy of the surface, in bits (incremental form)."""
         return self._entropy
 
-    def _channel(self, raw: Dict[int, float]) -> np.ndarray:
+    @property
+    def surface(self) -> np.ndarray:
+        """The decayed surface, H x W: each pixel's last write in [0, 1], 0 if unwritten."""
         h, w = self.geometry.height, self.geometry.width
         out = np.zeros(h * w)
+        raw = self._latest
         if raw:
             cells = np.fromiter(raw.keys(), dtype=np.int64, count=len(raw))
             offsets = np.fromiter(raw.values(), dtype=np.float64, count=len(raw))
@@ -218,20 +209,12 @@ class AtsltdFrame:
             out[cells] = 1.0 if denom <= 0.0 else offsets / denom
         return out.reshape(h, w)
 
-    @property
-    def on_channel(self) -> np.ndarray:
-        return self._channel(self._on)
-
-    @property
-    def off_channel(self) -> np.ndarray:
-        return self._channel(self._off)
-
 
 def nzge_entropy(frame: AtsltdFrame, grid: int | None = None) -> float:
-    """Non-zero grid entropy, recomputed from the normalized combined surface.
+    """Non-zero grid entropy, recomputed from the normalized surface.
 
-    Tiles the max of the two channels into grid x grid pixel cells, forms the
-    distribution of non-zero tile sums, and returns its Shannon entropy.
+    Tiles the surface into grid x grid pixel cells, forms the distribution of
+    non-zero tile sums, and returns its Shannon entropy.
     """
     grid = frame.grid if grid is None else int(grid)
     if grid < 1:
@@ -239,11 +222,10 @@ def nzge_entropy(frame: AtsltdFrame, grid: int | None = None) -> float:
     h, w = frame.geometry.height, frame.geometry.width
     if h < grid or w < grid:
         raise ValueError("frame dimensions must be >= grid")
-    combined = np.maximum(frame.on_channel, frame.off_channel)
     gh = -(-h // grid)
     gw = -(-w // grid)
     padded = np.zeros((gh * grid, gw * grid))
-    padded[:h, :w] = combined
+    padded[:h, :w] = frame.surface
     tiles = padded.reshape(gh, grid, gw, grid).sum(axis=(1, 3)).ravel()
     tiles = tiles[tiles > 0]
     if tiles.size == 0:
@@ -255,8 +237,8 @@ def nzge_entropy(frame: AtsltdFrame, grid: int | None = None) -> float:
 def cut_windows(
     stream: EventStream,
     interval: EntropyInterval,
-    grid: int = DEFAULT_GRID,
-    max_window: float = DEFAULT_MAX_WINDOW_S,
+    grid: int = RunConfig.entropy_grid,
+    max_window: float = RunConfig.max_window_s,
 ) -> List[EventWindow]:
     """Scan the stream and cut it into windows at entropy or span boundaries.
 
@@ -270,7 +252,6 @@ def cut_windows(
     if len(stream) == 0:
         raise GroupingError("cannot cut an empty stream")
     tl = stream.t.tolist()
-    pl = stream.p.tolist()
     n = len(tl)
 
     windows: List[EventWindow] = []
@@ -284,24 +265,24 @@ def cut_windows(
 
     while i < n:
         ti = tl[i]
-        if ti - w_start > max_window:
+        # one limit for the include test, the hop and the close: a window
+        # holds the events up to ``w_start + max_window`` and ends there
+        if ti > w_start + max_window:
             if i > start_idx:
                 t_end = w_start + max_window
                 emit(start_idx, i, w_start, t_end)
                 start_idx = i
                 w_start = t_end
-            if ti - w_start > max_window:
+            if ti > w_start + max_window:
                 # the current window is empty and the next event is beyond its
                 # span: hop over the event-free stretch in whole-span steps
                 steps = int((ti - w_start) / max_window)
                 w_start += steps * max_window
-                while ti - w_start > max_window:
+                while ti > w_start + max_window:
                     w_start += max_window
             frame.reset(w_start)
-        # the stream is time-ordered, so the span test is monotone in the
-        # index: the events before ``stop`` lie within max_window of w_start
-        stop = bisect.bisect_right(tl, max_window, i, n, key=lambda t: t - w_start)
-        j = frame.scan(tl, pixels, tiles, pl, i, stop, interval)
+        stop = bisect.bisect_right(tl, w_start + max_window, i, n)
+        j = frame.scan(tl, pixels, tiles, i, stop, interval)
         if j < stop:
             emit(start_idx, j + 1, w_start, tl[j])
             start_idx = i = j + 1
@@ -327,7 +308,7 @@ def cut_windows(
 
 def estimate_interval(
     windows: Sequence[EventWindow],
-    grid: int = DEFAULT_GRID,
+    grid: int = RunConfig.entropy_grid,
     confidence: float = 0.95,
 ) -> EntropyInterval:
     """Student-t confidence interval of mean terminal entropy over calibration windows."""
@@ -339,7 +320,7 @@ def estimate_interval(
     for win in windows:
         frame = AtsltdFrame(win.geometry, win.t_start, grid)
         pixels, tiles = frame.locate(win.u, win.v)
-        frame.scan(win.t.tolist(), pixels, tiles, win.p.tolist(), 0, len(win))
+        frame.scan(win.t.tolist(), pixels, tiles, 0, len(win))
         samples.append(nzge_entropy(frame, grid))
     arr = np.asarray(samples)
     mean = float(arr.mean())

@@ -14,12 +14,9 @@ from typing import List, Optional
 
 import numpy as np
 
+from .config import RunConfig
 from .grouping import EventWindow
 from .io import SensorGeometry
-
-DEFAULT_NUM_SLICES = 10
-DEFAULT_MAX_PAIRS = 4096
-DEFAULT_PARALLEL_TOL = 1e-3
 
 
 class HypothesisError(ValueError):
@@ -127,7 +124,7 @@ def _slice_bounds(window: EventWindow, num_slices: int) -> np.ndarray:
     return np.searchsorted(idx, np.arange(num_slices + 1))
 
 
-def slice_window(window: EventWindow, num_slices: int = DEFAULT_NUM_SLICES) -> List[np.ndarray]:
+def slice_window(window: EventWindow, num_slices: int = RunConfig.num_slices) -> List[np.ndarray]:
     """Partition the window span into equal-duration bins of event indices.
 
     Timestamps exactly on a bin boundary go to the earlier bin; bins may be
@@ -139,8 +136,8 @@ def slice_window(window: EventWindow, num_slices: int = DEFAULT_NUM_SLICES) -> L
 
 def generate(
     window: EventWindow,
-    num_slices: int = DEFAULT_NUM_SLICES,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
+    num_slices: int = RunConfig.num_slices,
+    max_pairs: int = RunConfig.max_pairs,
     voxels: Optional[np.ndarray] = None,
 ) -> LineSet:
     """Generate hypotheses from the first-slice x last-slice voxel cross product.
@@ -178,7 +175,7 @@ def generate(
 
 def select_representatives(
     hyps: LineSet,
-    parallel_tol: float = DEFAULT_PARALLEL_TOL,
+    parallel_tol: float = RunConfig.parallel_tol,
 ) -> HypothesisSet:
     """Greedily cluster near-parallel hypotheses and pick one representative each.
 

@@ -18,9 +18,6 @@ import numpy as np
 
 NOISE_ID = -1
 
-POLARITY_OFF = 0
-POLARITY_ON = 1
-
 
 class FormatError(ValueError):
     """Malformed or inconsistent input data."""

@@ -9,13 +9,11 @@ box at any time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 import yaml
 
-from .grouping import EventWindow
-from .hypotheses import window_voxels
 from .io import EventStream, SensorGeometry
 from .tracking import BoundingBox
 
@@ -177,49 +175,6 @@ def generate_scene(scene: SyntheticScene) -> SceneData:
         labels=lab,
         velocities=[m.velocity for m in scene.motions],
     )
-
-
-def brute_force_lines(
-    window: EventWindow,
-    labels: np.ndarray,
-) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-    """Total-least-squares 3D line per label group, in normalized voxel space.
-
-    Returns label -> (centroid, unit direction); the direction advances in
-    time. The reference oracle for angular-error checks.
-    """
-    vox = window_voxels(window)
-    labels = np.asarray(labels)
-    out: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    for label in np.unique(labels):
-        if label == CLUTTER_LABEL:
-            continue
-        pts = vox[labels == label]
-        if pts.shape[0] < 2:
-            raise ValueError(f"label {label} has fewer than 2 events")
-        centroid = pts.mean(axis=0)
-        centered = pts - centroid
-        if not np.any(np.abs(centered) > 0):
-            raise ValueError(f"label {label} is a degenerate point group")
-        _, _, vt = np.linalg.svd(centered, full_matrices=False)
-        direction = vt[0]
-        if direction[2] < 0:
-            direction = -direction
-        out[int(label)] = (centroid, direction)
-    return out
-
-
-def expected_direction(
-    velocity: Tuple[float, float],
-    window: EventWindow,
-) -> np.ndarray:
-    """Unit direction a constant (vx, vy) motion traces in normalized voxel space."""
-    from .hypotheses import time_scale
-
-    s_t = time_scale(window.geometry)
-    vx, vy = velocity
-    d = np.array([vx * window.span, vy * window.span, s_t])
-    return d / np.linalg.norm(d)
 
 
 def scene_from_file(path: str) -> SyntheticScene:

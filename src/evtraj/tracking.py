@@ -12,13 +12,13 @@ from typing import List, Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .fitting import AssociationResult, fit_window
 from .grouping import EventWindow
 from .hypotheses import time_scale, window_voxels
 from .io import NOISE_ID, EventStream
 
 SUCCESS_THRESHOLD = 0.5
-DEFAULT_N_REP = 5
 
 
 class TrackingFailure(RuntimeError):
@@ -90,18 +90,18 @@ def pairs_from_annotations(rows: np.ndarray) -> List[TrackingPair]:
 
 
 def propagate_box(
-    window: EventWindow,
     assoc: AssociationResult,
     box: BoundingBox,
     t_target: float,
-    min_events: int = 3,
+    min_events: int = RunConfig.min_inliers,
 ) -> BoundingBox:
     """Translate the box's associated events along their trajectory to ``t_target``.
 
-    The instance owning the plurality of non-noise events inside the box is
+    The events are those of ``assoc.window``. The instance owning the plurality of non-noise events inside the box is
     taken as the object's motion. Returns the minimum enclosing rectangle of
     the projected events, clipped to the sensor.
     """
+    window = assoc.window
     u = window.u.astype(np.float64)
     v = window.v.astype(np.float64)
     inside = (
@@ -145,7 +145,7 @@ def track_pair(stream: EventStream, pair: TrackingPair, config) -> BoundingBox:
     result = fit_window(window, config)
     if result.failed:
         raise TrackingFailure("no trajectory fitted between the frames")
-    return propagate_box(window, result, pair.gt_curr, pair.t_next, config.min_inliers)
+    return propagate_box(result, pair.gt_curr, pair.t_next, config.min_inliers)
 
 
 def _eval_pair(stream: EventStream, pair: TrackingPair, config) -> float:
@@ -159,7 +159,7 @@ def evaluate(
     stream: EventStream,
     pairs: Sequence[TrackingPair],
     config,
-    n_rep: int = DEFAULT_N_REP,
+    n_rep: int = RunConfig.n_rep,
 ) -> EvalReport:
     """Score each tracking pair and aggregate over ``n_rep`` repetitions.
 

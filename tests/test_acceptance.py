@@ -23,13 +23,14 @@ from conftest import (
     track_pairs,
     track_stream,
 )
+from oracles import brute_force_lines
 from evtraj import io
 from evtraj.cli import main
-from evtraj.fitting import fit_window, point_line_distances, stage2_weight, weigh_models
+from evtraj.fitting import fit_window, point_line_distances, weigh_models
 from evtraj.grouping import EntropyInterval, cut_windows
 from evtraj.hypotheses import LineSet
 from evtraj.io import NOISE_ID, EventStream, SensorGeometry
-from evtraj.synth import CLUTTER_LABEL, brute_force_lines, generate_scene
+from evtraj.synth import CLUTTER_LABEL, generate_scene
 from evtraj.tracking import evaluate
 
 
@@ -99,9 +100,10 @@ def test_weight_closed_forms_are_exact():
     w1, final = weigh_models(vox, vertical, [(0, np.arange(7)), (0, np.arange(7, 14))], s_t)
     assert w1.tolist() == [(s_t / 2.0) ** 2] * 2
     assert final.tolist() == w1.tolist()
-    # zero contrast leaves the first-stage weight untouched
-    for w in (0.0, 1.0, 341.25, 1024.0):
-        assert stage2_weight(w, 0.0) == w
+    # zero contrast leaves the first-stage weight untouched at any scale
+    for s_t in (0.0, 2.0, 37.0, 64.0):
+        w1, final = weigh_models(vox[:7], vertical, [(0, np.arange(7))], s_t)
+        assert final.tolist() == w1.tolist() == [(s_t / 2.0) ** 2]
 
 
 # --- model count, direction, and association on seeded scenes --------------

@@ -120,6 +120,15 @@ class TestAssociateCommand:
         assignment = io.read_associations(out.read_bytes())
         assert {0, 1} <= set(np.unique(assignment))
 
+    def test_event_at_the_span_limit_is_associated(self, tmp_path):
+        # the second event lies within max_window_s of the first by
+        # subtraction, but past the first window's end
+        events = tmp_path / "events.txt"
+        events.write_text("0.00102 5 5 1\n0.10102000000000001 5 5 1\n0.3 5 5 1\n")
+        out = tmp_path / "assoc.txt"
+        assert main(["associate", str(events), "--out", str(out)]) == 0
+        assert io.read_associations(out.read_bytes()).size == 3
+
     def test_missing_input_fails_cleanly(self, tmp_path, capsys):
         rc = main(["associate", str(tmp_path / "nope.txt"),
                    "--out", str(tmp_path / "o.txt")])

@@ -18,7 +18,6 @@ from evtraj.fitting import (
     run_eda,
     select_inliers,
     select_model_count,
-    stage2_weight,
     warp_and_contrast,
     weigh_models,
 )
@@ -297,9 +296,15 @@ class TestWarpContrast:
         assert both.tolist() == [contrast(pts, idx, true), contrast(pts, idx, wrong)]
 
     def test_stage2_arithmetic(self):
-        assert stage2_weight(2.0, 0.25) == pytest.approx(1.5)
-        assert stage2_weight(3.0, 0.0) == pytest.approx(3.0)
-        assert stage2_weight(3.0, 1.0) == pytest.approx(0.0)
+        # every inlier at the window start, so stage 1 is (s_t / 2)^2 = 4;
+        # warped along the time axis, one inlier set lands on one pixel
+        # (contrast 0) and the other on two diagonal pixels of a 2 x 2 image
+        # (contrast 0.25)
+        vox = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+        vertical = LineSet(np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]))
+        w1, final = weigh_models(vox, vertical, [(0, np.arange(2)), (0, np.arange(2, 4))], 4.0)
+        assert w1.tolist() == [4.0, 4.0]
+        assert final.tolist() == [4.0, 3.0]
 
 
 @st.composite

@@ -18,6 +18,9 @@ from evtraj.grouping import (
 from evtraj.io import Event, EventStream, SensorGeometry
 
 GEOM = SensorGeometry(32, 32)
+# the second event lies within 0.1 of the first by subtraction, but past
+# 0.00102 + 0.1, where a window of span 0.1 started at the first one ends
+SPAN_LIMIT_EVENTS = [(0.00102, 5, 5, 1), (0.10102000000000001, 5, 5, 1), (0.3, 5, 5, 1)]
 
 
 def make_stream(events, geometry=GEOM):
@@ -95,7 +98,8 @@ class DenseFrame:
 
 def dense_cut_windows(stream, interval, grid, max_window):
     """The per-event scan over DenseFrame that cut_windows replaced, as
-    ``(offset, len, t_start, t_end)`` per window."""
+    ``(offset, len, t_start, t_end)`` per window. A window holds the events
+    up to ``w_start + max_window`` and ends there."""
     tl, ul, vl, pl = (a.tolist() for a in (stream.t, stream.u, stream.v, stream.p))
     n = len(tl)
     windows = []
@@ -104,16 +108,16 @@ def dense_cut_windows(stream, interval, grid, max_window):
     frame = DenseFrame(stream.geometry, w_start, grid)
     for i in range(n):
         ti = tl[i]
-        if ti - w_start > max_window and i > start_idx:
+        if ti > w_start + max_window and i > start_idx:
             t_end = w_start + max_window
             windows.append((start_idx, i - start_idx, w_start, t_end))
             start_idx = i
             w_start = t_end
             frame = DenseFrame(stream.geometry, w_start, grid)
-        if ti - w_start > max_window:
+        if ti > w_start + max_window:
             steps = int((ti - w_start) / max_window)
             w_start += steps * max_window
-            while ti - w_start > max_window:
+            while ti > w_start + max_window:
                 w_start += max_window
             frame = DenseFrame(stream.geometry, w_start, grid)
         frame.update_raw(ul[i], vl[i], pl[i], ti)
@@ -173,37 +177,37 @@ def scan_streams(draw, max_window=0.05):
 class TestUpdateFrame:
     def test_first_event_sets_cell_to_one(self):
         frame = AtsltdFrame(GEOM, window_start=0.0)
-        frame.update(Event(0.5, 3, 7, 1))
-        assert frame.on_channel[7, 3] == 1.0
-        assert frame.on_channel.sum() == 1.0
-        assert frame.off_channel.sum() == 0.0
+        frame.update_raw(3, 7, 1, 0.5)
+        assert frame.surface[7, 3] == 1.0
+        assert frame.surface.sum() == 1.0
 
     def test_overwrite_same_pixel(self):
         frame = AtsltdFrame(GEOM, window_start=0.0)
-        frame.update(Event(1.0, 4, 4, 1))
-        frame.update(Event(2.0, 4, 4, 1))
-        assert frame.on_channel[4, 4] == 1.0
+        frame.update_raw(4, 4, 1, 1.0)
+        frame.update_raw(4, 4, 0, 2.0)
+        assert frame.surface[4, 4] == 1.0
+        assert frame.surface.sum() == 1.0
 
     def test_two_pixel_decay(self):
         frame = AtsltdFrame(GEOM, window_start=0.0)
-        frame.update(Event(1.0, 1, 1, 1))
-        frame.update(Event(2.0, 2, 2, 1))
-        assert frame.on_channel[1, 1] == pytest.approx(0.5)
-        assert frame.on_channel[2, 2] == pytest.approx(1.0)
+        frame.update_raw(1, 1, 1, 1.0)
+        frame.update_raw(2, 2, 1, 2.0)
+        assert frame.surface[1, 1] == pytest.approx(0.5)
+        assert frame.surface[2, 2] == pytest.approx(1.0)
 
     def test_rejects_time_regression(self):
         frame = AtsltdFrame(GEOM, window_start=0.0)
-        frame.update(Event(1.0, 1, 1, 1))
+        frame.update_raw(1, 1, 1, 1.0)
         with pytest.raises(GroupingError):
-            frame.update(Event(0.5, 2, 2, 1))
+            frame.update_raw(2, 2, 1, 0.5)
 
     @pytest.mark.parametrize("u, v", [(-1, -3), (32, 0), (0, 32), (-1, 5), (5, -1)])
     def test_rejects_pixel_outside_geometry(self, u, v):
         frame = AtsltdFrame(GEOM, window_start=0.0)
         with pytest.raises(GroupingError):
-            frame.update(Event(0.01, u, v, 1))
+            frame.update_raw(u, v, 1, 0.01)
         assert frame.entropy == 0.0
-        assert not frame.on_channel.any()
+        assert not frame.surface.any()
 
     @settings(deadline=None)
     @given(scan_streams(), st.integers(0, 60))
@@ -220,17 +224,18 @@ class TestUpdateFrame:
             frame.update_raw(e.u, e.v, e.p, e.t)
             dense.update_raw(e.u, e.v, e.p, e.t)
             assert frame.entropy == dense.entropy
-        assert np.array_equal(frame.on_channel, dense.channel(dense.raw_on))
-        assert np.array_equal(frame.off_channel, dense.channel(dense.raw_off))
+        # offsets only grow within a window, so a pixel's last write is the
+        # larger of its two polarity channels
+        assert np.array_equal(frame.surface, np.maximum(dense.channel(dense.raw_on),
+                                                        dense.channel(dense.raw_off)))
 
-    def test_channels_stay_in_unit_range(self):
+    def test_surface_stays_in_unit_range(self):
         rng = np.random.default_rng(0)
         frame = AtsltdFrame(GEOM, window_start=0.0)
         for t in np.cumsum(rng.uniform(0, 0.1, 50)).tolist():
-            frame.update(Event(t, int(rng.integers(32)), int(rng.integers(32)),
-                               int(rng.integers(2))))
-        for channel in (frame.on_channel, frame.off_channel):
-            assert channel.min() >= 0.0 and channel.max() <= 1.0
+            frame.update_raw(int(rng.integers(32)), int(rng.integers(32)),
+                             int(rng.integers(2)), t)
+        assert frame.surface.min() >= 0.0 and frame.surface.max() <= 1.0
 
     @given(st.lists(
         st.tuples(st.floats(0.01, 1.0), st.integers(0, 31), st.integers(0, 31),
@@ -241,10 +246,8 @@ class TestUpdateFrame:
         events = sorted(raw)
         frame = AtsltdFrame(GEOM, window_start=0.0)
         for t, u, v, p in events:
-            frame.update(Event(t, u, v, p))
-        on, off = surface_oracle(GEOM, 0.0, events)
-        np.testing.assert_allclose(frame.on_channel, on, atol=1e-12)
-        np.testing.assert_allclose(frame.off_channel, off, atol=1e-12)
+            frame.update_raw(u, v, p, t)
+        assert np.array_equal(frame.surface, np.maximum(*surface_oracle(GEOM, 0.0, events)))
 
     def test_replay_is_bit_identical(self):
         rng = np.random.default_rng(7)
@@ -257,10 +260,9 @@ class TestUpdateFrame:
         for _ in range(2):
             frame = AtsltdFrame(GEOM, window_start=0.0)
             for e in events:
-                frame.update(e)
+                frame.update_raw(e.u, e.v, e.p, e.t)
             frames.append(frame)
-        assert np.array_equal(frames[0].on_channel, frames[1].on_channel)
-        assert np.array_equal(frames[0].off_channel, frames[1].off_channel)
+        assert np.array_equal(frames[0].surface, frames[1].surface)
         assert frames[0].entropy == frames[1].entropy
 
 
@@ -270,14 +272,14 @@ class TestNzgeEntropy:
 
     def test_single_active_tile(self):
         frame = AtsltdFrame(GEOM, 0.0, grid=8)
-        frame.update(Event(1.0, 2, 2, 1))
+        frame.update_raw(2, 2, 1, 1.0)
         assert nzge_entropy(frame, 8) == 0.0
 
     def test_four_equal_tiles(self):
         frame = AtsltdFrame(GEOM, 0.0, grid=8)
         # same timestamp in four different tiles -> equal tile sums
         for u, v in [(0, 0), (8, 0), (0, 8), (8, 8)]:
-            frame.update(Event(1.0, u, v, 1))
+            frame.update_raw(u, v, 1, 1.0)
         assert nzge_entropy(frame, 8) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 16])
@@ -285,13 +287,13 @@ class TestNzgeEntropy:
         frame = AtsltdFrame(GEOM, 0.0, grid=8)
         cells = [(8 * (i % 4), 8 * (i // 4)) for i in range(k)]
         for u, v in cells:
-            frame.update(Event(1.0, u, v, 1))
+            frame.update_raw(u, v, 1, 1.0)
         assert nzge_entropy(frame, 8) == pytest.approx(math.log2(k))
 
     def test_first_event_never_decreases_entropy(self):
         frame = AtsltdFrame(GEOM, 0.0)
         before = frame.entropy
-        frame.update(Event(0.5, 5, 5, 0))
+        frame.update_raw(5, 5, 0, 0.5)
         assert frame.entropy >= before
 
     def test_grid_validation(self):
@@ -310,7 +312,7 @@ class TestNzgeEntropy:
         events = sorted(raw)
         frame = AtsltdFrame(GEOM, 0.0, grid=8)
         for t, u, v, p in events:
-            frame.update(Event(t, u, v, p))
+            frame.update_raw(u, v, p, t)
             assert frame.entropy == pytest.approx(nzge_entropy(frame, 8), abs=1e-9)
 
 
@@ -323,12 +325,12 @@ def naive_cut_oracle(stream, interval, grid, max_window):
     i = 0
     while i < len(stream):
         t = float(stream.t[i])
-        if t - w_start > max_window and i > start:
+        if t > w_start + max_window and i > start:
             bounds.append((start, i))
             start = i
             w_start += max_window
             frame = AtsltdFrame(stream.geometry, w_start, grid)
-        frame.update(Event(t, int(stream.u[i]), int(stream.v[i]), int(stream.p[i])))
+        frame.update_raw(int(stream.u[i]), int(stream.v[i]), int(stream.p[i]), t)
         if t > w_start and interval.alpha <= nzge_entropy(frame, grid) <= interval.beta:
             bounds.append((start, i + 1))
             start = i + 1
@@ -390,15 +392,23 @@ class TestCutWindows:
         assert got == oracle
 
     @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_bit_identical_to_dense_scan(self, data):
-        max_window = 0.05
-        stream, grid = data.draw(scan_streams(max_window))
-        band = data.draw(st.one_of(
+    @given(
+        case=scan_streams(0.05),
+        band=st.one_of(
             st.just((50.0, 60.0)),                    # never fires
             st.just((0.0, 64.0)),                     # fires on every later event
             st.tuples(st.floats(0.0, 6.0), st.floats(0.0, 6.0)).map(sorted),
-        ))
+        ),
+        max_window=st.just(0.05),
+    )
+    # in each stream an event lies within max_window of its window start by
+    # subtraction, but past w_start + max_window
+    @example(case=(make_stream(SPAN_LIMIT_EVENTS), 8), band=(2.5, 4.5), max_window=0.1)
+    @example(case=(make_stream([(0.004937, 1, 1, 1), (0.05493700000000001, 9, 9, 0),
+                                (0.05493800000000001, 1, 9, 1)]), 8),
+             band=(50.0, 60.0), max_window=0.05)
+    def test_bit_identical_to_dense_scan(self, case, band, max_window):
+        stream, grid = case
         interval = EntropyInterval(*band)
         got = [(w.offset, len(w), w.t_start, w.t_end)
                for w in cut_windows(stream, interval, grid, max_window)]
@@ -435,11 +445,18 @@ class TestCutWindows:
             cut_windows(empty, EntropyInterval(1.0, 2.0))
 
     def test_single_trailing_event_folds_into_last_window(self):
-        events = [(0.0, 1, 1, 1), (0.01, 9, 9, 1), (0.02, 1, 9, 1), (0.2, 9, 1, 1)]
-        stream = make_stream(events)
-        windows = cut_windows(stream, EntropyInterval(1.0, 2.0), 8, 1.0)
-        assert sum(len(w) for w in windows) == len(stream)
-        assert len(windows[-1]) >= 2
+        # the third and the fifth event close windows (entropy ~0.918); the
+        # sixth is left alone and folds into the second window
+        events = [(0.0, 1, 1, 1), (0.01, 9, 9, 1), (0.02, 1, 9, 1),
+                  (0.03, 1, 1, 1), (0.04, 9, 9, 1), (0.3, 9, 1, 1)]
+        windows = cut_windows(make_stream(events), EntropyInterval(0.9, 2.0), 8, 1.0)
+        got = [(w.offset, len(w), w.t_start, w.t_end) for w in windows]
+        assert got == [(0, 3, 0.0, 0.02), (3, 3, 0.02, 0.3)]
+
+    def test_event_past_the_span_limit_opens_the_next_window(self):
+        windows = cut_windows(make_stream(SPAN_LIMIT_EVENTS), EntropyInterval(2.5, 4.5), 8, 0.1)
+        got = [(w.offset, len(w), w.t_start, w.t_end) for w in windows]
+        assert got == [(0, 1, 0.00102, 0.10102), (1, 2, 0.10102, 0.3)]
 
 
 class TestEstimateInterval:

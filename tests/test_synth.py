@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from oracles import brute_force_lines, expected_direction
 from evtraj.grouping import EventWindow
 from evtraj.hypotheses import window_voxels
 from evtraj.io import SensorGeometry
@@ -9,8 +10,6 @@ from evtraj.synth import (
     CLUTTER_LABEL,
     MotionSpec,
     SyntheticScene,
-    brute_force_lines,
-    expected_direction,
     generate_scene,
     scene_from_dict,
 )

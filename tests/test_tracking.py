@@ -92,11 +92,10 @@ class TestPairsFromAnnotations:
             pairs_from_annotations(rows)
 
 
-def _window_and_fit(stream, t0, t1, config):
+def _fit_between(stream, t0, t1, config):
     lo = int(np.searchsorted(stream.t, t0, side="left"))
     hi = int(np.searchsorted(stream.t, t1, side="right"))
-    window = EventWindow.of(stream, lo, hi, t0, t1)
-    return window, fit_window(window, config)
+    return fit_window(EventWindow.of(stream, lo, hi, t0, t1), config)
 
 
 def _point_scene(velocity, x0, y0, rate=1200.0, seed=0, duration=TRACK_FRAME,
@@ -112,10 +111,10 @@ class TestPropagateBox:
     def test_static_object_keeps_its_box(self):
         data = _point_scene((0.0, 0.0), 20.0, 24.0, sigma=0.0)
         stream = data.stream
-        window, res = _window_and_fit(stream, 0.0, TRACK_FRAME, lane_config())
+        res = _fit_between(stream, 0.0, TRACK_FRAME, lane_config())
         assert not res.failed
         gt = BoundingBox(16, 20, 8, 8)
-        est = propagate_box(window, res, gt, TRACK_FRAME)
+        est = propagate_box(res, gt, TRACK_FRAME)
         assert iou(est, gt) > 0.0
         # projected events stay near the emitter
         assert abs((est.x + est.w / 2) - 20.0) < 2.0
@@ -125,28 +124,28 @@ class TestPropagateBox:
         vx, vy = 2400.0, 0.0
         data = _point_scene((vx, vy), 6.0, 30.0, rate=3000.0)
         stream = data.stream
-        window, res = _window_and_fit(stream, 0.0, TRACK_FRAME, lane_config())
+        res = _fit_between(stream, 0.0, TRACK_FRAME, lane_config())
         assert not res.failed
         gt = BoundingBox(0, 24, 16, 12)
-        est = propagate_box(window, res, gt, TRACK_FRAME)
+        est = propagate_box(res, gt, TRACK_FRAME)
         cx, cy = est.x + est.w / 2, est.y + est.h / 2
         assert abs(cx - (6.0 + vx * TRACK_FRAME)) < 3.0
         assert abs(cy - (30.0 + vy * TRACK_FRAME)) < 3.0
 
     def test_empty_box_raises(self):
         data = _point_scene((0.0, 0.0), 20.0, 24.0, sigma=0.0)
-        window, res = _window_and_fit(data.stream, 0.0, TRACK_FRAME, lane_config())
+        res = _fit_between(data.stream, 0.0, TRACK_FRAME, lane_config())
         far = BoundingBox(50, 50, 6, 6)
         with pytest.raises(TrackingFailure):
-            propagate_box(window, res, far, TRACK_FRAME)
+            propagate_box(res, far, TRACK_FRAME)
 
     def test_min_events_floor(self):
         data = _point_scene((0.0, 0.0), 20.0, 24.0, sigma=0.0)
-        window, res = _window_and_fit(data.stream, 0.0, TRACK_FRAME, lane_config())
+        res = _fit_between(data.stream, 0.0, TRACK_FRAME, lane_config())
         gt = BoundingBox(16, 20, 8, 8)
         n_inside = int(np.sum(res.assignment != -1))
         with pytest.raises(TrackingFailure):
-            propagate_box(window, res, gt, TRACK_FRAME, min_events=n_inside + 1)
+            propagate_box(res, gt, TRACK_FRAME, min_events=n_inside + 1)
 
 
 class TestEvaluate:
