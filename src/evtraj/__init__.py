@@ -3,7 +3,7 @@
 from .config import RunConfig, load_config
 from .fitting import AssociationResult, NoiseScale, WeightedModel, fit_window, run_eda
 from .grouping import AtsltdFrame, EntropyInterval, EventWindow, cut_windows
-from .hypotheses import HypothesisSet, LineHypothesis, LineSet
+from .hypotheses import HypothesisSet, LineSet
 from .io import Event, EventStream, SensorGeometry, parse_stream, serialize_stream
 from .synth import SceneData, SyntheticScene, generate_scene
 from .tracking import BoundingBox, EvalReport, TrackingPair, evaluate, iou
@@ -18,7 +18,6 @@ __all__ = [
     "EventStream",
     "EventWindow",
     "HypothesisSet",
-    "LineHypothesis",
     "LineSet",
     "NoiseScale",
     "RunConfig",

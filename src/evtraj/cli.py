@@ -32,18 +32,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    config = load_config(args.config)
-    overrides = {
-        "tau": getattr(args, "tau", None),
-        "num_slices": getattr(args, "slices", None),
-        "entropy_alpha": getattr(args, "alpha", None),
-        "entropy_beta": getattr(args, "beta", None),
-        "scale_mode": getattr(args, "scale_mode", None),
-    }
-    geometry = getattr(args, "geometry", None)
-    if geometry is not None:
-        overrides["width"], overrides["height"] = geometry
-    return apply_overrides(config, {k: v for k, v in overrides.items() if v is not None})
+    width, height = args.geometry or (None, None)
+    return apply_overrides(load_config(args.config), {
+        "tau": args.tau,
+        "num_slices": args.slices,
+        "entropy_alpha": args.alpha,
+        "entropy_beta": args.beta,
+        "scale_mode": args.scale_mode,
+        "width": width,
+        "height": height,
+    })
 
 
 def _read_stream(path: str, config: RunConfig) -> io.EventStream:
@@ -122,6 +120,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     scene = synth.scene_from_file(args.scene)
+    if args.out_boxes and not 0 <= args.motion < len(scene.motions):
+        raise ValueError(f"--motion {args.motion} is outside [0, {len(scene.motions)})")
     if args.seed is not None:
         from dataclasses import replace
 

@@ -113,15 +113,12 @@ def apply_overrides(config: RunConfig, overrides: Mapping[str, Any]) -> RunConfi
     return replace(config, **updates) if updates else config
 
 
-def load_config(path: Optional[str] = None, overrides: Optional[Mapping[str, Any]] = None) -> RunConfig:
-    """Build a RunConfig from defaults, an optional YAML file, then overrides."""
-    config = RunConfig()
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh) or {}
-        if not isinstance(data, Mapping):
-            raise ValueError("config file must hold a mapping")
-        config = apply_overrides(config, data)
-    if overrides:
-        config = apply_overrides(config, overrides)
-    return config
+def load_config(path: Optional[str] = None) -> RunConfig:
+    """Defaults, then an optional YAML file; :func:`apply_overrides` puts flags on top."""
+    if path is None:
+        return RunConfig()
+    with open(path, "r", encoding="utf-8") as fh:
+        data = yaml.safe_load(fh) or {}
+    if not isinstance(data, Mapping):
+        raise ValueError("config file must hold a mapping")
+    return apply_overrides(RunConfig(), data)

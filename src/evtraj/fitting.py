@@ -22,7 +22,6 @@ from .grouping import EntropyInterval, EventWindow, cut_windows
 from .hypotheses import (
     HypothesisError,
     HypothesisSet,
-    LineHypothesis,
     LineSet,
     generate,
     select_representatives,
@@ -56,13 +55,18 @@ class NoiseScale:
 
 @dataclass(frozen=True)
 class WeightedModel:
-    """A selected model instance: its hypothesis, its inliers and both weighting stages."""
+    """A selected model instance: its representative's end voxels, its inliers and both weights."""
 
-    hypothesis: LineHypothesis
+    start: np.ndarray
+    end: np.ndarray
     rep_index: int  # position among the window's representatives, not in HypothesisSet.all
     inliers: np.ndarray
     w_stage1: float
     w_final: float
+
+    @property
+    def direction(self) -> np.ndarray:
+        return self.end - self.start
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,11 @@ class AssociationResult:
     window: EventWindow
     instances: List[WeightedModel]
     assignment: np.ndarray
-    failed: bool = False
+
+    @property
+    def failed(self) -> bool:
+        """A fit keeps at least one instance unless it failed."""
+        return not self.instances
 
     @property
     def num_models(self) -> int:
@@ -252,24 +260,15 @@ def associate(
     return np.where(fam_min.min(axis=0) < scale.tau, owner, NOISE_ID)
 
 
-def _all_noise(window: EventWindow) -> AssociationResult:
-    return AssociationResult(
-        window=window,
-        instances=[],
-        assignment=np.full(len(window), NOISE_ID, dtype=np.int64),
-        failed=True,
-    )
-
-
 def fit_window(window: EventWindow, config) -> AssociationResult:
     """Run hypothesis generation through association for one window.
 
-    Failures (no usable slices, no surviving model) degrade to a flagged
-    all-noise result instead of raising.
+    Failures (no usable slices, no surviving model) degrade to an all-noise
+    result without instances instead of raising.
     """
     try:
         vox = window_voxels(window)
-        lines = generate(window, config.num_slices, config.max_pairs, vox)
+        lines = generate(window, vox, config.num_slices, config.max_pairs)
         hyps = select_representatives(lines, config.parallel_tol)
         reps = hyps.representatives
         values = residual_matrix(vox, reps)
@@ -286,10 +285,11 @@ def fit_window(window: EventWindow, config) -> AssociationResult:
         instances = []
         for i in np.argsort(finals, kind="stable")[:select_model_count(finals)].tolist():
             j, inliers = survivors[i]
-            instances.append(WeightedModel(reps[j], j, inliers, float(w1[i]), float(finals[i])))
+            instances.append(WeightedModel(reps.starts[j], reps.ends[j], j, inliers,
+                                           float(w1[i]), float(finals[i])))
         return AssociationResult(window, instances, associate(vox, hyps, instances, scale))
     except (HypothesisError, NoSurvivingModelError):
-        return _all_noise(window)
+        return AssociationResult(window, [], np.full(len(window), NOISE_ID, dtype=np.int64))
 
 
 def run_eda(stream, config) -> List[AssociationResult]:

@@ -60,7 +60,6 @@ class EventWindow:
     t: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    p: np.ndarray
     t_start: float
     t_end: float
     offset: int = 0
@@ -74,13 +73,11 @@ class EventWindow:
             raise ValueError("window events out of time order")
 
     @classmethod
-    def of(cls, stream: EventStream, lo: int, hi: int, t_start: float, t_end: float) -> "EventWindow":
+    def of(cls, stream: EventStream, lo: int, hi: int,
+           t_start: float, t_end: float) -> "EventWindow":
         """The events ``stream[lo:hi]`` as a window over ``[t_start, t_end]``."""
-        return cls(
-            stream.geometry,
-            stream.t[lo:hi], stream.u[lo:hi], stream.v[lo:hi], stream.p[lo:hi],
-            t_start=t_start, t_end=t_end, offset=lo,
-        )
+        return cls(stream.geometry, stream.t[lo:hi], stream.u[lo:hi], stream.v[lo:hi],
+                   t_start=t_start, t_end=t_end, offset=lo)
 
     def __len__(self) -> int:
         return int(self.t.size)

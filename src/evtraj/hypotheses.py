@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -39,28 +39,6 @@ def window_voxels(window: EventWindow) -> np.ndarray:
     ])
 
 
-@dataclass(frozen=True)
-class LineHypothesis:
-    """A candidate event trajectory: the segment between two voxels."""
-
-    start: np.ndarray
-    end: np.ndarray
-
-    def __post_init__(self) -> None:
-        start = np.asarray(self.start, dtype=np.float64)
-        end = np.asarray(self.end, dtype=np.float64)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        if not (np.all(np.isfinite(start)) and np.all(np.isfinite(end))):
-            raise ValueError("non-finite voxel")
-        if not end[2] > start[2]:
-            raise ValueError("hypothesis must advance in time")
-
-    @property
-    def direction(self) -> np.ndarray:
-        return self.end - self.start
-
-
 class LineSet:
     """A batch of hypotheses held as (n, 3) endpoint arrays."""
 
@@ -74,9 +52,6 @@ class LineSet:
 
     def __len__(self) -> int:
         return self.starts.shape[0]
-
-    def __getitem__(self, i: int) -> LineHypothesis:
-        return LineHypothesis(self.starts[i], self.ends[i])
 
     def directions(self) -> np.ndarray:
         return self.ends - self.starts
@@ -136,17 +111,16 @@ def slice_window(window: EventWindow, num_slices: int = RunConfig.num_slices) ->
 
 def generate(
     window: EventWindow,
+    voxels: np.ndarray,
     num_slices: int = RunConfig.num_slices,
     max_pairs: int = RunConfig.max_pairs,
-    voxels: Optional[np.ndarray] = None,
 ) -> LineSet:
     """Generate hypotheses from the first-slice x last-slice voxel cross product.
 
-    Falls back to the first and last non-empty slices under sparse data. When
-    the cross product exceeds ``max_pairs``, both slices are strided with a
-    fixed step so the result stays deterministic. Pairs that do not advance in
-    time are skipped. ``voxels`` is the window's :func:`window_voxels`, for a
-    caller that already has them.
+    ``voxels`` is the window's :func:`window_voxels`. Falls back to the first
+    and last non-empty slices under sparse data. When the cross product
+    exceeds ``max_pairs``, both slices are strided with a fixed step so the
+    result stays deterministic. Pairs that do not advance in time are skipped.
     """
     bounds = _slice_bounds(window, num_slices).tolist()
     n = bounds[-1]
@@ -161,9 +135,8 @@ def generate(
             stride += 1
         first = first[::stride]
         last = last[::stride]
-    vox = window_voxels(window) if voxels is None else voxels
-    first_vox = vox[first.start:first.stop:first.step]
-    last_vox = vox[last.start:last.stop:last.step]
+    first_vox = voxels[first.start:first.stop:first.step]
+    last_vox = voxels[last.start:last.stop:last.step]
     starts = np.repeat(first_vox, len(last), axis=0)
     ends = np.tile(last_vox, (len(first), 1))
     keep = ends[:, 2] > starts[:, 2]

@@ -9,7 +9,7 @@ box at any time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Mapping, Tuple
 
 import numpy as np
 import yaml
@@ -184,27 +184,48 @@ def scene_from_file(path: str) -> SyntheticScene:
     return scene_from_dict(data)
 
 
-def scene_from_dict(data: dict) -> SyntheticScene:
-    geom = data["geometry"]
+def _mapping(doc, where: str) -> None:
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"{where} must be a mapping, got {type(doc).__name__}")
+
+
+def _required(doc: Mapping, key: str, where: str):
+    if key not in doc:
+        raise ValueError(f"{where} is missing required key {key!r}")
+    return doc[key]
+
+
+def _numbers(value, size: int, key: str) -> List[float]:
+    if not isinstance(value, (list, tuple)) or len(value) != size:
+        raise ValueError(f"{key} must hold {size} numbers, got {value!r}")
+    return [float(x) for x in value]
+
+
+def scene_from_dict(data) -> SyntheticScene:
+    """Build a scene from its document; a malformed document raises ``ValueError``."""
+    _mapping(data, "scene")
+    width, height = _numbers(_required(data, "geometry", "scene"), 2, "geometry")
     motions = []
-    for m in data.get("motions", []):
+    for i, m in enumerate(data.get("motions", [])):
+        where = f"motion {i}"
+        _mapping(m, where)
         motions.append(
             MotionSpec(
-                kind=m["kind"],
-                velocity=tuple(float(x) for x in m["velocity"]),
-                start_region=BoundingBox(*[float(x) for x in m["start_region"]]),
-                event_rate=float(m["event_rate"]),
+                kind=_required(m, "kind", where),
+                velocity=tuple(_numbers(_required(m, "velocity", where), 2, "velocity")),
+                start_region=BoundingBox(
+                    *_numbers(_required(m, "start_region", where), 4, "start_region")),
+                event_rate=float(_required(m, "event_rate", where)),
                 noise_sigma=float(m.get("noise_sigma", 0.0)),
                 time_profile=str(m.get("time_profile", "uniform")),
                 time_sigma_frac=float(m.get("time_sigma_frac", 0.25)),
             )
         )
-    span = data.get("clutter_span", (0.0, 1.0))
     return SyntheticScene(
-        geometry=SensorGeometry(int(geom[0]), int(geom[1])),
-        duration=float(data["duration"]),
+        geometry=SensorGeometry(int(width), int(height)),
+        duration=float(_required(data, "duration", "scene")),
         motions=tuple(motions),
         clutter_rate=float(data.get("clutter_rate", 0.0)),
         seed=int(data.get("seed", 0)),
-        clutter_span=(float(span[0]), float(span[1])),
+        clutter_span=tuple(_numbers(data.get("clutter_span", (0.0, 1.0)), 2, "clutter_span")),
     )

@@ -97,9 +97,10 @@ def propagate_box(
 ) -> BoundingBox:
     """Translate the box's associated events along their trajectory to ``t_target``.
 
-    The events are those of ``assoc.window``. The instance owning the plurality of non-noise events inside the box is
-    taken as the object's motion. Returns the minimum enclosing rectangle of
-    the projected events, clipped to the sensor.
+    The events are those of ``assoc.window``. The instance owning the
+    plurality of non-noise events inside the box is taken as the object's
+    motion: its events move along the instance's ``direction``. Returns the
+    minimum enclosing rectangle of the projected events, clipped to the sensor.
     """
     window = assoc.window
     u = window.u.astype(np.float64)
@@ -118,7 +119,7 @@ def propagate_box(
     vox = window_voxels(window)[sel]
     s_t = time_scale(window.geometry)
     tn_target = (t_target - window.t_start) / window.span * s_t
-    d = inst.hypothesis.direction
+    d = inst.direction
     du, dv = d[0] / d[2], d[1] / d[2]
     pu = vox[:, 0] + du * (tn_target - vox[:, 2])
     pv = vox[:, 1] + dv * (tn_target - vox[:, 2])

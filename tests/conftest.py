@@ -47,7 +47,7 @@ def lane_scene(num_motions: int, seed: int, clutter_frac: float = 0.2) -> Synthe
 
 def lane_window(data: SceneData) -> EventWindow:
     s = data.stream
-    return EventWindow(s.geometry, s.t, s.u, s.v, s.p, t_start=0.0, t_end=LANE_DURATION)
+    return EventWindow(s.geometry, s.t, s.u, s.v, t_start=0.0, t_end=LANE_DURATION)
 
 
 def lane_config(**overrides) -> RunConfig:

@@ -15,6 +15,7 @@ from scipy.optimize import linear_sum_assignment
 
 from conftest import (
     LANE_GEOMETRY,
+    LANE_NOISE_SIGMA,
     framed_track_stream,
     hungarian_angles,
     lane_config,
@@ -27,11 +28,11 @@ from oracles import brute_force_lines
 from evtraj import io
 from evtraj.cli import main
 from evtraj.fitting import fit_window, point_line_distances, weigh_models
-from evtraj.grouping import EntropyInterval, cut_windows
+from evtraj.grouping import EntropyInterval, EventWindow, cut_windows
 from evtraj.hypotheses import LineSet
 from evtraj.io import NOISE_ID, EventStream, SensorGeometry
-from evtraj.synth import CLUTTER_LABEL, generate_scene
-from evtraj.tracking import evaluate
+from evtraj.synth import CLUTTER_LABEL, MotionSpec, SyntheticScene, generate_scene
+from evtraj.tracking import BoundingBox, evaluate
 
 
 # --- residual correctness against a dense parameter scan -------------------
@@ -140,10 +141,7 @@ def test_direction_accuracy(K):
             continue
         oracle = brute_force_lines(window, data.labels)
         expected = [oracle[g][1] for g in sorted(oracle)]
-        got = [
-            m.hypothesis.direction / np.linalg.norm(m.hypothesis.direction)
-            for m in res.instances
-        ]
+        got = [m.direction / np.linalg.norm(m.direction) for m in res.instances]
         if np.all(hungarian_angles(expected, got) <= 3.0):
             hits += 1
     assert hits >= 0.95 * N_SCENES
@@ -157,10 +155,7 @@ def test_association_accuracy():
             continue
         oracle = brute_force_lines(window, data.labels)
         expected = [oracle[g][1] for g in sorted(oracle)]
-        got = [
-            m.hypothesis.direction / np.linalg.norm(m.hypothesis.direction)
-            for m in res.instances
-        ]
+        got = [m.direction / np.linalg.norm(m.direction) for m in res.instances]
         cost = np.array(
             [
                 [np.degrees(np.arccos(np.clip(abs(e @ g), -1.0, 1.0))) for g in got]
@@ -177,6 +172,32 @@ def test_association_accuracy():
         clutter_mis += int(np.sum(res.assignment[clutter] != NOISE_ID))
     assert inlier_correct >= 0.90 * inlier_total
     assert clutter_mis <= 0.10 * clutter_total
+
+
+# --- known limit: objects at the same velocity ------------------------------
+
+def test_same_velocity_objects_share_one_trajectory():
+    """Two points 40 px apart moving at the same velocity get one trajectory id.
+
+    Representatives are mutually non-parallel and a family holds every
+    parallel hypothesis, so parallel lines at different places collapse into
+    one model. This pins the limit as measured on seeds 0-4; ROADMAP item 1
+    (position-aware families) will flip it to two models.
+    """
+    duration = 0.1
+    motions = tuple(
+        MotionSpec("point", (200.0, 0.0), BoundingBox(9.0, y, 2.0, 2.0), 600.0,
+                   LANE_NOISE_SIGMA, time_profile="regular")
+        for y in (11.0, 51.0)
+    )
+    for seed in range(5):
+        data = generate_scene(SyntheticScene(LANE_GEOMETRY, duration, motions, 0.0, seed))
+        s = data.stream
+        window = EventWindow(s.geometry, s.t, s.u, s.v, t_start=0.0, t_end=duration)
+        res = fit_window(window, lane_config())
+        assert res.num_models == 1
+        for motion in (0, 1):
+            assert np.all(res.assignment[data.labels == motion] == 0)
 
 
 # --- tracking overlap on a translating object ------------------------------

@@ -83,6 +83,37 @@ class TestSynthCommand:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: {k: v for k, v in d.items() if k != "duration"},
+         "missing required key 'duration'"),
+        (lambda d: [d], "scene must be a mapping"),
+        (lambda d: {**d, "geometry": [64]}, "geometry must hold 2 numbers"),
+        (lambda d: {**d, "motions": [{**d["motions"][0], "velocity": [1, 2, 3]}]},
+         "velocity must hold 2 numbers"),
+        (lambda d: {**d, "motions": [{**d["motions"][0], "start_region": [1, 2]}]},
+         "start_region must hold 4 numbers"),
+        (lambda d: {**d, "clutter_span": [0.5]}, "clutter_span must hold 2 numbers"),
+    ], ids=["missing_duration", "list_document", "short_geometry", "long_velocity",
+            "short_start_region", "short_clutter_span"])
+    def test_malformed_scene_fails_cleanly(self, tmp_path, scene_file, capsys, edit, message):
+        events = tmp_path / "events.txt"
+        rc = main(["synth", scene_file(edit(lane_scene_doc(1))), "--out", str(events)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and message in err
+        assert not events.exists()
+
+    @pytest.mark.parametrize("motion", ["3", "-1"])
+    def test_motion_outside_the_scene_fails_before_writing(self, tmp_path, scene_file,
+                                                           capsys, motion):
+        events, boxes = tmp_path / "events.txt", tmp_path / "boxes.txt"
+        rc = main(["synth", scene_file(lane_scene_doc(1)), "--out", str(events),
+                   "--out-boxes", str(boxes), "--motion", motion])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: --motion")
+        assert not events.exists() and not boxes.exists()
+
 
 class TestAssociateCommand:
     def _synth(self, tmp_path, scene_file, num_motions):

@@ -99,7 +99,7 @@ def test_flag_beats_file_beats_default(tmp_path_factory, file_keys):
 def test_flag_overrides_file(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump({"fit.tau": 0.05, "hypo.num_slices": 9}))
-    cfg = load_config(str(path), {"fit.tau": 0.08})
+    cfg = apply_overrides(load_config(str(path)), {"fit.tau": 0.08})
     assert cfg.tau == 0.08       # flag wins
     assert cfg.num_slices == 9   # file survives where no flag is given
 

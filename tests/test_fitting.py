@@ -23,7 +23,6 @@ from evtraj.fitting import (
 )
 from evtraj.grouping import EventWindow
 from evtraj.hypotheses import (
-    LineHypothesis,
     LineSet,
     generate,
     select_representatives,
@@ -41,18 +40,24 @@ def make_window(t, u, v, t_start=0.0, t_end=1.0):
     return EventWindow(
         GEOM, t,
         np.asarray(u, dtype=np.int32), np.asarray(v, dtype=np.int32),
-        np.zeros(t.size, dtype=np.uint8),
         t_start=t_start, t_end=t_end,
     )
 
 
 def hyp(start, end):
-    return LineHypothesis(np.asarray(start, dtype=float), np.asarray(end, dtype=float))
+    """A line as its ``(start, end)`` voxels."""
+    return np.asarray(start, dtype=float), np.asarray(end, dtype=float)
+
+
+def direction(h):
+    start, end = h
+    return end - start
 
 
 def distance(point, h):
-    """Distance from one voxel to one hypothesis line."""
-    return float(point_line_distances(point, h.start, h.end)[0, 0])
+    """Distance from one voxel to one ``(start, end)`` line."""
+    start, end = h
+    return float(point_line_distances(point, start, end)[0, 0])
 
 
 # --- references: the per-call formulations that the batched code replaced --
@@ -87,7 +92,7 @@ def per_survivor_weights(vox, reps, survivors, s_t):
 
 def contrast(voxels, inliers, h):
     """Contrast of one inlier set warped along one hypothesis."""
-    return warp_and_contrast(voxels, [np.asarray(inliers)], h.direction[None, :])[0]
+    return warp_and_contrast(voxels, [np.asarray(inliers)], direction(h)[None, :])[0]
 
 
 def stage1(times, s_t):
@@ -291,7 +296,7 @@ class TestWarpContrast:
         # warping along the true line collapses events onto few pixels
         # (low contrast); the wrong line smears them into a sparse strip;
         # one call warps both
-        both = warp_and_contrast(pts, [idx, idx], np.array([true.direction, wrong.direction]))
+        both = warp_and_contrast(pts, [idx, idx], np.array([direction(true), direction(wrong)]))
         assert both[0] < both[1]
         assert both.tolist() == [contrast(pts, idx, true), contrast(pts, idx, wrong)]
 
@@ -396,8 +401,9 @@ class TestAssociate:
             np.array([[10.0, 10, 64], [60.0, 40, 64]]),
         )
         reps = select_representatives(lines, 1e-3)
+        ends = reps.representatives
         instances = [
-            WeightedModel(reps.representatives[j], j, np.empty(0, dtype=int), 0.0, 0.0)
+            WeightedModel(ends.starts[j], ends.ends[j], j, np.empty(0, dtype=int), 0.0, 0.0)
             for j in range(2)
         ]
         return win, reps, instances, order
@@ -472,9 +478,9 @@ class TestFitWindow:
         cfg = lane_config()
         for motions in (1, 3):  # one survivor, then seventeen
             win = lane_window(generate_scene(lane_scene(motions, seed=3, clutter_frac=0.0)))
-            lines = generate(win, cfg.num_slices, cfg.max_pairs)
-            reps = select_representatives(lines, cfg.parallel_tol).representatives
             vox = window_voxels(win)
+            lines = generate(win, vox, cfg.num_slices, cfg.max_pairs)
+            reps = select_representatives(lines, cfg.parallel_tol).representatives
             s_t = time_scale(win.geometry)
             matrix = residual_matrix(vox, reps)
             survivors = select_inliers(matrix, NoiseScale(cfg.tau), cfg.min_inliers)
@@ -517,11 +523,9 @@ class TestRelabel:
     def result(self, offset, local, num_models):
         n = len(local)
         window = EventWindow(GEOM, np.linspace(0.0, 1.0, n), np.zeros(n, np.int32),
-                             np.zeros(n, np.int32), np.zeros(n, np.uint8),
-                             t_start=0.0, t_end=1.0, offset=offset)
-        model = WeightedModel(hyp([0, 0, 0], [0, 0, 1]), 0, np.empty(0, dtype=int), 0.0, 0.0)
-        return AssociationResult(window, [model] * num_models,
-                                 np.asarray(local, dtype=np.int64), failed=num_models == 0)
+                             np.zeros(n, np.int32), t_start=0.0, t_end=1.0, offset=offset)
+        model = WeightedModel(*hyp([0, 0, 0], [0, 0, 1]), 0, np.empty(0, dtype=int), 0.0, 0.0)
+        return AssociationResult(window, [model] * num_models, np.asarray(local, dtype=np.int64))
 
     def test_ids_shift_by_earlier_model_counts(self):
         results = [self.result(0, [1, NOISE_ID, 0], 2),

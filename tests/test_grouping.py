@@ -464,8 +464,7 @@ class TestEstimateInterval:
         """A window whose terminal entropy is exactly log2(k)."""
         events = [(t, 8 * (i % 4), 8 * (i // 4), 1) for i in range(k)]
         stream = make_stream(events)
-        return EventWindow(GEOM, stream.t, stream.u, stream.v, stream.p,
-                           t_start=0.0, t_end=t)
+        return EventWindow(GEOM, stream.t, stream.u, stream.v, t_start=0.0, t_end=t)
 
     def test_zero_variance_samples(self):
         windows = [self.tile_window(4) for _ in range(3)]
@@ -493,24 +492,23 @@ class TestEventWindow:
         assert len(window) == 3 and window.offset == 2
         assert (window.t_start, window.t_end) == (0.15, 0.45)
         assert window.geometry == stream.geometry
-        for a, b in ((window.t, stream.t), (window.u, stream.u),
-                     (window.v, stream.v), (window.p, stream.p)):
+        for a, b in ((window.t, stream.t), (window.u, stream.u), (window.v, stream.v)):
             assert np.array_equal(a, b[2:5])
 
     def test_requires_positive_span(self):
         with pytest.raises(ValueError):
             EventWindow(GEOM, np.array([0.5]), np.array([1]), np.array([1]),
-                        np.array([1]), t_start=1.0, t_end=1.0)
+                        t_start=1.0, t_end=1.0)
 
     def test_rejects_events_outside_bounds(self):
         with pytest.raises(ValueError):
             EventWindow(GEOM, np.array([2.0]), np.array([1]), np.array([1]),
-                        np.array([1]), t_start=0.0, t_end=1.0)
+                        t_start=0.0, t_end=1.0)
 
     def test_rejects_events_out_of_time_order(self):
         with pytest.raises(ValueError):
             EventWindow(GEOM, np.array([0.2, 0.1, 0.3]), np.ones(3, np.int32),
-                        np.ones(3, np.int32), np.ones(3, np.uint8), t_start=0.0, t_end=1.0)
+                        np.ones(3, np.int32), t_start=0.0, t_end=1.0)
 
     def test_entropy_interval_validation(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from evtraj.grouping import EventWindow
 from evtraj.hypotheses import (
     HypothesisError,
-    LineHypothesis,
     LineSet,
     generate,
     select_representatives,
@@ -26,19 +25,24 @@ def window_from_arrays(t, u, v, t_start=0.0, t_end=1.0):
     return EventWindow(
         GEOM, t,
         np.asarray(u, dtype=np.int32), np.asarray(v, dtype=np.int32),
-        np.zeros(t.size, dtype=np.uint8),
         t_start=t_start, t_end=t_end,
     )
 
 
 def hyp(direction, start=(0.0, 0.0, 0.0)):
+    """A line as its ``(start, end)`` voxels."""
     start = np.asarray(start, dtype=float)
-    return LineHypothesis(start, start + np.asarray(direction, dtype=float))
+    return start, start + np.asarray(direction, dtype=float)
 
 
-def cosine_distance(a: LineHypothesis, b: LineHypothesis) -> float:
-    """1 - cos(angle) between the two direction vectors; range [0, 2]."""
-    da, db = a.direction, b.direction
+def line(lines: LineSet, i: int):
+    """Row ``i`` of a line set as its ``(start, end)`` voxels."""
+    return lines.starts[i], lines.ends[i]
+
+
+def cosine_distance(a, b) -> float:
+    """1 - cos(angle) between the directions of two ``(start, end)`` lines; range [0, 2]."""
+    da, db = a[1] - a[0], b[1] - b[0]
     return float(1.0 - np.dot(da, db) / (np.linalg.norm(da) * np.linalg.norm(db)))
 
 
@@ -152,7 +156,7 @@ class TestGenerate:
     def test_small_cross_product(self):
         t = [0.01, 0.02, 0.95, 0.96, 0.97]
         win = window_from_arrays(t, [1, 2, 3, 4, 5], [1, 2, 3, 4, 5])
-        lines = generate(win, 10, 100)
+        lines = generate(win, window_voxels(win), 10, 100)
         assert len(lines) == 2 * 3
 
     def test_cap_is_respected_and_deterministic(self):
@@ -162,8 +166,8 @@ class TestGenerate:
         u = rng.integers(0, 64, 200)
         v = rng.integers(0, 64, 200)
         win = window_from_arrays(t, u, v)
-        a = generate(win, 10, 1000)
-        b = generate(win, 10, 1000)
+        a = generate(win, window_voxels(win), 10, 1000)
+        b = generate(win, window_voxels(win), 10, 1000)
         assert 0 < len(a) <= 1000
         assert np.array_equal(a.starts, b.starts) and np.array_equal(a.ends, b.ends)
 
@@ -177,9 +181,9 @@ class TestGenerate:
         u = np.array([7, 43])
         v = np.array([11, 29])
         win = window_from_arrays(t, u, v)
-        lines = generate(win, 10, 100)
+        lines = generate(win, window_voxels(win), 10, 100)
         assert len(lines) == 1
-        d = lines[0].direction
+        d = lines.directions()[0]
         expected = np.array([36.0, 18.0, 0.9 * 64.0])
         sine = np.linalg.norm(np.cross(d, expected)) / (
             np.linalg.norm(d) * np.linalg.norm(expected)
@@ -189,13 +193,13 @@ class TestGenerate:
     def test_empty_slice_fallback(self):
         # slices 0 and 9 empty: falls back to first/last non-empty
         win = window_from_arrays([0.15, 0.25, 0.75, 0.85], [1, 2, 3, 4], [1, 2, 3, 4])
-        lines = generate(win, 10, 100)
+        lines = generate(win, window_voxels(win), 10, 100)
         assert len(lines) == 1 * 1
 
     def test_degenerate_time_span_rejected(self):
         win = window_from_arrays([0.5, 0.5, 0.5], [1, 2, 3], [1, 2, 3])
         with pytest.raises(HypothesisError):
-            generate(win, 10, 100)
+            generate(win, window_voxels(win), 10, 100)
 
     @settings(max_examples=300, deadline=None)
     @given(sliced_windows(), st.sampled_from([1, 3, 20, 4096]))
@@ -203,14 +207,13 @@ class TestGenerate:
         # small caps exercise the strided path
         win, num_slices = case
         want = outcome(reference_generate, win, num_slices, max_pairs)
-        for got in (outcome(generate, win, num_slices, max_pairs),
-                    outcome(generate, win, num_slices, max_pairs, window_voxels(win))):
-            assert type(got) is type(want)
-            if isinstance(want, HypothesisError):
-                assert str(got) == str(want)
-            else:
-                assert got.starts.tobytes() == want.starts.tobytes()
-                assert got.ends.tobytes() == want.ends.tobytes()
+        got = outcome(generate, win, window_voxels(win), num_slices, max_pairs)
+        assert type(got) is type(want)
+        if isinstance(want, HypothesisError):
+            assert str(got) == str(want)
+        else:
+            assert got.starts.tobytes() == want.starts.tobytes()
+            assert got.ends.tobytes() == want.ends.tobytes()
         if len(win) >= 2:
             got_slices = slice_window(win, num_slices)
             want_slices = flatnonzero_slices(win, num_slices)
@@ -227,10 +230,10 @@ class TestCosineDistance:
         assert cosine_distance(hyp([1, 0, 1]), hyp([-1, 0, 1])) == pytest.approx(1.0)
 
     def test_opposite(self):
-        a = LineHypothesis(np.array([0.0, 0.0, 0.0]), np.array([1.0, 1.0, 1.0]))
-        b = LineHypothesis(np.array([1.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+        a = (np.array([0.0, 0.0, 0.0]), np.array([1.0, 1.0, 1.0]))
+        b = (np.array([1.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
         # directions (1,1,1) and (-1,-1,1): not fully opposite; build a true one
-        c = LineHypothesis(np.array([2.0, 2.0, 0.0]), np.array([0.0, 0.0, 2.0]))
+        c = (np.array([2.0, 2.0, 0.0]), np.array([0.0, 0.0, 2.0]))
         assert cosine_distance(b, c) == pytest.approx(0.0)
         d_ab = cosine_distance(a, b)
         assert 0.0 <= d_ab <= 2.0
@@ -308,7 +311,7 @@ class TestSelectRepresentatives:
         for rep, family in zip(result.rep_indices, result.families):
             assert family[rep]
             for m in np.flatnonzero(family):
-                assert cosine_distance(hyps[int(rep)], hyps[int(m)]) <= tol + 1e-12
+                assert cosine_distance(line(hyps, int(rep)), line(hyps, int(m))) <= tol + 1e-12
 
     def test_representatives_mutually_non_parallel(self):
         rng = np.random.default_rng(4)
@@ -320,7 +323,7 @@ class TestSelectRepresentatives:
         reps = result.representatives
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
-                assert cosine_distance(reps[i], reps[j]) > tol
+                assert cosine_distance(line(reps, i), line(reps, j)) > tol
 
     def test_determinism(self):
         rng = np.random.default_rng(5)
@@ -345,19 +348,10 @@ class TestSelectRepresentatives:
         assert result.families.sum() > len(result.rep_indices)
         for rep, family in zip(result.rep_indices, result.families):
             brute = [i for i in range(len(hyps))
-                     if cosine_distance(hyps[int(rep)], hyps[i]) <= tol]
+                     if cosine_distance(line(hyps, int(rep)), line(hyps, i)) <= tol]
             assert np.flatnonzero(family).tolist() == brute
 
     def test_empty_input_rejected(self):
         with pytest.raises(HypothesisError):
             select_representatives(LineSet(np.zeros((0, 3)), np.zeros((0, 3))))
 
-
-class TestLineHypothesis:
-    def test_must_advance_in_time(self):
-        with pytest.raises(ValueError):
-            LineHypothesis(np.array([0.0, 0.0, 1.0]), np.array([1.0, 1.0, 1.0]))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            LineHypothesis(np.array([0.0, 0.0, 0.0]), np.array([np.nan, 1.0, 1.0]))

@@ -27,7 +27,7 @@ def point_motion(velocity=(0.0, 0.0), x=20.0, y=24.0, rate=1000.0, sigma=0.0,
 def make_window(stream, t_start=0.0, t_end=None):
     if t_end is None:
         t_end = float(stream.t[-1]) + 1e-9
-    return EventWindow(stream.geometry, stream.t, stream.u, stream.v, stream.p,
+    return EventWindow(stream.geometry, stream.t, stream.u, stream.v,
                        t_start=t_start, t_end=t_end)
 
 
@@ -145,7 +145,7 @@ class TestBruteForceLines:
     def _window(self, t, u, v):
         t = np.asarray(t, dtype=np.float64)
         return EventWindow(GEOM, t, np.asarray(u, np.int32), np.asarray(v, np.int32),
-                           np.zeros(t.size, np.uint8), t_start=0.0, t_end=1.0)
+                           t_start=0.0, t_end=1.0)
 
     def test_exactly_collinear_group(self):
         t = np.linspace(0.1, 0.9, 9)
