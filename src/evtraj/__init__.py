@@ -1,7 +1,14 @@
 """Event trajectory association via multi-structural 3D line fitting."""
 
 from .config import RunConfig, load_config
-from .fitting import AssociationResult, NoiseScale, WeightedModel, fit_window, run_eda
+from .fitting import (
+    AssociationResult,
+    NoiseScale,
+    WeightedModel,
+    fit_window,
+    fit_windows,
+    run_eda,
+)
 from .grouping import AtsltdFrame, EntropyInterval, EventWindow, cut_windows
 from .hypotheses import HypothesisSet, LineSet
 from .io import Event, EventStream, SensorGeometry, parse_stream, serialize_stream
@@ -29,6 +36,7 @@ __all__ = [
     "cut_windows",
     "evaluate",
     "fit_window",
+    "fit_windows",
     "generate_scene",
     "iou",
     "load_config",

@@ -7,6 +7,7 @@ import time
 from typing import List, Optional
 
 import numpy as np
+import yaml
 
 from . import fitting, io, synth, tracking
 from .config import RunConfig, apply_overrides, load_config
@@ -122,6 +123,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     scene = synth.scene_from_file(args.scene)
     if args.out_boxes and not 0 <= args.motion < len(scene.motions):
         raise ValueError(f"--motion {args.motion} is outside [0, {len(scene.motions)})")
+    if args.out_boxes and args.frames < 2:
+        raise ValueError(f"--frames {args.frames} is below 2, the fewest a box pair needs")
     if args.seed is not None:
         from dataclasses import replace
 
@@ -256,7 +259,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, io.FormatError, ValueError) as exc:
+    except (OSError, io.FormatError, ValueError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

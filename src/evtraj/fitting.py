@@ -1,12 +1,17 @@
 """Two-stage robust weighting, model-count selection, and event association.
 
-Per window: voxel-to-line residuals against the representative hypotheses are
+Per window, voxel-to-line residuals against the representative hypotheses are
 column-normalized, thresholded at the inlier noise scale to select inliers,
 and surviving hypotheses are weighted twice -- first by temporal dispersion
 of their inliers, then by the contrast of the event image warped along the
 hypothesis. The model count comes from the elbow of the sorted weights, and
 every event is finally assigned to the instance (via its parallel hypothesis
 family) with the smallest sub-threshold residual, or marked as noise.
+
+:func:`fit_windows` fits the windows of one call together. Generation,
+clustering and association run per window; the residuals, inlier selection,
+both weighting stages and the model counts run once over a batch of windows,
+and every result equals, bit for bit, a fit of its window alone.
 """
 from __future__ import annotations
 
@@ -23,10 +28,10 @@ from .hypotheses import (
     HypothesisError,
     HypothesisSet,
     LineSet,
+    event_voxels,
     generate,
     select_representatives,
     time_scale,
-    window_voxels,
 )
 from .io import NOISE_ID
 
@@ -35,10 +40,6 @@ _TAU_EPS = 1e-12
 
 class FitError(RuntimeError):
     pass
-
-
-class NoSurvivingModelError(FitError):
-    """Every hypothesis lost its inliers; the window carries no structure."""
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,19 @@ class AssociationResult:
         return len(self.instances)
 
 
+def _cross_norms(px, py, pz, dx, dy, dz) -> np.ndarray:
+    """``|p x d|`` from components, with the products and sums of ``np.cross``."""
+    cx = py * dz - pz * dy
+    cy = pz * dx - px * dz
+    cz = px * dy - py * dx
+    return np.sqrt((cx * cx + cy * cy) + cz * cz)
+
+
+def _lengths(d: np.ndarray) -> np.ndarray:
+    dx, dy, dz = d.T
+    return np.sqrt((dx * dx + dy * dy) + dz * dz)
+
+
 def point_line_distances(voxels: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Perpendicular distances from (n, 3) voxels to the m infinite lines.
 
@@ -97,13 +111,9 @@ def point_line_distances(voxels: np.ndarray, starts: np.ndarray, ends: np.ndarra
     voxels = np.asarray(voxels, dtype=np.float64).reshape(-1, 3)
     starts = np.asarray(starts, dtype=np.float64).reshape(-1, 3)
     ends = np.asarray(ends, dtype=np.float64).reshape(-1, 3)
-    dx, dy, dz = (ends - starts).T
-    lengths = np.sqrt((dx * dx + dy * dy) + dz * dz)
-    px, py, pz = (voxels[:, k:k + 1] - starts[:, k] for k in range(3))
-    cx = py * dz - pz * dy
-    cy = pz * dx - px * dz
-    cz = px * dy - py * dx
-    return np.sqrt((cx * cx + cy * cy) + cz * cz) / lengths
+    d = ends - starts
+    p = (voxels[:, k:k + 1] - starts[:, k] for k in range(3))
+    return _cross_norms(*p, *d.T) / _lengths(d)
 
 
 def residual_matrix(vox: np.ndarray, lines: LineSet) -> np.ndarray:
@@ -114,6 +124,42 @@ def residual_matrix(vox: np.ndarray, lines: LineSet) -> np.ndarray:
     raw = point_line_distances(vox, lines.starts, lines.ends)
     norms = np.sqrt(np.add.reduce(raw * raw, axis=0))
     return raw / np.where(norms > 0, norms, 1.0)
+
+
+def residual_pairs(
+    vox: np.ndarray,
+    lines: LineSet,
+    first: np.ndarray,
+    sizes: np.ndarray,
+    counts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalized residuals of every (voxel, line) pair of a batch of windows.
+
+    Window ``w`` holds the voxels ``vox[first[w]:first[w] + sizes[w]]`` and
+    the next ``counts[w]`` lines of ``lines``. Its pairs come event-major, so
+    its run of residuals reshaped to ``(sizes[w], counts[w])`` is its
+    :func:`residual_matrix`, bit for bit. Returns the residuals and each
+    pair's voxel and line.
+    """
+    per_event = np.repeat(counts, sizes)  # lines each event pairs with
+    line0 = np.cumsum(counts) - counts  # each window's first line
+    event0 = np.cumsum(sizes) - sizes  # each window's first event in the batch
+    voxel = np.repeat(np.arange(sizes.sum()) + np.repeat(first - event0, sizes), per_event)
+    pair0 = np.cumsum(per_event) - per_event  # each event's first pair
+    line = np.arange(per_event.sum()) - np.repeat(pair0 - np.repeat(line0, sizes), per_event)
+    d = lines.directions()
+    p = (vox[:, k].take(voxel) - lines.starts[:, k].take(line) for k in range(3))
+    raw = _cross_norms(*p, *(d[:, k].take(line) for k in range(3))) / _lengths(d).take(line)
+    sq = raw * raw
+    # numpy sums the columns of an (n, m > 1) matrix one row after another,
+    # as bincount does, but a lone column pairwise
+    norms = np.bincount(line, weights=sq, minlength=len(lines))
+    pair_start = np.cumsum(sizes * counts) - sizes * counts
+    for w in np.flatnonzero(counts == 1).tolist():
+        lo = pair_start[w]
+        norms[line0[w]] = np.add.reduce(sq[lo:lo + sizes[w]])
+    norms = np.sqrt(norms)
+    return raw / np.where(norms > 0, norms, 1.0)[line], voxel, line
 
 
 def estimate_tau_ikose(column: np.ndarray, k_ratio: float = RunConfig.ikose_k) -> NoiseScale:
@@ -145,15 +191,26 @@ def estimate_tau_ikose(column: np.ndarray, k_ratio: float = RunConfig.ikose_k) -
 
 def select_inliers(
     values: np.ndarray,
-    scale: NoiseScale,
+    events: np.ndarray,
+    columns: np.ndarray,
+    tau,
     min_inliers: int = RunConfig.min_inliers,
 ) -> List[tuple[int, np.ndarray]]:
-    """Per-column inlier index sets of a residual matrix; columns below the floor are dropped."""
-    mask = values < scale.tau
-    keep = np.flatnonzero(mask.sum(axis=0) >= min_inliers)
-    if not keep.size:
-        raise NoSurvivingModelError("all hypotheses dropped at the inlier floor")
-    return [(j, np.flatnonzero(mask[:, j])) for j in keep.tolist()]
+    """Inlier sets of the columns of flat (event, column) residuals.
+
+    A pair is an inlier when its residual is below ``tau``, one value or one
+    per pair. Returns ``(column, events)`` for every column with at least
+    ``min_inliers`` inliers, in column order, each column's events in pair
+    order; the other columns are dropped.
+    """
+    mask = values < tau
+    hit = columns[mask]
+    per_column = np.bincount(hit)
+    keep = np.flatnonzero(per_column >= min_inliers)
+    kept = per_column[hit] >= min_inliers
+    order = np.argsort(hit[kept], kind="stable")
+    inliers = events[mask][kept][order]
+    return list(zip(keep.tolist(), np.split(inliers, np.cumsum(per_column[keep])[:-1])))
 
 
 def _segment_means(x: np.ndarray, bounds: List[int]) -> np.ndarray:
@@ -199,39 +256,54 @@ def warp_and_contrast(
     return _segment_means(dev, bounds)
 
 
-def select_model_count(weights: Sequence[float]) -> int:
-    """Elbow position in the ascending sorted weights; 1 if no elbow exists.
+def select_model_count(weights: Sequence[float], sizes: Sequence[int]) -> np.ndarray:
+    """Elbow position in each group's ascending sorted weights; 1 where none exists.
 
-    The model count is the first k whose adjacent-difference d_k strictly
-    exceeds its up-to-four neighboring differences (missing neighbors are
-    skipped).
+    ``weights`` holds consecutive groups of ``sizes`` (each >= 1) values. A
+    group's model count is the first k whose adjacent difference d_k strictly
+    exceeds its up-to-four neighboring differences within the group (missing
+    neighbors are skipped).
     """
-    w = np.sort(np.asarray(weights, dtype=np.float64))
-    diffs = np.diff(w)
-    for i in range(diffs.size):
-        neighbors = np.concatenate([diffs[max(0, i - 2):i], diffs[i + 1:i + 3]])
-        if neighbors.size and np.all(diffs[i] > neighbors):
-            return i + 1
-    return 1
+    sizes = np.asarray(sizes, dtype=np.int64)
+    group = np.repeat(np.arange(sizes.size), sizes)
+    w = np.asarray(weights, dtype=np.float64)
+    w = w[np.lexsort((w, group))]
+    d = np.diff(w)
+    owner = np.where(group[1:] == group[:-1], group[1:], -1)  # -1: d_i spans two groups
+    padded_owner, padded_d = np.pad(owner, 2, constant_values=-1), np.pad(d, 2)
+    elbow = owner >= 0
+    has_neighbor = np.zeros(d.size, dtype=bool)
+    for lo in (0, 1, 3, 4):  # neighbors two and one before, one and two after
+        neighbor = padded_owner[lo:lo + d.size] == owner
+        has_neighbor |= neighbor
+        elbow &= ~neighbor | (d > padded_d[lo:lo + d.size])
+    hits = np.flatnonzero(elbow & has_neighbor)
+    groups, firsts = np.unique(owner[hits], return_index=True)
+    counts = np.ones(sizes.size, dtype=np.int64)
+    counts[groups] = hits[firsts] - (np.cumsum(sizes) - sizes)[groups] + 1
+    return counts
 
 
 def weigh_models(
     vox: np.ndarray,
     reps: LineSet,
     survivors: Sequence[tuple[int, np.ndarray]],
-    s_t: float,
+    s_t,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both weighting stages for every survivor at once: ``(w_stage1, w_final)``.
 
     Stage 1 is the mean squared deviation of a survivor's inlier timestamps
     from mid-window; ``s_t`` is the length of the normalized time axis
-    (:func:`time_scale`). Stage 2 scales it by one minus the contrast of the
-    inliers warped along the survivor's representative.
+    (:func:`time_scale`), one value or one per survivor. Stage 2 scales it by
+    one minus the contrast of the inliers warped along the survivor's
+    representative.
     """
     cols = [j for j, _ in survivors]
     inliers = [idx for _, idx in survivors]
-    bounds = [0, *np.cumsum([idx.size for idx in inliers]).tolist()]
-    w1 = _segment_means((vox[np.concatenate(inliers), 2] - s_t / 2.0) ** 2, bounds)
+    sizes = [idx.size for idx in inliers]
+    bounds = [0, *np.cumsum(sizes).tolist()]
+    mid = np.repeat(np.broadcast_to(np.divide(s_t, 2.0), len(survivors)), sizes)
+    w1 = _segment_means((vox[np.concatenate(inliers), 2] - mid) ** 2, bounds)
     contrast = warp_and_contrast(vox, inliers, reps.directions()[cols])
     return w1, w1 * (1.0 - contrast)
 
@@ -260,43 +332,154 @@ def associate(
     return np.where(fam_min.min(axis=0) < scale.tau, owner, NOISE_ID)
 
 
-def fit_window(window: EventWindow, config) -> AssociationResult:
-    """Run hypothesis generation through association for one window.
+# (event, representative) pairs whose residuals one batch of windows holds at
+# most; a window with more pairs is a batch of its own. 16,000 float64 values
+# stay under glibc's 128 KiB mmap threshold: larger batch temporaries made
+# malloc hand freed memory back to the OS, and the next call in the process
+# (a parse) paid ~100 page faults to take it back.
+_BATCH_PAIRS = 16_000
 
-    Failures (no usable slices, no surviving model) degrade to an all-noise
-    result without instances instead of raising.
-    """
-    try:
-        vox = window_voxels(window)
-        lines = generate(window, vox, config.num_slices, config.max_pairs)
-        hyps = select_representatives(lines, config.parallel_tol)
-        reps = hyps.representatives
-        values = residual_matrix(vox, reps)
-        if config.scale_mode == "fixed":
-            scale = NoiseScale(config.tau, "fixed")
-        elif config.scale_mode == "ikose":
-            taus = [estimate_tau_ikose(values[:, j], config.ikose_k).tau
-                    for j in range(values.shape[1])]
-            scale = NoiseScale(float(np.median(taus)), "estimated")
-        else:
-            raise ValueError(f"unknown scale_mode {config.scale_mode!r}")
-        survivors = select_inliers(values, scale, config.min_inliers)
-        w1, finals = weigh_models(vox, reps, survivors, time_scale(window.geometry))
+
+@dataclass(frozen=True)
+class _Pending:
+    """A window past clustering, waiting for its batch."""
+
+    slot: int  # its position in the call
+    window: EventWindow
+    first: int  # its first voxel in the call's voxels
+    hyps: HypothesisSet
+    reps: LineSet
+
+
+def _failed(window: EventWindow) -> AssociationResult:
+    return AssociationResult(window, [], np.full(len(window), NOISE_ID, dtype=np.int64))
+
+
+def _call_voxels(windows: Sequence[EventWindow]) -> np.ndarray:
+    """The voxels of every window of a call, window after window."""
+    sizes = [len(w) for w in windows]
+
+    def per_event(values):
+        return np.repeat(np.asarray(values, dtype=np.float64), sizes)
+
+    return event_voxels(
+        np.concatenate([w.t for w in windows]),
+        np.concatenate([w.u for w in windows]),
+        np.concatenate([w.v for w in windows]),
+        per_event([w.t_start for w in windows]),
+        per_event([w.span for w in windows]),
+        per_event([time_scale(w.geometry) for w in windows]),
+    )
+
+
+def _noise_scales(values: np.ndarray, sizes: np.ndarray, counts: np.ndarray,
+                  config) -> List[NoiseScale]:
+    """Each window's noise scale; ikose takes the median of its columns' estimates."""
+    if config.scale_mode == "fixed":
+        return [NoiseScale(config.tau, "fixed")] * sizes.size
+    if config.scale_mode != "ikose":
+        raise ValueError(f"unknown scale_mode {config.scale_mode!r}")
+    scales = []
+    for block, n in zip(np.split(values, np.cumsum(sizes * counts)[:-1]), sizes.tolist()):
+        matrix = block.reshape(n, -1)
+        taus = [estimate_tau_ikose(matrix[:, j], config.ikose_k).tau
+                for j in range(matrix.shape[1])]
+        scales.append(NoiseScale(float(np.median(taus)), "estimated"))
+    return scales
+
+
+def _fit_batch(vox: np.ndarray, batch: Sequence[_Pending], config) -> List[AssociationResult]:
+    """Residuals through association for windows that passed clustering."""
+    sizes = np.array([len(p.window) for p in batch], dtype=np.int64)
+    counts = np.array([len(p.reps) for p in batch], dtype=np.int64)
+    first = np.array([p.first for p in batch], dtype=np.int64)
+    lines = LineSet(np.concatenate([p.reps.starts for p in batch]),
+                    np.concatenate([p.reps.ends for p in batch]))
+    values, voxel, line = residual_pairs(vox, lines, first, sizes, counts)
+    scales = _noise_scales(values, sizes, counts, config)
+    tau = np.repeat([s.tau for s in scales], sizes * counts)
+    survivors = select_inliers(values, voxel, line, tau, config.min_inliers)
+    line0 = np.cumsum(counts) - counts
+    owner = np.searchsorted(line0, [j for j, _ in survivors], side="right") - 1
+    per_window = np.bincount(owner, minlength=len(batch))
+    results = []
+    if survivors:
+        s_t = [time_scale(p.window.geometry) for p in batch]
+        w1, finals = weigh_models(vox, lines, survivors, np.repeat(s_t, per_window))
+        models = iter(select_model_count(finals, per_window[per_window > 0]).tolist())
+    k = 0
+    for w, pending in enumerate(batch):
+        m = int(per_window[w])
+        if not m:
+            results.append(_failed(pending.window))
+            continue
+        reps, lo = pending.reps, pending.first
         instances = []
-        for i in np.argsort(finals, kind="stable")[:select_model_count(finals)].tolist():
-            j, inliers = survivors[i]
-            instances.append(WeightedModel(reps.starts[j], reps.ends[j], j, inliers,
-                                           float(w1[i]), float(finals[i])))
-        return AssociationResult(window, instances, associate(vox, hyps, instances, scale))
-    except (HypothesisError, NoSurvivingModelError):
-        return AssociationResult(window, [], np.full(len(window), NOISE_ID, dtype=np.int64))
+        for i in np.argsort(finals[k:k + m], kind="stable")[:next(models)].tolist():
+            j, inliers = survivors[k + i]
+            j -= int(line0[w])
+            instances.append(WeightedModel(reps.starts[j], reps.ends[j], j, inliers - lo,
+                                           float(w1[k + i]), float(finals[k + i])))
+        k += m
+        assignment = associate(vox[lo:lo + len(pending.window)], pending.hyps, instances,
+                               scales[w])
+        results.append(AssociationResult(pending.window, instances, assignment))
+    return results
+
+
+def fit_windows(windows: Sequence[EventWindow], config) -> List[AssociationResult]:
+    """Run hypothesis generation through association for every window, in order.
+
+    Generation, clustering and association run per window; the residuals,
+    inlier selection, weighting and model counts run once per batch of
+    windows, whose (event, representative) pairs are capped by
+    ``_BATCH_PAIRS``. Each result equals a fit of its window alone. Failures
+    (no usable slices, no surviving model) degrade to an all-noise result
+    without instances instead of raising.
+    """
+    windows = list(windows)
+    if not windows:
+        return []
+    vox = _call_voxels(windows)
+    first = np.cumsum([0] + [len(w) for w in windows]).tolist()
+    results: List[AssociationResult] = [None] * len(windows)
+    batch: List[_Pending] = []
+    pairs = 0
+
+    def flush():
+        for pending, res in zip(batch, _fit_batch(vox, batch, config)):
+            results[pending.slot] = res
+        batch.clear()
+
+    for k, window in enumerate(windows):
+        lo, hi = first[k], first[k + 1]
+        try:
+            lines = generate(window, vox[lo:hi], config.num_slices, config.max_pairs)
+            hyps = select_representatives(lines, config.parallel_tol)
+        except HypothesisError:
+            results[k] = _failed(window)
+            continue
+        reps = hyps.representatives
+        if batch and pairs + (hi - lo) * len(reps) > _BATCH_PAIRS:
+            flush()
+            pairs = 0
+        batch.append(_Pending(k, window, lo, hyps, reps))
+        pairs += (hi - lo) * len(reps)
+    if batch:
+        flush()
+    return results
+
+
+def fit_window(window: EventWindow, config) -> AssociationResult:
+    """:func:`fit_windows` for one window."""
+    return fit_windows([window], config)[0]
 
 
 def run_eda(stream, config) -> List[AssociationResult]:
-    """Cut the stream into windows and fit each one, in stream order."""
+    """Cut the stream into windows and fit them, in stream order."""
     interval = EntropyInterval(config.entropy_alpha, config.entropy_beta)
-    windows = cut_windows(stream, interval, config.entropy_grid, config.max_window_s)
-    return [fit_window(w, config) for w in windows]
+    return fit_windows(cut_windows(stream, interval, config.entropy_grid, config.max_window_s),
+                       config)
 
 
 def relabel(results: Sequence[AssociationResult], n_events: int) -> np.ndarray:

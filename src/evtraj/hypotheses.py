@@ -28,15 +28,20 @@ def time_scale(geometry: SensorGeometry) -> float:
     return float(max(geometry.width, geometry.height))
 
 
+def event_voxels(t, u, v, t_start, span, s_t) -> np.ndarray:
+    """Events as (n, 3) voxels: ``(t - t_start) / span`` stretched to ``s_t`` pixels.
+
+    ``t_start``, ``span`` and ``s_t`` are one value for all events or one per
+    event; the arithmetic is elementwise, so the bits do not depend on which.
+    """
+    tn = (t - t_start) / span * s_t
+    return np.column_stack([u.astype(np.float64), v.astype(np.float64), tn])
+
+
 def window_voxels(window: EventWindow) -> np.ndarray:
     """Events of a window as (n, 3) voxels with the normalized time axis."""
-    s_t = time_scale(window.geometry)
-    tn = (window.t - window.t_start) / window.span * s_t
-    return np.column_stack([
-        window.u.astype(np.float64),
-        window.v.astype(np.float64),
-        tn,
-    ])
+    return event_voxels(window.t, window.u, window.v, window.t_start, window.span,
+                        time_scale(window.geometry))
 
 
 class LineSet:
@@ -159,6 +164,9 @@ def select_representatives(
     absorbed. Representatives end up mutually non-parallel. Each
     representative's family is all of its parallel neighbors, absorbed
     earlier or not.
+
+    Neighbor counts never change, so the next representative is always the
+    first unassigned hypothesis in one stable sort by descending count.
     """
     n = len(hyps)
     if n == 0:
@@ -174,10 +182,9 @@ def select_representatives(
 
     unassigned = np.ones(n, dtype=bool)
     rep_indices: List[int] = []
-    while unassigned.any():
-        r = int(np.argmax(np.where(unassigned, counts, -1)))
-        rep_indices.append(r)
-        unassigned[adj[r]] = False
-        unassigned[r] = False  # adj[r, r] may round to False
+    for r in np.argsort(-counts, kind="stable").tolist():
+        if unassigned[r]:
+            rep_indices.append(r)
+            unassigned[adj[r]] = False
     reps = np.asarray(rep_indices, dtype=np.int64)
     return HypothesisSet(hyps, reps, adj[reps])

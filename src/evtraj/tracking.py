@@ -7,13 +7,14 @@ next frame's ground truth.
 """
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
 
 from .config import RunConfig
-from .fitting import AssociationResult, fit_window
+from .fitting import AssociationResult, fit_window, fit_windows
 from .grouping import EventWindow
 from .hypotheses import time_scale, window_voxels
 from .io import NOISE_ID, EventStream
@@ -131,6 +132,21 @@ def propagate_box(
     return BoundingBox(x0, y0, max(x1 - x0, 1.0), max(y1 - y0, 1.0))
 
 
+def _pair_window(stream: EventStream, pair: TrackingPair, min_events: int) -> EventWindow:
+    """The events between the pair's frames; too few of them fail the pair."""
+    lo = int(np.searchsorted(stream.t, pair.t_curr, side="left"))
+    hi = int(np.searchsorted(stream.t, pair.t_next, side="right"))
+    if hi - lo < min_events:
+        raise TrackingFailure(f"only {hi - lo} events between the frames")
+    return EventWindow.of(stream, lo, hi, pair.t_curr, pair.t_next)
+
+
+def _propagate(result: AssociationResult, pair: TrackingPair, config) -> BoundingBox:
+    if result.failed:
+        raise TrackingFailure("no trajectory fitted between the frames")
+    return propagate_box(result, pair.gt_curr, pair.t_next, config.min_inliers)
+
+
 def track_pair(stream: EventStream, pair: TrackingPair, config) -> BoundingBox:
     """Fit the events between the pair's frames and propagate its current box.
 
@@ -138,20 +154,13 @@ def track_pair(stream: EventStream, pair: TrackingPair, config) -> BoundingBox:
     ``config.min_inliers`` events, its fit fails, or too few of its events
     inside the box are associated.
     """
-    lo = int(np.searchsorted(stream.t, pair.t_curr, side="left"))
-    hi = int(np.searchsorted(stream.t, pair.t_next, side="right"))
-    if hi - lo < config.min_inliers:
-        raise TrackingFailure(f"only {hi - lo} events between the frames")
-    window = EventWindow.of(stream, lo, hi, pair.t_curr, pair.t_next)
-    result = fit_window(window, config)
-    if result.failed:
-        raise TrackingFailure("no trajectory fitted between the frames")
-    return propagate_box(result, pair.gt_curr, pair.t_next, config.min_inliers)
+    window = _pair_window(stream, pair, config.min_inliers)
+    return _propagate(fit_window(window, config), pair, config)
 
 
-def _eval_pair(stream: EventStream, pair: TrackingPair, config) -> float:
+def _overlap(result: AssociationResult, pair: TrackingPair, config) -> float:
     try:
-        return iou(track_pair(stream, pair, config), pair.gt_next)
+        return iou(_propagate(result, pair, config), pair.gt_next)
     except TrackingFailure:
         return 0.0
 
@@ -165,11 +174,18 @@ def evaluate(
     """Score each tracking pair and aggregate over ``n_rep`` repetitions.
 
     Failed propagations score overlap 0. The pipeline is deterministic, so
-    each pair is fitted once and its row repeated ``n_rep`` times.
+    each pair is fitted once, all pair windows in one :func:`fit_windows`
+    call, and the row repeated ``n_rep`` times.
     """
     if not pairs:
         raise ValueError("no tracking pairs")
-    row = [_eval_pair(stream, pair, config) for pair in pairs]
+    windows = {}
+    for k, pair in enumerate(pairs):
+        with contextlib.suppress(TrackingFailure):
+            windows[k] = _pair_window(stream, pair, config.min_inliers)
+    fits = dict(zip(windows, fit_windows(list(windows.values()), config)))
+    row = [_overlap(fits[k], pair, config) if k in fits else 0.0
+           for k, pair in enumerate(pairs)]
     overlaps = np.tile(np.asarray(row, dtype=np.float64), (n_rep, 1))
     success = (overlaps >= SUCCESS_THRESHOLD).astype(np.float64)
     return EvalReport(

@@ -1,17 +1,37 @@
-"""Reference line fits for the synthetic scenes, used only by the tests.
+"""References used only by the tests.
 
-They measure what the pipeline should recover from a labelled window: the
-total-least-squares line of each motion's events, and the direction a known
-velocity traces in normalized voxel space.
+The line fits measure what the pipeline should recover from a labelled
+window: the total-least-squares line of each motion's events, and the
+direction a known velocity traces in normalized voxel space. The fit
+references are the per-window compositions that the batched fit replaced:
+one window at a time, one residual matrix per window, one greedy
+representative search per representative.
 """
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from evtraj.fitting import (
+    AssociationResult,
+    NoiseScale,
+    WeightedModel,
+    associate,
+    estimate_tau_ikose,
+    residual_matrix,
+    weigh_models,
+)
 from evtraj.grouping import EventWindow
-from evtraj.hypotheses import time_scale, window_voxels
+from evtraj.hypotheses import (
+    HypothesisError,
+    HypothesisSet,
+    LineSet,
+    generate,
+    time_scale,
+    window_voxels,
+)
+from evtraj.io import NOISE_ID
 from evtraj.synth import CLUTTER_LABEL
 
 
@@ -54,3 +74,84 @@ def expected_direction(
     vx, vy = velocity
     d = np.array([vx * window.span, vy * window.span, s_t])
     return d / np.linalg.norm(d)
+
+
+def greedy_representatives(hyps: LineSet, parallel_tol: float) -> HypothesisSet:
+    """Representatives by a full ``argmax`` over the unassigned hypotheses per pick."""
+    n = len(hyps)
+    if n == 0:
+        raise HypothesisError("no hypotheses to cluster")
+    units = hyps.unit_directions()
+    adj = np.empty((n, n), dtype=bool)
+    chunk = max(1, 2_000_000 // n)
+    for lo in range(0, n, chunk):
+        adj[lo:lo + chunk] = (1.0 - units[lo:lo + chunk] @ units.T) <= parallel_tol
+    counts = adj.sum(axis=1)
+    unassigned = np.ones(n, dtype=bool)
+    rep_indices: List[int] = []
+    while unassigned.any():
+        r = int(np.argmax(np.where(unassigned, counts, -1)))
+        rep_indices.append(r)
+        unassigned[adj[r]] = False
+        unassigned[r] = False  # adj[r, r] may round to False
+    reps = np.asarray(rep_indices, dtype=np.int64)
+    return HypothesisSet(hyps, reps, adj[reps])
+
+
+def matrix_inliers(values: np.ndarray, tau: float,
+                   min_inliers: int) -> List[Tuple[int, np.ndarray]]:
+    """Per-column inlier sets of one window's residual matrix; short columns dropped."""
+    mask = values < tau
+    keep = np.flatnonzero(mask.sum(axis=0) >= min_inliers)
+    return [(j, np.flatnonzero(mask[:, j])) for j in keep.tolist()]
+
+
+def elbow_count(weights: Sequence[float]) -> int:
+    """One window's model count, scanning its sorted weight differences in turn."""
+    w = np.sort(np.asarray(weights, dtype=np.float64))
+    diffs = np.diff(w)
+    for i in range(diffs.size):
+        neighbors = np.concatenate([diffs[max(0, i - 2):i], diffs[i + 1:i + 3]])
+        if neighbors.size and np.all(diffs[i] > neighbors):
+            return i + 1
+    return 1
+
+
+def reference_residuals(window: EventWindow, config):
+    """One window's voxels, hypotheses and representative residual matrix.
+
+    ``None`` when the window has no hypotheses.
+    """
+    vox = window_voxels(window)
+    try:
+        lines = generate(window, vox, config.num_slices, config.max_pairs)
+        hyps = greedy_representatives(lines, config.parallel_tol)
+    except HypothesisError:
+        return None
+    return vox, hyps, residual_matrix(vox, hyps.representatives)
+
+
+def reference_fit_window(window: EventWindow, config) -> AssociationResult:
+    """One window's fit, stage after stage on that window alone."""
+    failed = AssociationResult(window, [], np.full(len(window), NOISE_ID, dtype=np.int64))
+    stages = reference_residuals(window, config)
+    if stages is None:
+        return failed
+    vox, hyps, values = stages
+    reps = hyps.representatives
+    if config.scale_mode == "fixed":
+        scale = NoiseScale(config.tau, "fixed")
+    else:
+        taus = [estimate_tau_ikose(values[:, j], config.ikose_k).tau
+                for j in range(values.shape[1])]
+        scale = NoiseScale(float(np.median(taus)), "estimated")
+    survivors = matrix_inliers(values, scale.tau, config.min_inliers)
+    if not survivors:
+        return failed
+    w1, finals = weigh_models(vox, reps, survivors, time_scale(window.geometry))
+    instances = []
+    for i in np.argsort(finals, kind="stable")[:elbow_count(finals)].tolist():
+        j, inliers = survivors[i]
+        instances.append(WeightedModel(reps.starts[j], reps.ends[j], j, inliers,
+                                       float(w1[i]), float(finals[i])))
+    return AssociationResult(window, instances, associate(vox, hyps, instances, scale))

@@ -9,8 +9,12 @@ from pathlib import Path
 
 import numpy as np
 
-from evtraj import fitting, grouping
+from conftest import framed_track_stream, lane_config, track_pairs
+from evtraj import fitting, grouping, tracking
+from evtraj.hypotheses import HypothesisError, generate, window_voxels
 from evtraj.io import EventStream, SensorGeometry
+from evtraj.tracking import BoundingBox, TrackingFailure, TrackingPair
+from oracles import matrix_inliers, reference_fit_window, reference_residuals
 
 SHIMS = Path(__file__).resolve().parent.parent / "evbench" / "shims.py"
 
@@ -74,3 +78,56 @@ def test_close_reason_replay_accounts_for_every_window():
         (w.offset, len(w)) for w in windows[:k + 1]]
     assert closes["tail"] == 0
     assert closes["entropy"] + closes["max_span"] == len(prefix_windows)
+
+
+def test_traced_fit_counts_match_the_per_window_reference():
+    # the stage functions that the tracer counts run inside the batched fit;
+    # its counts must still be those of fitting each window on its own
+    stream = framed_track_stream()
+    config = lane_config()
+    pairs = track_pairs(6)
+    # a pair without events, and one whose box holds no associated event
+    pairs.append(TrackingPair(10.0, 10.02, BoundingBox(0, 0, 4, 4), BoundingBox(0, 0, 4, 4)))
+    pairs.append(TrackingPair(0.1, 0.12, BoundingBox(50, 0, 4, 4), BoundingBox(50, 0, 4, 4)))
+    tracer = load_shims().Tracer()
+    tracer.install()
+    try:
+        fitting.run_eda(stream, config)
+        tracking.evaluate(stream, pairs, config, 1)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert tracer.missing() == []
+
+    interval = grouping.EntropyInterval(config.entropy_alpha, config.entropy_beta)
+    windows = grouping.cut_windows(stream, interval, config.entropy_grid, config.max_window_s)
+    fitted = {}
+    for k, pair in enumerate(pairs):
+        lo = int(np.searchsorted(stream.t, pair.t_curr, side="left"))
+        hi = int(np.searchsorted(stream.t, pair.t_next, side="right"))
+        if hi - lo >= config.min_inliers:
+            fitted[k] = grouping.EventWindow.of(stream, lo, hi, pair.t_curr, pair.t_next)
+    hypotheses = representatives = survivors = 0
+    for window in windows + list(fitted.values()):
+        try:
+            hypotheses += len(generate(window, window_voxels(window), config.num_slices,
+                                       config.max_pairs))
+        except HypothesisError:
+            continue
+        _, hyps, values = reference_residuals(window, config)
+        representatives += len(hyps.rep_indices)
+        survivors += len(matrix_inliers(values, config.tau, config.min_inliers))
+    failures = 0
+    for k, window in fitted.items():
+        result = reference_fit_window(window, config)
+        if not result.failed:
+            try:
+                tracking.propagate_box(result, pairs[k].gt_curr, pairs[k].t_next,
+                                       config.min_inliers)
+            except TrackingFailure:
+                failures += 1
+    assert failures >= 1 and survivors > 0
+    assert metrics["hypotheses.hypotheses"] == hypotheses
+    assert metrics["hypotheses.representatives"] == representatives
+    assert metrics["fitting.survivors"] == survivors
+    assert metrics["tracking.track_failures"] == failures

@@ -114,6 +114,26 @@ class TestSynthCommand:
         assert err.startswith("error: --motion")
         assert not events.exists() and not boxes.exists()
 
+    @pytest.mark.parametrize("frames", ["0", "1", "-1"])
+    def test_too_few_box_frames_fail_before_writing(self, tmp_path, scene_file, capsys,
+                                                    frames):
+        events, boxes = tmp_path / "events.txt", tmp_path / "boxes.txt"
+        rc = main(["synth", scene_file(lane_scene_doc(1)), "--out", str(events),
+                   "--out-boxes", str(boxes), "--frames", frames])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: --frames")
+        assert not events.exists() and not boxes.exists()
+
+    def test_yaml_syntax_error_fails_cleanly(self, tmp_path, capsys):
+        scene = tmp_path / "bad.yaml"
+        scene.write_text("geometry: [64, 64\nduration: 0.1\n")
+        events = tmp_path / "events.txt"
+        rc = main(["synth", str(scene), "--out", str(events)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not events.exists()
+
 
 class TestAssociateCommand:
     def _synth(self, tmp_path, scene_file, num_motions):
@@ -346,3 +366,14 @@ class TestConfigPlumbing:
                    "--config", str(cfg_file)])
         assert rc == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_yaml_syntax_error_in_config_fails_cleanly(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bad.yaml"
+        cfg_file.write_text("geometry: [64, 64\nduration: 0.1\n")
+        events = tmp_path / "events.txt"
+        events.write_bytes(b"0.1 1 1 0\n")
+        out = tmp_path / "o.txt"
+        rc = main(["associate", str(events), "--out", str(out), "--config", str(cfg_file)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()

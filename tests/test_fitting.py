@@ -4,17 +4,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import lane_config, lane_scene, lane_window
+from evtraj import fitting
 from evtraj.fitting import (
     AssociationResult,
     NoiseScale,
-    NoSurvivingModelError,
     WeightedModel,
     associate,
     estimate_tau_ikose,
     fit_window,
+    fit_windows,
     point_line_distances,
     relabel,
     residual_matrix,
+    residual_pairs,
     run_eda,
     select_inliers,
     select_model_count,
@@ -31,6 +33,7 @@ from evtraj.hypotheses import (
 )
 from evtraj.io import NOISE_ID, SensorGeometry
 from evtraj.synth import generate_scene
+from oracles import elbow_count, matrix_inliers, reference_fit_window, reference_residuals
 
 GEOM = SensorGeometry(64, 64)
 
@@ -223,6 +226,12 @@ class TestIkose:
             estimate_tau_ikose(np.ones(10), k_ratio=1.0)
 
 
+def matrix_pairs(values):
+    """A residual matrix as flat event-major ``(values, events, columns)`` pairs."""
+    n, m = values.shape
+    return values.ravel(), np.repeat(np.arange(n), m), np.tile(np.arange(m), n)
+
+
 class TestSelectInliers:
     def test_threshold_is_strict_and_floor_applies(self):
         values = np.array([
@@ -231,7 +240,7 @@ class TestSelectInliers:
             [0.003, 0.6],
             [0.010, 0.7],
         ])
-        out = select_inliers(values, NoiseScale(0.01), min_inliers=3)
+        out = select_inliers(*matrix_pairs(values), 0.01, min_inliers=3)
         # column 0: 0.010 is not < tau; column 1: only one inlier -> dropped
         assert len(out) == 1
         j, idx = out[0]
@@ -239,9 +248,35 @@ class TestSelectInliers:
         assert list(idx) == [0, 1, 2]
 
     def test_all_dropped_raises(self):
+        # no column keeps enough inliers: no survivor, and the window fails
         values = np.full((5, 2), 0.9)
-        with pytest.raises(NoSurvivingModelError):
-            select_inliers(values, NoiseScale(0.01))
+        assert select_inliers(*matrix_pairs(values), 0.01) == []
+
+    @given(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 5)), min_size=1, max_size=6),
+           st.integers(1, 4), st.randoms())
+    def test_flat_batch_matches_each_matrix(self, shapes, min_inliers, rng):
+        # several windows' matrices, each with its own tau, in one flat call
+        mats = [np.array([[rng.choice([0.001, 0.01, 0.5]) for _ in range(m)]
+                          for _ in range(n)]) for n, m in shapes]
+        taus = [rng.choice([0.005, 0.01, 0.02]) for _ in mats]
+        values, events, columns, tau = [], [], [], []
+        ev0 = col0 = 0
+        for mat, t in zip(mats, taus):
+            v, e, c = matrix_pairs(mat)
+            values.append(v)
+            events.append(e + ev0)
+            columns.append(c + col0)
+            tau.append(np.full(v.size, t))
+            ev0, col0 = ev0 + mat.shape[0], col0 + mat.shape[1]
+        got = select_inliers(np.concatenate(values), np.concatenate(events),
+                             np.concatenate(columns), np.concatenate(tau), min_inliers)
+        want = []
+        ev0 = col0 = 0
+        for mat, t in zip(mats, taus):
+            want += [(j + col0, idx + ev0) for j, idx in matrix_inliers(mat, t, min_inliers)]
+            ev0, col0 = ev0 + mat.shape[0], col0 + mat.shape[1]
+        assert [j for j, _ in got] == [j for j, _ in want]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
 
     def test_noise_scale_validation(self):
         with pytest.raises(ValueError):
@@ -361,31 +396,44 @@ class TestBatchedWeighting:
                               np.array([[0.0, 0.0, 1.0]] * 2))
 
 
+def model_count(weights):
+    """:func:`select_model_count` of one window."""
+    return int(select_model_count(weights, [len(weights)])[0])
+
+
 class TestSelectModelCount:
     def test_documented_example(self):
-        assert select_model_count([0.1, 0.11, 0.12, 5.0, 5.1]) == 3
+        assert model_count([0.1, 0.11, 0.12, 5.0, 5.1]) == 3
 
     def test_flat_weights_default_to_one(self):
-        assert select_model_count([1.0, 1.0, 1.0]) == 1
-        assert select_model_count([2.0, 2.0]) == 1
+        assert model_count([1.0, 1.0, 1.0]) == 1
+        assert model_count([2.0, 2.0]) == 1
 
     def test_two_clusters(self):
-        assert select_model_count([0.2, 0.21, 10.0, 10.2, 10.1]) == 2
+        assert model_count([0.2, 0.21, 10.0, 10.2, 10.1]) == 2
 
     def test_single_low_weight(self):
-        assert select_model_count([0.1, 8.0, 8.1, 8.2, 8.3]) == 1
+        assert model_count([0.1, 8.0, 8.1, 8.2, 8.3]) == 1
 
     @given(st.lists(st.floats(0, 100, allow_nan=False), min_size=2, max_size=12),
            st.randoms())
     def test_permutation_invariance(self, weights, rng):
         shuffled = list(weights)
         rng.shuffle(shuffled)
-        assert select_model_count(shuffled) == select_model_count(weights)
+        assert model_count(shuffled) == model_count(weights)
 
     @given(st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=12))
     def test_count_in_valid_range(self, weights):
-        k = select_model_count(weights)
+        k = model_count(weights)
         assert 1 <= k <= max(1, len(weights))
+
+    @given(st.lists(st.lists(st.one_of(st.sampled_from([0.0, 1.0, 1.5, 2.0]),
+                                       st.floats(0, 100, allow_nan=False)),
+                             min_size=1, max_size=9), min_size=1, max_size=8))
+    def test_groups_match_the_per_window_scan(self, groups):
+        flat = [w for g in groups for w in g]
+        got = select_model_count(flat, [len(g) for g in groups])
+        assert got.tolist() == [elbow_count(g) for g in groups]
 
 
 class TestAssociate:
@@ -483,11 +531,131 @@ class TestFitWindow:
             reps = select_representatives(lines, cfg.parallel_tol).representatives
             s_t = time_scale(win.geometry)
             matrix = residual_matrix(vox, reps)
-            survivors = select_inliers(matrix, NoiseScale(cfg.tau), cfg.min_inliers)
+            survivors = matrix_inliers(matrix, cfg.tau, cfg.min_inliers)
             w1, final = weigh_models(vox, reps, survivors, s_t)
             ref_w1, ref_final = per_survivor_weights(vox, reps, survivors, s_t)
             assert np.array_equal(w1, ref_w1)
             assert np.array_equal(final, ref_final)
+
+
+GEOMETRIES = (SensorGeometry(64, 64), SensorGeometry(240, 180))
+
+
+@st.composite
+def fit_batch_windows(draw, kinds=("tiny", "flat", "lone", "moving")):
+    """One window of a kind that the batched fit has to keep apart from the others.
+
+    ``tiny``: 0-2 events. ``flat``: every event at one timestamp, so one time
+    slice. ``lone``: the first-slice events share
+    one voxel and the last-slice events another, so every hypothesis is the
+    same line and the window has one representative (a lone residual column),
+    with 24-60 events in between. ``moving``: a point moving
+    at a random velocity plus clutter.
+    """
+    geom = draw(st.sampled_from(GEOMETRIES))
+    t_start = draw(st.floats(0.0, 10.0))
+    span = draw(st.floats(1e-3, 1.0))
+    u = st.integers(0, geom.width - 1)
+    v = st.integers(0, geom.height - 1)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "tiny":
+        events = draw(st.lists(st.tuples(st.floats(0.0, 1.0), u, v), max_size=2))
+    elif kind == "flat":
+        f = draw(st.floats(0.0, 1.0))
+        events = [(f, a, b) for a, b in draw(st.lists(st.tuples(u, v), min_size=2, max_size=12))]
+    elif kind == "lone":
+        f0, f1 = draw(st.floats(0.0, 0.09)), draw(st.floats(0.91, 1.0))
+        a, b = (draw(u), draw(v)), (draw(u), draw(v))
+        middle = draw(st.lists(st.tuples(st.floats(0.2, 0.8), u, v), min_size=24, max_size=60))
+        events = ([(f0, *a)] * draw(st.integers(1, 3)) + [(f1, *b)] * draw(st.integers(1, 3))
+                  + middle)
+    else:
+        x0, y0 = draw(u), draw(v)
+        vx, vy = draw(st.floats(-40.0, 40.0)), draw(st.floats(-40.0, 40.0))
+        fs = draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=40))
+        events = [(f, int(np.clip(round(x0 + vx * f), 0, geom.width - 1)),
+                   int(np.clip(round(y0 + vy * f), 0, geom.height - 1))) for f in fs]
+        events += draw(st.lists(st.tuples(st.floats(0.0, 1.0), u, v), max_size=10))
+    events.sort()
+    t = np.array([t_start + f * span for f, _, _ in events], dtype=np.float64)
+    return EventWindow(geom, t, np.array([a for _, a, _ in events], dtype=np.int32),
+                       np.array([b for _, _, b in events], dtype=np.int32),
+                       t_start=t_start, t_end=t_start + span)
+
+
+def assert_same_fit(got: AssociationResult, want: AssociationResult):
+    assert got.window is want.window
+    assert got.assignment.dtype == want.assignment.dtype
+    assert np.array_equal(got.assignment, want.assignment)
+    assert got.failed == want.failed and got.num_models == want.num_models
+    for a, b in zip(got.instances, want.instances):
+        assert a.rep_index == b.rep_index
+        assert np.array_equal(a.start, b.start) and np.array_equal(a.end, b.end)
+        assert np.array_equal(a.inliers, b.inliers)
+        assert a.w_stage1 == b.w_stage1 and a.w_final == b.w_final
+
+
+class TestFitWindows:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(fit_batch_windows(), max_size=7),
+           st.tuples(fit_batch_windows(kinds=("lone",)), st.integers(0, 7)),
+           st.sampled_from(["fixed", "ikose"]),
+           st.one_of(st.sampled_from([0.01, 0.05, 0.2]), st.integers(0, 10 ** 6)),
+           st.sampled_from([1, 60, None]))
+    def test_bit_identical_to_per_window_reference(self, windows, lone, scale_mode, tau, cap):
+        # an integer tau picks a residual of the reference, and the fit runs
+        # with tau on it and just above it, so one rounding step in that
+        # residual changes an inlier set; lone columns, which numpy sums
+        # pairwise and not row after row, are picked first as the sums most
+        # easily gotten wrong; a small pair cap splits the call into batches
+        windows.insert(lone[1], lone[0])
+        taus = [tau]
+        if isinstance(tau, int):
+            stages = [reference_residuals(w, lane_config()) for w in windows]
+            matrices = sorted((m for *_, m in filter(None, stages) if (m > 0).any()),
+                              key=lambda m: (m.shape[1] > 1, -m.shape[0]))
+            taus = [0.01]  # every residual is zero
+            if matrices:
+                values = matrices[0 if matrices[0].shape[1] == 1 else tau % len(matrices)]
+                values = values[values > 0]
+                taus = [float(values[tau % values.size])]
+                taus.append(float(np.nextafter(taus[0], np.inf)))
+        default = fitting._BATCH_PAIRS
+        fitting._BATCH_PAIRS = cap or default
+        try:
+            for tau in taus:
+                config = lane_config(scale_mode=scale_mode, tau=tau)
+                results = fit_windows(windows, config)
+                assert len(results) == len(windows)
+                for window, got in zip(windows, results):
+                    assert_same_fit(got, reference_fit_window(window, config))
+        finally:
+            fitting._BATCH_PAIRS = default
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(fit_batch_windows(), min_size=1, max_size=6))
+    def test_residual_runs_are_the_window_matrices(self, windows):
+        # one to three lines per window, through its first voxel
+        vox = [window_voxels(w) for w in windows if len(w)]
+        if not vox:
+            return
+        starts = [v[:1] + np.arange(1 + i % 3)[:, None] for i, v in enumerate(vox)]
+        reps = [LineSet(s, s + np.array([1.0, 2.0, 3.0])) for s in starts]
+        sizes = np.array([len(v) for v in vox])
+        counts = np.array([len(r) for r in reps])
+        lines = LineSet(np.concatenate([r.starts for r in reps]),
+                        np.concatenate([r.ends for r in reps]))
+        values, voxel, line = residual_pairs(np.concatenate(vox), lines,
+                                             np.cumsum(sizes) - sizes, sizes, counts)
+        runs = np.split(values, np.cumsum(sizes * counts)[:-1])
+        for v, r, run in zip(vox, reps, runs):
+            assert np.array_equal(run.reshape(len(v), len(r)), residual_matrix(v, r))
+
+    def test_fit_window_is_a_batch_of_one(self):
+        data = generate_scene(lane_scene(2, seed=5))
+        window = lane_window(data)
+        assert_same_fit(fit_window(window, lane_config()), fit_windows([window], lane_config())[0])
+        assert fit_windows([], lane_config()) == []
 
 
 class TestRunEda:

@@ -16,6 +16,7 @@ from evtraj.hypotheses import (
     window_voxels,
 )
 from evtraj.io import SensorGeometry
+from oracles import greedy_representatives
 
 GEOM = SensorGeometry(64, 64)
 
@@ -354,4 +355,19 @@ class TestSelectRepresentatives:
     def test_empty_input_rejected(self):
         with pytest.raises(HypothesisError):
             select_representatives(LineSet(np.zeros((0, 3)), np.zeros((0, 3))))
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3)),
+                    min_size=1, max_size=60),
+           st.floats(0.0, 1e-3), st.sampled_from([1e-3, 1e-2, 0.2]), st.randoms())
+    def test_sorted_scan_matches_greedy_search(self, dirs, jitter, tol, rng):
+        # small integer directions repeat and tie on neighbor counts
+        dirs = np.array(dirs, dtype=float)
+        dirs += np.array([[rng.uniform(-jitter, jitter) for _ in range(3)] for _ in dirs])
+        starts = np.array([[rng.uniform(0, 64) for _ in range(3)] for _ in dirs])
+        hyps = LineSet(starts, starts + dirs)
+        got = select_representatives(hyps, tol)
+        want = greedy_representatives(hyps, tol)
+        assert got.rep_indices.tolist() == want.rep_indices.tolist()
+        assert np.array_equal(got.families, want.families)
 

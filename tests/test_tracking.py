@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from conftest import (
     TRACK_FRAME,
+    framed_track_stream,
     lane_config,
     track_pairs,
     track_stream,
@@ -174,6 +175,25 @@ class TestEvaluate:
         assert report.per_pair.shape == (3, 3)
         assert all(r.tolist() == row for r in report.per_pair)
         assert report.aor == float(report.per_pair.mean())
+
+    def test_one_batch_matches_track_pair_per_pair(self):
+        # evaluate fits every pair window in one call; each overlap must equal
+        # fitting and propagating that pair alone, failures scoring 0
+        stream = framed_track_stream()
+        pairs = track_pairs(8)
+        pairs.append(TrackingPair(10.0, 10.02, BoundingBox(0, 0, 4, 4),
+                                  BoundingBox(0, 0, 4, 4)))
+        pairs.append(TrackingPair(0.1, 0.12, BoundingBox(50, 0, 4, 4),
+                                  BoundingBox(50, 0, 4, 4)))
+        row = []
+        for pair in pairs:
+            try:
+                row.append(iou(track_pair(stream, pair, lane_config()), pair.gt_next))
+            except TrackingFailure:
+                row.append(0.0)
+        assert row.count(0.0) >= 2
+        report = evaluate(stream, pairs, lane_config(), n_rep=2)
+        assert all(r.tolist() == row for r in report.per_pair)
 
     def test_empty_window_scores_zero(self):
         stream = track_stream()
