@@ -182,6 +182,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.runs < 1:
+        raise ValueError(f"--runs must be >= 1, got {args.runs}")
     config = _build_config(args)
     scene = synth.scene_from_file(args.scene)
     data = synth.generate_scene(scene)
@@ -189,7 +191,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = apply_overrides(config, {"width": geom.width, "height": geom.height})
     n = len(data.stream)
     timings = []
-    for _ in range(max(3, args.runs)):
+    for _ in range(args.runs):
         t0 = time.perf_counter()
         fitting.run_eda(data.stream, config)
         timings.append(time.perf_counter() - t0)

@@ -8,10 +8,11 @@ hypothesis. The model count comes from the elbow of the sorted weights, and
 every event is finally assigned to the instance (via its parallel hypothesis
 family) with the smallest sub-threshold residual, or marked as noise.
 
-:func:`fit_windows` fits the windows of one call together. Generation,
-clustering and association run per window; the residuals, inlier selection,
-both weighting stages and the model counts run once over a batch of windows,
-and every result equals, bit for bit, a fit of its window alone.
+:func:`fit_windows` fits the windows of one call together. Generation and
+association run per window, and clustering once per run of consecutive
+windows; the residuals, inlier selection, both weighting stages and the model
+counts run once over a batch of windows, and every result equals, bit for
+bit, a fit of its window alone.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from .config import RunConfig
 from .grouping import EntropyInterval, EventWindow, cut_windows
 from .hypotheses import (
     HypothesisError,
-    HypothesisSet,
     LineSet,
     event_voxels,
     generate,
@@ -60,7 +60,7 @@ class WeightedModel:
 
     start: np.ndarray
     end: np.ndarray
-    rep_index: int  # position among the window's representatives, not in HypothesisSet.all
+    rep_index: int  # position among the window's representatives
     inliers: np.ndarray
     w_stage1: float
     w_final: float
@@ -310,22 +310,25 @@ def weigh_models(
 
 def associate(
     vox: np.ndarray,
-    hyps: HypothesisSet,
+    hyps: LineSet,
+    families: np.ndarray,
     instances: Sequence[WeightedModel],
     scale: NoiseScale,
 ) -> np.ndarray:
     """Per-event instance ids: the instance whose family fits the event best.
 
-    An instance's family is ``hyps.families[instance.rep_index]``, the
-    hypotheses parallel to its representative. An event's residual to an
-    instance is its smallest normalized residual over the family; the event
-    goes to the instance with the smallest one (ties: the earlier instance),
-    or to noise when that residual is not below tau.
+    ``hyps`` are the window's hypotheses and ``families`` its (R, H) family
+    block (:class:`HypothesisSet`). An instance's family is
+    ``families[instance.rep_index]``, the hypotheses parallel to its
+    representative. An event's residual to an instance is its smallest
+    normalized residual over the family; the event goes to the instance with
+    the smallest one (ties: the earlier instance), or to noise when that
+    residual is not below tau.
     """
     if not instances:
         raise FitError("no instances to associate against")
     fam_min = np.stack([
-        residual_matrix(vox, hyps.all.take(hyps.families[m.rep_index])).min(axis=1, initial=np.inf)
+        residual_matrix(vox, hyps.take(families[m.rep_index])).min(axis=1, initial=np.inf)
         for m in instances
     ])
     owner = np.argmin(fam_min, axis=0)
@@ -338,6 +341,11 @@ def associate(
 # malloc hand freed memory back to the OS, and the next call in the process
 # (a parse) paid ~100 page faults to take it back.
 _BATCH_PAIRS = 16_000
+# (hypothesis, hypothesis) pairs within a window, summed over the windows
+# that one clustering call takes, at most; a window with more is clustered
+# alone. Hypotheses and families live until their window's batch is fitted,
+# so this bounds them to a few windows' worth, not the whole call's.
+_CLUSTER_PAIRS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -347,8 +355,9 @@ class _Pending:
     slot: int  # its position in the call
     window: EventWindow
     first: int  # its first voxel in the call's voxels
-    hyps: HypothesisSet
-    reps: LineSet
+    hyps: LineSet  # its hypotheses
+    reps: np.ndarray  # its representatives, as rows of hyps
+    families: np.ndarray  # its family block
 
 
 def _failed(window: EventWindow) -> AssociationResult:
@@ -393,9 +402,9 @@ def _fit_batch(vox: np.ndarray, batch: Sequence[_Pending], config) -> List[Assoc
     sizes = np.array([len(p.window) for p in batch], dtype=np.int64)
     counts = np.array([len(p.reps) for p in batch], dtype=np.int64)
     first = np.array([p.first for p in batch], dtype=np.int64)
-    lines = LineSet(np.concatenate([p.reps.starts for p in batch]),
-                    np.concatenate([p.reps.ends for p in batch]))
-    values, voxel, line = residual_pairs(vox, lines, first, sizes, counts)
+    reps = LineSet(np.concatenate([p.hyps.starts[p.reps] for p in batch]),
+                   np.concatenate([p.hyps.ends[p.reps] for p in batch]))
+    values, voxel, line = residual_pairs(vox, reps, first, sizes, counts)
     scales = _noise_scales(values, sizes, counts, config)
     tau = np.repeat([s.tau for s in scales], sizes * counts)
     survivors = select_inliers(values, voxel, line, tau, config.min_inliers)
@@ -405,7 +414,7 @@ def _fit_batch(vox: np.ndarray, batch: Sequence[_Pending], config) -> List[Assoc
     results = []
     if survivors:
         s_t = [time_scale(p.window.geometry) for p in batch]
-        w1, finals = weigh_models(vox, lines, survivors, np.repeat(s_t, per_window))
+        w1, finals = weigh_models(vox, reps, survivors, np.repeat(s_t, per_window))
         models = iter(select_model_count(finals, per_window[per_window > 0]).tolist())
     k = 0
     for w, pending in enumerate(batch):
@@ -413,29 +422,63 @@ def _fit_batch(vox: np.ndarray, batch: Sequence[_Pending], config) -> List[Assoc
         if not m:
             results.append(_failed(pending.window))
             continue
-        reps, lo = pending.reps, pending.first
+        lo = pending.first
         instances = []
         for i in np.argsort(finals[k:k + m], kind="stable")[:next(models)].tolist():
             j, inliers = survivors[k + i]
-            j -= int(line0[w])
-            instances.append(WeightedModel(reps.starts[j], reps.ends[j], j, inliers - lo,
-                                           float(w1[k + i]), float(finals[k + i])))
+            instances.append(WeightedModel(reps.starts[j], reps.ends[j], j - int(line0[w]),
+                                           inliers - lo, float(w1[k + i]), float(finals[k + i])))
         k += m
-        assignment = associate(vox[lo:lo + len(pending.window)], pending.hyps, instances,
-                               scales[w])
+        assignment = associate(vox[lo:lo + len(pending.window)], pending.hyps,
+                               pending.families, instances, scales[w])
         results.append(AssociationResult(pending.window, instances, assignment))
     return results
+
+
+def _clustered(windows: Sequence[EventWindow], vox: np.ndarray, first: List[int], config):
+    """Yield ``(slot, clusters)`` once for every window of a call.
+
+    ``clusters`` is the window's ``(hypotheses, representatives, families)``
+    (:class:`HypothesisSet`), or ``None`` when it has no usable hypotheses.
+    Consecutive windows are clustered together, one
+    :func:`select_representatives` call per run of windows whose hypothesis
+    pairs stay within ``_CLUSTER_PAIRS``.
+    """
+    slots: List[int] = []
+    lines: List[LineSet] = []
+    pairs = 0
+
+    def run():
+        hyps = select_representatives(lines, config.parallel_tol)
+        return zip(slots, zip(hyps.lines, hyps.reps, hyps.families))
+
+    for k, window in enumerate(windows):
+        try:
+            generated = generate(window, vox[first[k]:first[k + 1]], config.num_slices,
+                                 config.max_pairs)
+        except HypothesisError:
+            yield k, None
+            continue
+        if slots and pairs + len(generated) ** 2 > _CLUSTER_PAIRS:
+            yield from run()
+            slots, lines, pairs = [], [], 0
+        slots.append(k)
+        lines.append(generated)
+        pairs += len(generated) ** 2
+    if slots:
+        yield from run()
 
 
 def fit_windows(windows: Sequence[EventWindow], config) -> List[AssociationResult]:
     """Run hypothesis generation through association for every window, in order.
 
-    Generation, clustering and association run per window; the residuals,
-    inlier selection, weighting and model counts run once per batch of
-    windows, whose (event, representative) pairs are capped by
-    ``_BATCH_PAIRS``. Each result equals a fit of its window alone. Failures
-    (no usable slices, no surviving model) degrade to an all-noise result
-    without instances instead of raising.
+    Generation and association run per window; clustering runs once per run
+    of consecutive windows (:func:`_clustered`), and the residuals, inlier
+    selection, weighting and model counts once per batch of windows, whose
+    (event, representative) pairs are capped by ``_BATCH_PAIRS``. Each result
+    equals a fit of its window alone. Failures (no usable slices, no
+    surviving model) degrade to an all-noise result without instances
+    instead of raising.
     """
     windows = list(windows)
     if not windows:
@@ -451,19 +494,16 @@ def fit_windows(windows: Sequence[EventWindow], config) -> List[AssociationResul
             results[pending.slot] = res
         batch.clear()
 
-    for k, window in enumerate(windows):
-        lo, hi = first[k], first[k + 1]
-        try:
-            lines = generate(window, vox[lo:hi], config.num_slices, config.max_pairs)
-            hyps = select_representatives(lines, config.parallel_tol)
-        except HypothesisError:
-            results[k] = _failed(window)
+    for k, clusters in _clustered(windows, vox, first, config):
+        if clusters is None:
+            results[k] = _failed(windows[k])
             continue
-        reps = hyps.representatives
+        hyps, reps, families = clusters
+        lo, hi = first[k], first[k + 1]
         if batch and pairs + (hi - lo) * len(reps) > _BATCH_PAIRS:
             flush()
             pairs = 0
-        batch.append(_Pending(k, window, lo, hyps, reps))
+        batch.append(_Pending(k, windows[k], lo, hyps, reps, families))
         pairs += (hi - lo) * len(reps)
     if batch:
         flush()

@@ -48,7 +48,7 @@ class EntropyInterval:
         return self.alpha <= h <= self.beta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventWindow:
     """A contiguous time-bounded slice of an event stream, in time order.
 
@@ -65,11 +65,12 @@ class EventWindow:
     offset: int = 0
 
     def __post_init__(self) -> None:
+        t = self.t
         if not self.t_end > self.t_start:
             raise ValueError("window must have positive span")
-        if self.t.size and (self.t[0] < self.t_start or self.t[-1] > self.t_end):
+        if t.size and (t[0] < self.t_start or t[-1] > self.t_end):
             raise ValueError("window events outside [t_start, t_end]")
-        if (self.t[1:] < self.t[:-1]).any():
+        if np.count_nonzero(t[1:] < t[:-1]):
             raise ValueError("window events out of time order")
 
     @classmethod

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
@@ -61,47 +61,47 @@ class LineSet:
     def directions(self) -> np.ndarray:
         return self.ends - self.starts
 
-    def unit_directions(self) -> np.ndarray:
-        d = self.directions()
-        return d / np.linalg.norm(d, axis=1, keepdims=True)
-
     def take(self, idx: np.ndarray) -> "LineSet":
         return LineSet(self.starts[idx], self.ends[idx])
 
 
 @dataclass(frozen=True)
 class HypothesisSet:
-    """All generated hypotheses plus their non-parallel representatives.
+    """The hypotheses of a batch of windows plus each window's non-parallel representatives.
 
-    ``families`` is an (R, H) boolean array: row ``k`` marks every hypothesis
-    in ``all`` within the parallel tolerance of representative
-    ``rep_indices[k]``. Families may overlap.
+    Entry ``w`` of each list belongs to window ``w``, and every index counts
+    within that window: ``reps[w]`` are rows of ``lines[w]``, and
+    ``families[w]`` is an (R, H) boolean block whose row ``k`` marks every
+    hypothesis of ``lines[w]`` within the parallel tolerance of its
+    representative ``reps[w][k]``. Families may overlap.
     """
 
-    all: LineSet
-    rep_indices: np.ndarray
-    families: np.ndarray
+    lines: List[LineSet]
+    reps: List[np.ndarray]
+    families: List[np.ndarray]
 
     @property
-    def representatives(self) -> LineSet:
-        return self.all.take(self.rep_indices)
+    def rep_indices(self) -> np.ndarray:
+        """Every window's representatives, window after window."""
+        return np.concatenate(self.reps)
 
 
 def _slice_bounds(window: EventWindow, num_slices: int) -> np.ndarray:
     """Event index bounds of the equal-duration time slices of a window.
 
     Slice ``k`` holds events ``bounds[k]:bounds[k + 1]``: window events are in
-    time order, so each slice is a contiguous range. Timestamps exactly on a
-    slice boundary go to the earlier slice.
+    time order, so each slice is a contiguous range. Slice ``k`` ends at the
+    last event with ``(t - t_start) / (span / num_slices) <= k + 1``, so a
+    timestamp exactly on a slice boundary goes to the earlier slice.
     """
     if num_slices < 2:
         raise ValueError("num_slices must be >= 2")
     if len(window) < 2:
         raise HypothesisError("window must hold at least 2 events")
-    dt = window.span / num_slices
-    idx = np.ceil((window.t - window.t_start) / dt).astype(int) - 1
-    idx = np.clip(idx, 0, num_slices - 1)
-    return np.searchsorted(idx, np.arange(num_slices + 1))
+    x = (window.t - window.t_start) / (window.span / num_slices)
+    bounds = np.searchsorted(x, np.arange(num_slices + 1), side="right")
+    bounds[0], bounds[-1] = 0, x.size
+    return bounds
 
 
 def slice_window(window: EventWindow, num_slices: int = RunConfig.num_slices) -> List[np.ndarray]:
@@ -130,10 +130,10 @@ def generate(
     bounds = _slice_bounds(window, num_slices).tolist()
     n = bounds[-1]
     # the first non-empty slice starts at event 0, the last ends at event n
-    first = range(0, min(b for b in bounds if b > 0))
+    first = range(0, next(b for b in bounds if b > 0))
     if first.stop == n:
         raise HypothesisError("all events fall into a single time slice")
-    last = range(max(b for b in bounds if b < n), n)
+    last = range(next(b for b in reversed(bounds) if b < n), n)
     if len(first) * len(last) > max_pairs:
         stride = math.ceil(math.sqrt(len(first) * len(last) / max_pairs))
         while math.ceil(len(first) / stride) * math.ceil(len(last) / stride) > max_pairs:
@@ -142,49 +142,54 @@ def generate(
         last = last[::stride]
     first_vox = voxels[first.start:first.stop:first.step]
     last_vox = voxels[last.start:last.stop:last.step]
-    starts = np.repeat(first_vox, len(last), axis=0)
-    ends = np.tile(last_vox, (len(first), 1))
-    keep = ends[:, 2] > starts[:, 2]
-    starts, ends = starts[keep], ends[keep]
-    if starts.shape[0] == 0:
+    # (first, last) pairs in first-major order, kept where time advances
+    i, j = np.nonzero(first_vox[:, 2, None] < last_vox[:, 2])
+    if i.size == 0:
         raise HypothesisError("no valid endpoint pairs (degenerate time span)")
-    return LineSet(starts, ends)
+    return LineSet(first_vox[i], last_vox[j])
 
 
 def select_representatives(
-    hyps: LineSet,
+    hyps: Sequence[LineSet],
     parallel_tol: float = RunConfig.parallel_tol,
 ) -> HypothesisSet:
-    """Greedily cluster near-parallel hypotheses and pick one representative each.
+    """Greedily cluster each window's near-parallel hypotheses and pick representatives.
 
-    Hypotheses within ``parallel_tol`` cosine distance (1 - cos of the angle
-    between their directions) are parallel. The unassigned hypothesis with the
-    most parallel neighbors (ties: lowest index) becomes a representative and
-    absorbs its unassigned neighbors; repeat until every hypothesis is
-    absorbed. Representatives end up mutually non-parallel. Each
-    representative's family is all of its parallel neighbors, absorbed
+    ``hyps[w]`` holds window ``w``'s hypotheses, and each window is clustered
+    on its own. Hypotheses within ``parallel_tol`` cosine distance (1 - cos of
+    the angle between their directions) are parallel. The unassigned
+    hypothesis with the most parallel neighbors (ties: lowest index) becomes
+    a representative and absorbs its unassigned neighbors; repeat until every
+    hypothesis is absorbed. Representatives end up mutually non-parallel.
+    Each representative's family is all of its parallel neighbors, absorbed
     earlier or not.
 
     Neighbor counts never change, so the next representative is always the
-    first unassigned hypothesis in one stable sort by descending count.
+    first unassigned hypothesis in one stable sort by descending count. The
+    unit directions are computed once for all windows; only one window's
+    (H, H) adjacency is alive at a time.
     """
-    n = len(hyps)
-    if n == 0:
+    if not hyps or not min(len(h) for h in hyps):
         raise HypothesisError("no hypotheses to cluster")
-    units = hyps.unit_directions()
-    # chunked pairwise adjacency to bound memory on large hypothesis sets
-    adj = np.empty((n, n), dtype=bool)
-    chunk = max(1, 2_000_000 // max(n, 1))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        adj[lo:hi] = (1.0 - units[lo:hi] @ units.T) <= parallel_tol
-    counts = adj.sum(axis=1)
-
-    unassigned = np.ones(n, dtype=bool)
-    rep_indices: List[int] = []
-    for r in np.argsort(-counts, kind="stable").tolist():
-        if unassigned[r]:
-            rep_indices.append(r)
-            unassigned[adj[r]] = False
-    reps = np.asarray(rep_indices, dtype=np.int64)
-    return HypothesisSet(hyps, reps, adj[reps])
+    d = np.concatenate([h.ends for h in hyps]) - np.concatenate([h.starts for h in hyps])
+    all_units = d / np.linalg.norm(d, axis=1, keepdims=True)
+    reps, families = [], []
+    start = 0
+    for lines in hyps:
+        n = len(lines)
+        units = all_units[start:start + n]
+        start += n
+        # chunked pairwise adjacency to bound memory on large hypothesis sets
+        adj = np.empty((n, n), dtype=bool)
+        chunk = max(1, 2_000_000 // n)
+        for lo in range(0, n, chunk):
+            adj[lo:lo + chunk] = (1.0 - units[lo:lo + chunk] @ units.T) <= parallel_tol
+        unassigned = np.ones(n, dtype=bool)
+        picked: List[int] = []
+        for r in np.argsort(-adj.sum(axis=1), kind="stable").tolist():
+            if unassigned[r]:
+                picked.append(r)
+                unassigned[adj[r]] = False
+        reps.append(np.asarray(picked, dtype=np.int64))
+        families.append(adj[picked])
+    return HypothesisSet(list(hyps), reps, families)

@@ -76,12 +76,28 @@ def expected_direction(
     return d / np.linalg.norm(d)
 
 
+def flatnonzero_slices(window, num_slices):
+    """Reference slicing: one ``flatnonzero`` scan per slice over each event's
+    slice index ``ceil((t - t_start) / (span / num_slices)) - 1``, clipped to
+    the slices."""
+    if num_slices < 2:
+        raise ValueError("num_slices must be >= 2")
+    if len(window) < 2:
+        raise HypothesisError("window must hold at least 2 events")
+    dt = window.span / num_slices
+    idx = np.ceil((window.t - window.t_start) / dt).astype(int) - 1
+    idx = np.clip(idx, 0, num_slices - 1)
+    return [np.flatnonzero(idx == k) for k in range(num_slices)]
+
+
 def greedy_representatives(hyps: LineSet, parallel_tol: float) -> HypothesisSet:
-    """Representatives by a full ``argmax`` over the unassigned hypotheses per pick."""
+    """One window's representatives, by a full ``argmax`` over the unassigned
+    hypotheses per pick."""
     n = len(hyps)
     if n == 0:
         raise HypothesisError("no hypotheses to cluster")
-    units = hyps.unit_directions()
+    d = hyps.directions()
+    units = d / np.linalg.norm(d, axis=1, keepdims=True)
     adj = np.empty((n, n), dtype=bool)
     chunk = max(1, 2_000_000 // n)
     for lo in range(0, n, chunk):
@@ -95,7 +111,7 @@ def greedy_representatives(hyps: LineSet, parallel_tol: float) -> HypothesisSet:
         unassigned[adj[r]] = False
         unassigned[r] = False  # adj[r, r] may round to False
     reps = np.asarray(rep_indices, dtype=np.int64)
-    return HypothesisSet(hyps, reps, adj[reps])
+    return HypothesisSet([hyps], [reps], [adj[reps]])
 
 
 def matrix_inliers(values: np.ndarray, tau: float,
@@ -128,7 +144,7 @@ def reference_residuals(window: EventWindow, config):
         hyps = greedy_representatives(lines, config.parallel_tol)
     except HypothesisError:
         return None
-    return vox, hyps, residual_matrix(vox, hyps.representatives)
+    return vox, hyps, residual_matrix(vox, hyps.lines[0].take(hyps.reps[0]))
 
 
 def reference_fit_window(window: EventWindow, config) -> AssociationResult:
@@ -138,7 +154,7 @@ def reference_fit_window(window: EventWindow, config) -> AssociationResult:
     if stages is None:
         return failed
     vox, hyps, values = stages
-    reps = hyps.representatives
+    reps = hyps.lines[0].take(hyps.reps[0])
     if config.scale_mode == "fixed":
         scale = NoiseScale(config.tau, "fixed")
     else:
@@ -154,4 +170,5 @@ def reference_fit_window(window: EventWindow, config) -> AssociationResult:
         j, inliers = survivors[i]
         instances.append(WeightedModel(reps.starts[j], reps.ends[j], j, inliers,
                                        float(w1[i]), float(finals[i])))
-    return AssociationResult(window, instances, associate(vox, hyps, instances, scale))
+    assignment = associate(vox, hyps.lines[0], hyps.families[0], instances, scale)
+    return AssociationResult(window, instances, assignment)

@@ -14,7 +14,12 @@ from evtraj import fitting, grouping, tracking
 from evtraj.hypotheses import HypothesisError, generate, window_voxels
 from evtraj.io import EventStream, SensorGeometry
 from evtraj.tracking import BoundingBox, TrackingFailure, TrackingPair
-from oracles import matrix_inliers, reference_fit_window, reference_residuals
+from oracles import (
+    flatnonzero_slices,
+    matrix_inliers,
+    reference_fit_window,
+    reference_residuals,
+)
 
 SHIMS = Path(__file__).resolve().parent.parent / "evbench" / "shims.py"
 
@@ -131,3 +136,29 @@ def test_traced_fit_counts_match_the_per_window_reference():
     assert metrics["hypotheses.representatives"] == representatives
     assert metrics["fitting.survivors"] == survivors
     assert metrics["tracking.track_failures"] == failures
+
+
+def test_traced_strided_windows_match_the_reference():
+    # the tracer replays the slicing of every traced generate call; a cap this
+    # small strides the first and last slices of some windows but not all
+    stream = framed_track_stream()
+    config = lane_config(max_pairs=4)
+    tracer = load_shims().Tracer()
+    tracer.install()
+    try:
+        fitting.run_eda(stream, config)
+    finally:
+        tracer.uninstall()
+    strided = generated = 0
+    interval = grouping.EntropyInterval(config.entropy_alpha, config.entropy_beta)
+    for window in grouping.cut_windows(stream, interval, config.entropy_grid,
+                                       config.max_window_s):
+        try:
+            generate(window, window_voxels(window), config.num_slices, config.max_pairs)
+        except HypothesisError:
+            continue
+        sizes = [s.size for s in flatnonzero_slices(window, config.num_slices) if s.size]
+        strided += sizes[0] * sizes[-1] > config.max_pairs
+        generated += 1
+    assert 0 < strided < generated
+    assert tracer.metrics()["hypotheses.strided_windows"] == strided

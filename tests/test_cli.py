@@ -12,7 +12,7 @@ from conftest import (
     track_pairs,
     track_stream,
 )
-from evtraj import io
+from evtraj import fitting, io
 from evtraj.cli import build_parser, main, _build_config
 from evtraj.config import RunConfig
 from evtraj.io import NOISE_ID, SensorGeometry
@@ -330,6 +330,27 @@ class TestBenchCommand:
             counts.append(int(dict(l.split() for l in lines)["events"]))
         # Poisson counts track the configured rates
         assert counts[1] / counts[0] == pytest.approx(3.0, rel=0.1)
+
+    def test_runs_once_when_asked(self, scene_file, capsys, monkeypatch):
+        calls = []
+        run_eda = fitting.run_eda
+        monkeypatch.setattr(fitting, "run_eda", lambda *args: calls.append(args) or run_eda(*args))
+        assert main(["bench", scene_file(lane_scene_doc(1)), "--runs", "1",
+                     "--geometry", "64x64"]) == 0
+        fields = dict(l.split() for l in capsys.readouterr().out.splitlines())
+        assert int(fields["runs"]) == 1
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_runs_below_one_fail_before_any_run(self, scene_file, capsys, monkeypatch, runs):
+        calls = []
+        monkeypatch.setattr(fitting, "run_eda", lambda *args: calls.append(args))
+        rc = main(["bench", scene_file(lane_scene_doc(1)), "--runs", runs,
+                   "--geometry", "64x64"])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert err.startswith("error: --runs")
+        assert out == "" and calls == []
 
 
 class TestConfigPlumbing:

@@ -448,33 +448,34 @@ class TestAssociate:
             np.array([[10.0, 10, 0], [20.0, 40, 0]]),
             np.array([[10.0, 10, 64], [60.0, 40, 64]]),
         )
-        reps = select_representatives(lines, 1e-3)
-        ends = reps.representatives
+        hyps = select_representatives([lines], 1e-3)
+        ends = lines.take(hyps.reps[0])
         instances = [
             WeightedModel(ends.starts[j], ends.ends[j], j, np.empty(0, dtype=int), 0.0, 0.0)
             for j in range(2)
         ]
-        return win, reps, instances, order
+        # the window's hypotheses and family block, as associate takes them
+        return win, (hyps.lines[0], hyps.families[0]), instances, order
 
     def test_events_pick_their_line_and_outlier_is_noise(self):
-        win, reps, instances, order = self._setup()
-        assignment = associate(window_voxels(win), reps, instances, NoiseScale(0.05))
+        win, clusters, instances, order = self._setup()
+        assignment = associate(window_voxels(win), *clusters, instances, NoiseScale(0.05))
         truth = np.array([0, 0, 0, 1, 1, 1, NOISE_ID])[order]
         assert assignment.dtype == np.int64
         assert np.array_equal(assignment, truth)
 
     def test_ties_go_to_the_earlier_instance(self):
         # two instances with the same family fit every event equally well
-        _, reps, instances, _ = self._setup()
+        _, clusters, instances, _ = self._setup()
         vox = window_voxels(make_window([0.1, 0.3, 0.5, 0.9], [10, 11, 10, 12], [10, 10, 11, 10]))
         twins = [instances[0], instances[0]]
-        assert associate(vox, reps, twins, NoiseScale(1.0)).tolist() == [0, 0, 0, 0]
+        assert associate(vox, *clusters, twins, NoiseScale(1.0)).tolist() == [0, 0, 0, 0]
 
     def test_requires_instances(self):
-        win, reps, _, _ = self._setup()
+        win, clusters, _, _ = self._setup()
         from evtraj.fitting import FitError
         with pytest.raises(FitError):
-            associate(window_voxels(win), reps, [], NoiseScale(0.05))
+            associate(window_voxels(win), *clusters, [], NoiseScale(0.05))
 
 
 class TestFitWindow:
@@ -528,7 +529,7 @@ class TestFitWindow:
             win = lane_window(generate_scene(lane_scene(motions, seed=3, clutter_frac=0.0)))
             vox = window_voxels(win)
             lines = generate(win, vox, cfg.num_slices, cfg.max_pairs)
-            reps = select_representatives(lines, cfg.parallel_tol).representatives
+            reps = lines.take(select_representatives([lines], cfg.parallel_tol).reps[0])
             s_t = time_scale(win.geometry)
             matrix = residual_matrix(vox, reps)
             survivors = matrix_inliers(matrix, cfg.tau, cfg.min_inliers)
@@ -601,13 +602,16 @@ class TestFitWindows:
            st.tuples(fit_batch_windows(kinds=("lone",)), st.integers(0, 7)),
            st.sampled_from(["fixed", "ikose"]),
            st.one_of(st.sampled_from([0.01, 0.05, 0.2]), st.integers(0, 10 ** 6)),
-           st.sampled_from([1, 60, None]))
-    def test_bit_identical_to_per_window_reference(self, windows, lone, scale_mode, tau, cap):
+           st.sampled_from([1, 60, None]),
+           st.sampled_from([1, 400, None]))
+    def test_bit_identical_to_per_window_reference(self, windows, lone, scale_mode, tau, cap,
+                                                   cluster_cap):
         # an integer tau picks a residual of the reference, and the fit runs
         # with tau on it and just above it, so one rounding step in that
         # residual changes an inlier set; lone columns, which numpy sums
         # pairwise and not row after row, are picked first as the sums most
-        # easily gotten wrong; a small pair cap splits the call into batches
+        # easily gotten wrong; a small pair cap splits the call into batches,
+        # and a small cluster cap into several clustering runs
         windows.insert(lone[1], lone[0])
         taus = [tau]
         if isinstance(tau, int):
@@ -620,8 +624,9 @@ class TestFitWindows:
                 values = values[values > 0]
                 taus = [float(values[tau % values.size])]
                 taus.append(float(np.nextafter(taus[0], np.inf)))
-        default = fitting._BATCH_PAIRS
+        default, cluster_default = fitting._BATCH_PAIRS, fitting._CLUSTER_PAIRS
         fitting._BATCH_PAIRS = cap or default
+        fitting._CLUSTER_PAIRS = cluster_cap or cluster_default
         try:
             for tau in taus:
                 config = lane_config(scale_mode=scale_mode, tau=tau)
@@ -630,7 +635,7 @@ class TestFitWindows:
                 for window, got in zip(windows, results):
                     assert_same_fit(got, reference_fit_window(window, config))
         finally:
-            fitting._BATCH_PAIRS = default
+            fitting._BATCH_PAIRS, fitting._CLUSTER_PAIRS = default, cluster_default
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(fit_batch_windows(), min_size=1, max_size=6))
@@ -650,6 +655,28 @@ class TestFitWindows:
         runs = np.split(values, np.cumsum(sizes * counts)[:-1])
         for v, r, run in zip(vox, reps, runs):
             assert np.array_equal(run.reshape(len(v), len(r)), residual_matrix(v, r))
+
+    def test_cluster_cap_splits_clustering_runs(self, monkeypatch):
+        # one window's hypothesis pairs alone exceed a cap of 1, so every
+        # window with hypotheses is clustered on its own, with the same results
+        config = lane_config()
+        windows = [r.window for r in run_eda(generate_scene(lane_scene(2, seed=5)).stream, config)]
+        windows.insert(2, make_window([0.5, 0.5, 0.5], [1, 2, 3], [1, 2, 3]))  # no hypotheses
+        with_hyps = sum(reference_residuals(w, config) is not None for w in windows)
+        assert len(windows) > with_hyps > 1
+        want = fit_windows(windows, config)
+        runs = []
+
+        def counting(hyps, parallel_tol):
+            runs.append(len(hyps))
+            return select_representatives(hyps, parallel_tol)
+
+        monkeypatch.setattr(fitting, "select_representatives", counting)
+        monkeypatch.setattr(fitting, "_CLUSTER_PAIRS", 1)
+        got = fit_windows(windows, config)
+        assert runs == [1] * with_hyps
+        for a, b in zip(got, want):
+            assert_same_fit(a, b)
 
     def test_fit_window_is_a_batch_of_one(self):
         data = generate_scene(lane_scene(2, seed=5))

@@ -16,7 +16,7 @@ from evtraj.hypotheses import (
     window_voxels,
 )
 from evtraj.io import SensorGeometry
-from oracles import greedy_representatives
+from oracles import flatnonzero_slices, greedy_representatives
 
 GEOM = SensorGeometry(64, 64)
 
@@ -45,19 +45,6 @@ def cosine_distance(a, b) -> float:
     """1 - cos(angle) between the directions of two ``(start, end)`` lines; range [0, 2]."""
     da, db = a[1] - a[0], b[1] - b[0]
     return float(1.0 - np.dot(da, db) / (np.linalg.norm(da) * np.linalg.norm(db)))
-
-
-def flatnonzero_slices(window, num_slices):
-    """Reference slicing: one ``flatnonzero`` scan per slice, as ``slice_window``
-    did before it read contiguous bounds."""
-    if num_slices < 2:
-        raise ValueError("num_slices must be >= 2")
-    if len(window) < 2:
-        raise HypothesisError("window must hold at least 2 events")
-    dt = window.span / num_slices
-    idx = np.ceil((window.t - window.t_start) / dt).astype(int) - 1
-    idx = np.clip(idx, 0, num_slices - 1)
-    return [np.flatnonzero(idx == k) for k in range(num_slices)]
 
 
 def reference_generate(window, num_slices, max_pairs):
@@ -108,6 +95,36 @@ def sliced_windows(draw):
     u = draw(st.lists(st.integers(0, 63), min_size=n, max_size=n))
     v = draw(st.lists(st.integers(0, 63), min_size=n, max_size=n))
     return window_from_arrays(t, u, v, t_start, t_end), num_slices
+
+
+@st.composite
+def clustering_batches(draw):
+    """The hypothesis sets of a batch of windows, each of one kind.
+
+    ``one``: a single hypothesis. ``parallel``: scaled copies of one direction
+    at random positions, so one representative. ``mixed``: small integer
+    directions with jitter, which repeat and tie on neighbor counts. At times
+    a ``large`` window of more than 1,414 hypotheses joins the batch, whose
+    adjacency is computed in row chunks (``2_000_000 // n < n``).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["one", "parallel", "mixed"]), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        kinds.insert(draw(st.integers(0, len(kinds))), "large")
+    jitter = draw(st.sampled_from([0.0, 1e-4, 1e-3]))
+    batch = []
+    for kind in kinds:
+        n = {"one": 1, "parallel": int(rng.integers(2, 30)), "mixed": int(rng.integers(2, 60)),
+             "large": int(rng.integers(1415, 1600))}[kind]
+        starts = rng.uniform(0.0, 64.0, (n, 3))
+        if kind == "parallel":
+            direction = np.array([*rng.integers(-3, 4, 2), rng.integers(1, 4)], dtype=float)
+            dirs = np.outer(rng.uniform(0.5, 4.0, n), direction)
+        else:
+            dirs = np.column_stack([rng.integers(-3, 4, (n, 2)), rng.integers(1, 4, n)])
+            dirs = dirs + rng.uniform(-jitter, jitter, (n, 3))
+        batch.append(LineSet(starts, starts + dirs))
+    return batch
 
 
 class TestNormalization:
@@ -256,18 +273,18 @@ class TestSelectRepresentatives:
         starts = np.zeros((5, 3))
         ends = np.outer(np.arange(1, 6), np.array([1.0, 2.0, 3.0]))
         hyps = LineSet(starts, ends)
-        result = select_representatives(hyps, 1e-3)
+        result = select_representatives([hyps], 1e-3)
         assert len(result.rep_indices) == 1
-        assert result.families.shape == (1, 5)
-        assert result.families[0].all()
+        assert result.families[0].shape == (1, 5)
+        assert result.families[0][0].all()
 
     def test_orthogonal_directions_stay_apart(self):
         dirs = np.array([[1.0, 0, 1], [-1.0, 0, 1], [0, 1.0, 1]])
         hyps = LineSet(np.zeros((3, 3)), dirs)
-        result = select_representatives(hyps, 1e-3)
+        result = select_representatives([hyps], 1e-3)
         assert len(result.rep_indices) == 3
         # each family holds its representative only
-        assert np.array_equal(result.families, np.eye(3, dtype=bool)[result.rep_indices])
+        assert np.array_equal(result.families[0], np.eye(3, dtype=bool)[result.rep_indices])
 
     def test_two_jittered_bundles(self):
         rng = np.random.default_rng(1)
@@ -286,10 +303,10 @@ class TestSelectRepresentatives:
                 labels.append(label)
         dirs = np.array(dirs)
         hyps = LineSet(np.zeros((200, 3)), dirs)
-        result = select_representatives(hyps, tol)
+        result = select_representatives([hyps], tol)
         assert len(result.rep_indices) == 2
         labels = np.array(labels)
-        for family in result.families:
+        for family in result.families[0]:
             assert np.unique(labels[family]).size == 1
 
     def test_coverage_partition(self):
@@ -297,10 +314,10 @@ class TestSelectRepresentatives:
         dirs = rng.normal(0, 1, (50, 3))
         dirs[:, 2] = np.abs(dirs[:, 2]) + 0.1
         hyps = LineSet(np.zeros((50, 3)), dirs)
-        result = select_representatives(hyps, 1e-2)
+        result = select_representatives([hyps], 1e-2)
         # every hypothesis lies in the family of some representative
-        assert result.families.shape == (len(result.rep_indices), 50)
-        assert result.families.any(axis=0).all()
+        assert result.families[0].shape == (len(result.rep_indices), 50)
+        assert result.families[0].any(axis=0).all()
 
     def test_member_distance_bound(self):
         rng = np.random.default_rng(3)
@@ -308,8 +325,8 @@ class TestSelectRepresentatives:
         dirs = rng.normal(0, 1, (80, 3))
         dirs[:, 2] = np.abs(dirs[:, 2]) + 0.1
         hyps = LineSet(np.zeros((80, 3)), dirs)
-        result = select_representatives(hyps, tol)
-        for rep, family in zip(result.rep_indices, result.families):
+        result = select_representatives([hyps], tol)
+        for rep, family in zip(result.rep_indices, result.families[0]):
             assert family[rep]
             for m in np.flatnonzero(family):
                 assert cosine_distance(line(hyps, int(rep)), line(hyps, int(m))) <= tol + 1e-12
@@ -320,8 +337,8 @@ class TestSelectRepresentatives:
         dirs[:, 2] = np.abs(dirs[:, 2]) + 0.1
         hyps = LineSet(np.zeros((60, 3)), dirs)
         tol = 1e-3
-        result = select_representatives(hyps, tol)
-        reps = result.representatives
+        result = select_representatives([hyps], tol)
+        reps = hyps.take(result.reps[0])
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
                 assert cosine_distance(line(reps, i), line(reps, j)) > tol
@@ -331,10 +348,10 @@ class TestSelectRepresentatives:
         dirs = rng.normal(0, 1, (40, 3))
         dirs[:, 2] = np.abs(dirs[:, 2]) + 0.1
         hyps = LineSet(np.zeros((40, 3)), dirs)
-        a = select_representatives(hyps, 1e-2)
-        b = select_representatives(hyps, 1e-2)
+        a = select_representatives([hyps], 1e-2)
+        b = select_representatives([hyps], 1e-2)
         assert np.array_equal(a.rep_indices, b.rep_indices)
-        assert np.array_equal(a.families, b.families)
+        assert np.array_equal(a.families[0], b.families[0])
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-2, 0.2])
     def test_families_are_the_parallel_sets(self, tol):
@@ -345,16 +362,16 @@ class TestSelectRepresentatives:
         # near-duplicates so that families hold more than their representative
         dirs = np.concatenate([dirs, dirs[:40] + rng.normal(0, 1e-3, (40, 3))])
         hyps = LineSet(np.zeros_like(dirs), dirs)
-        result = select_representatives(hyps, tol)
-        assert result.families.sum() > len(result.rep_indices)
-        for rep, family in zip(result.rep_indices, result.families):
+        result = select_representatives([hyps], tol)
+        assert result.families[0].sum() > len(result.rep_indices)
+        for rep, family in zip(result.rep_indices, result.families[0]):
             brute = [i for i in range(len(hyps))
                      if cosine_distance(line(hyps, int(rep)), line(hyps, i)) <= tol]
             assert np.flatnonzero(family).tolist() == brute
 
     def test_empty_input_rejected(self):
         with pytest.raises(HypothesisError):
-            select_representatives(LineSet(np.zeros((0, 3)), np.zeros((0, 3))))
+            select_representatives([LineSet(np.zeros((0, 3)), np.zeros((0, 3)))])
 
     @settings(deadline=None)
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3)),
@@ -366,8 +383,20 @@ class TestSelectRepresentatives:
         dirs += np.array([[rng.uniform(-jitter, jitter) for _ in range(3)] for _ in dirs])
         starts = np.array([[rng.uniform(0, 64) for _ in range(3)] for _ in dirs])
         hyps = LineSet(starts, starts + dirs)
-        got = select_representatives(hyps, tol)
+        got = select_representatives([hyps], tol)
         want = greedy_representatives(hyps, tol)
         assert got.rep_indices.tolist() == want.rep_indices.tolist()
-        assert np.array_equal(got.families, want.families)
+        assert np.array_equal(got.families[0], want.families[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(clustering_batches(), st.sampled_from([1e-3, 1e-2, 0.2]))
+    def test_batch_matches_greedy_search_per_window(self, batch, tol):
+        got = select_representatives(batch, tol)
+        assert got.lines == batch
+        assert len(got.reps) == len(got.families) == len(batch)
+        for hyps, reps, family in zip(batch, got.reps, got.families):
+            want = greedy_representatives(hyps, tol)
+            assert reps.tolist() == want.reps[0].tolist()
+            assert family.shape == want.families[0].shape
+            assert family.tobytes() == want.families[0].tobytes()
 
