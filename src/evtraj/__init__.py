@@ -11,7 +11,7 @@ from .fitting import (
 )
 from .grouping import AtsltdFrame, EntropyInterval, EventWindow, cut_windows
 from .hypotheses import HypothesisSet, LineSet
-from .io import Event, EventStream, SensorGeometry, parse_stream, serialize_stream
+from .io import EventStream, SensorGeometry, parse_stream, serialize_stream
 from .synth import SceneData, SyntheticScene, generate_scene
 from .tracking import BoundingBox, EvalReport, TrackingPair, evaluate, iou
 
@@ -21,7 +21,6 @@ __all__ = [
     "BoundingBox",
     "EntropyInterval",
     "EvalReport",
-    "Event",
     "EventStream",
     "EventWindow",
     "HypothesisSet",

@@ -68,22 +68,25 @@ def cmd_associate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_pairs(path: str) -> List[tracking.TrackingPair]:
+    """The adjacent-frame box pairs of a box file; fewer than two frames is an error."""
+    with open(path, "rb") as fh:
+        pairs = tracking.pairs_from_annotations(io.read_box_annotations(fh.read()))
+    if not pairs:
+        raise ValueError(f"box file {path} holds fewer than two frames")
+    return pairs
+
+
 def cmd_track(args: argparse.Namespace) -> int:
     config = _build_config(args)
     stream = _read_stream(args.events, config)
-    with open(args.boxes, "rb") as fh:
-        rows = io.read_box_annotations(fh.read())
-    pairs = tracking.pairs_from_annotations(rows)
-    if not pairs:
-        print("error: need at least two annotated frames", file=sys.stderr)
-        return 1
+    pairs = _read_pairs(args.boxes)
     out_rows = []
-    for pair in pairs:
-        try:
-            box = tracking.track_pair(stream, pair, config)
+    for pair, box in zip(pairs, tracking.track(stream, pairs, config)):
+        if isinstance(box, tracking.TrackingFailure):
+            print(f"pair at t={pair.t_curr:.6f}: tracking failure ({box})", file=sys.stderr)
+        else:
             out_rows.append([pair.t_next, box.x, box.y, box.w, box.h])
-        except (ValueError, tracking.TrackingFailure) as exc:
-            print(f"pair at t={pair.t_curr:.6f}: tracking failure ({exc})", file=sys.stderr)
     payload = io.format_box_annotations(np.array(out_rows).reshape(-1, 5))
     with open(args.out, "wb") as fh:
         fh.write(payload)
@@ -94,12 +97,7 @@ def cmd_track(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _build_config(args)
     stream = _read_stream(args.events, config)
-    with open(args.pairs, "rb") as fh:
-        rows = io.read_box_annotations(fh.read())
-    pairs = tracking.pairs_from_annotations(rows)
-    if not pairs:
-        print("error: pairs file holds fewer than two frames", file=sys.stderr)
-        return 1
+    pairs = _read_pairs(args.pairs)
     report = tracking.evaluate(stream, pairs, config, config.n_rep)
     if args.machine:
         print(f"aor {report.aor!r}")
@@ -133,10 +131,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     with open(args.out, "wb") as fh:
         fh.write(io.serialize_stream(data.stream))
     if args.out_labels:
-        with open(args.out_labels, "w", encoding="utf-8") as fh:
-            fh.write("# event_index label\n")
-            for i, lab in enumerate(data.labels.tolist()):
-                fh.write(f"{i} {lab}\n")
+        with open(args.out_labels, "wb") as fh:
+            fh.write(b"# event_index label\n")
+            fh.write(io.format_rows("%d %d\n", np.arange(data.labels.size), data.labels))
     if args.out_boxes:
         times = np.linspace(0.0, scene.duration, args.frames)
         rows = []
@@ -170,13 +167,10 @@ def cmd_plot(args: argparse.Namespace) -> int:
         lines.append(
             f"T {traj} {u[i0]} {v[i0]} {float(t[i0])!r} {u[i1]} {v[i1]} {float(t[i1])!r}"
         )
-    for i in range(len(stream)):
-        lines.append(
-            f"E {i} {stream.u[i]} {stream.v[i]} {float(stream.t[i])!r} {assignment[i]}"
-        )
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
     with open(args.out, "wb") as fh:
-        fh.write(payload)
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+        fh.write(io.format_rows("E %d %d %d %r %d\n", np.arange(len(stream)),
+                                stream.u, stream.v, stream.t, assignment))
     print(f"wrote plot data for {len(stream)} events -> {args.out}")
     return 0
 

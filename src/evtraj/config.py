@@ -85,13 +85,19 @@ KEY_MAP = {
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
-def _coerce(name: str, value: Any) -> Any:
+def _coerce(key: str, name: str, value: Any) -> Any:
+    """``value`` as field ``name``'s type. A bool is no number, and an integer
+    field takes no non-integral number; neither is rounded."""
     kind = _FIELD_TYPES[name]
-    if kind == "int":
-        return int(value)
+    if kind == "str":
+        return str(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"config key {key!r} needs a number, got {value!r}")
     if kind == "float":
         return float(value)
-    return str(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"config key {key!r} needs an integer, got {value!r}")
+    return int(value)
 
 
 def _resolve_key(key: str) -> str:
@@ -109,7 +115,7 @@ def apply_overrides(config: RunConfig, overrides: Mapping[str, Any]) -> RunConfi
         if value is None:
             continue
         name = _resolve_key(key)
-        updates[name] = _coerce(name, value)
+        updates[name] = _coerce(key, name, value)
     return replace(config, **updates) if updates else config
 
 

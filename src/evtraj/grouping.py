@@ -208,30 +208,6 @@ class AtsltdFrame:
         return out.reshape(h, w)
 
 
-def nzge_entropy(frame: AtsltdFrame, grid: int | None = None) -> float:
-    """Non-zero grid entropy, recomputed from the normalized surface.
-
-    Tiles the surface into grid x grid pixel cells, forms the distribution of
-    non-zero tile sums, and returns its Shannon entropy.
-    """
-    grid = frame.grid if grid is None else int(grid)
-    if grid < 1:
-        raise ValueError("grid must be >= 1")
-    h, w = frame.geometry.height, frame.geometry.width
-    if h < grid or w < grid:
-        raise ValueError("frame dimensions must be >= grid")
-    gh = -(-h // grid)
-    gw = -(-w // grid)
-    padded = np.zeros((gh * grid, gw * grid))
-    padded[:h, :w] = frame.surface
-    tiles = padded.reshape(gh, grid, gw, grid).sum(axis=(1, 3)).ravel()
-    tiles = tiles[tiles > 0]
-    if tiles.size == 0:
-        return 0.0
-    p = tiles / tiles.sum()
-    return float(-(p * np.log2(p)).sum())
-
-
 def cut_windows(
     stream: EventStream,
     interval: EntropyInterval,
@@ -309,7 +285,11 @@ def estimate_interval(
     grid: int = RunConfig.entropy_grid,
     confidence: float = 0.95,
 ) -> EntropyInterval:
-    """Student-t confidence interval of mean terminal entropy over calibration windows."""
+    """Student-t confidence interval of mean terminal entropy over calibration windows.
+
+    A window's terminal entropy is ``frame.entropy`` after its last event, the
+    value :func:`cut_windows` compares to the band.
+    """
     if len(windows) < 2:
         raise GroupingError("need at least 2 calibration windows")
     if not 0 < confidence < 1:
@@ -319,7 +299,7 @@ def estimate_interval(
         frame = AtsltdFrame(win.geometry, win.t_start, grid)
         pixels, tiles = frame.locate(win.u, win.v)
         frame.scan(win.t.tolist(), pixels, tiles, 0, len(win))
-        samples.append(nzge_entropy(frame, grid))
+        samples.append(frame.entropy)
     arr = np.asarray(samples)
     mean = float(arr.mean())
     sd = float(arr.std(ddof=1))

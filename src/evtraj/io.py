@@ -12,7 +12,7 @@ import io as _stdio
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -43,16 +43,6 @@ class SensorGeometry:
             raise ValueError(f"degenerate sensor geometry {self.width}x{self.height}")
 
 
-@dataclass(frozen=True)
-class Event:
-    """A single asynchronous retinal event."""
-
-    t: float
-    u: int
-    v: int
-    p: int
-
-
 def _first_failure(checks) -> None:
     """Raise :class:`_InvalidRow` for the lowest flagged row; ties go to the earlier check."""
     failures = [(int(bad.argmax()), k) for k, (bad, _) in enumerate(checks) if bad.any()]
@@ -64,9 +54,8 @@ def _first_failure(checks) -> None:
 class EventStream:
     """An immutable, time-ordered sequence of events with a fixed geometry.
 
-    Events are stored as parallel numpy arrays; single events materialize as
-    :class:`Event` on indexed access. Every event is validated before any field
-    is narrowed to its stored dtype.
+    Events are stored as parallel read-only numpy arrays. Every event is
+    validated before any field is narrowed to its stored dtype.
     """
 
     __slots__ = ("geometry", "t", "u", "v", "p")
@@ -110,13 +99,6 @@ class EventStream:
     def __len__(self) -> int:
         return int(self.t.size)
 
-    def __getitem__(self, i: int) -> Event:
-        return Event(float(self.t[i]), int(self.u[i]), int(self.v[i]), int(self.p[i]))
-
-    def __iter__(self) -> Iterator[Event]:
-        for i in range(len(self)):
-            yield self[i]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventStream):
             return NotImplemented
@@ -127,11 +109,6 @@ class EventStream:
             and np.array_equal(self.v, other.v)
             and np.array_equal(self.p, other.p)
         )
-
-    @classmethod
-    def from_events(cls, geometry: SensorGeometry, events: Sequence[Event]) -> "EventStream":
-        fields = [[getattr(e, name) for e in events] for name in ("t", "u", "v", "p")]
-        return cls(geometry, *fields)
 
 
 _COMMENT_LINE = re.compile(r"\n[^\S\n]*#[^\n]*")
@@ -193,7 +170,7 @@ def parse_stream(source: Union[bytes, str], geometry: SensorGeometry) -> EventSt
                        lambda r: EventStream(geometry, r["t"], r["u"], r["v"], r["p"]))
 
 
-def _format_rows(row_format: str, *columns: np.ndarray) -> bytes:
+def format_rows(row_format: str, *columns: np.ndarray) -> bytes:
     """UTF-8 text of ``row_format`` once per row, filled from one element of each column.
 
     One ``%`` over the interleaved column values formats the whole table.
@@ -207,7 +184,7 @@ def _format_rows(row_format: str, *columns: np.ndarray) -> bytes:
 
 def serialize_stream(stream: EventStream) -> bytes:
     """Inverse of :func:`parse_stream`; timestamps keep full double precision."""
-    return _format_rows("%r %d %d %d\n", stream.t, stream.u, stream.v, stream.p)
+    return format_rows("%r %d %d %d\n", stream.t, stream.u, stream.v, stream.p)
 
 
 ASSOCIATION_HEADER = "# event_index trajectory_id"
@@ -216,7 +193,7 @@ ASSOCIATION_HEADER = "# event_index trajectory_id"
 def format_associations(assignment: np.ndarray) -> bytes:
     """Render a per-event trajectory assignment (noise = -1) as text."""
     labels = np.asarray(assignment)
-    return (ASSOCIATION_HEADER + "\n").encode("utf-8") + _format_rows(
+    return (ASSOCIATION_HEADER + "\n").encode("utf-8") + format_rows(
         "%d %d\n", np.arange(labels.size), labels)
 
 
@@ -257,4 +234,4 @@ def read_box_annotations(source: Union[bytes, str]) -> np.ndarray:
 
 
 def format_box_annotations(rows: np.ndarray) -> bytes:
-    return _format_rows("%r %r %r %r %r\n", *np.asarray(rows, dtype=float).T)
+    return format_rows("%r %r %r %r %r\n", *np.asarray(rows, dtype=float).T)

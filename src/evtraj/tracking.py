@@ -7,14 +7,13 @@ next frame's ground truth.
 """
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Union
 
 import numpy as np
 
 from .config import RunConfig
-from .fitting import AssociationResult, fit_window, fit_windows
+from .fitting import AssociationResult, fit_windows
 from .grouping import EventWindow
 from .hypotheses import time_scale, window_voxels
 from .io import NOISE_ID, EventStream
@@ -141,28 +140,32 @@ def _pair_window(stream: EventStream, pair: TrackingPair, min_events: int) -> Ev
     return EventWindow.of(stream, lo, hi, pair.t_curr, pair.t_next)
 
 
-def _propagate(result: AssociationResult, pair: TrackingPair, config) -> BoundingBox:
-    if result.failed:
-        raise TrackingFailure("no trajectory fitted between the frames")
-    return propagate_box(result, pair.gt_curr, pair.t_next, config.min_inliers)
+def track(
+    stream: EventStream, pairs: Sequence[TrackingPair], config
+) -> List[Union[BoundingBox, TrackingFailure]]:
+    """Propagate each pair's current box to its next frame.
 
-
-def track_pair(stream: EventStream, pair: TrackingPair, config) -> BoundingBox:
-    """Fit the events between the pair's frames and propagate its current box.
-
-    Raises :class:`TrackingFailure` when the window holds fewer than
-    ``config.min_inliers`` events, its fit fails, or too few of its events
-    inside the box are associated.
+    Every pair window is fitted in one :func:`fit_windows` call. Each entry is
+    the propagated box, or the :class:`TrackingFailure` that stopped its pair:
+    fewer than ``config.min_inliers`` events between the frames, a failed fit,
+    or too few associated events inside the box.
     """
-    window = _pair_window(stream, pair, config.min_inliers)
-    return _propagate(fit_window(window, config), pair, config)
-
-
-def _overlap(result: AssociationResult, pair: TrackingPair, config) -> float:
-    try:
-        return iou(_propagate(result, pair, config), pair.gt_next)
-    except TrackingFailure:
-        return 0.0
+    out: list = [None] * len(pairs)
+    windows = {}
+    for k, pair in enumerate(pairs):
+        try:
+            windows[k] = _pair_window(stream, pair, config.min_inliers)
+        except TrackingFailure as exc:
+            out[k] = exc
+    for k, result in zip(windows, fit_windows(list(windows.values()), config)):
+        pair = pairs[k]
+        try:
+            if result.failed:
+                raise TrackingFailure("no trajectory fitted between the frames")
+            out[k] = propagate_box(result, pair.gt_curr, pair.t_next, config.min_inliers)
+        except TrackingFailure as exc:
+            out[k] = exc
+    return out
 
 
 def evaluate(
@@ -174,18 +177,13 @@ def evaluate(
     """Score each tracking pair and aggregate over ``n_rep`` repetitions.
 
     Failed propagations score overlap 0. The pipeline is deterministic, so
-    each pair is fitted once, all pair windows in one :func:`fit_windows`
-    call, and the row repeated ``n_rep`` times.
+    each pair is tracked once by :func:`track` and the row repeated ``n_rep``
+    times.
     """
     if not pairs:
         raise ValueError("no tracking pairs")
-    windows = {}
-    for k, pair in enumerate(pairs):
-        with contextlib.suppress(TrackingFailure):
-            windows[k] = _pair_window(stream, pair, config.min_inliers)
-    fits = dict(zip(windows, fit_windows(list(windows.values()), config)))
-    row = [_overlap(fits[k], pair, config) if k in fits else 0.0
-           for k, pair in enumerate(pairs)]
+    row = [iou(box, pair.gt_next) if isinstance(box, BoundingBox) else 0.0
+           for box, pair in zip(track(stream, pairs, config), pairs)]
     overlaps = np.tile(np.asarray(row, dtype=np.float64), (n_rep, 1))
     success = (overlaps >= SUCCESS_THRESHOLD).astype(np.float64)
     return EvalReport(

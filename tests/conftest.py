@@ -3,6 +3,7 @@
 The builders freeze the scene families used across the fitting, tracking,
 and acceptance tests: well-separated constant-velocity lanes for multi-model
 recovery, and a translating rigid group of point emitters for box tracking.
+``events_of`` lists a stream's events as plain tuples.
 """
 from __future__ import annotations
 
@@ -14,6 +15,13 @@ from evtraj.grouping import EventWindow
 from evtraj.io import EventStream, SensorGeometry
 from evtraj.synth import MotionSpec, SceneData, SyntheticScene, generate_scene
 from evtraj.tracking import BoundingBox, TrackingPair
+
+
+def events_of(stream):
+    """The stream's events as ``(t, u, v, p)`` tuples."""
+    return list(zip(stream.t.tolist(), stream.u.tolist(), stream.v.tolist(),
+                    stream.p.tolist()))
+
 
 # --- multi-lane association scenes (64 x 64, one 50 ms window) ---
 

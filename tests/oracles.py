@@ -1,11 +1,13 @@
 """References used only by the tests.
 
-The line fits measure what the pipeline should recover from a labelled
-window: the total-least-squares line of each motion's events, and the
-direction a known velocity traces in normalized voxel space. The fit
-references are the per-window compositions that the batched fit replaced:
-one window at a time, one residual matrix per window, one greedy
-representative search per representative.
+The grid entropy is recomputed from the decayed surface, as the check on the
+frame's incremental entropy. The line fits measure what the pipeline should
+recover from a labelled window: the total-least-squares line of each motion's
+events, and the direction a known velocity traces in normalized voxel space.
+The fit references are the per-window compositions that the batched fit
+replaced: one window at a time, one residual matrix per window, one greedy
+representative search per representative. The tracking reference fits and
+propagates one box pair at a time.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from evtraj.fitting import (
     residual_matrix,
     weigh_models,
 )
-from evtraj.grouping import EventWindow
+from evtraj.grouping import AtsltdFrame, EventWindow
 from evtraj.hypotheses import (
     HypothesisError,
     HypothesisSet,
@@ -33,6 +35,7 @@ from evtraj.hypotheses import (
 )
 from evtraj.io import NOISE_ID
 from evtraj.synth import CLUTTER_LABEL
+from evtraj.tracking import TrackingFailure, propagate_box
 
 
 def brute_force_lines(
@@ -63,6 +66,30 @@ def brute_force_lines(
             direction = -direction
         out[int(label)] = (centroid, direction)
     return out
+
+
+def nzge_entropy(frame: AtsltdFrame, grid: int | None = None) -> float:
+    """Non-zero grid entropy, recomputed from the normalized surface.
+
+    Tiles the surface into grid x grid pixel cells, forms the distribution of
+    non-zero tile sums, and returns its Shannon entropy.
+    """
+    grid = frame.grid if grid is None else int(grid)
+    if grid < 1:
+        raise ValueError("grid must be >= 1")
+    h, w = frame.geometry.height, frame.geometry.width
+    if h < grid or w < grid:
+        raise ValueError("frame dimensions must be >= grid")
+    gh = -(-h // grid)
+    gw = -(-w // grid)
+    padded = np.zeros((gh * grid, gw * grid))
+    padded[:h, :w] = frame.surface
+    tiles = padded.reshape(gh, grid, gw, grid).sum(axis=(1, 3)).ravel()
+    tiles = tiles[tiles > 0]
+    if tiles.size == 0:
+        return 0.0
+    p = tiles / tiles.sum()
+    return float(-(p * np.log2(p)).sum())
 
 
 def expected_direction(
@@ -172,3 +199,26 @@ def reference_fit_window(window: EventWindow, config) -> AssociationResult:
                                        float(w1[i]), float(finals[i])))
     assignment = associate(vox, hyps.lines[0], hyps.families[0], instances, scale)
     return AssociationResult(window, instances, assignment)
+
+
+def reference_track(stream, pairs, config) -> list:
+    """Each pair's propagated box, or its :class:`TrackingFailure`, one pair at a time.
+
+    The pair's window holds the events from its current to its next frame;
+    it is fitted alone by :func:`reference_fit_window`.
+    """
+    out = []
+    for pair in pairs:
+        lo = int(np.searchsorted(stream.t, pair.t_curr, side="left"))
+        hi = int(np.searchsorted(stream.t, pair.t_next, side="right"))
+        try:
+            if hi - lo < config.min_inliers:
+                raise TrackingFailure(f"only {hi - lo} events between the frames")
+            window = EventWindow.of(stream, lo, hi, pair.t_curr, pair.t_next)
+            result = reference_fit_window(window, config)
+            if result.failed:
+                raise TrackingFailure("no trajectory fitted between the frames")
+            out.append(propagate_box(result, pair.gt_curr, pair.t_next, config.min_inliers))
+        except TrackingFailure as exc:
+            out.append(exc)
+    return out

@@ -12,11 +12,12 @@ from conftest import (
     track_pairs,
     track_stream,
 )
-from evtraj import fitting, io
+from evtraj import fitting, io, synth
 from evtraj.cli import build_parser, main, _build_config
 from evtraj.config import RunConfig
 from evtraj.io import NOISE_ID, SensorGeometry
-from evtraj.tracking import BoundingBox, TrackingPair, track_pair
+from evtraj.tracking import BoundingBox, TrackingPair
+from oracles import reference_track
 
 
 def lane_scene_doc(num_motions, clutter_frac=0.2, seed=0):
@@ -245,16 +246,15 @@ class TestTrackCommand:
                    "--geometry", "64x64"])
         return rc, out
 
-    def test_rows_match_track_pair(self, tmp_path, capsys):
+    def test_rows_match_the_per_pair_reference(self, tmp_path, capsys):
         pairs = track_pairs(4)
         rc, out = self._track(tmp_path, frame_rows(pairs))
         assert rc == 0
         assert f"tracked 4/4 pairs -> {out}" in capsys.readouterr().out
         rows = io.read_box_annotations(out.read_bytes())
         assert rows.shape == (4, 5)
-        stream, config = track_stream(), RunConfig(width=64, height=64)
-        for row, pair in zip(rows, pairs):
-            box = track_pair(stream, pair, config)
+        boxes = reference_track(track_stream(), pairs, RunConfig(width=64, height=64))
+        for row, pair, box in zip(rows, pairs, boxes):
             assert row.tolist() == [pair.t_next, box.x, box.y, box.w, box.h]
 
     def test_failed_pair_is_reported_and_skipped(self, tmp_path, capsys):
@@ -268,6 +268,14 @@ class TestTrackCommand:
         assert f"tracked {n_rows}/4 pairs" in captured.out
         assert captured.err.count("tracking failure") == 4 - n_rows
         assert "pair at t=10.000000: tracking failure" in captured.err
+
+    def test_single_frame_box_file_fails(self, tmp_path, capsys):
+        rc, out = self._track(tmp_path, [[0.0, 1, 1, 4, 4]])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "fewer than two" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestPlotCommand:
@@ -293,6 +301,45 @@ class TestPlotCommand:
             su, sv, eu, ev = int(parts[2]), int(parts[3]), int(parts[5]), int(parts[6])
             assert 0 <= su < 64 and 0 <= sv < 64
             assert 0 <= eu < 64 and 0 <= ev < 64
+
+    def test_plot_and_label_files_match_a_per_line_reference(self, tmp_path, scene_file):
+        # a bar, a point and clutter: labels and associations both hold noise ids
+        doc = lane_scene_doc(1, clutter_frac=1.0, seed=3)
+        doc["motions"].append({"kind": "bar", "velocity": [600.0, 0.0],
+                               "start_region": [5, 30, 2, 20], "event_rate": 2000.0,
+                               "noise_sigma": 0.3})
+        scene = scene_file(doc)
+        events, labels, assoc, plot = (tmp_path / n for n in
+                                       ("events.txt", "labels.txt", "assoc.txt", "plot.txt"))
+        assert main(["synth", scene, "--out", str(events), "--out-labels", str(labels)]) == 0
+        assert main(["associate", str(events), "--out", str(assoc), "--geometry", "64x64"]) == 0
+        assert main(["plot", str(events), str(assoc), "--out", str(plot),
+                     "--geometry", "64x64"]) == 0
+
+        truth = synth.generate_scene(synth.scene_from_file(scene)).labels.tolist()
+        assert NOISE_ID in truth and 1 in truth
+        expected = "# event_index label\n"
+        for i, lab in enumerate(truth):
+            expected += f"{i} {lab}\n"
+        assert labels.read_bytes() == expected.encode("utf-8")
+
+        stream = io.parse_stream(events.read_bytes(), LANE_GEOMETRY)
+        assignment = io.read_associations(assoc.read_bytes())
+        assert NOISE_ID in assignment and (assignment != NOISE_ID).any()
+        lines = ["# T id su sv st eu ev et   (trajectory segments)",
+                 "# E index u v t id         (labeled event voxels)"]
+        for traj in np.unique(assignment):
+            if traj == NOISE_ID:
+                continue
+            sel = assignment == traj
+            t, u, v = stream.t[sel], stream.u[sel], stream.v[sel]
+            i0, i1 = int(np.argmin(t)), int(np.argmax(t))
+            lines.append(f"T {traj} {u[i0]} {v[i0]} {float(t[i0])!r} "
+                         f"{u[i1]} {v[i1]} {float(t[i1])!r}")
+        for i in range(len(stream)):
+            lines.append(f"E {i} {stream.u[i]} {stream.v[i]} {float(stream.t[i])!r} "
+                         f"{assignment[i]}")
+        assert plot.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
     def test_mismatched_association_file(self, tmp_path, scene_file, capsys):
         scene = scene_file(lane_scene_doc(1))
@@ -387,6 +434,20 @@ class TestConfigPlumbing:
                    "--config", str(cfg_file)])
         assert rc == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", ["hypo.num_slices: 10.9\n", "entropy.grid: true\n"],
+                             ids=["num_slices_10.9", "grid_true"])
+    def test_config_value_that_would_be_coerced_fails_cleanly(self, tmp_path, capsys, doc):
+        cfg_file = tmp_path / "run.yaml"
+        cfg_file.write_text(doc)
+        events = tmp_path / "events.txt"
+        events.write_bytes(b"0.1 1 1 0\n0.2 2 2 0\n0.3 3 3 0\n")
+        out = tmp_path / "o.txt"
+        rc = main(["associate", str(events), "--out", str(out), "--config", str(cfg_file)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: config key ")
+        assert captured.out == "" and not out.exists()
 
     def test_yaml_syntax_error_in_config_fails_cleanly(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.yaml"

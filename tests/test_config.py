@@ -54,6 +54,27 @@ def test_apply_overrides_coerces_strings():
     assert cfg.tau == 0.03 and isinstance(cfg.tau, float)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("hypo.num_slices", 10.9),
+    ("hypo.num_slices", True),
+    ("entropy.grid", True),
+    ("geometry.width", 64.5),
+    ("fit.min_inliers", float("inf")),
+    ("fit.tau", True),
+    ("entropy.alpha", False),
+    ("fit.tau", [0.1]),
+])
+def test_apply_overrides_rejects_values_it_would_round(key, value):
+    with pytest.raises(ValueError, match=f"config key '{key}'"):
+        apply_overrides(RunConfig(), {key: value})
+
+
+def test_apply_overrides_keeps_integral_numbers():
+    cfg = apply_overrides(RunConfig(), {"hypo.num_slices": 12.0, "fit.tau": 1})
+    assert cfg.num_slices == 12 and isinstance(cfg.num_slices, int)
+    assert cfg.tau == 1.0 and isinstance(cfg.tau, float)
+
+
 def test_apply_overrides_ignores_none_values():
     assert apply_overrides(RunConfig(), {"fit.tau": None}) == RunConfig()
 

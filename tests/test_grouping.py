@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
+from conftest import events_of
 from evtraj.grouping import (
     AtsltdFrame,
     EntropyInterval,
@@ -13,9 +14,9 @@ from evtraj.grouping import (
     GroupingError,
     cut_windows,
     estimate_interval,
-    nzge_entropy,
 )
-from evtraj.io import Event, EventStream, SensorGeometry
+from evtraj.io import EventStream, SensorGeometry
+from oracles import nzge_entropy
 
 GEOM = SensorGeometry(32, 32)
 # the second event lies within 0.1 of the first by subtraction, but past
@@ -24,7 +25,9 @@ SPAN_LIMIT_EVENTS = [(0.00102, 5, 5, 1), (0.10102000000000001, 5, 5, 1), (0.3, 5
 
 
 def make_stream(events, geometry=GEOM):
-    return EventStream.from_events(geometry, [Event(*e) for e in events])
+    """A stream of ``(t, u, v, p)`` tuples."""
+    t, u, v, p = zip(*events) if events else ((), (), (), ())
+    return EventStream(geometry, t, u, v, p)
 
 
 def surface_oracle(geometry, window_start, events):
@@ -217,12 +220,12 @@ class TestUpdateFrame:
         t0 = float(stream.t[0])
         frame = AtsltdFrame(stream.geometry, t0, grid)
         dense = DenseFrame(stream.geometry, t0, grid)
-        for i, e in enumerate(stream):
+        for i, (t, u, v, p) in enumerate(events_of(stream)):
             if i == reset_at:
-                frame.reset(e.t)
-                dense = DenseFrame(stream.geometry, e.t, grid)
-            frame.update_raw(e.u, e.v, e.p, e.t)
-            dense.update_raw(e.u, e.v, e.p, e.t)
+                frame.reset(t)
+                dense = DenseFrame(stream.geometry, t, grid)
+            frame.update_raw(u, v, p, t)
+            dense.update_raw(u, v, p, t)
             assert frame.entropy == dense.entropy
         # offsets only grow within a window, so a pixel's last write is the
         # larger of its two polarity channels
@@ -252,15 +255,14 @@ class TestUpdateFrame:
     def test_replay_is_bit_identical(self):
         rng = np.random.default_rng(7)
         events = [
-            Event(float(t), int(rng.integers(32)), int(rng.integers(32)),
-                  int(rng.integers(2)))
+            (float(t), int(rng.integers(32)), int(rng.integers(32)), int(rng.integers(2)))
             for t in np.cumsum(rng.uniform(0, 0.01, 100)).tolist()
         ]
         frames = []
         for _ in range(2):
             frame = AtsltdFrame(GEOM, window_start=0.0)
-            for e in events:
-                frame.update_raw(e.u, e.v, e.p, e.t)
+            for t, u, v, p in events:
+                frame.update_raw(u, v, p, t)
             frames.append(frame)
         assert np.array_equal(frames[0].surface, frames[1].surface)
         assert frames[0].entropy == frames[1].entropy

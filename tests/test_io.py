@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import events_of
 from evtraj.io import (
     NOISE_ID,
-    Event,
     EventStream,
     FormatError,
     SensorGeometry,
@@ -26,7 +26,7 @@ GEOM = SensorGeometry(240, 180)
 def test_parse_single_event():
     stream = parse_stream(b"0.000100 120 85 1", GEOM)
     assert len(stream) == 1
-    assert stream[0] == Event(t=0.0001, u=120, v=85, p=1)
+    assert events_of(stream) == [(0.0001, 120, 85, 1)]
 
 
 def test_parse_rejects_timestamp_regression():
@@ -43,7 +43,7 @@ def test_parse_skips_comments_and_blank_lines():
     text = b"# header\n\n0.1 1 2 0\n  # trailing comment\n0.2 3 4 1\n"
     stream = parse_stream(text, GEOM)
     assert len(stream) == 2
-    assert stream[1] == Event(0.2, 3, 4, 1)
+    assert events_of(stream)[1] == (0.2, 3, 4, 1)
 
 
 def test_parse_allows_equal_timestamps():
@@ -153,13 +153,15 @@ def test_stream_is_immutable():
         stream.t[0] = 5.0
 
 
-def test_stream_equality_and_iteration():
+def test_stream_equality_and_fields():
     a = parse_stream(b"0.1 1 2 0\n0.2 3 4 1", GEOM)
     b = parse_stream(b"0.1 1 2 0\n0.2 3 4 1", GEOM)
     c = parse_stream(b"0.1 1 2 0\n0.2 3 4 0", GEOM)
     assert a == b
     assert a != c
-    assert list(a) == [Event(0.1, 1, 2, 0), Event(0.2, 3, 4, 1)]
+    assert events_of(a) == [(0.1, 1, 2, 0), (0.2, 3, 4, 1)]
+    assert (a.t.dtype, a.u.dtype, a.v.dtype, a.p.dtype) == (np.float64, np.int32, np.int32,
+                                                          np.uint8)
 
 
 def test_geometry_validation():
@@ -209,9 +211,7 @@ def test_parse_rejects_order_violations(stream, rng):
     if all(a <= b for a, b in zip(ts, ts[1:])):
         # equal-timestamp events may swap places, so compare as multisets
         parsed = parse_stream(shuffled, GEOM)
-        assert sorted((e.t, e.u, e.v, e.p) for e in parsed) == sorted(
-            (e.t, e.u, e.v, e.p) for e in stream
-        )
+        assert sorted(events_of(parsed)) == sorted(events_of(stream))
     else:
         with pytest.raises(FormatError):
             parse_stream(shuffled, GEOM)

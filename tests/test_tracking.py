@@ -22,8 +22,9 @@ from evtraj.tracking import (
     iou,
     pairs_from_annotations,
     propagate_box,
-    track_pair,
+    track,
 )
+from oracles import reference_track
 
 GEOM = SensorGeometry(64, 64)
 
@@ -149,6 +150,23 @@ class TestPropagateBox:
             propagate_box(res, gt, TRACK_FRAME, min_events=n_inside + 1)
 
 
+def failing_pairs() -> list:
+    """Pairs of the framed track stream that each fail in their own way."""
+    return [
+        # no events between the frames
+        TrackingPair(10.0, 10.02, BoundingBox(0, 0, 4, 4), BoundingBox(0, 0, 4, 4)),
+        # a fitted window, but no associated event inside the box
+        TrackingPair(0.1, 0.12, BoundingBox(50, 0, 4, 4), BoundingBox(50, 0, 4, 4)),
+        # a few events whose fit fails
+        TrackingPair(0.2, 0.2003, BoundingBox(1, 1, 4, 4), BoundingBox(1, 1, 4, 4)),
+    ]
+
+
+def outcomes(results: list) -> list:
+    """Boxes as they are, anything else as its type and message."""
+    return [r if isinstance(r, BoundingBox) else f"{type(r).__name__}: {r}" for r in results]
+
+
 class TestEvaluate:
     def test_clean_translating_group_scores_high(self):
         stream = track_stream()
@@ -171,27 +189,20 @@ class TestEvaluate:
         stream = track_stream()
         pairs = track_pairs(3)
         report = evaluate(stream, pairs, lane_config(), n_rep=3)
-        row = [iou(track_pair(stream, p, lane_config()), p.gt_next) for p in pairs]
+        boxes = reference_track(stream, pairs, lane_config())
+        row = [iou(box, p.gt_next) for box, p in zip(boxes, pairs)]
         assert report.per_pair.shape == (3, 3)
         assert all(r.tolist() == row for r in report.per_pair)
         assert report.aor == float(report.per_pair.mean())
 
-    def test_one_batch_matches_track_pair_per_pair(self):
-        # evaluate fits every pair window in one call; each overlap must equal
-        # fitting and propagating that pair alone, failures scoring 0
+    def test_one_batch_matches_the_per_pair_reference(self):
+        # evaluate tracks every pair in one batched fit; each overlap must
+        # equal fitting and propagating that pair alone, failures scoring 0
         stream = framed_track_stream()
-        pairs = track_pairs(8)
-        pairs.append(TrackingPair(10.0, 10.02, BoundingBox(0, 0, 4, 4),
-                                  BoundingBox(0, 0, 4, 4)))
-        pairs.append(TrackingPair(0.1, 0.12, BoundingBox(50, 0, 4, 4),
-                                  BoundingBox(50, 0, 4, 4)))
-        row = []
-        for pair in pairs:
-            try:
-                row.append(iou(track_pair(stream, pair, lane_config()), pair.gt_next))
-            except TrackingFailure:
-                row.append(0.0)
-        assert row.count(0.0) >= 2
+        pairs = track_pairs(8) + failing_pairs()
+        row = [iou(box, p.gt_next) if isinstance(box, BoundingBox) else 0.0
+               for box, p in zip(reference_track(stream, pairs, lane_config()), pairs)]
+        assert row.count(0.0) >= 3
         report = evaluate(stream, pairs, lane_config(), n_rep=2)
         assert all(r.tolist() == row for r in report.per_pair)
 
@@ -207,8 +218,22 @@ class TestEvaluate:
             evaluate(track_stream(), [], lane_config())
 
 
-class TestTrackPair:
-    def test_too_few_events_raises(self):
+class TestTrack:
+    def test_matches_the_per_pair_reference(self):
+        # box for box and failure message for failure message
+        stream = framed_track_stream()
+        pairs = failing_pairs()[:2] + track_pairs(6) + failing_pairs()[2:]
+        got = outcomes(track(stream, pairs, lane_config()))
+        assert got == outcomes(reference_track(stream, pairs, lane_config()))
+        assert [got[0], got[1], got[-1]] == [
+            "TrackingFailure: only 0 events between the frames",
+            "TrackingFailure: only 0 associated events inside the box",
+            "TrackingFailure: no trajectory fitted between the frames",
+        ]
+        assert sum(isinstance(b, BoundingBox) for b in got) >= 5
+
+    def test_too_few_events_fail(self):
         late = TrackingPair(10.0, 10.02, BoundingBox(0, 0, 4, 4), BoundingBox(0, 0, 4, 4))
-        with pytest.raises(TrackingFailure, match="0 events"):
-            track_pair(track_stream(), late, lane_config())
+        [failure] = track(track_stream(), [late], lane_config())
+        assert isinstance(failure, TrackingFailure)
+        assert str(failure) == "only 0 events between the frames"
