@@ -22,24 +22,28 @@ def _parse_geometry(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"geometry must look like 240x180, got {text!r}")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, geometry=True, fit=True, cut=True) -> None:
+    """``--config`` and the flags a command reads; its config file may still set any key."""
     parser.add_argument("--config", help="YAML config file (dotted keys)")
-    parser.add_argument("--geometry", type=_parse_geometry, metavar="WxH")
-    parser.add_argument("--tau", type=float, help="inlier noise scale")
-    parser.add_argument("--slices", type=int, help="number of time slices")
-    parser.add_argument("--alpha", type=float, help="entropy lower bound (bits)")
-    parser.add_argument("--beta", type=float, help="entropy upper bound (bits)")
-    parser.add_argument("--scale-mode", choices=("fixed", "ikose"))
+    if geometry:
+        parser.add_argument("--geometry", type=_parse_geometry, metavar="WxH")
+    if fit:
+        parser.add_argument("--tau", type=float, help="inlier noise scale")
+        parser.add_argument("--slices", type=int, help="number of time slices")
+        parser.add_argument("--scale-mode", choices=("fixed", "ikose"))
+    if cut:
+        parser.add_argument("--alpha", type=float, help="entropy lower bound (bits)")
+        parser.add_argument("--beta", type=float, help="entropy upper bound (bits)")
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    width, height = args.geometry or (None, None)
-    return apply_overrides(load_config(args.config), {
-        "tau": args.tau,
-        "num_slices": args.slices,
-        "entropy_alpha": args.alpha,
-        "entropy_beta": args.beta,
-        "scale_mode": args.scale_mode,
+    width, height = getattr(args, "geometry", None) or (None, None)
+    return apply_overrides(load_config(args.config), {  # a flag a command lacks is unset
+        "tau": getattr(args, "tau", None),
+        "num_slices": getattr(args, "slices", None),
+        "entropy_alpha": getattr(args, "alpha", None),
+        "entropy_beta": getattr(args, "beta", None),
+        "scale_mode": getattr(args, "scale_mode", None),
         "width": width,
         "height": height,
     })
@@ -152,8 +156,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     with open(args.assoc, "rb") as fh:
         assignment = io.read_associations(fh.read())
     if assignment.size != len(stream):
-        print("error: association file does not match the event file", file=sys.stderr)
-        return 1
+        raise ValueError("association file does not match the event file")
     lines = ["# T id su sv st eu ev et   (trajectory segments)",
              "# E index u v t id         (labeled event voxels)"]
     for traj in np.unique(assignment):
@@ -179,10 +182,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.runs < 1:
         raise ValueError(f"--runs must be >= 1, got {args.runs}")
     config = _build_config(args)
-    scene = synth.scene_from_file(args.scene)
-    data = synth.generate_scene(scene)
-    geom = data.stream.geometry
-    config = apply_overrides(config, {"width": geom.width, "height": geom.height})
+    data = synth.generate_scene(synth.scene_from_file(args.scene))
     n = len(data.stream)
     timings = []
     for _ in range(args.runs):
@@ -214,14 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("events")
     p.add_argument("boxes")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, cut=False)
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("eval", help="frame-wise tracking evaluation (AOR/AR)")
     p.add_argument("events")
     p.add_argument("pairs")
     p.add_argument("--machine", action="store_true", help="line-oriented output")
-    _add_common(p)
+    _add_common(p, cut=False)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a synthetic scene")
@@ -238,13 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("events")
     p.add_argument("assoc")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, fit=False, cut=False)
     p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("bench", help="pipeline throughput in events per second")
     p.add_argument("scene", help="scene spec YAML")
     p.add_argument("--runs", type=int, default=3)
-    _add_common(p)
+    _add_common(p, geometry=False)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .config import RunConfig
 from .grouping import EntropyInterval, EventWindow, cut_windows
@@ -173,7 +173,7 @@ def estimate_tau_ikose(column: np.ndarray, k_ratio: float = RunConfig.ikose_k) -
     r = np.sort(np.asarray(column, dtype=np.float64))
     if r.size == 0:
         raise ValueError("empty residual column")
-    q = float(stats.norm.ppf((1 + k_ratio) / 2))
+    q = float(special.ndtri((1 + k_ratio) / 2))
 
     def kth_scale(res: np.ndarray) -> float:
         k = max(1, math.ceil(k_ratio * res.size))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .config import RunConfig
 from .io import EventStream, SensorGeometry
@@ -50,38 +50,45 @@ class EntropyInterval:
 
 @dataclass(frozen=True, slots=True)
 class EventWindow:
-    """A contiguous time-bounded slice of an event stream, in time order.
+    """The events ``stream[offset:stop]`` of a validated stream, over ``[t_start, t_end]``.
 
-    ``offset`` is the index of the first event within the parent stream, so
-    per-window results can be mapped back to global event indices.
+    The stream checked every event, so a window checks in O(1) only its range
+    and its end events. ``offset`` maps results back to global event indices.
     """
 
-    geometry: SensorGeometry
-    t: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
+    stream: EventStream
+    offset: int
+    stop: int
     t_start: float
     t_end: float
-    offset: int = 0
 
     def __post_init__(self) -> None:
-        t = self.t
+        lo, hi, t = self.offset, self.stop, self.stream.t
         if not self.t_end > self.t_start:
             raise ValueError("window must have positive span")
-        if t.size and (t[0] < self.t_start or t[-1] > self.t_end):
+        if not 0 <= lo <= hi <= t.size:
+            raise ValueError(f"window range [{lo}, {hi}) is outside the {t.size}-event stream")
+        if hi > lo and (t[lo] < self.t_start or t[hi - 1] > self.t_end):
             raise ValueError("window events outside [t_start, t_end]")
-        if np.count_nonzero(t[1:] < t[:-1]):
-            raise ValueError("window events out of time order")
 
-    @classmethod
-    def of(cls, stream: EventStream, lo: int, hi: int,
-           t_start: float, t_end: float) -> "EventWindow":
-        """The events ``stream[lo:hi]`` as a window over ``[t_start, t_end]``."""
-        return cls(stream.geometry, stream.t[lo:hi], stream.u[lo:hi], stream.v[lo:hi],
-                   t_start=t_start, t_end=t_end, offset=lo)
+    @property
+    def geometry(self) -> SensorGeometry:
+        return self.stream.geometry
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.stream.t[self.offset:self.stop]
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.stream.u[self.offset:self.stop]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.stream.v[self.offset:self.stop]
 
     def __len__(self) -> int:
-        return int(self.t.size)
+        return self.stop - self.offset
 
     @property
     def span(self) -> float:
@@ -94,8 +101,8 @@ class AtsltdFrame:
     Only the pixels and tiles written since the window start hold state (the
     raw offset of each pixel's last write, raw sums per tile), so a frame costs
     nothing per sensor pixel and :meth:`reset` starts the next window on the
-    same frame. Events are applied by :meth:`scan`, which runs over a range of
-    events; :meth:`update_raw` applies one.
+    same frame. :meth:`scan` applies a range of events of a validated
+    :class:`EventStream`; :meth:`update_raw` checks and applies one raw event.
     """
 
     def __init__(self, geometry: SensorGeometry, window_start: float,
@@ -122,19 +129,19 @@ class AtsltdFrame:
         self._entropy = 0.0
 
     def locate(self, u, v) -> Tuple[List[int], List[int]]:
-        """Flat pixel and tile indices of pixel coordinates, as :meth:`scan` takes them."""
+        """Flat pixel and tile indices of a stream's pixels, as :meth:`scan` takes them."""
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
-        w, h = self.geometry.width, self.geometry.height
-        outside = (u < 0) | (u >= w) | (v < 0) | (v >= h)
-        if outside.any():
-            i = int(outside.argmax())
-            raise GroupingError(f"({u.flat[i]}, {v.flat[i]}) is not a pixel of the {w}x{h} frame")
-        g = self.grid
+        g, w = self.grid, self.geometry.width
         return (v * w + u).tolist(), ((v // g) * self._tiles_per_row + u // g).tolist()
 
     def update_raw(self, u: int, v: int, p: int, t: float) -> None:
-        """Apply one event. ``p`` is ignored: the surface has no polarity channels."""
+        """Check and apply one event. ``p`` is ignored: the surface has no polarity channels."""
+        w, h = self.geometry.width, self.geometry.height
+        if not (0 <= u < w and 0 <= v < h):
+            raise GroupingError(f"({u}, {v}) is not a pixel of the {w}x{h} frame")
+        if t < self.last_update:
+            raise GroupingError(f"event at t={t} precedes last update {self.last_update}")
         pixels, tiles = self.locate([u], [v])
         self.scan([t], pixels, tiles, 0, 1)
 
@@ -149,44 +156,42 @@ class AtsltdFrame:
     ) -> int:
         """Apply events ``lo:hi`` in order, stopping at the first that closes the window.
 
-        ``pixels`` and ``tiles`` come from :meth:`locate`. An event closes the
+        ``pixels`` and ``tiles`` come from :meth:`locate` on a stream's events,
+        which are valid and no earlier than the last update. An event closes the
         window when its timestamp is past the window start and the entropy
         after its update lies in ``interval``. Returns that event's index, or
         ``hi`` when no event closes the window (always, without an interval).
         """
         alpha, beta = (interval.alpha, interval.beta) if interval else (math.inf, -math.inf)
         w0 = self.window_start
-        last = self.last_update
         latest, sums = self._latest, self._tiles
         total, xlog, h = self._tile_total, self._tile_xlog, self._entropy
         log2 = math.log2
-        try:
-            for i in range(lo, hi):
-                ti = t[i]
-                if ti < last:
-                    raise GroupingError(f"event at t={ti} precedes last update {last}")
-                last = ti
-                raw = ti - w0
-                k = pixels[i]
-                delta = raw - latest.get(k, 0.0)
-                latest[k] = raw
-                if delta != 0.0:
-                    c = tiles[i]
-                    a = sums.get(c, 0.0)
-                    b = a + delta
-                    sums[c] = b
-                    total += delta
-                    xlog += (b * log2(b) if b > 0.0 else 0.0) - (a * log2(a) if a > 0.0 else 0.0)
-                    # grid entropy from S and T: log2(S) - T / S, clamped at 0
-                    h = log2(total) - xlog / total if total > 0.0 else 0.0
-                    if not h > 0.0:
-                        h = 0.0
-                if ti > w0 and alpha <= h <= beta:
-                    return i
-            return hi
-        finally:
-            self.last_update = last
-            self._tile_total, self._tile_xlog, self._entropy = total, xlog, h
+        closed = hi
+        for i in range(lo, hi):
+            ti = t[i]
+            raw = ti - w0
+            k = pixels[i]
+            delta = raw - latest.get(k, 0.0)
+            latest[k] = raw
+            if delta != 0.0:
+                c = tiles[i]
+                a = sums.get(c, 0.0)
+                b = a + delta
+                sums[c] = b
+                total += delta
+                xlog += (b * log2(b) if b > 0.0 else 0.0) - (a * log2(a) if a > 0.0 else 0.0)
+                # grid entropy from S and T: log2(S) - T / S, clamped at 0
+                h = log2(total) - xlog / total if total > 0.0 else 0.0
+                if not h > 0.0:
+                    h = 0.0
+            if ti > w0 and alpha <= h <= beta:
+                closed = i
+                break
+        if hi > lo:
+            self.last_update = t[min(closed, hi - 1)]
+        self._tile_total, self._tile_xlog, self._entropy = total, xlog, h
+        return closed
 
     @property
     def entropy(self) -> float:
@@ -228,15 +233,11 @@ def cut_windows(
     tl = stream.t.tolist()
     n = len(tl)
 
-    windows: List[EventWindow] = []
+    bounds: List[Tuple[int, int, float, float]] = []  # (offset, stop, t_start, t_end)
     start_idx = i = 0
     w_start = tl[0]
     frame = AtsltdFrame(stream.geometry, w_start, grid)
     pixels, tiles = frame.locate(stream.u, stream.v)
-
-    def emit(lo: int, hi: int, t0: float, t1: float) -> None:
-        windows.append(EventWindow.of(stream, lo, hi, t0, t1))
-
     while i < n:
         ti = tl[i]
         # one limit for the include test, the hop and the close: a window
@@ -244,7 +245,7 @@ def cut_windows(
         if ti > w_start + max_window:
             if i > start_idx:
                 t_end = w_start + max_window
-                emit(start_idx, i, w_start, t_end)
+                bounds.append((start_idx, i, w_start, t_end))
                 start_idx = i
                 w_start = t_end
             if ti > w_start + max_window:
@@ -258,7 +259,7 @@ def cut_windows(
         stop = bisect.bisect_right(tl, w_start + max_window, i, n)
         j = frame.scan(tl, pixels, tiles, i, stop, interval)
         if j < stop:
-            emit(start_idx, j + 1, w_start, tl[j])
+            bounds.append((start_idx, j + 1, w_start, tl[j]))
             start_idx = i = j + 1
             w_start = tl[j]
             frame.reset(w_start)
@@ -266,18 +267,16 @@ def cut_windows(
             i = stop
 
     if start_idx < n:
-        count = n - start_idx
         t_last = tl[-1]
-        if count >= 2 and t_last > w_start:
-            emit(start_idx, n, w_start, t_last)
-        elif windows:
+        if n - start_idx >= 2 and t_last > w_start:
+            bounds.append((start_idx, n, w_start, t_last))
+        elif bounds:
             # fold a short tail into the previous window to keep the partition
-            last = windows.pop()
-            lo = last.offset
-            emit(lo, n, last.t_start, max(last.t_end, t_last))
+            lo, _, t0, t1 = bounds.pop()
+            bounds.append((lo, n, t0, max(t1, t_last)))
         else:
-            emit(start_idx, n, w_start, max(t_last, w_start + max_window))
-    return windows
+            bounds.append((start_idx, n, w_start, max(t_last, w_start + max_window)))
+    return [EventWindow(stream, *b) for b in bounds]
 
 
 def estimate_interval(
@@ -303,5 +302,5 @@ def estimate_interval(
     arr = np.asarray(samples)
     mean = float(arr.mean())
     sd = float(arr.std(ddof=1))
-    half = float(stats.t.ppf((1 + confidence) / 2, arr.size - 1)) * sd / math.sqrt(arr.size)
+    half = float(special.stdtrit(arr.size - 1, (1 + confidence) / 2)) * sd / math.sqrt(arr.size)
     return EntropyInterval(max(0.0, mean - half), mean + half)

@@ -13,6 +13,7 @@ from typing import List, Mapping, Tuple
 
 import numpy as np
 import yaml
+from scipy import special
 
 from .io import EventStream, SensorGeometry
 from .tracking import BoundingBox
@@ -101,9 +102,7 @@ def _sample_times(
     q = (np.arange(n) + 0.5) / n
     if spec.time_profile == "regular":
         return q * duration
-    from scipy.stats import norm
-
-    times = norm.ppf(q, loc=duration / 2, scale=duration * spec.time_sigma_frac)
+    times = special.ndtri(q) * (duration * spec.time_sigma_frac) + duration / 2
     return np.clip(times, 0.0, duration)
 
 

@@ -137,7 +137,7 @@ def _pair_window(stream: EventStream, pair: TrackingPair, min_events: int) -> Ev
     hi = int(np.searchsorted(stream.t, pair.t_next, side="right"))
     if hi - lo < min_events:
         raise TrackingFailure(f"only {hi - lo} events between the frames")
-    return EventWindow.of(stream, lo, hi, pair.t_curr, pair.t_next)
+    return EventWindow(stream, lo, hi, pair.t_curr, pair.t_next)
 
 
 def track(

@@ -3,7 +3,8 @@
 The builders freeze the scene families used across the fitting, tracking,
 and acceptance tests: well-separated constant-velocity lanes for multi-model
 recovery, and a translating rigid group of point emitters for box tracking.
-``events_of`` lists a stream's events as plain tuples.
+``events_of`` lists a stream's events as plain tuples, and ``window_of``
+builds a window from bare event arrays.
 """
 from __future__ import annotations
 
@@ -21,6 +22,16 @@ def events_of(stream):
     """The stream's events as ``(t, u, v, p)`` tuples."""
     return list(zip(stream.t.tolist(), stream.u.tolist(), stream.v.tolist(),
                     stream.p.tolist()))
+
+
+def window_of(geometry, t, u, v, t_start, t_end) -> EventWindow:
+    """A window over every event of the arrays, through a stream that validates them.
+
+    The arrays are copied, so the stream does not freeze the caller's; polarity is 0.
+    """
+    t = np.array(t, dtype=np.float64)
+    stream = EventStream(geometry, t, np.array(u), np.array(v), np.zeros(t.size, np.uint8))
+    return EventWindow(stream, 0, len(stream), t_start, t_end)
 
 
 # --- multi-lane association scenes (64 x 64, one 50 ms window) ---
@@ -54,8 +65,7 @@ def lane_scene(num_motions: int, seed: int, clutter_frac: float = 0.2) -> Synthe
 
 
 def lane_window(data: SceneData) -> EventWindow:
-    s = data.stream
-    return EventWindow(s.geometry, s.t, s.u, s.v, t_start=0.0, t_end=LANE_DURATION)
+    return EventWindow(data.stream, 0, len(data.stream), 0.0, LANE_DURATION)
 
 
 def lane_config(**overrides) -> RunConfig:

@@ -214,7 +214,7 @@ def reference_track(stream, pairs, config) -> list:
         try:
             if hi - lo < config.min_inliers:
                 raise TrackingFailure(f"only {hi - lo} events between the frames")
-            window = EventWindow.of(stream, lo, hi, pair.t_curr, pair.t_next)
+            window = EventWindow(stream, lo, hi, pair.t_curr, pair.t_next)
             result = reference_fit_window(window, config)
             if result.failed:
                 raise TrackingFailure("no trajectory fitted between the frames")

@@ -192,8 +192,7 @@ def test_same_velocity_objects_share_one_trajectory():
     )
     for seed in range(5):
         data = generate_scene(SyntheticScene(LANE_GEOMETRY, duration, motions, 0.0, seed))
-        s = data.stream
-        window = EventWindow(s.geometry, s.t, s.u, s.v, t_start=0.0, t_end=duration)
+        window = EventWindow(data.stream, 0, len(data.stream), 0.0, duration)
         res = fit_window(window, lane_config())
         assert res.num_models == 1
         for motion in (0, 1):

@@ -111,7 +111,7 @@ def test_traced_fit_counts_match_the_per_window_reference():
         lo = int(np.searchsorted(stream.t, pair.t_curr, side="left"))
         hi = int(np.searchsorted(stream.t, pair.t_next, side="right"))
         if hi - lo >= config.min_inliers:
-            fitted[k] = grouping.EventWindow.of(stream, lo, hi, pair.t_curr, pair.t_next)
+            fitted[k] = grouping.EventWindow(stream, lo, hi, pair.t_curr, pair.t_next)
     hypotheses = representatives = survivors = 0
     for window in windows + list(fitted.values()):
         try:

@@ -1,4 +1,9 @@
 """Command-line interface tests, driven through ``main`` with real files."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -12,6 +17,7 @@ from conftest import (
     track_pairs,
     track_stream,
 )
+import evtraj
 from evtraj import fitting, io, synth
 from evtraj.cli import build_parser, main, _build_config
 from evtraj.config import RunConfig
@@ -356,7 +362,7 @@ class TestPlotCommand:
 class TestBenchCommand:
     def test_reports_positive_throughput(self, tmp_path, scene_file, capsys):
         scene = scene_file(lane_scene_doc(2))
-        rc = main(["bench", scene, "--runs", "3", "--geometry", "64x64"])
+        rc = main(["bench", scene, "--runs", "3"])
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         fields = dict(l.split() for l in lines)
@@ -372,7 +378,7 @@ class TestBenchCommand:
             doc["clutter_rate"] = factor * 4000.0
             doc["motions"] = []
             scene = scene_file(doc, name)
-            assert main(["bench", scene, "--runs", "3", "--geometry", "64x64"]) == 0
+            assert main(["bench", scene, "--runs", "3"]) == 0
             lines = capsys.readouterr().out.splitlines()
             counts.append(int(dict(l.split() for l in lines)["events"]))
         # Poisson counts track the configured rates
@@ -382,8 +388,7 @@ class TestBenchCommand:
         calls = []
         run_eda = fitting.run_eda
         monkeypatch.setattr(fitting, "run_eda", lambda *args: calls.append(args) or run_eda(*args))
-        assert main(["bench", scene_file(lane_scene_doc(1)), "--runs", "1",
-                     "--geometry", "64x64"]) == 0
+        assert main(["bench", scene_file(lane_scene_doc(1)), "--runs", "1"]) == 0
         fields = dict(l.split() for l in capsys.readouterr().out.splitlines())
         assert int(fields["runs"]) == 1
         assert len(calls) == 1
@@ -392,8 +397,7 @@ class TestBenchCommand:
     def test_runs_below_one_fail_before_any_run(self, scene_file, capsys, monkeypatch, runs):
         calls = []
         monkeypatch.setattr(fitting, "run_eda", lambda *args: calls.append(args))
-        rc = main(["bench", scene_file(lane_scene_doc(1)), "--runs", runs,
-                   "--geometry", "64x64"])
+        rc = main(["bench", scene_file(lane_scene_doc(1)), "--runs", runs])
         out, err = capsys.readouterr()
         assert rc == 1
         assert err.startswith("error: --runs")
@@ -419,6 +423,22 @@ class TestConfigPlumbing:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["associate", "e", "--out", "o", flag, "2"])
+
+    @pytest.mark.parametrize("argv, flag", [
+        *((["plot", "e", "a", "--out", "o"], flag)
+          for flag in ("--tau", "--slices", "--alpha", "--beta", "--scale-mode")),
+        (["track", "e", "b", "--out", "o"], "--alpha"),
+        (["track", "e", "b", "--out", "o"], "--beta"),
+        (["eval", "e", "b"], "--alpha"),
+        (["eval", "e", "b"], "--beta"),
+        (["bench", "scene.yaml"], "--geometry"),
+    ], ids=lambda x: x if isinstance(x, str) else x[0])
+    def test_flags_a_command_does_not_read_are_usage_errors(self, capsys, argv, flag):
+        value = "64x64" if flag == "--geometry" else "-1"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_bad_geometry_flag(self):
         parser = build_parser()
@@ -459,3 +479,23 @@ class TestConfigPlumbing:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+def test_cli_and_synth_leave_scipy_stats_unloaded():
+    # importing scipy.stats about doubles the start-up time of every command;
+    # the code needs only two quantile functions of scipy.special
+    code = "\n".join([
+        "import sys",
+        "from evtraj import cli, synth",
+        "from evtraj.io import SensorGeometry",
+        "from evtraj.tracking import BoundingBox",
+        "motion = synth.MotionSpec('point', (100.0, 0.0), BoundingBox(9.5, 9.5, 1, 1), 2000.0,",
+        "                          0.0, time_profile='regular-centered', time_sigma_frac=0.25)",
+        "scene = synth.SyntheticScene(SensorGeometry(32, 32), 0.02, (motion,), 0.0, 0)",
+        "assert len(synth.generate_scene(scene).stream) > 0",
+        "print('scipy.stats' in sys.modules)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(evtraj.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import lane_config, lane_scene, lane_window
+from conftest import lane_config, lane_scene, lane_window, window_of
 from evtraj import fitting
 from evtraj.fitting import (
     AssociationResult,
@@ -31,7 +31,7 @@ from evtraj.hypotheses import (
     time_scale,
     window_voxels,
 )
-from evtraj.io import NOISE_ID, SensorGeometry
+from evtraj.io import NOISE_ID, EventStream, SensorGeometry
 from evtraj.synth import generate_scene
 from oracles import elbow_count, matrix_inliers, reference_fit_window, reference_residuals
 
@@ -39,12 +39,7 @@ GEOM = SensorGeometry(64, 64)
 
 
 def make_window(t, u, v, t_start=0.0, t_end=1.0):
-    t = np.asarray(t, dtype=np.float64)
-    return EventWindow(
-        GEOM, t,
-        np.asarray(u, dtype=np.int32), np.asarray(v, dtype=np.int32),
-        t_start=t_start, t_end=t_end,
-    )
+    return window_of(GEOM, t, u, v, t_start, t_end)
 
 
 def hyp(start, end):
@@ -579,9 +574,8 @@ def fit_batch_windows(draw, kinds=("tiny", "flat", "lone", "moving")):
         events += draw(st.lists(st.tuples(st.floats(0.0, 1.0), u, v), max_size=10))
     events.sort()
     t = np.array([t_start + f * span for f, _, _ in events], dtype=np.float64)
-    return EventWindow(geom, t, np.array([a for _, a, _ in events], dtype=np.int32),
-                       np.array([b for _, _, b in events], dtype=np.int32),
-                       t_start=t_start, t_end=t_start + span)
+    return window_of(geom, t, [a for _, a, _ in events], [b for _, _, b in events],
+                     t_start, t_start + span)
 
 
 def assert_same_fit(got: AssociationResult, want: AssociationResult):
@@ -715,10 +709,10 @@ class TestRunEda:
 
 
 class TestRelabel:
+    STREAM = EventStream(GEOM, np.linspace(0.0, 1.0, 8), np.zeros(8), np.zeros(8), np.zeros(8))
+
     def result(self, offset, local, num_models):
-        n = len(local)
-        window = EventWindow(GEOM, np.linspace(0.0, 1.0, n), np.zeros(n, np.int32),
-                             np.zeros(n, np.int32), t_start=0.0, t_end=1.0, offset=offset)
+        window = EventWindow(self.STREAM, offset, offset + len(local), 0.0, 1.0)
         model = WeightedModel(*hyp([0, 0, 0], [0, 0, 1]), 0, np.empty(0, dtype=int), 0.0, 0.0)
         return AssociationResult(window, [model] * num_models, np.asarray(local, dtype=np.int64))
 

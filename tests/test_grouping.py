@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from conftest import events_of
+from conftest import events_of, window_of
 from evtraj.grouping import (
     AtsltdFrame,
     EntropyInterval,
@@ -15,7 +15,7 @@ from evtraj.grouping import (
     cut_windows,
     estimate_interval,
 )
-from evtraj.io import EventStream, SensorGeometry
+from evtraj.io import EventStream, FormatError, SensorGeometry
 from oracles import nzge_entropy
 
 GEOM = SensorGeometry(32, 32)
@@ -466,7 +466,7 @@ class TestEstimateInterval:
         """A window whose terminal entropy is exactly log2(k)."""
         events = [(t, 8 * (i % 4), 8 * (i // 4), 1) for i in range(k)]
         stream = make_stream(events)
-        return EventWindow(GEOM, stream.t, stream.u, stream.v, t_start=0.0, t_end=t)
+        return EventWindow(stream, 0, len(stream), 0.0, t)
 
     def test_zero_variance_samples(self):
         windows = [self.tile_window(4) for _ in range(3)]
@@ -488,29 +488,47 @@ class TestEstimateInterval:
 
 
 class TestEventWindow:
-    def test_of_slices_the_stream(self):
+    def test_slices_the_stream(self):
         stream = make_stream([(0.1 * i, i, 2 * i, i % 2) for i in range(6)])
-        window = EventWindow.of(stream, 2, 5, 0.15, 0.45)
-        assert len(window) == 3 and window.offset == 2
+        window = EventWindow(stream, 2, 5, 0.15, 0.45)
+        assert len(window) == 3 and (window.offset, window.stop) == (2, 5)
         assert (window.t_start, window.t_end) == (0.15, 0.45)
         assert window.geometry == stream.geometry
         for a, b in ((window.t, stream.t), (window.u, stream.u), (window.v, stream.v)):
             assert np.array_equal(a, b[2:5])
 
+    def test_fields_are_views_of_the_stream(self):
+        stream = make_stream([(0.1 * i, i, 2 * i, i % 2) for i in range(6)])
+        window = EventWindow(stream, 1, 4, 0.0, 1.0)
+        for a, b in ((window.t, stream.t), (window.u, stream.u), (window.v, stream.v)):
+            assert np.shares_memory(a, b)
+
+    def test_accepts_an_empty_range(self):
+        stream = make_stream([(0.1, 1, 1, 1), (0.2, 2, 2, 0)])
+        window = EventWindow(stream, 1, 1, 5.0, 6.0)
+        assert len(window) == 0 and window.t.size == window.u.size == window.v.size == 0
+
+    @pytest.mark.parametrize("offset, stop", [(-1, 1), (2, 1), (0, 4), (4, 4)])
+    def test_rejects_a_range_outside_the_stream(self, offset, stop):
+        stream = make_stream([(0.1, 1, 1, 1), (0.2, 2, 2, 0), (0.3, 3, 3, 1)])
+        with pytest.raises(ValueError, match="outside the 3-event stream"):
+            EventWindow(stream, offset, stop, 0.0, 1.0)
+
     def test_requires_positive_span(self):
+        stream = make_stream([(0.5, 1, 1, 1)])
         with pytest.raises(ValueError):
-            EventWindow(GEOM, np.array([0.5]), np.array([1]), np.array([1]),
-                        t_start=1.0, t_end=1.0)
+            EventWindow(stream, 0, 1, 1.0, 1.0)
 
     def test_rejects_events_outside_bounds(self):
-        with pytest.raises(ValueError):
-            EventWindow(GEOM, np.array([2.0]), np.array([1]), np.array([1]),
-                        t_start=0.0, t_end=1.0)
+        stream = make_stream([(0.2, 1, 1, 1), (0.3, 2, 2, 0)])
+        for t_start, t_end in ((0.25, 1.0), (0.0, 0.25)):  # first, then last event outside
+            with pytest.raises(ValueError, match=r"outside \[t_start, t_end\]"):
+                EventWindow(stream, 0, 2, t_start, t_end)
 
     def test_rejects_events_out_of_time_order(self):
-        with pytest.raises(ValueError):
-            EventWindow(GEOM, np.array([0.2, 0.1, 0.3]), np.ones(3, np.int32),
-                        np.ones(3, np.int32), t_start=0.0, t_end=1.0)
+        # a window is a range of a stream, and the stream rejects the arrays
+        with pytest.raises(FormatError, match="timestamp regression"):
+            window_of(GEOM, [0.2, 0.1, 0.3], [1, 1, 1], [1, 1, 1], 0.0, 1.0)
 
     def test_entropy_interval_validation(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evtraj.grouping import EventWindow
+from conftest import window_of
 from evtraj.hypotheses import (
     HypothesisError,
     LineSet,
@@ -22,12 +22,7 @@ GEOM = SensorGeometry(64, 64)
 
 
 def window_from_arrays(t, u, v, t_start=0.0, t_end=1.0):
-    t = np.asarray(t, dtype=np.float64)
-    return EventWindow(
-        GEOM, t,
-        np.asarray(u, dtype=np.int32), np.asarray(v, dtype=np.int32),
-        t_start=t_start, t_end=t_end,
-    )
+    return window_of(GEOM, t, u, v, t_start, t_end)
 
 
 def hyp(direction, start=(0.0, 0.0, 0.0)):

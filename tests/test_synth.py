@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from conftest import window_of
 from oracles import brute_force_lines, expected_direction
 from evtraj.grouping import EventWindow
 from evtraj.hypotheses import window_voxels
@@ -27,8 +28,7 @@ def point_motion(velocity=(0.0, 0.0), x=20.0, y=24.0, rate=1000.0, sigma=0.0,
 def make_window(stream, t_start=0.0, t_end=None):
     if t_end is None:
         t_end = float(stream.t[-1]) + 1e-9
-    return EventWindow(stream.geometry, stream.t, stream.u, stream.v,
-                       t_start=t_start, t_end=t_end)
+    return EventWindow(stream, 0, len(stream), t_start, t_end)
 
 
 class TestGenerateScene:
@@ -143,9 +143,7 @@ class TestGenerateScene:
 
 class TestBruteForceLines:
     def _window(self, t, u, v):
-        t = np.asarray(t, dtype=np.float64)
-        return EventWindow(GEOM, t, np.asarray(u, np.int32), np.asarray(v, np.int32),
-                           t_start=0.0, t_end=1.0)
+        return window_of(GEOM, t, u, v, 0.0, 1.0)
 
     def test_exactly_collinear_group(self):
         t = np.linspace(0.1, 0.9, 9)

@@ -97,7 +97,7 @@ class TestPairsFromAnnotations:
 def _fit_between(stream, t0, t1, config):
     lo = int(np.searchsorted(stream.t, t0, side="left"))
     hi = int(np.searchsorted(stream.t, t1, side="right"))
-    return fit_window(EventWindow.of(stream, lo, hi, t0, t1), config)
+    return fit_window(EventWindow(stream, lo, hi, t0, t1), config)
 
 
 def _point_scene(velocity, x0, y0, rate=1200.0, seed=0, duration=TRACK_FRAME,
