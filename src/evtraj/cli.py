@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 from typing import List, Optional
@@ -184,16 +185,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = _build_config(args)
     data = synth.generate_scene(synth.scene_from_file(args.scene))
     n = len(data.stream)
-    timings = []
+    timings, faults = [], []
     for _ in range(args.runs):
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         fitting.run_eda(data.stream, config)
         timings.append(time.perf_counter() - t0)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
     eps = n / float(np.median(timings))
     print(f"events {n}")
     print(f"runs {len(timings)}")
     print(f"median_seconds {np.median(timings):.4f}")
     print(f"eps {eps:.1f}")
+    print(f"minor_faults {int(np.median(faults))}")
     return 0
 
 

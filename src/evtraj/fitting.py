@@ -34,6 +34,7 @@ from .hypotheses import (
     time_scale,
 )
 from .io import NOISE_ID
+from .scratch import CAPACITY, SCRATCH
 
 _TAU_EPS = 1e-12
 
@@ -89,11 +90,19 @@ class AssociationResult:
 
 
 def _cross_norms(px, py, pz, dx, dy, dz) -> np.ndarray:
-    """``|p x d|`` from components, with the products and sums of ``np.cross``."""
-    cx = py * dz - pz * dy
-    cy = pz * dx - px * dz
-    cz = px * dy - py * dx
-    return np.sqrt((cx * cx + cy * cy) + cz * cz)
+    """``|p x d|`` from components, with the products and sums of ``np.cross``.
+
+    The ``d`` components broadcast against the ``p`` ones. It works in place:
+    ``px`` and ``pz`` are overwritten, and the result is the scratch buffer
+    ``"cross"``.
+    """
+    cx, tmp = SCRATCH.take("cross", px.shape), SCRATCH.take("tmp", px.shape)
+    np.subtract(np.multiply(py, dz, out=cx), np.multiply(pz, dy, out=tmp), out=cx)
+    cy = np.subtract(np.multiply(pz, dx, out=pz), np.multiply(px, dz, out=tmp), out=pz)
+    cz = np.subtract(np.multiply(px, dy, out=px), np.multiply(py, dx, out=tmp), out=px)
+    np.add(np.multiply(cx, cx, out=cx), np.multiply(cy, cy, out=cy), out=cx)
+    np.add(cx, np.multiply(cz, cz, out=cz), out=cx)
+    return np.sqrt(cx, out=cx)
 
 
 def _lengths(d: np.ndarray) -> np.ndarray:
@@ -101,29 +110,82 @@ def _lengths(d: np.ndarray) -> np.ndarray:
     return np.sqrt((dx * dx + dy * dy) + dz * dz)
 
 
-def point_line_distances(voxels: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+def point_line_distances(voxels: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                         out: np.ndarray = None) -> np.ndarray:
     """Perpendicular distances from (n, 3) voxels to the m infinite lines.
 
     ``|(p - s) x d| / |d|`` with ``d = e - s``, built one component at a time
     on (n, m) arrays with the products, differences and left-to-right sums of
-    ``np.cross`` and ``np.linalg.norm``, so the bits match theirs.
+    ``np.cross`` and ``np.linalg.norm``, so the bits match theirs. The result
+    goes to ``out`` when given, else to a new array.
     """
     voxels = np.asarray(voxels, dtype=np.float64).reshape(-1, 3)
     starts = np.asarray(starts, dtype=np.float64).reshape(-1, 3)
     ends = np.asarray(ends, dtype=np.float64).reshape(-1, 3)
     d = ends - starts
-    p = (voxels[:, k:k + 1] - starts[:, k] for k in range(3))
-    return _cross_norms(*p, *d.T) / _lengths(d)
+    shape = (len(voxels), len(starts))
+    p = [np.subtract(voxels[:, k:k + 1], starts[:, k], out=SCRATCH.take(f"p{k}", shape))
+         for k in range(3)]
+    return np.divide(_cross_norms(*p, *d.T), _lengths(d), out=out)
 
 
-def residual_matrix(vox: np.ndarray, lines: LineSet) -> np.ndarray:
+def residual_matrix(vox: np.ndarray, lines: LineSet, out: np.ndarray = None) -> np.ndarray:
     """Voxel-to-line residuals (events x lines), each column scaled to unit norm.
 
-    An all-zero column stays zero.
+    An all-zero column stays zero. The result goes to ``out`` when given,
+    else to a new array.
     """
-    raw = point_line_distances(vox, lines.starts, lines.ends)
-    norms = np.sqrt(np.add.reduce(raw * raw, axis=0))
-    return raw / np.where(norms > 0, norms, 1.0)
+    raw = point_line_distances(vox, lines.starts, lines.ends, out=out)
+    sq = np.multiply(raw, raw, out=SCRATCH.take("tmp", raw.shape))
+    norms = np.sqrt(np.add.reduce(sq, axis=0))
+    return np.divide(raw, np.where(norms > 0, norms, 1.0), out=raw)
+
+
+def _ramps(first: np.ndarray, lengths: np.ndarray, step: int, out: np.ndarray) -> np.ndarray:
+    """Runs ``first[k], first[k] + step, ...`` of ``lengths[k]`` values each, into ``out``.
+
+    One cumulative sum of the steps, so the integers are exact.
+    """
+    run = lengths > 0
+    first, lengths = first[run], lengths[run]
+    last = first + step * (lengths - 1)
+    out.fill(step)
+    out[np.cumsum(lengths) - lengths] = first - np.r_[0, last[:-1]]
+    return np.cumsum(out, out=out)
+
+
+def _pair_residuals(vox, lines, first, sizes, counts):
+    """:func:`residual_pairs` in the scratch buffers ``"cross"``, ``"voxel"`` and ``"line"``.
+
+    The residuals last until the thread's next residual computation.
+    """
+    per_event = np.repeat(counts, sizes)  # lines each event pairs with
+    line0 = np.cumsum(counts) - counts  # each window's first line
+    event0 = np.cumsum(sizes) - sizes  # each window's first event in the batch
+    n = int(per_event.sum())
+    voxel = _ramps(np.arange(sizes.sum()) + np.repeat(first - event0, sizes), per_event, 0,
+                   SCRATCH.take("voxel", n, np.int64))
+    line = _ramps(np.repeat(line0, sizes), per_event, 1, SCRATCH.take("line", n, np.int64))
+    d = lines.directions()
+
+    def gather(values, index, name):  # the indices are in range: "clip" takes unbuffered
+        return np.take(values, index, out=SCRATCH.take(name, n), mode="clip")
+
+    p = [np.subtract(gather(vox[:, k], voxel, f"p{k}"), gather(lines.starts[:, k], line, "tmp"),
+                     out=SCRATCH.take(f"p{k}", n)) for k in range(3)]
+    raw = _cross_norms(*p, *(gather(d[:, k], line, f"d{k}") for k in range(3)))
+    np.divide(raw, gather(_lengths(d), line, "tmp"), out=raw)
+    sq = np.multiply(raw, raw, out=p[0])
+    # numpy sums the columns of an (n, m > 1) matrix one row after another,
+    # as bincount does, but a lone column pairwise
+    norms = np.bincount(line, weights=sq, minlength=len(lines))
+    pair_start = np.cumsum(sizes * counts) - sizes * counts
+    for w in np.flatnonzero(counts == 1).tolist():
+        lo = pair_start[w]
+        norms[line0[w]] = np.add.reduce(sq[lo:lo + sizes[w]])
+    norms = np.sqrt(norms)
+    scale = gather(np.where(norms > 0, norms, 1.0), line, "tmp")
+    return np.divide(raw, scale, out=raw), voxel, line
 
 
 def residual_pairs(
@@ -141,25 +203,7 @@ def residual_pairs(
     :func:`residual_matrix`, bit for bit. Returns the residuals and each
     pair's voxel and line.
     """
-    per_event = np.repeat(counts, sizes)  # lines each event pairs with
-    line0 = np.cumsum(counts) - counts  # each window's first line
-    event0 = np.cumsum(sizes) - sizes  # each window's first event in the batch
-    voxel = np.repeat(np.arange(sizes.sum()) + np.repeat(first - event0, sizes), per_event)
-    pair0 = np.cumsum(per_event) - per_event  # each event's first pair
-    line = np.arange(per_event.sum()) - np.repeat(pair0 - np.repeat(line0, sizes), per_event)
-    d = lines.directions()
-    p = (vox[:, k].take(voxel) - lines.starts[:, k].take(line) for k in range(3))
-    raw = _cross_norms(*p, *(d[:, k].take(line) for k in range(3))) / _lengths(d).take(line)
-    sq = raw * raw
-    # numpy sums the columns of an (n, m > 1) matrix one row after another,
-    # as bincount does, but a lone column pairwise
-    norms = np.bincount(line, weights=sq, minlength=len(lines))
-    pair_start = np.cumsum(sizes * counts) - sizes * counts
-    for w in np.flatnonzero(counts == 1).tolist():
-        lo = pair_start[w]
-        norms[line0[w]] = np.add.reduce(sq[lo:lo + sizes[w]])
-    norms = np.sqrt(norms)
-    return raw / np.where(norms > 0, norms, 1.0)[line], voxel, line
+    return tuple(a.copy() for a in _pair_residuals(vox, lines, first, sizes, counts))
 
 
 def estimate_tau_ikose(column: np.ndarray, k_ratio: float = RunConfig.ikose_k) -> NoiseScale:
@@ -327,20 +371,24 @@ def associate(
     """
     if not instances:
         raise FitError("no instances to associate against")
-    fam_min = np.stack([
-        residual_matrix(vox, hyps.take(families[m.rep_index])).min(axis=1, initial=np.inf)
-        for m in instances
-    ])
+    fam_min = np.empty((len(instances), len(vox)))
+    for row, m in zip(fam_min, instances):
+        lines = hyps.take(families[m.rep_index])
+        block = residual_matrix(vox, lines, out=SCRATCH.take("family", (len(vox), len(lines))))
+        block.min(axis=1, initial=np.inf, out=row)
     owner = np.argmin(fam_min, axis=0)
     return np.where(fam_min.min(axis=0) < scale.tau, owner, NOISE_ID)
 
 
 # (event, representative) pairs whose residuals one batch of windows holds at
-# most; a window with more pairs is a batch of its own. 16,000 float64 values
-# stay under glibc's 128 KiB mmap threshold: larger batch temporaries made
-# malloc hand freed memory back to the OS, and the next call in the process
-# (a parse) paid ~100 page faults to take it back.
-_BATCH_PAIRS = 16_000
+# most; a window with more pairs is a batch of its own. A batch needs about a
+# dozen pair-sized temporaries at once, 128,000 bytes each at the cap, which
+# glibc serves from the brk heap. Freed after every batch, they let malloc
+# trim the heap top, and the next batch faulted the pages back in: ~5,500
+# minor faults per track_eval evaluate, at ~2-3 us each. They now live in the
+# per-thread scratch (scratch.SCRATCH, which holds this many values per
+# buffer), so the cap bounds the scratch's size and each batch's work.
+_BATCH_PAIRS = CAPACITY
 # (hypothesis, hypothesis) pairs within a window, summed over the windows
 # that one clustering call takes, at most; a window with more is clustered
 # alone. Hypotheses and families live until their window's batch is fitted,
@@ -404,9 +452,10 @@ def _fit_batch(vox: np.ndarray, batch: Sequence[_Pending], config) -> List[Assoc
     first = np.array([p.first for p in batch], dtype=np.int64)
     reps = LineSet(np.concatenate([p.hyps.starts[p.reps] for p in batch]),
                    np.concatenate([p.hyps.ends[p.reps] for p in batch]))
-    values, voxel, line = residual_pairs(vox, reps, first, sizes, counts)
+    values, voxel, line = _pair_residuals(vox, reps, first, sizes, counts)
     scales = _noise_scales(values, sizes, counts, config)
-    tau = np.repeat([s.tau for s in scales], sizes * counts)
+    tau = np.take(np.repeat([s.tau for s in scales], counts), line,
+                  out=SCRATCH.take("tau", line.size), mode="clip")
     survivors = select_inliers(values, voxel, line, tau, config.min_inliers)
     line0 = np.cumsum(counts) - counts
     owner = np.searchsorted(line0, [j for j, _ in survivors], side="right") - 1

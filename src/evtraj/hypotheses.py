@@ -17,10 +17,16 @@ import numpy as np
 from .config import RunConfig
 from .grouping import EventWindow
 from .io import SensorGeometry
+from .scratch import CAPACITY, Scratch
 
 
 class HypothesisError(ValueError):
     pass
+
+
+# each thread's Gram chunk of a window with up to 252 hypotheses (a tracking
+# pair window has ~150); a larger window's chunk is an array of its own
+_GRAM = Scratch(4 * CAPACITY)
 
 
 def time_scale(geometry: SensorGeometry) -> float:
@@ -183,7 +189,9 @@ def select_representatives(
         adj = np.empty((n, n), dtype=bool)
         chunk = max(1, 2_000_000 // n)
         for lo in range(0, n, chunk):
-            adj[lo:lo + chunk] = (1.0 - units[lo:lo + chunk] @ units.T) <= parallel_tol
+            block = units[lo:lo + chunk]
+            gram = np.matmul(block, units.T, out=_GRAM.take("gram", (len(block), n)))
+            np.less_equal(np.subtract(1.0, gram, out=gram), parallel_tol, out=adj[lo:lo + chunk])
         unassigned = np.ones(n, dtype=bool)
         picked: List[int] = []
         for r in np.argsort(-adj.sum(axis=1), kind="stable").tolist():

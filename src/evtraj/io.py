@@ -54,8 +54,10 @@ def _first_failure(checks) -> None:
 class EventStream:
     """An immutable, time-ordered sequence of events with a fixed geometry.
 
-    Events are stored as parallel read-only numpy arrays. Every event is
-    validated before any field is narrowed to its stored dtype.
+    Events are stored as parallel read-only numpy arrays that the stream owns:
+    each field is copied, so the caller's arrays stay writeable and later
+    writes to them do not reach the stream. Every event is validated before
+    any field is narrowed to its stored dtype.
     """
 
     __slots__ = ("geometry", "t", "u", "v", "p")
@@ -68,7 +70,7 @@ class EventStream:
         v: np.ndarray,
         p: np.ndarray,
     ) -> None:
-        t = np.ascontiguousarray(t, dtype=np.float64)
+        t = np.array(t, dtype=np.float64, order="C")
         u, v, p = np.asarray(u), np.asarray(v), np.asarray(p)
         if not (u.size == v.size == p.size == t.size):
             raise ValueError("event field arrays must have equal length")
@@ -82,9 +84,9 @@ class EventStream:
              lambda i: f"coordinate ({u[i]}, {v[i]}) is not a pixel of the {w}x{h} sensor"),
             ((p != 0) & (p != 1), lambda i: f"polarity must be 0 or 1, got {p[i]}"),
         ))
-        u = np.ascontiguousarray(u, dtype=np.int32)
-        v = np.ascontiguousarray(v, dtype=np.int32)
-        p = np.ascontiguousarray(p, dtype=np.uint8)
+        u = np.array(u, dtype=np.int32, order="C")
+        v = np.array(v, dtype=np.int32, order="C")
+        p = np.array(p, dtype=np.uint8, order="C")
         for a in (t, u, v, p):
             a.setflags(write=False)
         object.__setattr__(self, "geometry", geometry)

@@ -1,0 +1,51 @@
+"""Per-thread scratch memory for the fit's batch-sized temporaries.
+
+A batch of the fit needs about a dozen arrays of one value per (event,
+representative) pair at once. Allocated afresh, each comes from glibc's brk
+heap (it is under the 128 KiB mmap threshold), and freeing them at the end of
+the batch lets malloc trim the heap top, so the next batch faults the same
+pages back in. :data:`SCRATCH` instead keeps one buffer per temporary and per
+thread, and every batch writes into the same pages with ``out=``.
+"""
+from __future__ import annotations
+
+import math
+import threading
+
+import numpy as np
+
+# values in each scratch buffer: the (event, representative) pairs of one
+# batch (fitting._BATCH_PAIRS), 128,000 bytes of float64
+CAPACITY = 16_000
+
+
+class Scratch(threading.local):
+    """One thread's named buffers of ``capacity`` values each.
+
+    :meth:`take` hands out the head of a buffer; callers keep a name for each
+    temporary that is alive at the same time as another, and copy out
+    whatever they return.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._buffers: dict = {}
+
+    def take(self, name: str, shape, dtype=np.float64) -> np.ndarray:
+        """An uninitialised C-contiguous array of ``shape``.
+
+        Within ``capacity`` values it is a view of this thread's buffer
+        ``name`` (one dtype per name) and lives until the next ``take`` of
+        that name; a larger request gets a new array of its own, so the
+        memory kept stays ``capacity`` values per name.
+        """
+        size = math.prod(shape) if isinstance(shape, tuple) else shape
+        if size > self.capacity:
+            return np.empty(shape, dtype)
+        buf = self._buffers.get(name)
+        if buf is None:
+            buf = self._buffers[name] = np.empty(self.capacity, dtype)
+        return buf[:size].reshape(shape)
+
+
+SCRATCH = Scratch(CAPACITY)

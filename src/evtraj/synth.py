@@ -167,7 +167,7 @@ def generate_scene(scene: SyntheticScene) -> SceneData:
     t, u, v, lab = t[order], u[order], v[order], lab[order]
     p = rng.integers(0, 2, size=t.size).astype(np.uint8)
 
-    stream = EventStream(geom, t, u.astype(np.int32), v.astype(np.int32), p)
+    stream = EventStream(geom, t, u, v, p)
     return SceneData(
         scene=scene,
         stream=stream,

@@ -27,10 +27,9 @@ def events_of(stream):
 def window_of(geometry, t, u, v, t_start, t_end) -> EventWindow:
     """A window over every event of the arrays, through a stream that validates them.
 
-    The arrays are copied, so the stream does not freeze the caller's; polarity is 0.
+    Polarity is 0.
     """
-    t = np.array(t, dtype=np.float64)
-    stream = EventStream(geometry, t, np.array(u), np.array(v), np.zeros(t.size, np.uint8))
+    stream = EventStream(geometry, t, u, v, np.zeros(len(t), np.uint8))
     return EventWindow(stream, 0, len(stream), t_start, t_end)
 
 
@@ -187,3 +186,12 @@ def framed_track_stream(
         np.concatenate(vs)[order],
         np.concatenate(ps)[order],
     )
+
+
+def pair_windows() -> list:
+    """The windows that tracking fits on :func:`framed_track_stream`, one per frame pair."""
+    stream = framed_track_stream()
+    return [EventWindow(stream, int(np.searchsorted(stream.t, p.t_curr, side="left")),
+                        int(np.searchsorted(stream.t, p.t_next, side="right")), p.t_curr,
+                        p.t_next)
+            for p in track_pairs()]

@@ -370,6 +370,7 @@ class TestBenchCommand:
         assert int(fields["runs"]) == 3
         assert float(fields["median_seconds"]) > 0
         assert float(fields["eps"]) > 0
+        assert int(fields["minor_faults"]) >= 0
 
     def test_clutter_rate_scales_event_count(self, tmp_path, scene_file, capsys):
         counts = []

@@ -1,9 +1,17 @@
 """Residuals, scale estimation, two-stage weighting, and association tests."""
+import hashlib
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import lane_config, lane_scene, lane_window, window_of
+import evtraj
+from conftest import lane_config, lane_scene, lane_window, pair_windows, window_of
 from evtraj import fitting
 from evtraj.fitting import (
     AssociationResult,
@@ -677,6 +685,94 @@ class TestFitWindows:
         window = lane_window(data)
         assert_same_fit(fit_window(window, lane_config()), fit_windows([window], lane_config())[0])
         assert fit_windows([], lane_config()) == []
+
+
+def fit_digest(results) -> str:
+    """sha256 over every field of a list of fit results."""
+    h = hashlib.sha256()
+    for res in results:
+        h.update(repr((res.window.offset, res.window.stop, res.window.t_start,
+                       res.window.t_end)).encode())
+        h.update(res.assignment.tobytes())
+        for m in res.instances:
+            h.update(repr((m.rep_index, m.w_stage1, m.w_final)).encode())
+            for a in (m.start, m.end, m.inliers):
+                h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def scene_windows(seed: int):
+    return [r.window for r in run_eda(generate_scene(lane_scene(2, seed=seed)).stream,
+                                      lane_config())]
+
+
+class TestScratch:
+    """Batch temporaries live in per-thread scratch buffers that results never alias."""
+
+    def test_results_do_not_alias_the_scratch(self):
+        config = lane_config()
+        first = fit_windows(pair_windows(), config)
+        before = fit_digest(first)
+        fit_windows(scene_windows(5), config)  # the same scratch, other windows
+        assert fit_digest(first) == before
+
+    def test_public_residuals_do_not_alias_the_scratch(self):
+        vox = window_voxels(pair_windows()[0])
+        lines = LineSet(vox[:3], vox[-3:])
+        sizes, counts = np.array([len(vox)]), np.array([len(lines)])
+        outputs = [point_line_distances(vox, lines.starts, lines.ends),
+                   residual_matrix(vox, lines),
+                   *residual_pairs(vox, lines, np.array([0]), sizes, counts)]
+        copies = [a.copy() for a in outputs]
+        residual_pairs(vox[::-1].copy(), lines, np.array([0]), sizes, counts)
+        residual_matrix(vox[::-1].copy(), lines)
+        for a, b in zip(outputs, copies):
+            assert np.array_equal(a, b)
+
+    def test_concurrent_threads_match_sequential_fits(self):
+        config = lane_config()
+        scenes = [pair_windows(), scene_windows(6)]
+        want = [fit_digest(fit_windows(w, config)) for w in scenes]
+        got = [[], []]
+        start = threading.Barrier(2, timeout=60)
+
+        def fit(k):
+            start.wait()
+            for _ in range(20):
+                got[k].append(fit_digest(fit_windows(scenes[k], config)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=fit, args=(k,)) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[want[0]] * 20, [want[1]] * 20]
+
+    def test_warm_fits_do_not_page_fault(self):
+        # in a fresh interpreter: glibc's malloc thresholds adapt to what the
+        # process freed before, so earlier tests could hide the faults
+        code = "\n".join([
+            "import resource",
+            "from conftest import lane_config, pair_windows",
+            "from evtraj.fitting import fit_windows",
+            "windows, config = pair_windows(), lane_config()",
+            "fit_windows(windows, config)",  # warm-up
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+            "for _ in range(3):",
+            "    fit_windows(windows, config)",
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+        ])
+        path = os.pathsep.join([str(Path(evtraj.__file__).parents[1]), str(Path(__file__).parent)])
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) < 300
 
 
 class TestRunEda:

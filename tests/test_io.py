@@ -153,6 +153,18 @@ def test_stream_is_immutable():
         stream.t[0] = 5.0
 
 
+def test_stream_owns_its_arrays():
+    # arrays already of the stored dtypes, and one array passed as both u and v
+    t = np.array([0.1, 0.2])
+    uv = np.array([1, 2], dtype=np.int32)
+    p = np.array([0, 1], dtype=np.uint8)
+    stream = EventStream(GEOM, t, uv, uv, p)
+    assert all(a.flags.writeable for a in (t, uv, p))
+    assert stream.u is not stream.v
+    t[:], uv[:], p[:] = 0.5, 3, 0
+    assert events_of(stream) == [(0.1, 1, 1, 0), (0.2, 2, 2, 1)]
+
+
 def test_stream_equality_and_fields():
     a = parse_stream(b"0.1 1 2 0\n0.2 3 4 1", GEOM)
     b = parse_stream(b"0.1 1 2 0\n0.2 3 4 1", GEOM)
