@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import resource
 import sys
 import time
 from typing import List, Optional
@@ -180,6 +179,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    import resource  # POSIX only; no other command needs it
+
     if args.runs < 1:
         raise ValueError(f"--runs must be >= 1, got {args.runs}")
     config = _build_config(args)

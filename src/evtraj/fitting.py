@@ -155,9 +155,14 @@ def _ramps(first: np.ndarray, lengths: np.ndarray, step: int, out: np.ndarray) -
 
 
 def _pair_residuals(vox, lines, first, sizes, counts):
-    """:func:`residual_pairs` in the scratch buffers ``"cross"``, ``"voxel"`` and ``"line"``.
+    """Normalized residuals of every (voxel, line) pair of a batch of windows.
 
-    The residuals last until the thread's next residual computation.
+    Window ``w`` holds the voxels ``vox[first[w]:first[w] + sizes[w]]`` and
+    the next ``counts[w]`` lines of ``lines``. Its pairs come event-major, so
+    its run of residuals reshaped to ``(sizes[w], counts[w])`` is its
+    :func:`residual_matrix`, bit for bit. Returns the residuals and each
+    pair's voxel and line, in the scratch buffers ``"cross"``, ``"voxel"``
+    and ``"line"``: they last until the thread's next residual computation.
     """
     per_event = np.repeat(counts, sizes)  # lines each event pairs with
     line0 = np.cumsum(counts) - counts  # each window's first line
@@ -186,24 +191,6 @@ def _pair_residuals(vox, lines, first, sizes, counts):
     norms = np.sqrt(norms)
     scale = gather(np.where(norms > 0, norms, 1.0), line, "tmp")
     return np.divide(raw, scale, out=raw), voxel, line
-
-
-def residual_pairs(
-    vox: np.ndarray,
-    lines: LineSet,
-    first: np.ndarray,
-    sizes: np.ndarray,
-    counts: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalized residuals of every (voxel, line) pair of a batch of windows.
-
-    Window ``w`` holds the voxels ``vox[first[w]:first[w] + sizes[w]]`` and
-    the next ``counts[w]`` lines of ``lines``. Its pairs come event-major, so
-    its run of residuals reshaped to ``(sizes[w], counts[w])`` is its
-    :func:`residual_matrix`, bit for bit. Returns the residuals and each
-    pair's voxel and line.
-    """
-    return tuple(a.copy() for a in _pair_residuals(vox, lines, first, sizes, counts))
 
 
 def estimate_tau_ikose(column: np.ndarray, k_ratio: float = RunConfig.ikose_k) -> NoiseScale:
@@ -308,24 +295,20 @@ def select_model_count(weights: Sequence[float], sizes: Sequence[int]) -> np.nda
     exceeds its up-to-four neighboring differences within the group (missing
     neighbors are skipped).
     """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    group = np.repeat(np.arange(sizes.size), sizes)
-    w = np.asarray(weights, dtype=np.float64)
-    w = w[np.lexsort((w, group))]
-    d = np.diff(w)
-    owner = np.where(group[1:] == group[:-1], group[1:], -1)  # -1: d_i spans two groups
-    padded_owner, padded_d = np.pad(owner, 2, constant_values=-1), np.pad(d, 2)
-    elbow = owner >= 0
-    has_neighbor = np.zeros(d.size, dtype=bool)
-    for lo in (0, 1, 3, 4):  # neighbors two and one before, one and two after
-        neighbor = padded_owner[lo:lo + d.size] == owner
-        has_neighbor |= neighbor
-        elbow &= ~neighbor | (d > padded_d[lo:lo + d.size])
-    hits = np.flatnonzero(elbow & has_neighbor)
-    groups, firsts = np.unique(owner[hits], return_index=True)
-    counts = np.ones(sizes.size, dtype=np.int64)
-    counts[groups] = hits[firsts] - (np.cumsum(sizes) - sizes)[groups] + 1
-    return counts
+    w = np.asarray(weights, dtype=np.float64).tolist()
+    ends = np.cumsum(sizes).tolist()
+    counts = []
+    for lo, hi in zip([0, *ends], ends):
+        ascending = sorted(w[lo:hi])
+        d = [b - a for a, b in zip(ascending, ascending[1:])]
+        count = 1
+        for i, x in enumerate(d):
+            neighbors = d[max(0, i - 2):i] + d[i + 1:i + 3]
+            if neighbors and all(x > y for y in neighbors):
+                count = i + 1
+                break
+        counts.append(count)
+    return np.array(counts, dtype=np.int64)
 
 
 def weigh_models(
@@ -396,18 +379,6 @@ _BATCH_PAIRS = CAPACITY
 _CLUSTER_PAIRS = 2_000_000
 
 
-@dataclass(frozen=True)
-class _Pending:
-    """A window past clustering, waiting for its batch."""
-
-    slot: int  # its position in the call
-    window: EventWindow
-    first: int  # its first voxel in the call's voxels
-    hyps: LineSet  # its hypotheses
-    reps: np.ndarray  # its representatives, as rows of hyps
-    families: np.ndarray  # its family block
-
-
 def _failed(window: EventWindow) -> AssociationResult:
     return AssociationResult(window, [], np.full(len(window), NOISE_ID, dtype=np.int64))
 
@@ -445,53 +416,54 @@ def _noise_scales(values: np.ndarray, sizes: np.ndarray, counts: np.ndarray,
     return scales
 
 
-def _fit_batch(vox: np.ndarray, batch: Sequence[_Pending], config) -> List[AssociationResult]:
-    """Residuals through association for windows that passed clustering."""
-    sizes = np.array([len(p.window) for p in batch], dtype=np.int64)
-    counts = np.array([len(p.reps) for p in batch], dtype=np.int64)
-    first = np.array([p.first for p in batch], dtype=np.int64)
-    reps = LineSet(np.concatenate([p.hyps.starts[p.reps] for p in batch]),
-                   np.concatenate([p.hyps.ends[p.reps] for p in batch]))
-    values, voxel, line = _pair_residuals(vox, reps, first, sizes, counts)
+def _fit_batch(vox: np.ndarray, windows: Sequence[EventWindow], first: List[int], batch,
+               config, results: List[AssociationResult]) -> None:
+    """Residuals through association for a batch of :func:`_clustered` windows.
+
+    Writes the result of each window that keeps a model into its slot of
+    ``results``.
+    """
+    slots = [slot for slot, *_ in batch]
+    sizes = np.array([len(windows[k]) for k in slots], dtype=np.int64)
+    counts = np.array([len(reps) for _, _, reps, _ in batch], dtype=np.int64)
+    reps = LineSet(np.concatenate([hyps.starts[r] for _, hyps, r, _ in batch]),
+                   np.concatenate([hyps.ends[r] for _, hyps, r, _ in batch]))
+    values, voxel, line = _pair_residuals(vox, reps, np.array([first[k] for k in slots]),
+                                          sizes, counts)
     scales = _noise_scales(values, sizes, counts, config)
     tau = np.take(np.repeat([s.tau for s in scales], counts), line,
                   out=SCRATCH.take("tau", line.size), mode="clip")
     survivors = select_inliers(values, voxel, line, tau, config.min_inliers)
+    if not survivors:
+        return
     line0 = np.cumsum(counts) - counts
     owner = np.searchsorted(line0, [j for j, _ in survivors], side="right") - 1
     per_window = np.bincount(owner, minlength=len(batch))
-    results = []
-    if survivors:
-        s_t = [time_scale(p.window.geometry) for p in batch]
-        w1, finals = weigh_models(vox, reps, survivors, np.repeat(s_t, per_window))
-        models = iter(select_model_count(finals, per_window[per_window > 0]).tolist())
-    k = 0
-    for w, pending in enumerate(batch):
-        m = int(per_window[w])
-        if not m:
-            results.append(_failed(pending.window))
-            continue
-        lo = pending.first
+    s_t = [time_scale(windows[k].geometry) for k in slots]
+    w1, finals = weigh_models(vox, reps, survivors, np.repeat(s_t, per_window))
+    fitted = np.flatnonzero(per_window)
+    survivor0 = (np.cumsum(per_window) - per_window)[fitted]  # each window's first survivor
+    models = select_model_count(finals, per_window[fitted])
+    for w, k, n_models in zip(fitted.tolist(), survivor0.tolist(), models.tolist()):
+        slot, hyps, _, families = batch[w]
+        lo, m = first[slot], int(per_window[w])
         instances = []
-        for i in np.argsort(finals[k:k + m], kind="stable")[:next(models)].tolist():
-            j, inliers = survivors[k + i]
+        for i in (np.argsort(finals[k:k + m], kind="stable")[:n_models] + k).tolist():
+            j, inliers = survivors[i]
             instances.append(WeightedModel(reps.starts[j], reps.ends[j], j - int(line0[w]),
-                                           inliers - lo, float(w1[k + i]), float(finals[k + i])))
-        k += m
-        assignment = associate(vox[lo:lo + len(pending.window)], pending.hyps,
-                               pending.families, instances, scales[w])
-        results.append(AssociationResult(pending.window, instances, assignment))
-    return results
+                                           inliers - lo, float(w1[i]), float(finals[i])))
+        window = windows[slot]
+        assignment = associate(vox[lo:lo + len(window)], hyps, families, instances, scales[w])
+        results[slot] = AssociationResult(window, instances, assignment)
 
 
 def _clustered(windows: Sequence[EventWindow], vox: np.ndarray, first: List[int], config):
-    """Yield ``(slot, clusters)`` once for every window of a call.
+    """Yield ``(slot, hypotheses, representatives, families)`` for the windows of a call.
 
-    ``clusters`` is the window's ``(hypotheses, representatives, families)``
-    (:class:`HypothesisSet`), or ``None`` when it has no usable hypotheses.
-    Consecutive windows are clustered together, one
-    :func:`select_representatives` call per run of windows whose hypothesis
-    pairs stay within ``_CLUSTER_PAIRS``.
+    Only windows with usable hypotheses are yielded, in order, each with its
+    :class:`HypothesisSet` block. Consecutive windows are clustered together,
+    one :func:`select_representatives` call per run of windows whose
+    hypothesis pairs stay within ``_CLUSTER_PAIRS``.
     """
     slots: List[int] = []
     lines: List[LineSet] = []
@@ -499,14 +471,13 @@ def _clustered(windows: Sequence[EventWindow], vox: np.ndarray, first: List[int]
 
     def run():
         hyps = select_representatives(lines, config.parallel_tol)
-        return zip(slots, zip(hyps.lines, hyps.reps, hyps.families))
+        return zip(slots, hyps.lines, hyps.reps, hyps.families)
 
     for k, window in enumerate(windows):
         try:
             generated = generate(window, vox[first[k]:first[k + 1]], config.num_slices,
                                  config.max_pairs)
         except HypothesisError:
-            yield k, None
             continue
         if slots and pairs + len(generated) ** 2 > _CLUSTER_PAIRS:
             yield from run()
@@ -535,28 +506,18 @@ def fit_windows(windows: Sequence[EventWindow], config) -> List[AssociationResul
     vox = _call_voxels(windows)
     first = np.cumsum([0] + [len(w) for w in windows]).tolist()
     results: List[AssociationResult] = [None] * len(windows)
-    batch: List[_Pending] = []
-    pairs = 0
-
-    def flush():
-        for pending, res in zip(batch, _fit_batch(vox, batch, config)):
-            results[pending.slot] = res
-        batch.clear()
-
-    for k, clusters in _clustered(windows, vox, first, config):
-        if clusters is None:
-            results[k] = _failed(windows[k])
-            continue
-        hyps, reps, families = clusters
-        lo, hi = first[k], first[k + 1]
-        if batch and pairs + (hi - lo) * len(reps) > _BATCH_PAIRS:
-            flush()
-            pairs = 0
-        batch.append(_Pending(k, windows[k], lo, hyps, reps, families))
-        pairs += (hi - lo) * len(reps)
+    batch, pairs = [], 0
+    for clustered in _clustered(windows, vox, first, config):
+        slot, _, reps, _ = clustered
+        n = len(windows[slot]) * len(reps)
+        if batch and pairs + n > _BATCH_PAIRS:
+            _fit_batch(vox, windows, first, batch, config, results)
+            batch, pairs = [], 0
+        batch.append(clustered)
+        pairs += n
     if batch:
-        flush()
-    return results
+        _fit_batch(vox, windows, first, batch, config, results)
+    return [_failed(w) if res is None else res for w, res in zip(windows, results)]
 
 
 def fit_window(window: EventWindow, config) -> AssociationResult:

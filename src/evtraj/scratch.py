@@ -20,7 +20,7 @@ CAPACITY = 16_000
 
 
 class Scratch(threading.local):
-    """One thread's named buffers of ``capacity`` values each.
+    """One thread's buffers of ``capacity`` values each, one per name and dtype.
 
     :meth:`take` hands out the head of a buffer; callers keep a name for each
     temporary that is alive at the same time as another, and copy out
@@ -35,16 +35,16 @@ class Scratch(threading.local):
         """An uninitialised C-contiguous array of ``shape``.
 
         Within ``capacity`` values it is a view of this thread's buffer
-        ``name`` (one dtype per name) and lives until the next ``take`` of
-        that name; a larger request gets a new array of its own, so the
-        memory kept stays ``capacity`` values per name.
+        ``name`` of ``dtype`` and lives until the next ``take`` of that name
+        and dtype; a larger request gets a new array of its own, so the
+        memory kept stays ``capacity`` values per name and dtype.
         """
         size = math.prod(shape) if isinstance(shape, tuple) else shape
         if size > self.capacity:
             return np.empty(shape, dtype)
-        buf = self._buffers.get(name)
+        buf = self._buffers.get((name, dtype))
         if buf is None:
-            buf = self._buffers[name] = np.empty(self.capacity, dtype)
+            buf = self._buffers[name, dtype] = np.empty(self.capacity, dtype)
         return buf[:size].reshape(shape)
 
 

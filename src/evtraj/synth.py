@@ -73,8 +73,7 @@ class SceneData:
 
     scene: SyntheticScene
     stream: EventStream
-    labels: np.ndarray                    # per event: motion index or CLUTTER_LABEL
-    velocities: List[Tuple[float, float]]
+    labels: np.ndarray  # per event: motion index or CLUTTER_LABEL
 
     def true_box(self, motion: int, t: float) -> BoundingBox:
         spec = self.scene.motions[motion]
@@ -168,12 +167,7 @@ def generate_scene(scene: SyntheticScene) -> SceneData:
     p = rng.integers(0, 2, size=t.size).astype(np.uint8)
 
     stream = EventStream(geom, t, u, v, p)
-    return SceneData(
-        scene=scene,
-        stream=stream,
-        labels=lab,
-        velocities=[m.velocity for m in scene.motions],
-    )
+    return SceneData(scene=scene, stream=stream, labels=lab)
 
 
 def scene_from_file(path: str) -> SyntheticScene:

@@ -500,3 +500,21 @@ def test_cli_and_synth_leave_scipy_stats_unloaded():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
+
+
+def test_cli_runs_without_the_resource_module(tmp_path):
+    # resource is POSIX only (missing on Windows); only `bench` reads it
+    events = tmp_path / "events.txt"
+    stream = track_stream()
+    events.write_bytes(io.serialize_stream(stream))
+    code = "\n".join([
+        "import sys",
+        "sys.modules['resource'] = None",
+        "from evtraj import cli",
+        f"sys.exit(cli.main(['associate', {str(events)!r}, '--out', {str(tmp_path / 'a.txt')!r},",
+        f"                   '--geometry', '{stream.geometry.width}x{stream.geometry.height}']))",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(evtraj.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "a.txt").exists()

@@ -24,7 +24,6 @@ from evtraj.fitting import (
     point_line_distances,
     relabel,
     residual_matrix,
-    residual_pairs,
     run_eda,
     select_inliers,
     select_model_count,
@@ -40,6 +39,7 @@ from evtraj.hypotheses import (
     window_voxels,
 )
 from evtraj.io import NOISE_ID, EventStream, SensorGeometry
+from evtraj.scratch import Scratch
 from evtraj.synth import generate_scene
 from oracles import elbow_count, matrix_inliers, reference_fit_window, reference_residuals
 
@@ -652,8 +652,8 @@ class TestFitWindows:
         counts = np.array([len(r) for r in reps])
         lines = LineSet(np.concatenate([r.starts for r in reps]),
                         np.concatenate([r.ends for r in reps]))
-        values, voxel, line = residual_pairs(np.concatenate(vox), lines,
-                                             np.cumsum(sizes) - sizes, sizes, counts)
+        values = fitting._pair_residuals(np.concatenate(vox), lines, np.cumsum(sizes) - sizes,
+                                         sizes, counts)[0].copy()
         runs = np.split(values, np.cumsum(sizes * counts)[:-1])
         for v, r, run in zip(vox, reps, runs):
             assert np.array_equal(run.reshape(len(v), len(r)), residual_matrix(v, r))
@@ -719,15 +719,22 @@ class TestScratch:
     def test_public_residuals_do_not_alias_the_scratch(self):
         vox = window_voxels(pair_windows()[0])
         lines = LineSet(vox[:3], vox[-3:])
-        sizes, counts = np.array([len(vox)]), np.array([len(lines)])
         outputs = [point_line_distances(vox, lines.starts, lines.ends),
-                   residual_matrix(vox, lines),
-                   *residual_pairs(vox, lines, np.array([0]), sizes, counts)]
+                   residual_matrix(vox, lines)]
         copies = [a.copy() for a in outputs]
-        residual_pairs(vox[::-1].copy(), lines, np.array([0]), sizes, counts)
         residual_matrix(vox[::-1].copy(), lines)
         for a, b in zip(outputs, copies):
             assert np.array_equal(a, b)
+
+    def test_a_name_keeps_one_buffer_per_dtype(self):
+        scratch = Scratch(8)
+        ints = scratch.take("x", 4, np.int64)
+        ints[:] = 7
+        floats = scratch.take("x", 4)
+        assert floats.dtype == np.float64
+        floats[:] = 0.5
+        assert ints.tolist() == [7] * 4
+        assert np.shares_memory(scratch.take("x", (2, 2), np.int64), ints)
 
     def test_concurrent_threads_match_sequential_fits(self):
         config = lane_config()
