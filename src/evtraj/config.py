@@ -40,15 +40,15 @@ class RunConfig:
             raise ValueError("need 0 <= alpha <= beta")
         if self.entropy_grid < 1:
             raise ValueError("entropy grid must be >= 1")
-        if self.max_window_s <= 0:
+        if not self.max_window_s > 0:
             raise ValueError("max_window_s must be positive")
         if self.num_slices < 2:
             raise ValueError("num_slices must be >= 2")
         if self.max_pairs < 1:
             raise ValueError("max_pairs must be >= 1")
-        if self.parallel_tol <= 0:
+        if not self.parallel_tol > 0:
             raise ValueError("parallel_tol must be positive")
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError("tau must be positive")
         if self.scale_mode not in ("fixed", "ikose"):
             raise ValueError("scale_mode must be 'fixed' or 'ikose'")

@@ -34,7 +34,7 @@ from .hypotheses import (
     time_scale,
 )
 from .io import NOISE_ID
-from .scratch import CAPACITY, SCRATCH
+from .scratch import Scratch
 
 _TAU_EPS = 1e-12
 
@@ -366,15 +366,16 @@ def associate(
 # (event, representative) pairs whose residuals one batch of windows holds at
 # most; a window with more pairs is a batch of its own. A batch needs about a
 # dozen pair-sized temporaries at once, 128,000 bytes each at the cap, which
-# glibc serves from the brk heap. Freed after every batch, they let malloc
-# trim the heap top, and the next batch faulted the pages back in: ~5,500
-# minor faults per track_eval evaluate, at ~2-3 us each. They now live in the
-# per-thread scratch (scratch.SCRATCH, which holds this many values per
-# buffer), so the cap bounds the scratch's size and each batch's work.
-_BATCH_PAIRS = CAPACITY
+# glibc serves from the brk heap. Freed after every batch, they would let
+# malloc trim the heap top and the next batch fault the pages back in (~5,500
+# minor faults per track_eval evaluate, at ~2-3 us each), so they live in
+# SCRATCH, whose buffers hold this many values each: the cap bounds the
+# scratch's size and each batch's work.
+_BATCH_PAIRS = 16_000
+SCRATCH = Scratch(_BATCH_PAIRS)
 # (hypothesis, hypothesis) pairs within a window, summed over the windows
 # that one clustering call takes, at most; a window with more is clustered
-# alone. Hypotheses and families live until their window's batch is fitted,
+# alone. A run's hypotheses and families live until its batches are fitted,
 # so this bounds them to a few windows' worth, not the whole call's.
 _CLUSTER_PAIRS = 2_000_000
 
@@ -418,17 +419,18 @@ def _noise_scales(values: np.ndarray, sizes: np.ndarray, counts: np.ndarray,
 
 def _fit_batch(vox: np.ndarray, windows: Sequence[EventWindow], first: List[int], batch,
                config, results: List[AssociationResult]) -> None:
-    """Residuals through association for a batch of :func:`_clustered` windows.
+    """Residuals through association for a batch of clustered windows.
 
-    Writes the result of each window that keeps a model into its slot of
-    ``results``.
+    ``batch`` holds one ``(slot, hypotheses, representatives, families)``
+    per window. Writes the result of each window that keeps a model into its
+    slot of ``results``.
     """
-    slots = [slot for slot, *_ in batch]
+    slots, lines, reps, families = zip(*batch)
     sizes = np.array([len(windows[k]) for k in slots], dtype=np.int64)
-    counts = np.array([len(reps) for _, _, reps, _ in batch], dtype=np.int64)
-    reps = LineSet(np.concatenate([hyps.starts[r] for _, hyps, r, _ in batch]),
-                   np.concatenate([hyps.ends[r] for _, hyps, r, _ in batch]))
-    values, voxel, line = _pair_residuals(vox, reps, np.array([first[k] for k in slots]),
+    counts = np.array([len(r) for r in reps], dtype=np.int64)
+    models = LineSet(np.concatenate([h.starts[r] for h, r in zip(lines, reps)]),
+                     np.concatenate([h.ends[r] for h, r in zip(lines, reps)]))
+    values, voxel, line = _pair_residuals(vox, models, np.array([first[k] for k in slots]),
                                           sizes, counts)
     scales = _noise_scales(values, sizes, counts, config)
     tau = np.take(np.repeat([s.tau for s in scales], counts), line,
@@ -440,65 +442,58 @@ def _fit_batch(vox: np.ndarray, windows: Sequence[EventWindow], first: List[int]
     owner = np.searchsorted(line0, [j for j, _ in survivors], side="right") - 1
     per_window = np.bincount(owner, minlength=len(batch))
     s_t = [time_scale(windows[k].geometry) for k in slots]
-    w1, finals = weigh_models(vox, reps, survivors, np.repeat(s_t, per_window))
+    w1, finals = weigh_models(vox, models, survivors, np.repeat(s_t, per_window))
     fitted = np.flatnonzero(per_window)
     survivor0 = (np.cumsum(per_window) - per_window)[fitted]  # each window's first survivor
-    models = select_model_count(finals, per_window[fitted])
-    for w, k, n_models in zip(fitted.tolist(), survivor0.tolist(), models.tolist()):
-        slot, hyps, _, families = batch[w]
-        lo, m = first[slot], int(per_window[w])
+    n_models = select_model_count(finals, per_window[fitted])
+    for w, k, n in zip(fitted.tolist(), survivor0.tolist(), n_models.tolist()):
+        window, lo, m = windows[slots[w]], first[slots[w]], int(per_window[w])
         instances = []
-        for i in (np.argsort(finals[k:k + m], kind="stable")[:n_models] + k).tolist():
+        for i in (np.argsort(finals[k:k + m], kind="stable")[:n] + k).tolist():
             j, inliers = survivors[i]
-            instances.append(WeightedModel(reps.starts[j], reps.ends[j], j - int(line0[w]),
+            instances.append(WeightedModel(models.starts[j], models.ends[j], j - int(line0[w]),
                                            inliers - lo, float(w1[i]), float(finals[i])))
-        window = windows[slot]
-        assignment = associate(vox[lo:lo + len(window)], hyps, families, instances, scales[w])
-        results[slot] = AssociationResult(window, instances, assignment)
+        assignment = associate(vox[lo:lo + len(window)], lines[w], families[w], instances,
+                               scales[w])
+        results[slots[w]] = AssociationResult(window, instances, assignment)
 
 
-def _clustered(windows: Sequence[EventWindow], vox: np.ndarray, first: List[int], config):
-    """Yield ``(slot, hypotheses, representatives, families)`` for the windows of a call.
+def _runs(items, cost, cap: int):
+    """Split ``items`` into consecutive runs costing at most ``cap``; a costlier item runs alone."""
+    run, total = [], 0
+    for item in items:
+        c = cost(item)
+        if run and total + c > cap:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += c
+    if run:
+        yield run
 
-    Only windows with usable hypotheses are yielded, in order, each with its
-    :class:`HypothesisSet` block. Consecutive windows are clustered together,
-    one :func:`select_representatives` call per run of windows whose
-    hypothesis pairs stay within ``_CLUSTER_PAIRS``.
-    """
-    slots: List[int] = []
-    lines: List[LineSet] = []
-    pairs = 0
 
-    def run():
-        hyps = select_representatives(lines, config.parallel_tol)
-        return zip(slots, hyps.lines, hyps.reps, hyps.families)
-
+def _hypotheses(windows: Sequence[EventWindow], vox: np.ndarray, first: List[int], config):
+    """Yield ``(slot, hypotheses)`` for each window of a call that has usable ones, in order."""
     for k, window in enumerate(windows):
         try:
-            generated = generate(window, vox[first[k]:first[k + 1]], config.num_slices,
-                                 config.max_pairs)
+            lines = generate(window, vox[first[k]:first[k + 1]], config.num_slices,
+                             config.max_pairs)
         except HypothesisError:
             continue
-        if slots and pairs + len(generated) ** 2 > _CLUSTER_PAIRS:
-            yield from run()
-            slots, lines, pairs = [], [], 0
-        slots.append(k)
-        lines.append(generated)
-        pairs += len(generated) ** 2
-    if slots:
-        yield from run()
+        yield k, lines
 
 
 def fit_windows(windows: Sequence[EventWindow], config) -> List[AssociationResult]:
     """Run hypothesis generation through association for every window, in order.
 
-    Generation and association run per window; clustering runs once per run
-    of consecutive windows (:func:`_clustered`), and the residuals, inlier
-    selection, weighting and model counts once per batch of windows, whose
-    (event, representative) pairs are capped by ``_BATCH_PAIRS``. Each result
-    equals a fit of its window alone. Failures (no usable slices, no
-    surviving model) degrade to an all-noise result without instances
-    instead of raising.
+    Generation and association run per window. The windows with hypotheses
+    split into runs of consecutive windows whose hypothesis pairs stay within
+    ``_CLUSTER_PAIRS``, clustered with one :func:`select_representatives`
+    call each; each run splits into batches whose (event, representative)
+    pairs stay within ``_BATCH_PAIRS``, and the residuals, inlier selection,
+    weighting and model counts run once per batch. Each result equals a fit
+    of its window alone. Failures (no usable slices, no surviving model)
+    degrade to an all-noise result without instances instead of raising.
     """
     windows = list(windows)
     if not windows:
@@ -506,17 +501,13 @@ def fit_windows(windows: Sequence[EventWindow], config) -> List[AssociationResul
     vox = _call_voxels(windows)
     first = np.cumsum([0] + [len(w) for w in windows]).tolist()
     results: List[AssociationResult] = [None] * len(windows)
-    batch, pairs = [], 0
-    for clustered in _clustered(windows, vox, first, config):
-        slot, _, reps, _ = clustered
-        n = len(windows[slot]) * len(reps)
-        if batch and pairs + n > _BATCH_PAIRS:
+    hypothesized = _hypotheses(windows, vox, first, config)
+    for run in _runs(hypothesized, lambda h: len(h[1]) ** 2, _CLUSTER_PAIRS):
+        slots, lines = zip(*run)
+        hyps = select_representatives(lines, config.parallel_tol)
+        clustered = zip(slots, lines, hyps.reps, hyps.families)
+        for batch in _runs(clustered, lambda c: len(windows[c[0]]) * len(c[2]), _BATCH_PAIRS):
             _fit_batch(vox, windows, first, batch, config, results)
-            batch, pairs = [], 0
-        batch.append(clustered)
-        pairs += n
-    if batch:
-        _fit_batch(vox, windows, first, batch, config, results)
     return [_failed(w) if res is None else res for w, res in zip(windows, results)]
 
 

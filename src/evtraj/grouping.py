@@ -138,8 +138,10 @@ class AtsltdFrame:
     def update_raw(self, u: int, v: int, p: int, t: float) -> None:
         """Check and apply one event. ``p`` is ignored: the surface has no polarity channels."""
         w, h = self.geometry.width, self.geometry.height
-        if not (0 <= u < w and 0 <= v < h):
+        if not (0 <= u < w and 0 <= v < h and u == int(u) and v == int(v)):
             raise GroupingError(f"({u}, {v}) is not a pixel of the {w}x{h} frame")
+        if not math.isfinite(t):
+            raise GroupingError(f"invalid timestamp {t}")
         if t < self.last_update:
             raise GroupingError(f"event at t={t} precedes last update {self.last_update}")
         pixels, tiles = self.locate([u], [v])

@@ -17,16 +17,16 @@ import numpy as np
 from .config import RunConfig
 from .grouping import EventWindow
 from .io import SensorGeometry
-from .scratch import CAPACITY, Scratch
+from .scratch import Scratch
 
 
 class HypothesisError(ValueError):
     pass
 
 
-# each thread's Gram chunk of a window with up to 252 hypotheses (a tracking
-# pair window has ~150); a larger window's chunk is an array of its own
-_GRAM = Scratch(4 * CAPACITY)
+# each thread's Gram chunk of a window with up to 252 hypotheses (252² <= 64,000; a
+# tracking pair window has ~150); a larger window's chunk is an array of its own
+_GRAM = Scratch(64_000)
 
 
 def time_scale(geometry: SensorGeometry) -> float:

@@ -4,8 +4,8 @@ A batch of the fit needs about a dozen arrays of one value per (event,
 representative) pair at once. Allocated afresh, each comes from glibc's brk
 heap (it is under the 128 KiB mmap threshold), and freeing them at the end of
 the batch lets malloc trim the heap top, so the next batch faults the same
-pages back in. :data:`SCRATCH` instead keeps one buffer per temporary and per
-thread, and every batch writes into the same pages with ``out=``.
+pages back in. A :class:`Scratch` instead keeps one buffer per temporary and
+per thread, and every batch writes into the same pages with ``out=``.
 """
 from __future__ import annotations
 
@@ -13,10 +13,6 @@ import math
 import threading
 
 import numpy as np
-
-# values in each scratch buffer: the (event, representative) pairs of one
-# batch (fitting._BATCH_PAIRS), 128,000 bytes of float64
-CAPACITY = 16_000
 
 
 class Scratch(threading.local):
@@ -47,5 +43,3 @@ class Scratch(threading.local):
             buf = self._buffers[name, dtype] = np.empty(self.capacity, dtype)
         return buf[:size].reshape(shape)
 
-
-SCRATCH = Scratch(CAPACITY)

@@ -148,3 +148,12 @@ def test_flag_overrides_file(tmp_path):
 def test_validation_rejects_bad_values(bad):
     with pytest.raises(ValueError):
         RunConfig(**bad)
+
+
+@pytest.mark.parametrize("key", ["fit.tau", "entropy.max_window_s", "hypo.parallel_tol"])
+def test_load_config_rejects_nan(tmp_path, key):
+    # NaN fails every comparison, so a check written ``x <= 0`` lets it through
+    path = tmp_path / "run.yaml"
+    path.write_text(f"{key}: .nan\n")
+    with pytest.raises(ValueError):
+        load_config(str(path))

@@ -680,6 +680,42 @@ class TestFitWindows:
         for a, b in zip(got, want):
             assert_same_fit(a, b)
 
+    def test_batches_nest_inside_clustering_runs(self, monkeypatch):
+        # a cluster cap of a few pair windows' hypothesis pairs gives several
+        # runs of several windows each; every batch takes its windows from
+        # one run and is fitted before the next run is clustered, so a run's
+        # hypotheses and families are released once its batches are fitted
+        config = lane_config()
+        windows = pair_windows()
+        want = fit_windows(windows, config)
+        fit_batch, log = fitting._fit_batch, []
+
+        def clustering(hyps, parallel_tol):
+            log.append(("run", len(hyps)))
+            return select_representatives(hyps, parallel_tol)
+
+        def fitting_batch(vox, windows, first, batch, config, results):
+            log.append(("batch", len(batch)))
+            return fit_batch(vox, windows, first, batch, config, results)
+
+        monkeypatch.setattr(fitting, "select_representatives", clustering)
+        monkeypatch.setattr(fitting, "_fit_batch", fitting_batch)
+        monkeypatch.setattr(fitting, "_CLUSTER_PAIRS", 100_000)
+        got = fit_windows(windows, config)
+        runs = [n for kind, n in log if kind == "run"]
+        assert len(runs) > 1 and min(runs) > 1
+        left = 0  # windows of the current run not yet fitted
+        for kind, n in log:
+            if kind == "run":
+                assert left == 0
+                left = n
+            else:
+                assert 0 < n <= left
+                left -= n
+        assert left == 0
+        for a, b in zip(got, want):
+            assert_same_fit(a, b)
+
     def test_fit_window_is_a_batch_of_one(self):
         data = generate_scene(lane_scene(2, seed=5))
         window = lane_window(data)

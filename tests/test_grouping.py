@@ -204,13 +204,27 @@ class TestUpdateFrame:
         with pytest.raises(GroupingError):
             frame.update_raw(2, 2, 1, 0.5)
 
-    @pytest.mark.parametrize("u, v", [(-1, -3), (32, 0), (0, 32), (-1, 5), (5, -1)])
+    @pytest.mark.parametrize("u, v", [(-1, -3), (32, 0), (0, 32), (-1, 5), (5, -1), (3.5, 2),
+                                      (2, 0.5)])
     def test_rejects_pixel_outside_geometry(self, u, v):
         frame = AtsltdFrame(GEOM, window_start=0.0)
         with pytest.raises(GroupingError):
             frame.update_raw(u, v, 1, 0.01)
         assert frame.entropy == 0.0
         assert not frame.surface.any()
+
+    def test_rejects_non_finite_timestamps(self):
+        # a rejected timestamp leaves the last update as it was, so a later
+        # regression still raises
+        frame = AtsltdFrame(GEOM, window_start=0.0)
+        frame.update_raw(1, 1, 1, 1.0)
+        for t in (math.nan, math.inf, -math.inf):
+            with pytest.raises(GroupingError):
+                frame.update_raw(2, 2, 1, t)
+        assert frame.last_update == 1.0
+        with pytest.raises(GroupingError):
+            frame.update_raw(2, 2, 1, 0.5)
+        assert frame.surface.sum() == 1.0
 
     @settings(deadline=None)
     @given(scan_streams(), st.integers(0, 60))
