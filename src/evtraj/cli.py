@@ -28,7 +28,7 @@ def _add_common(parser: argparse.ArgumentParser, geometry=True, fit=True, cut=Tr
     if geometry:
         parser.add_argument("--geometry", type=_parse_geometry, metavar="WxH")
     if fit:
-        parser.add_argument("--tau", type=float, help="inlier noise scale")
+        parser.add_argument("--tau", type=float, help="inlier radius (px)")
         parser.add_argument("--slices", type=int, help="number of time slices")
         parser.add_argument("--scale-mode", choices=("fixed", "ikose"))
     if cut:

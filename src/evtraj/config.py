@@ -26,7 +26,7 @@ class RunConfig:
     max_pairs: int = 4096
     parallel_tol: float = 1e-3
     # fitting
-    tau: float = 0.01
+    tau: float = 1.5  # inlier radius, px of the (u, v, t_norm) space
     scale_mode: str = "fixed"  # fixed | ikose
     ikose_k: float = 0.01
     min_inliers: int = 3

@@ -1,12 +1,13 @@
 """Two-stage robust weighting, model-count selection, and event association.
 
-Per window, voxel-to-line residuals against the representative hypotheses are
-column-normalized, thresholded at the inlier noise scale to select inliers,
-and surviving hypotheses are weighted twice -- first by temporal dispersion
-of their inliers, then by the contrast of the event image warped along the
-hypothesis. The model count comes from the elbow of the sorted weights, and
-every event is finally assigned to the instance (via its parallel hypothesis
-family) with the smallest sub-threshold residual, or marked as noise.
+Per window, voxel-to-line distances to the representative hypotheses, in
+pixels of the (u, v, t_norm) space, are thresholded at the inlier noise scale
+to select inliers, and surviving hypotheses are weighted twice -- first by
+temporal dispersion of their inliers, then by the contrast of the event image
+warped along the hypothesis. The model count comes from the elbow of the
+sorted weights, and every event is finally assigned to the instance (via its
+parallel hypothesis family) with the smallest sub-threshold residual, or
+marked as noise.
 
 :func:`fit_windows` fits the windows of one call together. Generation and
 association run per window, and clustering once per run of consecutive
@@ -45,7 +46,7 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class NoiseScale:
-    """Inlier threshold on normalized residuals."""
+    """Inlier threshold: a point-to-line distance in pixels of the (u, v, t_norm) space."""
 
     tau: float
     source: str = "fixed"  # fixed | estimated
@@ -130,15 +131,8 @@ def point_line_distances(voxels: np.ndarray, starts: np.ndarray, ends: np.ndarra
 
 
 def residual_matrix(vox: np.ndarray, lines: LineSet, out: np.ndarray = None) -> np.ndarray:
-    """Voxel-to-line residuals (events x lines), each column scaled to unit norm.
-
-    An all-zero column stays zero. The result goes to ``out`` when given,
-    else to a new array.
-    """
-    raw = point_line_distances(vox, lines.starts, lines.ends, out=out)
-    sq = np.multiply(raw, raw, out=SCRATCH.take("tmp", raw.shape))
-    norms = np.sqrt(np.add.reduce(sq, axis=0))
-    return np.divide(raw, np.where(norms > 0, norms, 1.0), out=raw)
+    """Voxel-to-line residuals (events x lines): :func:`point_line_distances` to ``lines``."""
+    return point_line_distances(vox, lines.starts, lines.ends, out=out)
 
 
 def _ramps(first: np.ndarray, lengths: np.ndarray, step: int, out: np.ndarray) -> np.ndarray:
@@ -155,7 +149,7 @@ def _ramps(first: np.ndarray, lengths: np.ndarray, step: int, out: np.ndarray) -
 
 
 def _pair_residuals(vox, lines, first, sizes, counts):
-    """Normalized residuals of every (voxel, line) pair of a batch of windows.
+    """Residuals of every (voxel, line) pair of a batch of windows.
 
     Window ``w`` holds the voxels ``vox[first[w]:first[w] + sizes[w]]`` and
     the next ``counts[w]`` lines of ``lines``. Its pairs come event-major, so
@@ -179,18 +173,7 @@ def _pair_residuals(vox, lines, first, sizes, counts):
     p = [np.subtract(gather(vox[:, k], voxel, f"p{k}"), gather(lines.starts[:, k], line, "tmp"),
                      out=SCRATCH.take(f"p{k}", n)) for k in range(3)]
     raw = _cross_norms(*p, *(gather(d[:, k], line, f"d{k}") for k in range(3)))
-    np.divide(raw, gather(_lengths(d), line, "tmp"), out=raw)
-    sq = np.multiply(raw, raw, out=p[0])
-    # numpy sums the columns of an (n, m > 1) matrix one row after another,
-    # as bincount does, but a lone column pairwise
-    norms = np.bincount(line, weights=sq, minlength=len(lines))
-    pair_start = np.cumsum(sizes * counts) - sizes * counts
-    for w in np.flatnonzero(counts == 1).tolist():
-        lo = pair_start[w]
-        norms[line0[w]] = np.add.reduce(sq[lo:lo + sizes[w]])
-    norms = np.sqrt(norms)
-    scale = gather(np.where(norms > 0, norms, 1.0), line, "tmp")
-    return np.divide(raw, scale, out=raw), voxel, line
+    return np.divide(raw, gather(_lengths(d), line, "tmp"), out=raw), voxel, line
 
 
 def estimate_tau_ikose(column: np.ndarray, k_ratio: float = RunConfig.ikose_k) -> NoiseScale:
@@ -348,7 +331,7 @@ def associate(
     block (:class:`HypothesisSet`). An instance's family is
     ``families[instance.rep_index]``, the hypotheses parallel to its
     representative. An event's residual to an instance is its smallest
-    normalized residual over the family; the event goes to the instance with
+    distance to a line of the family; the event goes to the instance with
     the smallest one (ties: the earlier instance), or to noise when that
     residual is not below tau.
     """

@@ -140,7 +140,7 @@ class AtsltdFrame:
         w, h = self.geometry.width, self.geometry.height
         if not (0 <= u < w and 0 <= v < h and u == int(u) and v == int(v)):
             raise GroupingError(f"({u}, {v}) is not a pixel of the {w}x{h} frame")
-        if not math.isfinite(t):
+        if not (math.isfinite(t) and t >= 0):
             raise GroupingError(f"invalid timestamp {t}")
         if t < self.last_update:
             raise GroupingError(f"event at t={t} precedes last update {self.last_update}")

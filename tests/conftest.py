@@ -38,7 +38,7 @@ def window_of(geometry, t, u, v, t_start, t_end) -> EventWindow:
 LANE_GEOMETRY = SensorGeometry(64, 64)
 LANE_DURATION = 0.05
 LANE_EVENTS_PER_MOTION = 60
-LANE_NOISE_SIGMA = 0.32  # tau/2 of the normalized time-axis length
+LANE_NOISE_SIGMA = 0.32  # px, well inside the default 1.5 px inlier radius
 LANES = (
     ((960.0, 0.0), BoundingBox(6, 10, 2, 2)),
     ((-960.0, 0.0), BoundingBox(56, 22, 2, 2)),

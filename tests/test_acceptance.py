@@ -222,7 +222,7 @@ def sweep_scene():
 
 def test_tau_sweep_is_flat_topped(sweep_scene):
     stream, pairs = sweep_scene
-    taus = [0.0025, 0.005, 0.01, 0.02, 0.05]
+    taus = [0.375, 1.5, 3.0, 6.0, 24.0]  # px
     aor = [
         evaluate(stream, pairs, lane_config(tau=tau), n_rep=1).aor for tau in taus
     ]

@@ -14,6 +14,7 @@ from conftest import (
     LANE_GEOMETRY,
     LANE_NOISE_SIGMA,
     LANES,
+    framed_track_stream,
     track_pairs,
     track_stream,
 )
@@ -186,6 +187,19 @@ class TestAssociateCommand:
         out = tmp_path / "assoc.txt"
         assert main(["associate", str(events), "--out", str(out)]) == 0
         assert io.read_associations(out.read_bytes()).size == 3
+
+    def test_ikose_scale_mode_runs_end_to_end(self, tmp_path, capsys):
+        stream = framed_track_stream()
+        events, out = tmp_path / "events.txt", tmp_path / "assoc.txt"
+        events.write_bytes(io.serialize_stream(stream))
+        assert main(["associate", str(events), "--out", str(out), "--geometry", "64x64",
+                     "--scale-mode", "ikose"]) == 0
+        summary = capsys.readouterr().out
+        models = sum(int(l.split("models=")[1].split()[0]) for l in summary.splitlines()
+                     if l.startswith("window"))
+        assignment = io.read_associations(out.read_bytes())
+        assert assignment.size == len(stream)
+        assert np.all((assignment >= NOISE_ID) & (assignment < models))
 
     def test_missing_input_fails_cleanly(self, tmp_path, capsys):
         rc = main(["associate", str(tmp_path / "nope.txt"),

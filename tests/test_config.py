@@ -31,7 +31,7 @@ def test_defaults():
     assert cfg.width == 240 and cfg.height == 180
     assert cfg.entropy_alpha == 2.5 and cfg.entropy_beta == 4.5
     assert cfg.num_slices == 10
-    assert cfg.tau == 0.01
+    assert cfg.tau == 1.5  # px
     assert cfg.scale_mode == "fixed"
     assert cfg.n_rep == 5
     assert cfg.geometry == SensorGeometry(240, 180)

@@ -158,34 +158,31 @@ class TestResidual:
         raw = point_line_distances(vox, starts, ends)
         ref = cross_point_line_distances(vox, starts, ends)
         assert np.array_equal(raw, ref)
-        norms = np.linalg.norm(ref, axis=0)
-        assert np.array_equal(residual_matrix(vox, LineSet(starts, ends)),
-                              ref / np.where(norms > 0, norms, 1.0))
+        assert np.array_equal(residual_matrix(vox, LineSet(starts, ends)), ref)
 
 
 class TestResidualMatrix:
+    """Residuals are raw point-to-line distances, in pixels of the (u, v, t_norm) space."""
+
     @staticmethod
     def _lines(starts, ends):
         return LineSet(np.asarray(starts, float), np.asarray(ends, float))
 
-    def test_single_event_single_line_normalizes_to_one(self):
+    def test_single_event_single_line_is_its_distance(self):
         vox = window_voxels(make_window([0.5], [10], [20]))
         lines = self._lines([[0, 0, 0]], [[0, 0, 64]])
         m = residual_matrix(vox, lines)
-        assert m == pytest.approx(np.array([[1.0]]))
-        raw = point_line_distances(vox, lines.starts, lines.ends)
-        assert raw[0, 0] == pytest.approx(np.hypot(10.0, 20.0))
+        assert np.array_equal(m, point_line_distances(vox, lines.starts, lines.ends))
+        assert m[0, 0] == pytest.approx(np.hypot(10.0, 20.0))
 
-    def test_equal_raw_residuals_normalize_to_inverse_sqrt_n(self):
+    def test_equal_distances_do_not_depend_on_event_count(self):
         # four events all at distance 5 from the time axis
         vox = window_voxels(make_window([0.25, 0.25, 0.75, 0.75], [3, 5, 3, 5], [4, 0, 4, 0]))
         lines = self._lines([[0, 0, 0]], [[0, 0, 64]])
-        m = residual_matrix(vox, lines)
-        assert m[:, 0] == pytest.approx(np.full(4, 0.5))
-        raw = point_line_distances(vox, lines.starts, lines.ends)
-        assert np.linalg.norm(raw[:, 0]) == pytest.approx(10.0)
+        assert residual_matrix(vox, lines)[:, 0] == pytest.approx(np.full(4, 5.0))
+        assert np.array_equal(residual_matrix(vox[:1], lines), residual_matrix(vox, lines)[:1])
 
-    def test_columns_have_unit_norm(self):
+    def test_equals_point_line_distances(self):
         rng = np.random.default_rng(1)
         vox = window_voxels(make_window(
             np.sort(rng.uniform(0, 1, 50)),
@@ -195,10 +192,66 @@ class TestResidualMatrix:
         starts[:, 2] = 0.0
         ends = starts + rng.uniform(1, 10, (5, 3))
         m = residual_matrix(vox, self._lines(starts, ends))
-        assert np.linalg.norm(m, axis=0) == pytest.approx(np.ones(5))
-        # each column is the raw column divided by its norm
-        raw = point_line_distances(vox, starts, ends)
-        assert m * np.linalg.norm(raw, axis=0) == pytest.approx(raw)
+        assert np.array_equal(m, point_line_distances(vox, starts, ends))
+        out = np.empty_like(m)
+        assert residual_matrix(vox, self._lines(starts, ends), out=out) is out
+        assert np.array_equal(out, m)
+
+
+# a line u = 10 + t_norm / 2 at v = 20 on the 64x64 sensor, over t in [0, 1]
+# (t_norm = 64 t): its first- and last-slice events give every hypothesis,
+# and each is this line; an event at pixel u whose t_norm is 2 (u - 10) + e
+# lies |e| / sqrt(5) px from it
+PIXEL_LINE = LineSet(np.array([[10.0, 20.0, 0.0]]), np.array([[42.0, 20.0, 64.0]]))
+PIXEL_ENDS = [(0.0, 10), (1 / 32, 11), (31 / 32, 41), (1.0, 42)]
+
+
+def off_line(u, r):
+    """The time at which an event at pixel ``(u, 20)`` lies ``|r|`` px off the line."""
+    return (2 * (u - 10) + r * np.sqrt(5.0)) / 64
+
+
+class TestPixelThreshold:
+    INLIERS = [(off_line(u, r), u) for u, r in
+               [(16, -1.4), (20, 1.4), (24, -1.4), (28, 1.4), (32, -1.4), (36, 1.4)]]
+    OUTLIER = (off_line(26, 1.6), 26)
+    CLUTTER = [(0.3, 60, 60), (0.4, 2, 60), (0.5, 60, 2), (0.6, 50, 5), (0.7, 5, 50)]
+
+    def _window(self, clutter):
+        events = [(t, u, 20) for t, u in PIXEL_ENDS + self.INLIERS + [self.OUTLIER]]
+        events = sorted(events + (self.CLUTTER if clutter else []))
+        t, u, v = (np.array(x) for x in zip(*events))
+        return make_window(t, u, v), events
+
+    def test_distances_are_as_built(self):
+        win, events = self._window(clutter=False)
+        d = residual_matrix(window_voxels(win), PIXEL_LINE)[:, 0]
+        by_event = dict(zip(events, d.tolist()))
+        assert [by_event[(t, u, 20)] for t, u in self.INLIERS] == pytest.approx([1.4] * 6)
+        assert by_event[(*self.OUTLIER, 20)] == pytest.approx(1.6)
+
+    def test_residuals_ignore_far_clutter(self):
+        tau = lane_config().tau
+        clean, clean_events = self._window(clutter=False)
+        noisy, noisy_events = self._window(clutter=True)
+        want = residual_matrix(window_voxels(clean), PIXEL_LINE)[:, 0]
+        got = residual_matrix(window_voxels(noisy), PIXEL_LINE)[:, 0]
+        shared = [noisy_events.index(e) for e in clean_events]
+        assert np.array_equal(got[shared], want)
+        inlier = dict(zip(clean_events, (want < tau).tolist()))
+        assert all(inlier[(t, u, 20)] for t, u in PIXEL_ENDS + self.INLIERS)
+        assert not inlier[(*self.OUTLIER, 20)]
+
+    def test_fit_keeps_its_inliers_when_clutter_is_added(self):
+        structure = {(t, u, 20) for t, u in PIXEL_ENDS + self.INLIERS}
+        for clutter in (False, True):
+            win, events = self._window(clutter)
+            res = fit_windows([win], lane_config())[0]
+            assert res.num_models == 1
+            assert {events[i] for i in res.instances[0].inliers.tolist()} == structure
+            ids = dict(zip(events, res.assignment.tolist()))
+            assert all(ids[e] == 0 for e in structure)
+            assert all(ids[e] == NOISE_ID for e in events if e not in structure)
 
 
 class TestIkose:
@@ -472,7 +525,8 @@ class TestAssociate:
         _, clusters, instances, _ = self._setup()
         vox = window_voxels(make_window([0.1, 0.3, 0.5, 0.9], [10, 11, 10, 12], [10, 10, 11, 10]))
         twins = [instances[0], instances[0]]
-        assert associate(vox, *clusters, twins, NoiseScale(1.0)).tolist() == [0, 0, 0, 0]
+        # up to 2 px from the static point's line, all below a 3 px radius
+        assert associate(vox, *clusters, twins, NoiseScale(3.0)).tolist() == [0, 0, 0, 0]
 
     def test_requires_instances(self):
         win, clusters, _, _ = self._setup()
@@ -552,8 +606,8 @@ def fit_batch_windows(draw, kinds=("tiny", "flat", "lone", "moving")):
     ``tiny``: 0-2 events. ``flat``: every event at one timestamp, so one time
     slice. ``lone``: the first-slice events share
     one voxel and the last-slice events another, so every hypothesis is the
-    same line and the window has one representative (a lone residual column),
-    with 24-60 events in between. ``moving``: a point moving
+    same line and the window has one representative (a lone residual column
+    in a batch of wider ones), with 24-60 events in between. ``moving``: a point moving
     at a random velocity plus clutter.
     """
     geom = draw(st.sampled_from(GEOMETRIES))
@@ -603,26 +657,23 @@ class TestFitWindows:
     @given(st.lists(fit_batch_windows(), max_size=7),
            st.tuples(fit_batch_windows(kinds=("lone",)), st.integers(0, 7)),
            st.sampled_from(["fixed", "ikose"]),
-           st.one_of(st.sampled_from([0.01, 0.05, 0.2]), st.integers(0, 10 ** 6)),
+           st.one_of(st.sampled_from([0.5, 1.5, 4.0]), st.integers(0, 10 ** 6)),
            st.sampled_from([1, 60, None]),
            st.sampled_from([1, 400, None]))
     def test_bit_identical_to_per_window_reference(self, windows, lone, scale_mode, tau, cap,
                                                    cluster_cap):
         # an integer tau picks a residual of the reference, and the fit runs
         # with tau on it and just above it, so one rounding step in that
-        # residual changes an inlier set; lone columns, which numpy sums
-        # pairwise and not row after row, are picked first as the sums most
-        # easily gotten wrong; a small pair cap splits the call into batches,
-        # and a small cluster cap into several clustering runs
+        # residual changes an inlier set; a small pair cap splits the call
+        # into batches, and a small cluster cap into several clustering runs
         windows.insert(lone[1], lone[0])
         taus = [tau]
         if isinstance(tau, int):
             stages = [reference_residuals(w, lane_config()) for w in windows]
-            matrices = sorted((m for *_, m in filter(None, stages) if (m > 0).any()),
-                              key=lambda m: (m.shape[1] > 1, -m.shape[0]))
+            matrices = [m for *_, m in filter(None, stages) if (m > 0).any()]
             taus = [0.01]  # every residual is zero
             if matrices:
-                values = matrices[0 if matrices[0].shape[1] == 1 else tau % len(matrices)]
+                values = matrices[tau % len(matrices)]
                 values = values[values > 0]
                 taus = [float(values[tau % values.size])]
                 taus.append(float(np.nextafter(taus[0], np.inf)))

@@ -226,6 +226,16 @@ class TestUpdateFrame:
             frame.update_raw(2, 2, 1, 0.5)
         assert frame.surface.sum() == 1.0
 
+    def test_rejects_negative_timestamp(self):
+        # a frame whose window starts before 0 would otherwise take the event,
+        # which EventStream rejects; nothing changes before the error
+        frame = AtsltdFrame(GEOM, window_start=-1.0)
+        with pytest.raises(GroupingError, match="invalid timestamp -0.5"):
+            frame.update_raw(1, 1, 1, -0.5)
+        assert frame.last_update == -1.0
+        assert frame.entropy == 0.0
+        assert not frame.surface.any()
+
     @settings(deadline=None)
     @given(scan_streams(), st.integers(0, 60))
     def test_bit_identical_to_dense_frame(self, case, reset_at):
