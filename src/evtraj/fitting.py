@@ -9,11 +9,14 @@ sorted weights, and every event is finally assigned to the instance (via its
 parallel hypothesis family) with the smallest sub-threshold residual, or
 marked as noise.
 
-:func:`fit_windows` fits the windows of one call together. Generation and
-association run per window, and clustering once per run of consecutive
-windows; the residuals, inlier selection, both weighting stages and the model
-counts run once over a batch of windows, and every result equals, bit for
-bit, a fit of its window alone.
+:func:`fit_windows` fits the windows of one call together. Generation runs
+per window and clustering once per run of consecutive windows; the
+residuals, inlier selection, both weighting stages, the model counts and the
+association run once over a batch of windows. Association settles most
+(event, instance) pairs from the representative's inliers and a few family
+lines before it scans whole families, and computes every residual with the
+bits of :func:`residual_matrix`, so every result equals, bit for bit, a fit
+of its window alone.
 """
 from __future__ import annotations
 
@@ -148,6 +151,24 @@ def _ramps(first: np.ndarray, lengths: np.ndarray, step: int, out: np.ndarray) -
     return np.cumsum(out, out=out)
 
 
+def _residuals(vox, voxel, starts, d, lengths, line):
+    """Residual of each (voxel, line) pair, with the bits of :func:`residual_matrix`.
+
+    Pair ``i`` takes the voxel ``vox[voxel[i]]`` and the line ``line[i]`` of
+    a table given by its ``starts``, directions ``d`` and their
+    :func:`_lengths`. The result is the scratch buffer ``"cross"``.
+    """
+    n = voxel.size
+
+    def gather(values, index, name):  # the indices are in range: "clip" takes unbuffered
+        return np.take(values, index, out=SCRATCH.take(name, n), mode="clip")
+
+    p = [np.subtract(gather(vox[:, k], voxel, f"p{k}"), gather(starts[:, k], line, "tmp"),
+                     out=SCRATCH.take(f"p{k}", n)) for k in range(3)]
+    raw = _cross_norms(*p, *(gather(d[:, k], line, f"d{k}") for k in range(3)))
+    return np.divide(raw, gather(lengths, line, "tmp"), out=raw)
+
+
 def _pair_residuals(vox, lines, first, sizes, counts):
     """Residuals of every (voxel, line) pair of a batch of windows.
 
@@ -166,14 +187,7 @@ def _pair_residuals(vox, lines, first, sizes, counts):
                    SCRATCH.take("voxel", n, np.int64))
     line = _ramps(np.repeat(line0, sizes), per_event, 1, SCRATCH.take("line", n, np.int64))
     d = lines.directions()
-
-    def gather(values, index, name):  # the indices are in range: "clip" takes unbuffered
-        return np.take(values, index, out=SCRATCH.take(name, n), mode="clip")
-
-    p = [np.subtract(gather(vox[:, k], voxel, f"p{k}"), gather(lines.starts[:, k], line, "tmp"),
-                     out=SCRATCH.take(f"p{k}", n)) for k in range(3)]
-    raw = _cross_norms(*p, *(gather(d[:, k], line, f"d{k}") for k in range(3)))
-    return np.divide(raw, gather(_lengths(d), line, "tmp"), out=raw), voxel, line
+    return _residuals(vox, voxel, lines.starts, d, _lengths(d), line), voxel, line
 
 
 def estimate_tau_ikose(column: np.ndarray, k_ratio: float = RunConfig.ikose_k) -> NoiseScale:
@@ -318,42 +332,156 @@ def weigh_models(
     return w1, w1 * (1.0 - contrast)
 
 
+def _chunks(owner: np.ndarray, cost: np.ndarray, cap: int):
+    """Split pairs into consecutive ``(lo, hi)`` ranges whose costs sum to at most ``cap``.
+
+    ``owner`` (ascending) gives each pair's instance, and a pair of instance
+    ``g`` costs ``cost[g]``; a pair costing more than ``cap`` is a range of
+    its own. Each instance's pairs are cut into pieces within ``cap`` first,
+    so :func:`_runs` loops over pieces, not pairs.
+    """
+    ends = np.cumsum(np.bincount(owner, minlength=cost.size)).tolist()
+    pieces = []
+    for lo, hi, c in zip([0, *ends], ends, cost.tolist()):
+        step = max(1, cap // c)
+        pieces += [(a, min(a + step, hi), c) for a in range(lo, hi, step)]
+    for run in _runs(pieces, lambda piece: (piece[1] - piece[0]) * piece[2], cap):
+        yield run[0][0], run[-1][1]
+
+
+def _any_below(vox, event, owner, lines, line0, count, tau) -> np.ndarray:
+    """Whether each (event, instance) pair has a residual below tau to one of its lines.
+
+    Pair ``i`` takes the voxel ``vox[event[i]]`` and, with ``g = owner[i]``,
+    the lines ``line0[g]`` to ``line0[g] + count[g] - 1`` of the table
+    ``lines`` (starts, directions and lengths, as :func:`_residuals` takes
+    them), against ``tau[g]``, in chunks of at most ``_BATCH_PAIRS`` residuals.
+    """
+    below = np.empty(event.size, dtype=bool)
+    for lo, hi in _chunks(owner, count, _BATCH_PAIRS):
+        g = owner[lo:hi]
+        c = count[g]
+        n = int(c.sum())
+        voxel = _ramps(event[lo:hi], c, 0, SCRATCH.take("voxel", n, np.int64))
+        line = _ramps(line0[g], c, 1, SCRATCH.take("line", n, np.int64))
+        nearest = np.minimum.reduceat(_residuals(vox, voxel, *lines, line), np.cumsum(c) - c)
+        np.less(nearest, tau[g], out=below[lo:hi])
+    return below
+
+
+# family lines that the second stage of association tries per (event, instance) pair
+_PROBES = 8
+
+
 def associate(
     vox: np.ndarray,
-    hyps: LineSet,
-    families: np.ndarray,
-    instances: Sequence[WeightedModel],
-    scale: NoiseScale,
-) -> np.ndarray:
-    """Per-event instance ids: the instance whose family fits the event best.
+    first: Sequence[int],
+    sizes: Sequence[int],
+    hyps: Sequence[LineSet],
+    families: Sequence[np.ndarray],
+    instances: Sequence[Sequence[WeightedModel]],
+    scales: Sequence[NoiseScale],
+) -> List[np.ndarray]:
+    """Per-event instance ids of each window of a batch: the instance whose family fits best.
 
-    ``hyps`` are the window's hypotheses and ``families`` its (R, H) family
-    block (:class:`HypothesisSet`). An instance's family is
-    ``families[instance.rep_index]``, the hypotheses parallel to its
+    Window ``w`` holds the voxels ``vox[first[w]:first[w] + sizes[w]]``, the
+    hypotheses ``hyps[w]`` with their (R, H) family block ``families[w]``
+    (:class:`HypothesisSet`), at least one instance ``instances[w]`` and the
+    noise scale ``scales[w]``. An instance's family is
+    ``families[w][instance.rep_index]``, the hypotheses parallel to its
     representative. An event's residual to an instance is its smallest
     distance to a line of the family; the event goes to the instance with
     the smallest one (ties: the earlier instance), or to noise when that
-    residual is not below tau.
+    residual is not below tau. An instance's ``inliers`` must be events below
+    tau of its family: the fit's are below tau of the representative, which
+    belongs to its own family.
+
+    Only the instances an event is below tau of, and among two or more of
+    them the exact family minima, decide its id. An (event, instance) pair is
+    below tau as soon as one residual to a family line is, so the pairs are
+    settled in stages, every residual with the bits of :func:`residual_matrix`:
+
+    1. the inliers of the instance's representative are below tau;
+    2. one gathered pass takes the open pairs to at most ``_PROBES`` lines of
+       the family, at a stride of ``ceil(F / _PROBES)``; a pair with a
+       residual below tau is settled, and so is one whose family it covered;
+    3. one gathered pass takes the pairs still open to the whole family;
+    4. an event below tau of two or more instances gets its family minimum
+       to each of them from :func:`residual_matrix`.
+
+    The instances below tau of each event, and so every id, are those of
+    the per-instance minima over whole families. Each gathered pass runs in
+    chunks of at most ``_BATCH_PAIRS`` residuals.
     """
-    if not instances:
+    if not instances or not all(instances):
         raise FitError("no instances to associate against")
-    fam_min = np.empty((len(instances), len(vox)))
-    for row, m in zip(fam_min, instances):
-        lines = hyps.take(families[m.rep_index])
-        block = residual_matrix(vox, lines, out=SCRATCH.take("family", (len(vox), len(lines))))
-        block.min(axis=1, initial=np.inf, out=row)
-    owner = np.argmin(fam_min, axis=0)
-    return np.where(fam_min.min(axis=0) < scale.tau, owner, NOISE_ID)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    per_window = np.array([len(ms) for ms in instances])
+    inliers = [m.inliers for ms in instances for m in ms]
+    window = np.repeat(np.arange(sizes.size), per_window)  # each instance's window
+    local = np.arange(len(inliers)) - (np.cumsum(per_window) - per_window)[window]  # its id
+    n = sizes[window]
+    pair0 = np.cumsum(n) - n  # pair (g, e) of instance g and event e is pair0[g] + e
+    instance = np.repeat(np.arange(len(inliers)), n)
+    event0 = (np.cumsum(sizes) - sizes)[window] - pair0  # pair -> event of the batch
+    voxel0 = np.asarray(first, dtype=np.int64)[window] - pair0  # pair -> voxel
+    tau = np.array([s.tau for s in scales])[window]
+    # every instance's family members, instance after instance
+    rows = [f[[m.rep_index for m in ms]] for f, ms in zip(families, instances)]
+    size = np.concatenate([r.sum(axis=1) for r in rows])
+    fam0 = np.cumsum(size) - size
+    hyp0 = np.cumsum([0] + [len(h) for h in hyps]).tolist()
+    member = np.concatenate([np.nonzero(r)[1] + h0 for r, h0 in zip(rows, hyp0)])
+    family = LineSet(np.concatenate([h.starts for h in hyps])[member],
+                     np.concatenate([h.ends for h in hyps])[member])
+    d = family.directions()
+    lines = (family.starts, d, _lengths(d))
+
+    below = np.zeros(instance.size, dtype=bool)
+    below[np.concatenate(inliers) + np.repeat(pair0, [i.size for i in inliers])] = True
+    pair = np.flatnonzero(~below)
+    g = instance[pair]
+    stride = -(-size // _PROBES)
+    count = -(-size // stride)
+    probe0 = np.cumsum(count) - count
+    step = np.arange(count.sum()) - np.repeat(probe0, count)  # each probe's step in its family
+    probe = np.repeat(fam0, count) + np.repeat(stride, count) * step
+    hit = _any_below(vox, pair + voxel0[g], g, tuple(a[probe] for a in lines), probe0, count, tau)
+    below[pair[hit]] = True
+    left = ~hit & (count < size)[g]
+    pair, g = pair[left], g[left]
+    below[pair[_any_below(vox, pair + voxel0[g], g, lines, fam0, size, tau)]] = True
+
+    pair = np.flatnonzero(below)
+    g = instance[pair]
+    event = pair + event0[g]
+    assignment = np.full(sizes.sum(), NOISE_ID, dtype=np.int64)
+    assignment[event] = local[g]  # right for every event below tau of one instance
+    contested = np.bincount(event, minlength=assignment.size)[event] > 1
+    pair, g, event = pair[contested], g[contested], event[contested]
+    nearest = np.empty(pair.size)
+    cuts = np.flatnonzero(np.diff(g, prepend=-1)).tolist()  # each instance's first pair
+    for lo, hi in zip(cuts, cuts[1:] + [pair.size]):
+        a = int(fam0[g[lo]])
+        block = residual_matrix(vox[pair[lo:hi] + voxel0[g[lo]]],
+                                family.take(slice(a, a + int(size[g[lo]]))))
+        block.min(axis=1, out=nearest[lo:hi])
+    best = np.lexsort((g, nearest, event))  # per event: smallest minimum, then earliest
+    best = best[np.diff(event[best], prepend=-1) != 0]
+    assignment[event[best]] = local[g[best]]
+    return np.split(assignment, np.cumsum(sizes)[:-1])
 
 
 # (event, representative) pairs whose residuals one batch of windows holds at
-# most; a window with more pairs is a batch of its own. A batch needs about a
-# dozen pair-sized temporaries at once, 128,000 bytes each at the cap, which
-# glibc serves from the brk heap. Freed after every batch, they would let
-# malloc trim the heap top and the next batch fault the pages back in (~5,500
-# minor faults per track_eval evaluate, at ~2-3 us each), so they live in
-# SCRATCH, whose buffers hold this many values each: the cap bounds the
-# scratch's size and each batch's work.
+# most; a window with more pairs is a batch of its own. Each gathered pass of
+# association holds at most this many (event, family line) residuals, unless
+# one pair's family alone is larger. A batch needs about a dozen pair-sized
+# temporaries at once, 128,000 bytes each at the cap, which glibc serves from
+# the brk heap. Freed after every batch, they would let malloc trim the heap
+# top and the next batch fault the pages back in (~5,500 minor faults per
+# track_eval evaluate, at ~2-3 us each), so they live in SCRATCH, whose
+# buffers hold this many values each: the cap bounds the scratch's size and
+# each batch's work.
 _BATCH_PAIRS = 16_000
 SCRATCH = Scratch(_BATCH_PAIRS)
 # (hypothesis, hypothesis) pairs within a window, summed over the windows
@@ -429,16 +557,21 @@ def _fit_batch(vox: np.ndarray, windows: Sequence[EventWindow], first: List[int]
     fitted = np.flatnonzero(per_window)
     survivor0 = (np.cumsum(per_window) - per_window)[fitted]  # each window's first survivor
     n_models = select_model_count(finals, per_window[fitted])
+    instances = []
     for w, k, n in zip(fitted.tolist(), survivor0.tolist(), n_models.tolist()):
-        window, lo, m = windows[slots[w]], first[slots[w]], int(per_window[w])
-        instances = []
+        lo, m = first[slots[w]], int(per_window[w])
+        chosen = []
         for i in (np.argsort(finals[k:k + m], kind="stable")[:n] + k).tolist():
             j, inliers = survivors[i]
-            instances.append(WeightedModel(models.starts[j], models.ends[j], j - int(line0[w]),
-                                           inliers - lo, float(w1[i]), float(finals[i])))
-        assignment = associate(vox[lo:lo + len(window)], lines[w], families[w], instances,
-                               scales[w])
-        results[slots[w]] = AssociationResult(window, instances, assignment)
+            chosen.append(WeightedModel(models.starts[j], models.ends[j], j - int(line0[w]),
+                                        inliers - lo, float(w1[i]), float(finals[i])))
+        instances.append(chosen)
+    fitted = fitted.tolist()
+    assignments = associate(vox, [first[slots[w]] for w in fitted], sizes[fitted],
+                            [lines[w] for w in fitted], [families[w] for w in fitted],
+                            instances, [scales[w] for w in fitted])
+    for w, chosen, assignment in zip(fitted, instances, assignments):
+        results[slots[w]] = AssociationResult(windows[slots[w]], chosen, assignment)
 
 
 def _runs(items, cost, cap: int):
@@ -469,14 +602,15 @@ def _hypotheses(windows: Sequence[EventWindow], vox: np.ndarray, first: List[int
 def fit_windows(windows: Sequence[EventWindow], config) -> List[AssociationResult]:
     """Run hypothesis generation through association for every window, in order.
 
-    Generation and association run per window. The windows with hypotheses
-    split into runs of consecutive windows whose hypothesis pairs stay within
+    Generation runs per window. The windows with hypotheses split into runs
+    of consecutive windows whose hypothesis pairs stay within
     ``_CLUSTER_PAIRS``, clustered with one :func:`select_representatives`
     call each; each run splits into batches whose (event, representative)
     pairs stay within ``_BATCH_PAIRS``, and the residuals, inlier selection,
-    weighting and model counts run once per batch. Each result equals a fit
-    of its window alone. Failures (no usable slices, no surviving model)
-    degrade to an all-noise result without instances instead of raising.
+    weighting, model counts and association run once per batch. Each result
+    equals a fit of its window alone. Failures (no usable slices, no
+    surviving model) degrade to an all-noise result without instances
+    instead of raising.
     """
     windows = list(windows)
     if not windows:

@@ -192,6 +192,7 @@ def select_representatives(
             block = units[lo:lo + chunk]
             gram = np.matmul(block, units.T, out=_GRAM.take("gram", (len(block), n)))
             np.less_equal(np.subtract(1.0, gram, out=gram), parallel_tol, out=adj[lo:lo + chunk])
+        np.fill_diagonal(adj, True)  # a rounded self-product may miss a tiny tolerance
         unassigned = np.ones(n, dtype=bool)
         picked: List[int] = []
         for r in np.argsort(-adj.sum(axis=1), kind="stable").tolist():

@@ -6,7 +6,8 @@ recover from a labelled window: the total-least-squares line of each motion's
 events, and the direction a known velocity traces in normalized voxel space.
 The fit references are the per-window compositions that the batched fit
 replaced: one window at a time, one residual matrix per window, one greedy
-representative search per representative. The tracking reference fits and
+representative search per representative, and one whole-family residual
+block per instance in association. The tracking reference fits and
 propagates one box pair at a time.
 """
 from __future__ import annotations
@@ -17,9 +18,9 @@ import numpy as np
 
 from evtraj.fitting import (
     AssociationResult,
+    FitError,
     NoiseScale,
     WeightedModel,
-    associate,
     estimate_tau_ikose,
     residual_matrix,
     weigh_models,
@@ -129,6 +130,7 @@ def greedy_representatives(hyps: LineSet, parallel_tol: float) -> HypothesisSet:
     chunk = max(1, 2_000_000 // n)
     for lo in range(0, n, chunk):
         adj[lo:lo + chunk] = (1.0 - units[lo:lo + chunk] @ units.T) <= parallel_tol
+    np.fill_diagonal(adj, True)
     counts = adj.sum(axis=1)
     unassigned = np.ones(n, dtype=bool)
     rep_indices: List[int] = []
@@ -136,7 +138,6 @@ def greedy_representatives(hyps: LineSet, parallel_tol: float) -> HypothesisSet:
         r = int(np.argmax(np.where(unassigned, counts, -1)))
         rep_indices.append(r)
         unassigned[adj[r]] = False
-        unassigned[r] = False  # adj[r, r] may round to False
     reps = np.asarray(rep_indices, dtype=np.int64)
     return HypothesisSet([hyps], [reps], [adj[reps]])
 
@@ -174,6 +175,24 @@ def reference_residuals(window: EventWindow, config):
     return vox, hyps, residual_matrix(vox, hyps.lines[0].take(hyps.reps[0]))
 
 
+def reference_associate(vox, hyps: LineSet, families: np.ndarray, instances,
+                        scale: NoiseScale) -> np.ndarray:
+    """One window's association: every event's minimum over each instance's whole family.
+
+    An instance's family is ``families[instance.rep_index]``; the event goes
+    to the instance with the smallest minimum (ties: the earlier instance),
+    or to noise when that minimum is not below tau.
+    """
+    if not instances:
+        raise FitError("no instances to associate against")
+    fam_min = np.empty((len(instances), len(vox)))
+    for row, m in zip(fam_min, instances):
+        lines = hyps.take(families[m.rep_index])
+        residual_matrix(vox, lines).min(axis=1, initial=np.inf, out=row)
+    owner = np.argmin(fam_min, axis=0)
+    return np.where(fam_min.min(axis=0) < scale.tau, owner, NOISE_ID)
+
+
 def reference_fit_window(window: EventWindow, config) -> AssociationResult:
     """One window's fit, stage after stage on that window alone."""
     failed = AssociationResult(window, [], np.full(len(window), NOISE_ID, dtype=np.int64))
@@ -197,7 +216,7 @@ def reference_fit_window(window: EventWindow, config) -> AssociationResult:
         j, inliers = survivors[i]
         instances.append(WeightedModel(reps.starts[j], reps.ends[j], j, inliers,
                                        float(w1[i]), float(finals[i])))
-    assignment = associate(vox, hyps.lines[0], hyps.families[0], instances, scale)
+    assignment = reference_associate(vox, hyps.lines[0], hyps.families[0], instances, scale)
     return AssociationResult(window, instances, assignment)
 
 

@@ -41,7 +41,13 @@ from evtraj.hypotheses import (
 from evtraj.io import NOISE_ID, EventStream, SensorGeometry
 from evtraj.scratch import Scratch
 from evtraj.synth import generate_scene
-from oracles import elbow_count, matrix_inliers, reference_fit_window, reference_residuals
+from oracles import (
+    elbow_count,
+    matrix_inliers,
+    reference_associate,
+    reference_fit_window,
+    reference_residuals,
+)
 
 GEOM = SensorGeometry(64, 64)
 
@@ -492,6 +498,53 @@ class TestSelectModelCount:
         assert got.tolist() == [elbow_count(g) for g in groups]
 
 
+def associate_one(vox, lines, families, instances, scale):
+    """:func:`associate` on a batch of one window that holds every voxel."""
+    return associate(vox, [0], [len(vox)], [lines], [families], [instances], [scale])[0]
+
+
+@st.composite
+def association_windows(draw):
+    """One window's association inputs, on integer coordinates so that residuals repeat.
+
+    1-12 events and 1-24 hypotheses on a small grid; 1-4 representatives,
+    each in its own family of a random (R, H) block, so families overlap and
+    often hold more than eight members; 1-4 instances of those
+    representatives (twins fit every event equally well), each with its
+    representative's inliers. tau is a residual to a hypothesis (an event
+    sits exactly at tau), the next float above one, or the ikose scale.
+    """
+    coord = st.integers(0, 6)
+    vox = np.array(draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=12)),
+                   dtype=float)
+    n_hyps = draw(st.integers(1, 24))
+    starts = np.array(draw(st.lists(st.tuples(coord, coord, coord), min_size=n_hyps,
+                                    max_size=n_hyps)), dtype=float)
+    steps = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(1, 3)),
+                          min_size=n_hyps, max_size=n_hyps))
+    lines = LineSet(starts, starts + np.array(steps, dtype=float))
+    reps = draw(st.permutations(range(n_hyps)))[:draw(st.integers(1, min(4, n_hyps)))]
+    density = draw(st.sampled_from([0.2, 0.6, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    families = rng.uniform(size=(len(reps), n_hyps)) < density
+    families[np.arange(len(reps)), reps] = True
+    residuals = residual_matrix(vox, lines)
+    mode = draw(st.sampled_from(["residual", "above", "ikose"]))
+    if mode == "ikose":
+        at_reps = residuals[:, reps]
+        tau = float(np.median([estimate_tau_ikose(at_reps[:, j]).tau for j in range(len(reps))]))
+    else:
+        tau = float(residuals.flat[draw(st.integers(0, residuals.size - 1))])
+        tau = float(np.nextafter(tau, np.inf)) if mode == "above" or tau == 0 else tau
+    instances = []
+    for k in draw(st.lists(st.integers(0, len(reps) - 1), min_size=1, max_size=4)):
+        inliers = np.flatnonzero(residuals[:, reps[k]] < tau)
+        line = lines.take([reps[k]])
+        instances.append(WeightedModel(line.starts[0], line.ends[0], k, inliers, 0.0, 0.0))
+    return vox, lines, families, instances, NoiseScale(tau, "estimated" if mode == "ikose"
+                                                       else "fixed")
+
+
 class TestAssociate:
     def _setup(self):
         # line A: static point at (10, 10); line B: point moving along u
@@ -515,7 +568,7 @@ class TestAssociate:
 
     def test_events_pick_their_line_and_outlier_is_noise(self):
         win, clusters, instances, order = self._setup()
-        assignment = associate(window_voxels(win), *clusters, instances, NoiseScale(0.05))
+        assignment = associate_one(window_voxels(win), *clusters, instances, NoiseScale(0.05))
         truth = np.array([0, 0, 0, 1, 1, 1, NOISE_ID])[order]
         assert assignment.dtype == np.int64
         assert np.array_equal(assignment, truth)
@@ -526,13 +579,100 @@ class TestAssociate:
         vox = window_voxels(make_window([0.1, 0.3, 0.5, 0.9], [10, 11, 10, 12], [10, 10, 11, 10]))
         twins = [instances[0], instances[0]]
         # up to 2 px from the static point's line, all below a 3 px radius
-        assert associate(vox, *clusters, twins, NoiseScale(3.0)).tolist() == [0, 0, 0, 0]
+        assert associate_one(vox, *clusters, twins, NoiseScale(3.0)).tolist() == [0, 0, 0, 0]
 
     def test_requires_instances(self):
-        win, clusters, _, _ = self._setup()
+        win, clusters, instances, _ = self._setup()
         from evtraj.fitting import FitError
+        vox = window_voxels(win)
         with pytest.raises(FitError):
-            associate(window_voxels(win), *clusters, [], NoiseScale(0.05))
+            associate_one(vox, *clusters, [], NoiseScale(0.05))
+        with pytest.raises(FitError):  # every window of a batch needs one
+            associate(vox, [0, 0], [len(vox)] * 2, [clusters[0]] * 2, [clusters[1]] * 2,
+                      [instances, []], [NoiseScale(0.05)] * 2)
+
+    def test_an_event_at_tau_is_noise(self):
+        # the vertical line through (0, 0): events 1 and 2 px off it, tau 2 px
+        lines = LineSet(np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]))
+        vox = np.array([[1.0, 0.0, 5.0], [0.0, 2.0, 5.0]])
+        instance = WeightedModel(lines.starts[0], lines.ends[0], 0, np.array([0]), 0.0, 0.0)
+        got = associate_one(vox, lines, np.ones((1, 1), dtype=bool), [instance], NoiseScale(2.0))
+        assert got.tolist() == [0, NOISE_ID]
+
+    def test_a_contested_event_goes_to_the_nearest_family(self):
+        # vertical lines at u = 0, 3 and 2.5; the first family holds the
+        # first two. Event 0 is below tau of both instances, 1 px from the
+        # first family's far member and 0.5 px from the second family; event
+        # 1 is exactly 0.25 px from a member of each, a tie
+        lines = LineSet(np.array([[0.0, 0, 0], [3.0, 0, 0], [2.5, 0, 0]]),
+                        np.array([[0.0, 0, 1], [3.0, 0, 1], [2.5, 0, 1]]))
+        families = np.array([[True, True, False], [False, False, True]])
+        vox = np.array([[2.0, 0.0, 0.0], [2.75, 0.0, 0.0]])
+        reps = [WeightedModel(lines.starts[j], lines.ends[j], k, np.empty(0, dtype=np.int64),
+                              0.0, 0.0) for k, j in enumerate([0, 2])]
+        assert associate_one(vox, lines, families, reps, NoiseScale(1.5)).tolist() == [1, 0]
+        assert associate_one(vox, lines, families[::-1], reps, NoiseScale(1.5)).tolist() == [0, 0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(association_windows(), min_size=1, max_size=3),
+           st.sampled_from([1, 5, 40, None]), st.integers(0, 3))
+    def test_matches_the_per_instance_reference(self, batch, cap, pad):
+        # the windows sit one after another behind ``pad`` voxels of no
+        # window; a small cap splits every gathered pass into chunks
+        voxels, lines, families, instances, scales = zip(*batch)
+        vox = np.concatenate([np.full((pad, 3), 99.0), *voxels])
+        sizes = [len(v) for v in voxels]
+        first = (pad + np.cumsum(sizes) - sizes).tolist()
+        default = fitting._BATCH_PAIRS
+        fitting._BATCH_PAIRS = cap or default
+        try:
+            got = associate(vox, first, sizes, lines, families, instances, scales)
+        finally:
+            fitting._BATCH_PAIRS = default
+        assert len(got) == len(batch)
+        for assignment, window in zip(got, batch):
+            assert assignment.dtype == np.int64
+            assert assignment.tolist() == reference_associate(*window).tolist()
+
+    def test_passes_split_at_the_pair_cap(self, monkeypatch):
+        # 30 events, none an inlier, against a 40-member family: stage 2
+        # computes 30 x 8 residuals and stage 3 up to 30 x 40, so at a cap of
+        # 100 every pass splits into chunks within the cap; at a cap of 30 a
+        # pair of stage 3 costs more than the cap and is a chunk of its own
+        rng = np.random.default_rng(3)
+        starts = rng.uniform(0, 20, (40, 3))
+        lines = LineSet(starts, starts + np.array([1.0, 0.5, 4.0]))
+        vox = rng.uniform(0, 20, (30, 3))
+        instance = WeightedModel(lines.starts[0], lines.ends[0], 0, np.empty(0, dtype=np.int64),
+                                 0.0, 0.0)
+        families, scale = np.ones((1, 40), dtype=bool), NoiseScale(1.0)
+        want = reference_associate(vox, lines, families, [instance], scale)
+        assert 0 < (want != NOISE_ID).sum() < 30
+        passes, residuals = [], fitting._residuals
+
+        def spy(vox, voxel, *args):
+            passes.append(voxel.size)
+            return residuals(vox, voxel, *args)
+
+        monkeypatch.setattr(fitting, "_residuals", spy)
+        for cap, chunk in [(100, 100), (30, 40)]:
+            monkeypatch.setattr(fitting, "_BATCH_PAIRS", cap)
+            passes.clear()
+            assert np.array_equal(associate_one(vox, lines, families, [instance], scale), want)
+            assert sum(passes) > 30 * 8 + 40 and max(passes) <= chunk
+        assert 40 in passes
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(1, 50), min_size=1, max_size=6), st.data(),
+           st.integers(1, 120))
+    def test_chunks_are_consecutive_and_within_the_cap(self, cost, data, cap):
+        pairs = [data.draw(st.integers(0, 5)) for _ in cost]
+        owner = np.repeat(np.arange(len(cost)), pairs)
+        cost = np.array(cost)
+        chunks = list(fitting._chunks(owner, cost, cap))
+        assert [i for lo, hi in chunks for i in range(lo, hi)] == list(range(owner.size))
+        for lo, hi in chunks:
+            assert hi > lo and (cost[owner[lo:hi]].sum() <= cap or hi - lo == 1)
 
 
 class TestFitWindow:
@@ -766,6 +906,20 @@ class TestFitWindows:
         assert left == 0
         for a, b in zip(got, want):
             assert_same_fit(a, b)
+
+    def test_inliers_are_never_noise_at_a_tiny_parallel_tolerance(self):
+        # an inlier is below tau of its representative, a member of its own
+        # family, so it goes to some instance; at parallel_tol 1e-18 rounding
+        # left representatives outside their families and their inliers noise
+        config = lane_config(parallel_tol=1e-18)
+        windows = pair_windows()
+        results = fit_windows(windows, config)
+        assert sum(r.num_models for r in results) > len(windows) / 2
+        for window, res in zip(windows, results):
+            for k, m in enumerate(res.instances):
+                assert (res.assignment[m.inliers] != NOISE_ID).all()
+                assert (res.assignment == k).any()
+            assert_same_fit(res, reference_fit_window(window, config))
 
     def test_fit_window_is_a_batch_of_one(self):
         data = generate_scene(lane_scene(2, seed=5))

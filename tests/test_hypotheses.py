@@ -368,10 +368,22 @@ class TestSelectRepresentatives:
         with pytest.raises(HypothesisError):
             select_representatives([LineSet(np.zeros((0, 3)), np.zeros((0, 3)))])
 
+    @pytest.mark.parametrize("cluster", [select_representatives, greedy_representatives])
+    def test_representatives_belong_to_their_families_at_a_tiny_tolerance(self, cluster):
+        # at 1e-18 a unit direction's rounded 1 - u.u can exceed the
+        # tolerance, which left a representative outside its own family
+        rng = np.random.default_rng(7)
+        dirs = rng.normal(0, 1, (500, 3))
+        dirs[:, 2] = np.abs(dirs[:, 2]) + 0.1
+        hyps = LineSet(np.zeros_like(dirs), dirs)
+        result = cluster([hyps] if cluster is select_representatives else hyps, 1e-18)
+        reps = result.reps[0]
+        assert result.families[0][np.arange(reps.size), reps].all()
+
     @settings(deadline=None)
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3)),
                     min_size=1, max_size=60),
-           st.floats(0.0, 1e-3), st.sampled_from([1e-3, 1e-2, 0.2]), st.randoms())
+           st.floats(0.0, 1e-3), st.sampled_from([1e-18, 1e-3, 1e-2, 0.2]), st.randoms())
     def test_sorted_scan_matches_greedy_search(self, dirs, jitter, tol, rng):
         # small integer directions repeat and tie on neighbor counts
         dirs = np.array(dirs, dtype=float)
