@@ -14,9 +14,10 @@ per window and clustering once per run of consecutive windows; the
 residuals, inlier selection, both weighting stages, the model counts and the
 association run once over a batch of windows. Association settles most
 (event, instance) pairs from the representative's inliers and a few family
-lines before it scans whole families, and computes every residual with the
-bits of :func:`residual_matrix`, so every result equals, bit for bit, a fit
-of its window alone.
+lines before it scans whole families. Each of its passes computes the
+smallest residual of each pair in dense (pairs x lines) blocks, every
+residual with the bits of :func:`residual_matrix`, so every result equals,
+bit for bit, a fit of its window alone.
 """
 from __future__ import annotations
 
@@ -138,35 +139,28 @@ def residual_matrix(vox: np.ndarray, lines: LineSet, out: np.ndarray = None) -> 
     return point_line_distances(vox, lines.starts, lines.ends, out=out)
 
 
-def _ramps(first: np.ndarray, lengths: np.ndarray, step: int, out: np.ndarray) -> np.ndarray:
-    """Runs ``first[k], first[k] + step, ...`` of ``lengths[k]`` values each, into ``out``.
+def _line_table(lines: LineSet) -> np.ndarray:
+    """(7, m) table of ``lines``: start components, direction components, direction lengths."""
+    d = lines.directions()
+    return np.vstack([lines.starts.T, d.T, _lengths(d)])
 
-    One cumulative sum of the steps, so the integers are exact.
+
+def _residuals(xyz, table, line):
+    """Point-to-line residuals with the bits of :func:`residual_matrix`.
+
+    ``xyz`` holds the three point components, each broadcasting against the
+    indices ``line`` into a :func:`_line_table`: one point per index, or one
+    per row of a block of them. Each line's seven values are gathered from
+    the table. The result has ``line``'s shape and is the scratch buffer
+    ``"cross"``.
     """
-    run = lengths > 0
-    first, lengths = first[run], lengths[run]
-    last = first + step * (lengths - 1)
-    out.fill(step)
-    out[np.cumsum(lengths) - lengths] = first - np.r_[0, last[:-1]]
-    return np.cumsum(out, out=out)
+    def gather(row, name):  # the indices are in range: "clip" takes unbuffered
+        return np.take(table[row], line, out=SCRATCH.take(name, line.shape), mode="clip")
 
-
-def _residuals(vox, voxel, starts, d, lengths, line):
-    """Residual of each (voxel, line) pair, with the bits of :func:`residual_matrix`.
-
-    Pair ``i`` takes the voxel ``vox[voxel[i]]`` and the line ``line[i]`` of
-    a table given by its ``starts``, directions ``d`` and their
-    :func:`_lengths`. The result is the scratch buffer ``"cross"``.
-    """
-    n = voxel.size
-
-    def gather(values, index, name):  # the indices are in range: "clip" takes unbuffered
-        return np.take(values, index, out=SCRATCH.take(name, n), mode="clip")
-
-    p = [np.subtract(gather(vox[:, k], voxel, f"p{k}"), gather(starts[:, k], line, "tmp"),
-                     out=SCRATCH.take(f"p{k}", n)) for k in range(3)]
-    raw = _cross_norms(*p, *(gather(d[:, k], line, f"d{k}") for k in range(3)))
-    return np.divide(raw, gather(lengths, line, "tmp"), out=raw)
+    p = [np.subtract(xyz[k], gather(k, "tmp"), out=SCRATCH.take(f"p{k}", line.shape))
+         for k in range(3)]
+    raw = _cross_norms(*p, *(gather(3 + k, f"d{k}") for k in range(3)))
+    return np.divide(raw, gather(6, "tmp"), out=raw)
 
 
 def _pair_residuals(vox, lines, first, sizes, counts):
@@ -175,19 +169,24 @@ def _pair_residuals(vox, lines, first, sizes, counts):
     Window ``w`` holds the voxels ``vox[first[w]:first[w] + sizes[w]]`` and
     the next ``counts[w]`` lines of ``lines``. Its pairs come event-major, so
     its run of residuals reshaped to ``(sizes[w], counts[w])`` is its
-    :func:`residual_matrix`, bit for bit. Returns the residuals and each
-    pair's voxel and line, in the scratch buffers ``"cross"``, ``"voxel"``
-    and ``"line"``: they last until the thread's next residual computation.
+    :func:`residual_matrix`, bit for bit. The pairs stay ragged: each
+    gathers its voxel and its line by index (:func:`_residuals`). Returns
+    the residuals and each pair's voxel and line, in the scratch buffers
+    ``"cross"``, ``"voxel"`` and ``"line"``: they last until the thread's
+    next residual computation.
     """
     per_event = np.repeat(counts, sizes)  # lines each event pairs with
     line0 = np.cumsum(counts) - counts  # each window's first line
     event0 = np.cumsum(sizes) - sizes  # each window's first event in the batch
+    pair0 = np.cumsum(per_event) - per_event  # each event's first pair
     n = int(per_event.sum())
-    voxel = _ramps(np.arange(sizes.sum()) + np.repeat(first - event0, sizes), per_event, 0,
-                   SCRATCH.take("voxel", n, np.int64))
-    line = _ramps(np.repeat(line0, sizes), per_event, 1, SCRATCH.take("line", n, np.int64))
-    d = lines.directions()
-    return _residuals(vox, voxel, lines.starts, d, _lengths(d), line), voxel, line
+    voxel = SCRATCH.take("voxel", n, np.int64)
+    voxel[:] = np.repeat(np.arange(sizes.sum()) + np.repeat(first - event0, sizes), per_event)
+    line = np.subtract(np.arange(n), np.repeat(pair0 - np.repeat(line0, sizes), per_event),
+                       out=SCRATCH.take("line", n, np.int64))
+    xyz = [np.take(vox[:, k], voxel, out=SCRATCH.take(f"p{k}", n), mode="clip")
+           for k in range(3)]
+    return _residuals(xyz, _line_table(lines), line), voxel, line
 
 
 def estimate_tau_ikose(column: np.ndarray, k_ratio: float = RunConfig.ikose_k) -> NoiseScale:
@@ -332,41 +331,34 @@ def weigh_models(
     return w1, w1 * (1.0 - contrast)
 
 
-def _chunks(owner: np.ndarray, cost: np.ndarray, cap: int):
-    """Split pairs into consecutive ``(lo, hi)`` ranges whose costs sum to at most ``cap``.
+def _nearest(vox, voxel, owner, table, first, step, count) -> np.ndarray:
+    """Each pair's smallest residual to a run of lines, with the bits of :func:`residual_matrix`.
 
-    ``owner`` (ascending) gives each pair's instance, and a pair of instance
-    ``g`` costs ``cost[g]``; a pair costing more than ``cap`` is a range of
-    its own. Each instance's pairs are cut into pieces within ``cap`` first,
-    so :func:`_runs` loops over pieces, not pairs.
+    Pair ``i`` takes the voxel ``vox[voxel[i]]`` and, with ``g = owner[i]``,
+    the lines ``first[g] + step[g] * k``, ``k < count[g]`` (at least one), of
+    a :func:`_line_table`. The pairs, stable-sorted by line count, go in
+    dense (pairs x W) blocks of at most ``_BATCH_PAIRS`` residuals, or of one
+    pair whose lines alone are more; a row shorter than its block repeats its
+    last line, which leaves its minimum unchanged.
     """
-    ends = np.cumsum(np.bincount(owner, minlength=cost.size)).tolist()
-    pieces = []
-    for lo, hi, c in zip([0, *ends], ends, cost.tolist()):
-        step = max(1, cap // c)
-        pieces += [(a, min(a + step, hi), c) for a in range(lo, hi, step)]
-    for run in _runs(pieces, lambda piece: (piece[1] - piece[0]) * piece[2], cap):
-        yield run[0][0], run[-1][1]
-
-
-def _any_below(vox, event, owner, lines, line0, count, tau) -> np.ndarray:
-    """Whether each (event, instance) pair has a residual below tau to one of its lines.
-
-    Pair ``i`` takes the voxel ``vox[event[i]]`` and, with ``g = owner[i]``,
-    the lines ``line0[g]`` to ``line0[g] + count[g] - 1`` of the table
-    ``lines`` (starts, directions and lengths, as :func:`_residuals` takes
-    them), against ``tau[g]``, in chunks of at most ``_BATCH_PAIRS`` residuals.
-    """
-    below = np.empty(event.size, dtype=bool)
-    for lo, hi in _chunks(owner, count, _BATCH_PAIRS):
-        g = owner[lo:hi]
-        c = count[g]
-        n = int(c.sum())
-        voxel = _ramps(event[lo:hi], c, 0, SCRATCH.take("voxel", n, np.int64))
-        line = _ramps(line0[g], c, 1, SCRATCH.take("line", n, np.int64))
-        nearest = np.minimum.reduceat(_residuals(vox, voxel, *lines, line), np.cumsum(c) - c)
-        np.less(nearest, tau[g], out=below[lo:hi])
-    return below
+    width = count[owner]
+    order = np.argsort(width, kind="stable")
+    g, width = owner[order], width[order]  # widths ascending
+    nearest = np.empty(order.size)
+    lo = 0
+    while lo < order.size:
+        # rows lo..reach-1 are at most width[reach - 1] wide, so cap // that many fit the cap
+        reach = min(lo + max(1, _BATCH_PAIRS // int(width[lo])), order.size)
+        hi = min(lo + max(1, _BATCH_PAIRS // int(width[reach - 1])), order.size)
+        rows = g[lo:hi]
+        shape = (hi - lo, int(width[hi - 1]))
+        line = np.minimum(np.arange(shape[1]), count[rows, None] - 1,
+                          out=SCRATCH.take("line", shape, np.int64))
+        np.add(np.multiply(line, step[rows, None], out=line), first[rows, None], out=line)
+        xyz = vox[voxel[order[lo:hi]]].T[:, :, None]
+        nearest[order[lo:hi]] = _residuals(xyz, table, line).min(axis=1)
+        lo = hi
+    return nearest
 
 
 # family lines that the second stage of association tries per (event, instance) pair
@@ -399,19 +391,21 @@ def associate(
     Only the instances an event is below tau of, and among two or more of
     them the exact family minima, decide its id. An (event, instance) pair is
     below tau as soon as one residual to a family line is, so the pairs are
-    settled in stages, every residual with the bits of :func:`residual_matrix`:
+    settled in stages:
 
     1. the inliers of the instance's representative are below tau;
-    2. one gathered pass takes the open pairs to at most ``_PROBES`` lines of
-       the family, at a stride of ``ceil(F / _PROBES)``; a pair with a
-       residual below tau is settled, and so is one whose family it covered;
-    3. one gathered pass takes the pairs still open to the whole family;
-    4. an event below tau of two or more instances gets its family minimum
-       to each of them from :func:`residual_matrix`.
+    2. one pass takes the open pairs to at most ``_PROBES`` lines of the
+       family, at a stride of ``ceil(F / _PROBES)``; a pair with a residual
+       below tau is settled, and so is one whose family it covered;
+    3. one pass takes the pairs still open to the whole family;
+    4. one pass takes each event below tau of two or more instances to each
+       of their whole families.
 
-    The instances below tau of each event, and so every id, are those of
-    the per-instance minima over whole families. Each gathered pass runs in
-    chunks of at most ``_BATCH_PAIRS`` residuals.
+    Each pass is one :func:`_nearest` call, which gives every pair its
+    smallest residual to the lines it takes, computed in dense blocks with
+    the bits of :func:`residual_matrix`. So the instances below tau of each
+    event, and so every id, are those of the per-instance minima over whole
+    families.
     """
     if not instances or not all(instances):
         raise FitError("no instances to associate against")
@@ -434,23 +428,20 @@ def associate(
     member = np.concatenate([np.nonzero(r)[1] + h0 for r, h0 in zip(rows, hyp0)])
     family = LineSet(np.concatenate([h.starts for h in hyps])[member],
                      np.concatenate([h.ends for h in hyps])[member])
-    d = family.directions()
-    lines = (family.starts, d, _lengths(d))
+    table = _line_table(family)
 
     below = np.zeros(instance.size, dtype=bool)
     below[np.concatenate(inliers) + np.repeat(pair0, [i.size for i in inliers])] = True
     pair = np.flatnonzero(~below)
     g = instance[pair]
     stride = -(-size // _PROBES)
-    count = -(-size // stride)
-    probe0 = np.cumsum(count) - count
-    step = np.arange(count.sum()) - np.repeat(probe0, count)  # each probe's step in its family
-    probe = np.repeat(fam0, count) + np.repeat(stride, count) * step
-    hit = _any_below(vox, pair + voxel0[g], g, tuple(a[probe] for a in lines), probe0, count, tau)
+    probes = -(-size // stride)
+    hit = _nearest(vox, pair + voxel0[g], g, table, fam0, stride, probes) < tau[g]
     below[pair[hit]] = True
-    left = ~hit & (count < size)[g]
+    left = ~hit & (probes < size)[g]
     pair, g = pair[left], g[left]
-    below[pair[_any_below(vox, pair + voxel0[g], g, lines, fam0, size, tau)]] = True
+    unit = np.ones_like(size)
+    below[pair[_nearest(vox, pair + voxel0[g], g, table, fam0, unit, size) < tau[g]]] = True
 
     pair = np.flatnonzero(below)
     g = instance[pair]
@@ -459,13 +450,7 @@ def associate(
     assignment[event] = local[g]  # right for every event below tau of one instance
     contested = np.bincount(event, minlength=assignment.size)[event] > 1
     pair, g, event = pair[contested], g[contested], event[contested]
-    nearest = np.empty(pair.size)
-    cuts = np.flatnonzero(np.diff(g, prepend=-1)).tolist()  # each instance's first pair
-    for lo, hi in zip(cuts, cuts[1:] + [pair.size]):
-        a = int(fam0[g[lo]])
-        block = residual_matrix(vox[pair[lo:hi] + voxel0[g[lo]]],
-                                family.take(slice(a, a + int(size[g[lo]]))))
-        block.min(axis=1, out=nearest[lo:hi])
+    nearest = _nearest(vox, pair + voxel0[g], g, table, fam0, unit, size)
     best = np.lexsort((g, nearest, event))  # per event: smallest minimum, then earliest
     best = best[np.diff(event[best], prepend=-1) != 0]
     assignment[event[best]] = local[g[best]]
@@ -473,9 +458,9 @@ def associate(
 
 
 # (event, representative) pairs whose residuals one batch of windows holds at
-# most; a window with more pairs is a batch of its own. Each gathered pass of
-# association holds at most this many (event, family line) residuals, unless
-# one pair's family alone is larger. A batch needs about a dozen pair-sized
+# most; a window with more pairs is a batch of its own. Each block of an
+# association pass holds at most this many (event, family line) residuals,
+# unless one pair's lines alone are more. A batch needs about a dozen pair-sized
 # temporaries at once, 128,000 bytes each at the cap, which glibc serves from
 # the brk heap. Freed after every batch, they would let malloc trim the heap
 # top and the next batch fault the pages back in (~5,500 minor faults per

@@ -168,7 +168,8 @@ def select_representatives(
     a representative and absorbs its unassigned neighbors; repeat until every
     hypothesis is absorbed. Representatives end up mutually non-parallel.
     Each representative's family is all of its parallel neighbors, absorbed
-    earlier or not.
+    earlier or not. A zero-length or non-finite direction raises
+    :class:`HypothesisError`.
 
     Neighbor counts never change, so the next representative is always the
     first unassigned hypothesis in one stable sort by descending count. The
@@ -178,7 +179,14 @@ def select_representatives(
     if not hyps or not min(len(h) for h in hyps):
         raise HypothesisError("no hypotheses to cluster")
     d = np.concatenate([h.ends for h in hyps]) - np.concatenate([h.starts for h in hyps])
-    all_units = d / np.linalg.norm(d, axis=1, keepdims=True)
+    norms = np.linalg.norm(d, axis=1, keepdims=True)
+    bad = np.flatnonzero(~((norms > 0) & (norms < np.inf)))  # NaN fails both
+    if bad.size:
+        sizes = [len(h) for h in hyps]
+        w = int(np.searchsorted(np.cumsum(sizes), bad[0], side="right"))
+        raise HypothesisError(f"hypothesis {int(bad[0]) - sum(sizes[:w])} of window {w} "
+                              "has a zero-length or non-finite direction")
+    all_units = d / norms
     reps, families = [], []
     start = 0
     for lines in hyps:

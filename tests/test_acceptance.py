@@ -27,7 +27,8 @@ from conftest import (
 from oracles import brute_force_lines
 from evtraj import io
 from evtraj.cli import main
-from evtraj.fitting import fit_window, point_line_distances, weigh_models
+from evtraj.config import RunConfig
+from evtraj.fitting import fit_window, point_line_distances, relabel, run_eda, weigh_models
 from evtraj.grouping import EntropyInterval, EventWindow, cut_windows
 from evtraj.hypotheses import LineSet
 from evtraj.io import NOISE_ID, EventStream, SensorGeometry
@@ -211,6 +212,20 @@ def test_tracking_overlap_and_robustness():
     assert report.aor >= 0.85
     assert report.ar == pytest.approx(1.0)
     assert elapsed < 30.0
+
+
+def test_default_band_cuts_sparse_streams_too_small_to_fit():
+    # A known limit (README "Known limits"): at the default entropy band
+    # [2.5, 4.5] the sparse 64x64 stream is cut into windows of a median 8
+    # events, and almost all of them fail (305 of 310). Calibrating the band
+    # (ROADMAP item 4) should flip this test.
+    stream = track_stream()
+    config = RunConfig()
+    assert (config.entropy_alpha, config.entropy_beta) == (2.5, 4.5)
+    results = run_eda(stream, config)
+    assert np.median([len(r.window) for r in results]) <= 10
+    assert sum(r.failed for r in results) > 0.9 * len(results)
+    assert (relabel(results, len(stream)) == NOISE_ID).mean() > 0.9
 
 
 # --- parameter sensitivity on a fixed challenging scene --------------------

@@ -637,8 +637,8 @@ class TestAssociate:
     def test_passes_split_at_the_pair_cap(self, monkeypatch):
         # 30 events, none an inlier, against a 40-member family: stage 2
         # computes 30 x 8 residuals and stage 3 up to 30 x 40, so at a cap of
-        # 100 every pass splits into chunks within the cap; at a cap of 30 a
-        # pair of stage 3 costs more than the cap and is a chunk of its own
+        # 100 every pass splits into blocks within the cap; at a cap of 30 a
+        # pair of stage 3 costs more than the cap and is a block of its own
         rng = np.random.default_rng(3)
         starts = rng.uniform(0, 20, (40, 3))
         lines = LineSet(starts, starts + np.array([1.0, 0.5, 4.0]))
@@ -648,31 +648,56 @@ class TestAssociate:
         families, scale = np.ones((1, 40), dtype=bool), NoiseScale(1.0)
         want = reference_associate(vox, lines, families, [instance], scale)
         assert 0 < (want != NOISE_ID).sum() < 30
-        passes, residuals = [], fitting._residuals
+        blocks, residuals = [], fitting._residuals
 
-        def spy(vox, voxel, *args):
-            passes.append(voxel.size)
-            return residuals(vox, voxel, *args)
+        def spy(xyz, table, line):
+            blocks.append(line.shape)
+            return residuals(xyz, table, line)
 
         monkeypatch.setattr(fitting, "_residuals", spy)
         for cap, chunk in [(100, 100), (30, 40)]:
             monkeypatch.setattr(fitting, "_BATCH_PAIRS", cap)
-            passes.clear()
+            blocks.clear()
             assert np.array_equal(associate_one(vox, lines, families, [instance], scale), want)
+            passes = [rows * width for rows, width in blocks]
             assert sum(passes) > 30 * 8 + 40 and max(passes) <= chunk
         assert 40 in passes
 
-    @settings(deadline=None)
-    @given(st.lists(st.integers(1, 50), min_size=1, max_size=6), st.data(),
-           st.integers(1, 120))
-    def test_chunks_are_consecutive_and_within_the_cap(self, cost, data, cap):
-        pairs = [data.draw(st.integers(0, 5)) for _ in cost]
-        owner = np.repeat(np.arange(len(cost)), pairs)
-        cost = np.array(cost)
-        chunks = list(fitting._chunks(owner, cost, cap))
-        assert [i for lo, hi in chunks for i in range(lo, hi)] == list(range(owner.size))
-        for lo, hi in chunks:
-            assert hi > lo and (cost[owner[lo:hi]].sum() <= cap or hi - lo == 1)
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 10), st.sampled_from([1, 5, 40, None]))
+    def test_nearest_is_the_residual_matrix_minimum(self, data, distinct, cap):
+        # 120 lines drawn from a few distinct ones, so minima tie; runs of
+        # 1-40 lines at steps of 1-3, and 0-30 pairs on them
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        base = rng.integers(0, 7, (distinct, 3)).astype(float)
+        pick = rng.integers(0, distinct, 120)
+        lines = LineSet(base[pick], base[pick] + rng.integers(1, 4, (distinct, 3))[pick])
+        vox = rng.integers(0, 7, (20, 3)).astype(float)
+        runs = data.draw(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 3)),
+                                  min_size=1, max_size=5))
+        count, step = (np.array(x) for x in zip(*runs))
+        first = rng.integers(0, 120 - step * (count - 1))
+        n_pairs = data.draw(st.integers(0, 30))
+        owner, voxel = rng.integers(0, len(runs), n_pairs), rng.integers(0, 20, n_pairs)
+        blocks, residuals = [], fitting._residuals
+
+        def spy(xyz, table, line):
+            blocks.append(line.shape)
+            return residuals(xyz, table, line)
+
+        default = fitting._BATCH_PAIRS
+        fitting._BATCH_PAIRS, fitting._residuals = cap or default, spy
+        try:
+            got = fitting._nearest(vox, voxel, owner, fitting._line_table(lines), first, step,
+                                   count)
+        finally:
+            fitting._BATCH_PAIRS, fitting._residuals = default, residuals
+        want = [residual_matrix(vox[[v]], lines.take(first[g] + step[g] * np.arange(count[g])))
+                .min() for v, g in zip(voxel, owner)]
+        assert got.tobytes() == np.array(want, dtype=float).tobytes()
+        assert sum(rows for rows, _ in blocks) == n_pairs
+        for rows, width in blocks:
+            assert rows * width <= (cap or default) or rows == 1
 
 
 class TestFitWindow:

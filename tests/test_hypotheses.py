@@ -281,6 +281,16 @@ class TestSelectRepresentatives:
         # each family holds its representative only
         assert np.array_equal(result.families[0], np.eye(3, dtype=bool)[result.rep_indices])
 
+    @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [1.0, np.nan, 1.0], [np.inf, 0.0, 1.0]])
+    def test_degenerate_direction_raises(self, bad):
+        # a line from the origin to ``bad``: zero length, or a non-finite end
+        msg = "hypothesis {} of window {} has a zero-length or non-finite direction"
+        with pytest.raises(HypothesisError, match=msg.format(0, 0)):
+            select_representatives([LineSet(np.zeros((2, 3)), [bad, [1.0, 1, 1]])])
+        good = LineSet(np.zeros((2, 3)), [[1.0, 0, 1], [0, 1.0, 1]])
+        with pytest.raises(HypothesisError, match=msg.format(1, 1)):
+            select_representatives([good, LineSet(np.zeros((3, 3)), [[1.0, 1, 1], bad, bad])])
+
     def test_two_jittered_bundles(self):
         rng = np.random.default_rng(1)
         tol = 1e-3
