@@ -237,16 +237,34 @@ def select_inliers(
     kept = per_column[hit] >= min_inliers
     order = np.argsort(hit[kept], kind="stable")
     inliers = events[mask][kept][order]
-    return list(zip(keep.tolist(), np.split(inliers, np.cumsum(per_column[keep])[:-1])))
+    ends = np.cumsum(per_column[keep]).tolist()
+    return [(j, inliers[lo:hi]) for j, lo, hi in zip(keep.tolist(), [0, *ends], ends)]
 
 
-def _segment_means(x: np.ndarray, bounds: List[int]) -> np.ndarray:
-    """Mean of each segment ``x[bounds[k]:bounds[k + 1]]``, bit-identical to ``np.mean``.
+# numpy sums fewer values than this left to right, and longer runs pairwise
+_SHORT = 8
 
-    Each segment is summed on its own: numpy's pairwise summation depends on
-    the segment, so ``np.add.reduceat`` would round differently.
+
+def _segment_means(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Mean of each consecutive segment of ``sizes`` values of ``x``, bit for bit ``np.mean``'s.
+
+    The values must be non-negative. numpy adds fewer than ``_SHORT`` values
+    left to right, so the short segments are summed together, one row each of
+    a zero-padded ``(S, _SHORT - 1)`` gather: adding zeros after non-negative
+    values changes no bit. A longer segment is summed on its own, since
+    numpy's pairwise summation depends on its length and ``np.add.reduceat``
+    would round differently.
     """
-    return np.array([x[lo:hi].sum() / (hi - lo) for lo, hi in zip(bounds, bounds[1:])])
+    first = np.cumsum(sizes) - sizes
+    short = sizes < _SHORT
+    col = np.arange(_SHORT - 1)
+    padded = x.take(first[short, None] + col, mode="clip")  # clip: past the end is padding
+    padded[col >= sizes[short, None]] = 0.0
+    sums = np.empty(sizes.size)
+    sums[short] = padded.sum(axis=1)
+    for k in np.flatnonzero(~short).tolist():
+        sums[k] = x[first[k]:first[k] + sizes[k]].sum()
+    return sums / sizes
 
 
 def warp_and_contrast(
@@ -278,9 +296,8 @@ def warp_and_contrast(
     offset = end - area
     counts = np.bincount(offset[owner] + ij[:, 1] * w[owner] + ij[:, 0], minlength=end[-1])
     norm = counts / np.repeat(np.maximum.reduceat(counts, offset), area)
-    bounds = [0, *end.tolist()]
-    dev = (norm - np.repeat(_segment_means(norm, bounds), area)) ** 2
-    return _segment_means(dev, bounds)
+    dev = (norm - np.repeat(_segment_means(norm, area), area)) ** 2
+    return _segment_means(dev, area)
 
 
 def select_model_count(weights: Sequence[float], sizes: Sequence[int]) -> np.ndarray:
@@ -323,10 +340,9 @@ def weigh_models(
     """
     cols = [j for j, _ in survivors]
     inliers = [idx for _, idx in survivors]
-    sizes = [idx.size for idx in inliers]
-    bounds = [0, *np.cumsum(sizes).tolist()]
+    sizes = np.array([idx.size for idx in inliers])
     mid = np.repeat(np.broadcast_to(np.divide(s_t, 2.0), len(survivors)), sizes)
-    w1 = _segment_means((vox[np.concatenate(inliers), 2] - mid) ** 2, bounds)
+    w1 = _segment_means((vox[np.concatenate(inliers), 2] - mid) ** 2, sizes)
     contrast = warp_and_contrast(vox, inliers, reps.directions()[cols])
     return w1, w1 * (1.0 - contrast)
 
@@ -454,7 +470,8 @@ def associate(
     best = np.lexsort((g, nearest, event))  # per event: smallest minimum, then earliest
     best = best[np.diff(event[best], prepend=-1) != 0]
     assignment[event[best]] = local[g[best]]
-    return np.split(assignment, np.cumsum(sizes)[:-1])
+    ends = np.cumsum(sizes).tolist()
+    return [assignment[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
 # (event, representative) pairs whose residuals one batch of windows holds at
@@ -524,8 +541,10 @@ def _fit_batch(vox: np.ndarray, windows: Sequence[EventWindow], first: List[int]
     slots, lines, reps, families = zip(*batch)
     sizes = np.array([len(windows[k]) for k in slots], dtype=np.int64)
     counts = np.array([len(r) for r in reps], dtype=np.int64)
-    models = LineSet(np.concatenate([h.starts[r] for h, r in zip(lines, reps)]),
-                     np.concatenate([h.ends[r] for h, r in zip(lines, reps)]))
+    hyp0 = np.cumsum([0] + [len(h) for h in lines[:-1]])  # each window's first hypothesis
+    rows = np.concatenate(reps) + np.repeat(hyp0, counts)
+    models = LineSet(np.concatenate([h.starts for h in lines])[rows],
+                     np.concatenate([h.ends for h in lines])[rows])
     values, voxel, line = _pair_residuals(vox, models, np.array([first[k] for k in slots]),
                                           sizes, counts)
     scales = _noise_scales(values, sizes, counts, config)
@@ -546,7 +565,7 @@ def _fit_batch(vox: np.ndarray, windows: Sequence[EventWindow], first: List[int]
     for w, k, n in zip(fitted.tolist(), survivor0.tolist(), n_models.tolist()):
         lo, m = first[slots[w]], int(per_window[w])
         chosen = []
-        for i in (np.argsort(finals[k:k + m], kind="stable")[:n] + k).tolist():
+        for i in (finals[k:k + m].argsort(kind="stable")[:n] + k).tolist():
             j, inliers = survivors[i]
             chosen.append(WeightedModel(models.starts[j], models.ends[j], j - int(line0[w]),
                                         inliers - lo, float(w1[i]), float(finals[i])))

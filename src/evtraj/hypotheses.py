@@ -92,22 +92,18 @@ class HypothesisSet:
         return np.concatenate(self.reps)
 
 
-def _slice_bounds(window: EventWindow, num_slices: int) -> np.ndarray:
-    """Event index bounds of the equal-duration time slices of a window.
+def _slice_positions(window: EventWindow, num_slices: int) -> np.ndarray:
+    """Each event's time in slice widths, ``(t - t_start) / (span / num_slices)``.
 
-    Slice ``k`` holds events ``bounds[k]:bounds[k + 1]``: window events are in
-    time order, so each slice is a contiguous range. Slice ``k`` ends at the
-    last event with ``(t - t_start) / (span / num_slices) <= k + 1``, so a
-    timestamp exactly on a slice boundary goes to the earlier slice.
+    Slice ``k`` ends at the last event at most ``k + 1``: window events are in
+    time order, so each slice is a contiguous range, and a timestamp exactly
+    on a slice boundary goes to the earlier slice.
     """
     if num_slices < 2:
         raise ValueError("num_slices must be >= 2")
     if len(window) < 2:
         raise HypothesisError("window must hold at least 2 events")
-    x = (window.t - window.t_start) / (window.span / num_slices)
-    bounds = np.searchsorted(x, np.arange(num_slices + 1), side="right")
-    bounds[0], bounds[-1] = 0, x.size
-    return bounds
+    return (window.t - window.t_start) / (window.span / num_slices)
 
 
 def slice_window(window: EventWindow, num_slices: int = RunConfig.num_slices) -> List[np.ndarray]:
@@ -116,7 +112,10 @@ def slice_window(window: EventWindow, num_slices: int = RunConfig.num_slices) ->
     Timestamps exactly on a bin boundary go to the earlier bin; bins may be
     empty.
     """
-    bounds = _slice_bounds(window, num_slices).tolist()
+    x = _slice_positions(window, num_slices)
+    bounds = np.searchsorted(x, np.arange(num_slices + 1), side="right")
+    bounds[0], bounds[-1] = 0, x.size
+    bounds = bounds.tolist()
     return [np.arange(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
@@ -133,13 +132,18 @@ def generate(
     exceeds ``max_pairs``, both slices are strided with a fixed step so the
     result stays deterministic. Pairs that do not advance in time are skipped.
     """
-    bounds = _slice_bounds(window, num_slices).tolist()
-    n = bounds[-1]
-    # the first non-empty slice starts at event 0, the last ends at event n
-    first = range(0, next(b for b in bounds if b > 0))
-    if first.stop == n:
+    x = _slice_positions(window, num_slices)
+    n = x.size
+    # Bound k is the count of events with x <= k. The first non-empty slice
+    # starts at event 0 and ends at bound hi, the first inner bound (1 ..
+    # num_slices - 1) past event 0; with none, it is the last slice and ends
+    # at n. The last non-empty slice ends at n and starts at bound lo, the
+    # last inner bound before n: one exists once the first slice ends before n.
+    hi, lo = max(1, math.ceil(x[0])), min(num_slices - 1, math.ceil(x[-1]) - 1)
+    stop, start = x.searchsorted((hi, lo), side="right").tolist()
+    if hi >= num_slices or stop == n:
         raise HypothesisError("all events fall into a single time slice")
-    last = range(next(b for b in reversed(bounds) if b < n), n)
+    first, last = range(0, stop), range(start, n)
     if len(first) * len(last) > max_pairs:
         stride = math.ceil(math.sqrt(len(first) * len(last) / max_pairs))
         while math.ceil(len(first) / stride) * math.ceil(len(last) / stride) > max_pairs:
@@ -149,10 +153,10 @@ def generate(
     first_vox = voxels[first.start:first.stop:first.step]
     last_vox = voxels[last.start:last.stop:last.step]
     # (first, last) pairs in first-major order, kept where time advances
-    i, j = np.nonzero(first_vox[:, 2, None] < last_vox[:, 2])
+    i, j = (first_vox[:, 2, None] < last_vox[:, 2]).nonzero()
     if i.size == 0:
         raise HypothesisError("no valid endpoint pairs (degenerate time span)")
-    return LineSet(first_vox[i], last_vox[j])
+    return LineSet(first_vox.take(i, axis=0), last_vox.take(j, axis=0))
 
 
 def select_representatives(
@@ -200,13 +204,14 @@ def select_representatives(
             block = units[lo:lo + chunk]
             gram = np.matmul(block, units.T, out=_GRAM.take("gram", (len(block), n)))
             np.less_equal(np.subtract(1.0, gram, out=gram), parallel_tol, out=adj[lo:lo + chunk])
-        np.fill_diagonal(adj, True)  # a rounded self-product may miss a tiny tolerance
-        unassigned = np.ones(n, dtype=bool)
+        adj.reshape(-1)[::n + 1] = True  # a rounded self-product may miss a tiny tolerance
+        assigned = np.zeros(n, dtype=bool)
         picked: List[int] = []
-        for r in np.argsort(-adj.sum(axis=1), kind="stable").tolist():
-            if unassigned[r]:
+        for r in (-adj.sum(axis=1)).argsort(kind="stable").tolist():
+            if not assigned[r]:
                 picked.append(r)
-                unassigned[adj[r]] = False
-        reps.append(np.asarray(picked, dtype=np.int64))
-        families.append(adj[picked])
+                assigned |= adj[r]
+        rep = np.array(picked, dtype=np.int64)
+        reps.append(rep)
+        families.append(adj[rep])
     return HypothesisSet(list(hyps), reps, families)

@@ -7,6 +7,7 @@ next frame's ground truth.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Union
 
@@ -15,7 +16,7 @@ import numpy as np
 from .config import RunConfig
 from .fitting import AssociationResult, fit_windows
 from .grouping import EventWindow
-from .hypotheses import time_scale, window_voxels
+from .hypotheses import event_voxels, time_scale
 from .io import NOISE_ID, EventStream
 
 SUCCESS_THRESHOLD = 0.5
@@ -33,6 +34,8 @@ class BoundingBox:
     h: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.x, self.y, self.w, self.h))):
+            raise ValueError("box fields must be finite")
         if self.w <= 0 or self.h <= 0:
             raise ValueError("box must have positive size")
 
@@ -50,6 +53,8 @@ class TrackingPair:
     gt_next: BoundingBox
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.t_curr) and math.isfinite(self.t_next)):
+            raise ValueError("pair times must be finite")
         if not self.t_next > self.t_curr:
             raise ValueError("pair must advance in time")
 
@@ -98,28 +103,24 @@ def propagate_box(
     """Translate the box's associated events along their trajectory to ``t_target``.
 
     The events are those of ``assoc.window``. The instance owning the
-    plurality of non-noise events inside the box is taken as the object's
-    motion: its events move along the instance's ``direction``. Returns the
-    minimum enclosing rectangle of the projected events, clipped to the sensor.
+    plurality of non-noise events inside the box (ties: the lowest id) is
+    taken as the object's motion: its events move along the instance's
+    ``direction``. Returns the minimum enclosing rectangle of the projected
+    events, clipped to the sensor.
     """
     window = assoc.window
-    u = window.u.astype(np.float64)
-    v = window.v.astype(np.float64)
-    inside = (
-        (u >= box.x) & (u < box.x + box.w) & (v >= box.y) & (v < box.y + box.h)
-    )
-    cand = inside & (assoc.assignment != NOISE_ID)
-    if int(cand.sum()) < min_events:
-        raise TrackingFailure(f"only {int(cand.sum())} associated events inside the box")
-    ids, counts = np.unique(assoc.assignment[cand], return_counts=True)
-    owner = int(ids[np.argmax(counts)])
-    inst = assoc.instances[owner]
-
-    sel = cand & (assoc.assignment == owner)
-    vox = window_voxels(window)[sel]
+    u, v, ids = window.u, window.v, assoc.assignment
+    cand = (u >= box.x) & (u < box.x + box.w) & (v >= box.y) & (v < box.y + box.h)
+    cand &= ids != NOISE_ID
+    found = int(cand.sum())
+    if found < min_events:
+        raise TrackingFailure(f"only {found} associated events inside the box")
+    owner = int(np.bincount(ids[cand]).argmax())
+    sel = np.flatnonzero(cand & (ids == owner))
     s_t = time_scale(window.geometry)
+    vox = event_voxels(window.t[sel], u[sel], v[sel], window.t_start, window.span, s_t)
     tn_target = (t_target - window.t_start) / window.span * s_t
-    d = inst.direction
+    d = assoc.instances[owner].direction
     du, dv = d[0] / d[2], d[1] / d[2]
     pu = vox[:, 0] + du * (tn_target - vox[:, 2])
     pv = vox[:, 1] + dv * (tn_target - vox[:, 2])

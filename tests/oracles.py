@@ -8,7 +8,8 @@ The fit references are the per-window compositions that the batched fit
 replaced: one window at a time, one residual matrix per window, one greedy
 representative search per representative, and one whole-family residual
 block per instance in association. The tracking reference fits and
-propagates one box pair at a time.
+propagates one box pair at a time, each box from float copies of its whole
+window's events.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from evtraj.hypotheses import (
 )
 from evtraj.io import NOISE_ID
 from evtraj.synth import CLUTTER_LABEL
-from evtraj.tracking import TrackingFailure, propagate_box
+from evtraj.tracking import BoundingBox, TrackingFailure
 
 
 def brute_force_lines(
@@ -220,11 +221,39 @@ def reference_fit_window(window: EventWindow, config) -> AssociationResult:
     return AssociationResult(window, instances, assignment)
 
 
+def reference_propagate_box(assoc: AssociationResult, box: BoundingBox, t_target: float,
+                            min_events: int) -> BoundingBox:
+    """One box moved along its plurality instance, from float copies of every event's voxel.
+
+    The plurality instance comes from ``np.unique`` counts, whose first
+    maximum is the lowest id.
+    """
+    window = assoc.window
+    u, v = window.u.astype(np.float64), window.v.astype(np.float64)
+    inside = (u >= box.x) & (u < box.x + box.w) & (v >= box.y) & (v < box.y + box.h)
+    cand = inside & (assoc.assignment != NOISE_ID)
+    if int(cand.sum()) < min_events:
+        raise TrackingFailure(f"only {int(cand.sum())} associated events inside the box")
+    ids, counts = np.unique(assoc.assignment[cand], return_counts=True)
+    owner = int(ids[np.argmax(counts)])
+    vox = window_voxels(window)[cand & (assoc.assignment == owner)]
+    s_t = time_scale(window.geometry)
+    tn_target = (t_target - window.t_start) / window.span * s_t
+    d = assoc.instances[owner].direction
+    du, dv = d[0] / d[2], d[1] / d[2]
+    geom = window.geometry
+    pu = np.clip(vox[:, 0] + du * (tn_target - vox[:, 2]), 0.0, geom.width - 1.0)
+    pv = np.clip(vox[:, 1] + dv * (tn_target - vox[:, 2]), 0.0, geom.height - 1.0)
+    x0, x1, y0, y1 = float(pu.min()), float(pu.max()), float(pv.min()), float(pv.max())
+    return BoundingBox(x0, y0, max(x1 - x0, 1.0), max(y1 - y0, 1.0))
+
+
 def reference_track(stream, pairs, config) -> list:
     """Each pair's propagated box, or its :class:`TrackingFailure`, one pair at a time.
 
     The pair's window holds the events from its current to its next frame;
-    it is fitted alone by :func:`reference_fit_window`.
+    it is fitted alone by :func:`reference_fit_window` and its box moved by
+    :func:`reference_propagate_box`.
     """
     out = []
     for pair in pairs:
@@ -237,7 +266,8 @@ def reference_track(stream, pairs, config) -> list:
             result = reference_fit_window(window, config)
             if result.failed:
                 raise TrackingFailure("no trajectory fitted between the frames")
-            out.append(propagate_box(result, pair.gt_curr, pair.t_next, config.min_inliers))
+            out.append(reference_propagate_box(result, pair.gt_curr, pair.t_next,
+                                               config.min_inliers))
         except TrackingFailure as exc:
             out.append(exc)
     return out

@@ -437,6 +437,33 @@ def survivor_sets(draw):
     return vox, LineSet(np.array(starts), np.array(ends)), survivors
 
 
+@st.composite
+def segmented_values(draw):
+    """Non-negative values, some of them zero, cut into segments of 1-40 values.
+
+    Most segments are 5-10 values long, around numpy's switch from summing
+    left to right to pairwise summation at 8. The values span six decades,
+    so the order of the additions shows in the last bit.
+    """
+    sizes = draw(st.lists(st.one_of(st.integers(5, 10), st.integers(1, 40)),
+                          min_size=1, max_size=30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(sizes)
+    x = rng.random(n) * 10.0 ** rng.integers(-3, 4, n)
+    x[rng.random(n) < draw(st.sampled_from([0.0, 0.2, 1.0]))] = 0.0
+    return x, np.array(sizes)
+
+
+class TestSegmentMeans:
+    @settings(max_examples=300, deadline=None)
+    @given(segmented_values())
+    def test_bit_identical_to_numpy_mean(self, case):
+        x, sizes = case
+        bounds = np.cumsum([0, *sizes]).tolist()
+        want = np.array([x[lo:hi].mean() for lo, hi in zip(bounds, bounds[1:])])
+        assert fitting._segment_means(x, sizes).tobytes() == want.tobytes()
+
+
 class TestBatchedWeighting:
     @settings(deadline=None)
     @given(survivor_sets(), st.sampled_from([16.0, 64.0, 240.0]))

@@ -214,6 +214,40 @@ class TestGenerate:
         with pytest.raises(HypothesisError):
             generate(win, window_voxels(win), 10, 100)
 
+    # (timestamps, t_start, t_end, num_slices); 8.48606654242795 / 7 slices puts
+    # t_end just past the last slice bound, at 7.000000000000001 slice widths
+    EDGES = {
+        "on_inner_bounds": ([0.1, 0.2, 0.5, 0.9], 0.0, 1.0, 10),
+        "on_first_and_last_inner_bounds": ([0.1, 0.1, 0.9, 0.9], 0.0, 1.0, 10),
+        "at_t_start_and_t_end": ([0.0, 0.3, 0.6, 1.0], 0.0, 1.0, 10),
+        "at_t_start_and_t_end_offset": ([0.7, 0.8, 1.0], 0.7, 1.0, 7),
+        "two_events": ([0.2, 0.8], 0.0, 1.0, 10),
+        "two_events_at_the_ends": ([0.0, 1.0], 0.0, 1.0, 2),
+        "two_events_in_adjacent_slices": ([0.1, 0.1000001], 0.0, 1.0, 10),
+        "t_end_past_the_last_bound": ([0.0, 8.0, 8.48606654242795], 0.0, 8.48606654242795, 7),
+        "one_slice_first": ([0.0, 0.05, 0.1], 0.0, 1.0, 10),
+        "one_slice_middle": ([0.41, 0.45, 0.5], 0.0, 1.0, 10),
+        "one_slice_last": ([0.95, 1.0], 0.0, 1.0, 10),
+        "one_slice_last_past_the_bound": ([8.0, 8.48606654242795], 0.0, 8.48606654242795, 7),
+        "one_slice_two_events_at_t_start": ([0.0, 0.0], 0.0, 1.0, 10),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EDGES))
+    def test_edge_windows_match_flatnonzero_slices(self, name):
+        t, t_start, t_end, num_slices = self.EDGES[name]
+        win = window_from_arrays(t, np.arange(len(t)), np.arange(len(t)), t_start, t_end)
+        want = outcome(reference_generate, win, num_slices, 4096)
+        got = outcome(generate, win, window_voxels(win), num_slices, 4096)
+        if name.startswith("one_slice"):
+            assert isinstance(want, HypothesisError)
+            assert str(want) == "all events fall into a single time slice"
+        assert type(got) is type(want)
+        if isinstance(want, HypothesisError):
+            assert str(got) == str(want)
+        else:
+            assert got.starts.tobytes() == want.starts.tobytes()
+            assert got.ends.tobytes() == want.ends.tobytes()
+
     @settings(max_examples=300, deadline=None)
     @given(sliced_windows(), st.sampled_from([1, 3, 20, 4096]))
     def test_bit_identical_to_flatnonzero_slices(self, case, max_pairs):

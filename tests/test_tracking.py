@@ -9,8 +9,9 @@ from conftest import (
     lane_config,
     track_pairs,
     track_stream,
+    window_of,
 )
-from evtraj.fitting import fit_window
+from evtraj.fitting import AssociationResult, WeightedModel, fit_window
 from evtraj.grouping import EventWindow
 from evtraj.io import SensorGeometry
 from evtraj.synth import MotionSpec, SyntheticScene, generate_scene
@@ -71,6 +72,13 @@ class TestIoU:
         with pytest.raises(ValueError):
             BoundingBox(0, 0, 5, -1)
 
+    @pytest.mark.parametrize("fields", [(0, 0, np.nan, 1), (np.nan, 0, 1, 1), (0, np.inf, 1, 1),
+                                        (0, 0, 1, np.inf), (-np.inf, 0, 1, 1)])
+    def test_non_finite_box_rejected(self, fields):
+        # a NaN size would pass the positive-size check and give an overlap of 0
+        with pytest.raises(ValueError, match="finite"):
+            BoundingBox(*fields)
+
 
 class TestPairsFromAnnotations:
     def test_adjacent_rows_become_pairs(self):
@@ -92,6 +100,12 @@ class TestPairsFromAnnotations:
         rows = np.array([[0.5, 1, 1, 2, 2], [0.5, 1, 1, 2, 2]])
         with pytest.raises(ValueError):
             pairs_from_annotations(rows)
+
+    @pytest.mark.parametrize("times", [(-np.inf, 0.5), (0.0, np.inf), (np.nan, 0.5), (0.0, np.nan)])
+    def test_non_finite_times_rejected(self, times):
+        box = BoundingBox(0, 0, 1, 1)
+        with pytest.raises(ValueError, match="finite"):
+            TrackingPair(*times, box, box)
 
 
 def _fit_between(stream, t0, t1, config):
@@ -140,6 +154,19 @@ class TestPropagateBox:
         far = BoundingBox(50, 50, 6, 6)
         with pytest.raises(TrackingFailure):
             propagate_box(res, far, TRACK_FRAME)
+
+    def test_plurality_tie_goes_to_the_lower_id(self):
+        # three events of each instance in the box, instance 1's first: the
+        # tie goes to instance 0, whose direction along the time axis leaves
+        # its events where they are
+        t = np.arange(1, 7) * 1e-3
+        window = window_of(GEOM, t, [10, 11, 12, 20, 21, 22], [10, 10, 10, 20, 20, 20],
+                           0.0, TRACK_FRAME)
+        still = WeightedModel(np.zeros(3), np.array([0.0, 0.0, 1.0]), 0, np.arange(3, 6), 1.0, 1.0)
+        moving = WeightedModel(np.zeros(3), np.array([9.0, 0.0, 1.0]), 1, np.arange(3), 1.0, 1.0)
+        res = AssociationResult(window, [still, moving], np.array([1, 1, 1, 0, 0, 0]))
+        est = propagate_box(res, BoundingBox(0, 0, 40, 40), TRACK_FRAME)
+        assert est == BoundingBox(20.0, 20.0, 2.0, 1.0)
 
     def test_min_events_floor(self):
         data = _point_scene((0.0, 0.0), 20.0, 24.0, sigma=0.0)
