@@ -436,12 +436,19 @@ def associate(
     event0 = (np.cumsum(sizes) - sizes)[window] - pair0  # pair -> event of the batch
     voxel0 = np.asarray(first, dtype=np.int64)[window] - pair0  # pair -> voxel
     tau = np.array([s.tau for s in scales])[window]
-    # every instance's family members, instance after instance
-    rows = [f[[m.rep_index for m in ms]] for f, ms in zip(families, instances)]
-    size = np.concatenate([r.sum(axis=1) for r in rows])
+    # every instance's family members, instance after instance: its row of its
+    # window's (R, H) block, gathered with the batch's blocks laid end to end
+    lines = np.array([len(h) for h in hyps])
+    cells = np.array([f.size for f in families])
+    width = lines[window]
+    flag0 = np.cumsum(width) - width  # each row's first flag among the rows
+    rep = np.array([m.rep_index for ms in instances for m in ms])
+    row0 = (np.cumsum(cells) - cells)[window] + rep * width  # and among the blocks
+    flags = np.concatenate(families, axis=None)[np.arange(flag0[-1] + width[-1])
+                                                + np.repeat(row0 - flag0, width)]
+    size = np.add.reduceat(flags, flag0, dtype=np.int64)
     fam0 = np.cumsum(size) - size
-    hyp0 = np.cumsum([0] + [len(h) for h in hyps]).tolist()
-    member = np.concatenate([np.nonzero(r)[1] + h0 for r, h0 in zip(rows, hyp0)])
+    member = np.flatnonzero(flags) + np.repeat((np.cumsum(lines) - lines)[window] - flag0, size)
     family = LineSet(np.concatenate([h.starts for h in hyps])[member],
                      np.concatenate([h.ends for h in hyps])[member])
     table = _line_table(family)
@@ -498,20 +505,28 @@ def _failed(window: EventWindow) -> AssociationResult:
 
 
 def _call_voxels(windows: Sequence[EventWindow]) -> np.ndarray:
-    """The voxels of every window of a call, window after window."""
+    """The voxels of every window of a call, window after window.
+
+    Windows of one stream, as :func:`run_eda` and tracking give, take their
+    events from it with one index gather; windows of several streams are
+    concatenated.
+    """
     sizes = [len(w) for w in windows]
 
     def per_event(values):
         return np.repeat(np.asarray(values, dtype=np.float64), sizes)
 
-    return event_voxels(
-        np.concatenate([w.t for w in windows]),
-        np.concatenate([w.u for w in windows]),
-        np.concatenate([w.v for w in windows]),
-        per_event([w.t_start for w in windows]),
-        per_event([w.span for w in windows]),
-        per_event([time_scale(w.geometry) for w in windows]),
-    )
+    stream = windows[0].stream
+    if all(w.stream is stream for w in windows):
+        offset = np.array([w.offset for w in windows]) - (np.cumsum(sizes) - sizes)
+        index = np.arange(sum(sizes)) + np.repeat(offset, sizes)
+        t, u, v = stream.t.take(index), stream.u.take(index), stream.v.take(index)
+        s_t = time_scale(stream.geometry)
+    else:
+        t, u, v = (np.concatenate([getattr(w, k) for w in windows]) for k in "tuv")
+        s_t = per_event([time_scale(w.geometry) for w in windows])
+    return event_voxels(t, u, v, per_event([w.t_start for w in windows]),
+                        per_event([w.span for w in windows]), s_t)
 
 
 def _noise_scales(values: np.ndarray, sizes: np.ndarray, counts: np.ndarray,
@@ -648,13 +663,17 @@ def relabel(results: Sequence[AssociationResult], n_events: int) -> np.ndarray:
     """Stream-wide trajectory ids for the per-window results of :func:`run_eda`.
 
     Each window's local ids are shifted by the model count of the windows
-    before it; noise stays ``NOISE_ID``.
+    before it; noise stays ``NOISE_ID``, and so do events outside every
+    window. The windows must not overlap, as :func:`run_eda`'s never do.
     """
     assignment = np.full(n_events, NOISE_ID, dtype=np.int64)
-    next_id = 0
-    for res in results:
-        lo = res.window.offset
-        local = res.assignment
-        assignment[lo:lo + local.size] = np.where(local == NOISE_ID, NOISE_ID, local + next_id)
-        next_id += res.num_models
+    if not results:
+        return assignment
+    sizes = np.array([r.assignment.size for r in results])
+    models = np.array([r.num_models for r in results])
+    first = np.cumsum(sizes) - sizes
+    index = np.arange(sizes.sum()) + np.repeat([r.window.offset for r in results] - first, sizes)
+    local = np.concatenate([r.assignment for r in results])
+    shift = np.repeat(np.cumsum(models) - models, sizes)
+    assignment[index] = np.where(local == NOISE_ID, NOISE_ID, local + shift)
     return assignment

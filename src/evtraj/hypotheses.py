@@ -8,6 +8,7 @@ parallel hypotheses are reduced to one representative each.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Sequence
@@ -159,6 +160,37 @@ def generate(
     return LineSet(first_vox.take(i, axis=0), last_vox.take(j, axis=0))
 
 
+_INF_KEY = 0x7FF0000000000000  # the bits of +inf, the largest key of a non-NaN double
+
+
+def _double(key: int) -> float:
+    """The double at ``key`` in the order of doubles: ``key`` is its bits, negated below 0."""
+    return math.copysign(float(np.int64(abs(key)).view(np.float64)), key)
+
+
+@functools.lru_cache(maxsize=64)
+def parallel_cut(parallel_tol: float) -> float:
+    """The least double ``cut`` with ``1.0 - cut <= parallel_tol``.
+
+    ``1.0 - g`` rounds monotonically in ``g``, so for every double ``g`` the
+    test ``g >= cut`` agrees with ``1.0 - g <= parallel_tol``. Found by
+    bisection over the doubles in their order, at most 64 steps for any
+    tolerance; a NaN tolerance, which no ``g`` meets, gives NaN.
+    """
+    def parallel(key):
+        return 1.0 - _double(key) <= parallel_tol
+
+    lo, hi = -_INF_KEY, _INF_KEY
+    if parallel(lo):
+        return -math.inf
+    if not parallel(hi):
+        return math.nan
+    while hi - lo > 1:  # parallel(hi) and not parallel(lo)
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if parallel(mid) else (mid, hi)
+    return _double(hi)
+
+
 def select_representatives(
     hyps: Sequence[LineSet],
     parallel_tol: float = RunConfig.parallel_tol,
@@ -175,8 +207,10 @@ def select_representatives(
     earlier or not. A zero-length or non-finite direction raises
     :class:`HypothesisError`.
 
-    Neighbor counts never change, so the next representative is always the
-    first unassigned hypothesis in one stable sort by descending count. The
+    Each Gram chunk is compared once, as ``gram >= parallel_cut(parallel_tol)``,
+    which agrees with ``1 - gram <= parallel_tol`` on every value. Neighbor
+    counts never change, so the next representative is always the first
+    unassigned hypothesis in one stable sort by descending count. The
     unit directions are computed once for all windows; only one window's
     (H, H) adjacency is alive at a time.
     """
@@ -191,6 +225,8 @@ def select_representatives(
         raise HypothesisError(f"hypothesis {int(bad[0]) - sum(sizes[:w])} of window {w} "
                               "has a zero-length or non-finite direction")
     all_units = d / norms
+    cut = parallel_cut(parallel_tol)
+    scratch = _GRAM.take("gram", _GRAM.capacity)  # a window's Gram chunk is its head
     reps, families = [], []
     start = 0
     for lines in hyps:
@@ -202,12 +238,14 @@ def select_representatives(
         chunk = max(1, 2_000_000 // n)
         for lo in range(0, n, chunk):
             block = units[lo:lo + chunk]
-            gram = np.matmul(block, units.T, out=_GRAM.take("gram", (len(block), n)))
-            np.less_equal(np.subtract(1.0, gram, out=gram), parallel_tol, out=adj[lo:lo + chunk])
+            size = len(block) * n
+            gram = scratch[:size].reshape(len(block), n) if size <= scratch.size else None
+            np.greater_equal(np.matmul(block, units.T, out=gram), cut, out=adj[lo:lo + chunk])
         adj.reshape(-1)[::n + 1] = True  # a rounded self-product may miss a tiny tolerance
         assigned = np.zeros(n, dtype=bool)
         picked: List[int] = []
-        for r in (-adj.sum(axis=1)).argsort(kind="stable").tolist():
+        counts = adj.view(np.uint8).sum(axis=1, dtype=np.int32)
+        for r in (-counts).argsort(kind="stable").tolist():
             if not assigned[r]:
                 picked.append(r)
                 assigned |= adj[r]

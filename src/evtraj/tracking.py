@@ -183,6 +183,8 @@ def evaluate(
     """
     if not pairs:
         raise ValueError("no tracking pairs")
+    if n_rep < 1:
+        raise ValueError("n_rep must be >= 1")
     row = [iou(box, pair.gt_next) if isinstance(box, BoundingBox) else 0.0
            for box, pair in zip(track(stream, pairs, config), pairs)]
     overlaps = np.tile(np.asarray(row, dtype=np.float64), (n_rep, 1))

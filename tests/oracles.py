@@ -221,6 +221,18 @@ def reference_fit_window(window: EventWindow, config) -> AssociationResult:
     return AssociationResult(window, instances, assignment)
 
 
+def reference_relabel(results: Sequence[AssociationResult], n_events: int) -> np.ndarray:
+    """Stream-wide trajectory ids, one window at a time."""
+    assignment = np.full(n_events, NOISE_ID, dtype=np.int64)
+    next_id = 0
+    for res in results:
+        lo = res.window.offset
+        local = res.assignment
+        assignment[lo:lo + local.size] = np.where(local == NOISE_ID, NOISE_ID, local + next_id)
+        next_id += res.num_models
+    return assignment
+
+
 def reference_propagate_box(assoc: AssociationResult, box: BoundingBox, t_target: float,
                             min_events: int) -> BoundingBox:
     """One box moved along its plurality instance, from float copies of every event's voxel.

@@ -33,6 +33,7 @@ from evtraj.fitting import (
 from evtraj.grouping import EventWindow
 from evtraj.hypotheses import (
     LineSet,
+    event_voxels,
     generate,
     select_representatives,
     time_scale,
@@ -46,6 +47,7 @@ from oracles import (
     matrix_inliers,
     reference_associate,
     reference_fit_window,
+    reference_relabel,
     reference_residuals,
 )
 
@@ -1117,3 +1119,29 @@ class TestRelabel:
                    self.result(3, [NOISE_ID, NOISE_ID], 0),
                    self.result(5, [0, 0, NOISE_ID], 1)]
         assert relabel(results, 8).tolist() == [1, NOISE_ID, 0, NOISE_ID, NOISE_ID, 2, 2, NOISE_ID]
+
+    def test_matches_the_per_window_loop_on_run_eda_results(self):
+        stream = generate_scene(lane_scene(2, seed=5)).stream
+        results = run_eda(stream, lane_config())
+        assert 0 < sum(r.failed for r in results) < len(results)
+        # all windows, then every other window and an inner run, which leave
+        # events outside every window
+        for part in (results, results[::2], results[3:-3], results[:0]):
+            got = relabel(part, len(stream))
+            assert np.array_equal(got, reference_relabel(part, len(stream)))
+        assert (relabel(results[::2], len(stream)) == NOISE_ID).sum() > \
+            (relabel(results, len(stream)) == NOISE_ID).sum()
+
+
+class TestCallVoxels:
+    @pytest.mark.parametrize("case", ["partition", "overlapping", "two streams"])
+    def test_each_window_gets_its_own_voxels(self, case):
+        # windows of one stream are gathered from it, others concatenated;
+        # either way window w's run is event_voxels of its own events
+        windows = {"partition": lambda: scene_windows(5),
+                   "overlapping": lambda: pair_windows()[::-1],
+                   "two streams": lambda: pair_windows()[:3] + scene_windows(5)[:3]}[case]()
+        want = np.concatenate([event_voxels(w.t, w.u, w.v, w.t_start, w.span,
+                                            time_scale(w.geometry)) for w in windows])
+        got = fitting._call_voxels(windows)
+        assert got.tobytes() == want.tobytes()

@@ -10,6 +10,7 @@ from evtraj.hypotheses import (
     HypothesisError,
     LineSet,
     generate,
+    parallel_cut,
     select_representatives,
     slice_window,
     time_scale,
@@ -424,10 +425,22 @@ class TestSelectRepresentatives:
         reps = result.reps[0]
         assert result.families[0][np.arange(reps.size), reps].all()
 
+    @pytest.mark.parametrize("tol", [1e-18, 1e-3, 0.2, 0.5, 0.75, 1.0, 1.999, 2.0, 1e300])
+    def test_parallel_cut_is_the_least_double_within_the_tolerance(self, tol):
+        # from 0.5 on the cut lies below 0.5, where 1 - g rounds, so it is not 1 - tol
+        cut = parallel_cut(tol)
+        assert 1.0 - cut <= tol
+        assert not 1.0 - np.nextafter(cut, -np.inf) <= tol
+
+    def test_parallel_cut_at_infinite_and_nan_tolerances(self):
+        assert parallel_cut(math.inf) == -math.inf
+        assert math.isnan(parallel_cut(math.nan))
+
     @settings(deadline=None)
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3)),
                     min_size=1, max_size=60),
-           st.floats(0.0, 1e-3), st.sampled_from([1e-18, 1e-3, 1e-2, 0.2]), st.randoms())
+           st.floats(0.0, 1e-3), st.sampled_from([1e-18, 1e-3, 1e-2, 0.2, 0.5, 1.0, 2.5]),
+           st.randoms())
     def test_sorted_scan_matches_greedy_search(self, dirs, jitter, tol, rng):
         # small integer directions repeat and tie on neighbor counts
         dirs = np.array(dirs, dtype=float)
@@ -440,7 +453,7 @@ class TestSelectRepresentatives:
         assert np.array_equal(got.families[0], want.families[0])
 
     @settings(max_examples=60, deadline=None)
-    @given(clustering_batches(), st.sampled_from([1e-3, 1e-2, 0.2]))
+    @given(clustering_batches(), st.sampled_from([1e-3, 1e-2, 0.2, 0.5, 1.0, 2.5]))
     def test_batch_matches_greedy_search_per_window(self, batch, tol):
         got = select_representatives(batch, tol)
         assert got.lines == batch

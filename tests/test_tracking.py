@@ -11,6 +11,7 @@ from conftest import (
     track_stream,
     window_of,
 )
+from evtraj import tracking
 from evtraj.fitting import AssociationResult, WeightedModel, fit_window
 from evtraj.grouping import EventWindow
 from evtraj.io import SensorGeometry
@@ -243,6 +244,17 @@ class TestEvaluate:
     def test_no_pairs_rejected(self):
         with pytest.raises(ValueError):
             evaluate(track_stream(), [], lane_config())
+
+    @pytest.mark.parametrize("n_rep", [0, -2])
+    def test_fewer_than_one_repetition_rejected_before_tracking(self, n_rep, monkeypatch):
+        # n_rep 0 used to give NaN scores with warnings, and -2 to fail in
+        # np.tile, each after fitting every pair
+        def tracking_anyway(*args):
+            raise AssertionError("tracked before checking n_rep")
+
+        monkeypatch.setattr(tracking, "track", tracking_anyway)
+        with pytest.raises(ValueError, match="n_rep"):
+            evaluate(track_stream(), track_pairs(3), lane_config(), n_rep=n_rep)
 
 
 class TestTrack:
