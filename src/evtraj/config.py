@@ -40,6 +40,8 @@ class RunConfig:
             raise ValueError("need 0 <= alpha <= beta")
         if self.entropy_grid < 1:
             raise ValueError("entropy grid must be >= 1")
+        if min(self.width, self.height) < self.entropy_grid:
+            raise ValueError("geometry must be at least the entropy grid on each side")
         if not self.max_window_s > 0:
             raise ValueError("max_window_s must be positive")
         if self.num_slices < 2:

@@ -28,6 +28,17 @@ class HypothesisError(ValueError):
 # each thread's Gram chunk of a window with up to 252 hypotheses (252² <= 64,000; a
 # tracking pair window has ~150); a larger window's chunk is an array of its own
 _GRAM = Scratch(64_000)
+# Windows of up to _ROW_BITS hypotheses keep each hypothesis's neighbors as the
+# bits of one uint64; their (hypothesis, hypothesis) pairs are computed in
+# blocks of whole windows, at most _CHUNK_PAIRS at a time, in _PAIRS.
+_ROW_BITS = 64
+_CHUNK_PAIRS = 16_000
+_PAIRS = Scratch(_CHUNK_PAIRS)
+_BIT = np.left_shift(np.uint64(1), np.arange(_ROW_BITS, dtype=np.uint64))
+# Any two orders of operations (with or without fused multiply-adds) round the
+# dot product of two unit 3-vectors to values less than 8 * 2**-53 apart, so a
+# Gram value at least _GRAM_SLACK from the cut is on the same side in every order.
+_GRAM_SLACK = 2.0 ** -48
 
 
 def time_scale(geometry: SensorGeometry) -> float:
@@ -80,7 +91,8 @@ class HypothesisSet:
     within that window: ``reps[w]`` are rows of ``lines[w]``, and
     ``families[w]`` is an (R, H) boolean block whose row ``k`` marks every
     hypothesis of ``lines[w]`` within the parallel tolerance of its
-    representative ``reps[w][k]``. Families may overlap.
+    representative ``reps[w][k]``. Families may overlap, and the blocks of
+    windows clustered together may be views of one array.
     """
 
     lines: List[LineSet]
@@ -207,49 +219,164 @@ def select_representatives(
     earlier or not. A zero-length or non-finite direction raises
     :class:`HypothesisError`.
 
-    Each Gram chunk is compared once, as ``gram >= parallel_cut(parallel_tol)``,
+    Each Gram value is compared once with ``parallel_cut(parallel_tol)``,
     which agrees with ``1 - gram <= parallel_tol`` on every value. Neighbor
     counts never change, so the next representative is always the first
-    unassigned hypothesis in one stable sort by descending count. The
-    unit directions are computed once for all windows; only one window's
-    (H, H) adjacency is alive at a time.
+    unassigned hypothesis in one stable sort by descending count. The unit
+    directions are computed once for all windows. The windows of up to 64
+    hypotheses are clustered together by :func:`_cluster_rows`; each larger
+    window by :func:`_cluster_dense`, one window's (H, H) adjacency at a time.
     """
     if not hyps or not min(len(h) for h in hyps):
         raise HypothesisError("no hypotheses to cluster")
+    sizes = np.array([len(h) for h in hyps])
+    starts = np.cumsum(sizes) - sizes
     d = np.concatenate([h.ends for h in hyps]) - np.concatenate([h.starts for h in hyps])
     norms = np.linalg.norm(d, axis=1, keepdims=True)
     bad = np.flatnonzero(~((norms > 0) & (norms < np.inf)))  # NaN fails both
     if bad.size:
-        sizes = [len(h) for h in hyps]
-        w = int(np.searchsorted(np.cumsum(sizes), bad[0], side="right"))
-        raise HypothesisError(f"hypothesis {int(bad[0]) - sum(sizes[:w])} of window {w} "
+        w = int(np.searchsorted(starts, bad[0], side="right")) - 1
+        raise HypothesisError(f"hypothesis {int(bad[0] - starts[w])} of window {w} "
                               "has a zero-length or non-finite direction")
     all_units = d / norms
     cut = parallel_cut(parallel_tol)
-    scratch = _GRAM.take("gram", _GRAM.capacity)  # a window's Gram chunk is its head
-    reps, families = [], []
-    start = 0
-    for lines in hyps:
-        n = len(lines)
-        units = all_units[start:start + n]
-        start += n
-        # chunked pairwise adjacency to bound memory on large hypothesis sets
-        adj = np.empty((n, n), dtype=bool)
-        chunk = max(1, 2_000_000 // n)
-        for lo in range(0, n, chunk):
-            block = units[lo:lo + chunk]
-            size = len(block) * n
-            gram = scratch[:size].reshape(len(block), n) if size <= scratch.size else None
-            np.greater_equal(np.matmul(block, units.T, out=gram), cut, out=adj[lo:lo + chunk])
-        adj.reshape(-1)[::n + 1] = True  # a rounded self-product may miss a tiny tolerance
-        assigned = np.zeros(n, dtype=bool)
-        picked: List[int] = []
-        counts = adj.view(np.uint8).sum(axis=1, dtype=np.int32)
-        for r in (-counts).argsort(kind="stable").tolist():
-            if not assigned[r]:
-                picked.append(r)
-                assigned |= adj[r]
-        rep = np.array(picked, dtype=np.int64)
-        reps.append(rep)
-        families.append(adj[rep])
+    reps: List[np.ndarray] = [None] * sizes.size
+    families: List[np.ndarray] = [None] * sizes.size
+    small = np.flatnonzero(sizes <= _ROW_BITS)
+    dense = np.flatnonzero(sizes > _ROW_BITS).tolist()
+    if small.size:
+        dense += _cluster_rows(all_units, starts, sizes, small, cut, reps, families)
+    if dense:
+        scratch = _GRAM.take("gram", _GRAM.capacity)  # a window's Gram chunk is its head
+        for w in dense:
+            units = all_units[starts[w]:starts[w] + sizes[w]]
+            reps[w], families[w] = _cluster_dense(units, cut, scratch)
     return HypothesisSet(list(hyps), reps, families)
+
+
+def _cluster_dense(units: np.ndarray, cut: float, scratch: np.ndarray):
+    """One window's representatives and (R, H) families from its unit directions.
+
+    The (H, H) adjacency comes from one BLAS product per row chunk, written
+    into the head of ``scratch`` when it fits.
+    """
+    n = len(units)
+    # chunked pairwise adjacency to bound memory on large hypothesis sets
+    adj = np.empty((n, n), dtype=bool)
+    chunk = max(1, 2_000_000 // n)
+    for lo in range(0, n, chunk):
+        block = units[lo:lo + chunk]
+        size = len(block) * n
+        gram = scratch[:size].reshape(len(block), n) if size <= scratch.size else None
+        np.greater_equal(np.matmul(block, units.T, out=gram), cut, out=adj[lo:lo + chunk])
+    adj.reshape(-1)[::n + 1] = True  # a rounded self-product may miss a tiny tolerance
+    assigned = np.zeros(n, dtype=bool)
+    picked: List[int] = []
+    counts = adj.view(np.uint8).sum(axis=1, dtype=np.int32)
+    for r in (-counts).argsort(kind="stable").tolist():
+        if not assigned[r]:
+            picked.append(r)
+            assigned |= adj[r]
+    rep = np.array(picked, dtype=np.int64)
+    return rep, adj[rep]
+
+
+def _cluster_rows(all_units: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
+                  windows: np.ndarray, cut: float, reps: list, families: list) -> List[int]:
+    """Cluster ``windows``, each of at most 64 hypotheses, all together.
+
+    Fills in their entries of ``reps`` and ``families`` and returns the
+    windows that :func:`_cluster_dense` must cluster instead. Windows are
+    laid out largest first, each in slots for its hypotheses padded with
+    zero directions to a multiple of 8; :func:`_neighbor_rows` gives each
+    slot its neighbor count and its neighbors as the bits of one ``uint64``.
+    The greedy scan then takes step ``k`` of every window with over ``k``
+    hypotheses at once: those windows are a prefix of the layout, and a
+    step is four array operations on their assigned bits.
+    """
+    windows = windows[np.argsort(-sizes[windows], kind="stable")]
+    n = sizes[windows]
+    width = -(-n // 8) * 8
+    first = np.cumsum(width) - width  # each window's first slot
+    win = np.repeat(np.arange(n.size), width)  # each slot's window
+    local = np.arange(win.size) - first[win]  # and its index there
+    real = local < n[win]
+    units = np.zeros((3, win.size))
+    units[:, real] = all_units.T[:, np.flatnonzero(real) + np.repeat(starts[windows] - first, n)]
+    counts, rows, tied = _neighbor_rows(units, real, width, first, cut)
+    # each window's hypotheses by descending count, ties by index; a padding
+    # slot counts only itself, so it sorts after them
+    order = np.argsort(win * (_ROW_BITS + 1) - counts, kind="stable")
+    steps = np.searchsorted(-n, -np.arange(n[0]), side="left")  # windows with over k hypotheses
+    step0 = np.cumsum(steps) - steps
+    stepwise = (first[np.arange(n.sum()) - np.repeat(step0, steps)]
+                + np.repeat(np.arange(n[0]), steps))  # step k's slot in each window's order
+    candidate = order[stepwise]
+    own, neighbors = _BIT[local[candidate]], rows.view("<u8")[candidate, 0]
+    assigned = np.zeros(n.size, dtype=np.uint64)
+    taken = np.empty(n.size, dtype=np.uint64)
+    free = np.empty(candidate.size, dtype=bool)
+    for s, m in zip(step0.tolist(), steps.tolist()):
+        done, f, t = assigned[:m], free[s:s + m], taken[:m]
+        np.bitwise_and(done, own[s:s + m], t)
+        np.equal(t, 0, f)
+        np.bitwise_or(done, np.multiply(neighbors[s:s + m], f, t), done)
+    picked = np.zeros(win.size, dtype=bool)
+    picked[stepwise] = free
+    pos = np.flatnonzero(picked)  # window after window, in pick order
+    chosen = order[pos]
+    rep = local[chosen]
+    flags = np.unpackbits(rows[chosen], axis=1, bitorder="little").view(bool)
+    bounds = np.searchsorted(pos, first).tolist() + [pos.size]
+    for w, size, lo, hi in zip(windows.tolist(), n.tolist(), bounds[:-1], bounds[1:]):
+        reps[w] = rep[lo:hi]
+        families[w] = flags[lo:hi, :size]
+    return windows[tied].tolist()
+
+
+def _neighbor_rows(units: np.ndarray, real: np.ndarray, width: np.ndarray, first: np.ndarray,
+                   cut: float):
+    """Each slot's neighbor count and (slots, 8) little-endian neighbor bits.
+
+    ``units`` holds the (3, slots) unit directions of windows laid out as in
+    :func:`_cluster_rows`, ``real`` marks the slots that hold a hypothesis,
+    and window ``w`` has ``width[w]`` slots from ``first[w]``. Windows of
+    one width are computed together as dense (windows, width, width) blocks
+    of at most ``_CHUNK_PAIRS`` pairs. Each Gram value is
+    ``(ux_i*ux_j + uy_i*uy_j) + uz_i*uz_j``. A BLAS product may round it
+    otherwise, by less than ``_GRAM_SLACK``; so a window with an off-diagonal
+    value that close to the cut is also returned, by position, so that every
+    window gets the adjacency of :func:`_cluster_dense`.
+    """
+    counts = np.empty(real.size, dtype=np.uint8)
+    rows = np.zeros((real.size, 8), dtype=np.uint8)
+    lo_cut, hi_cut = cut - _GRAM_SLACK, cut + _GRAM_SLACK
+    tied: List[int] = []
+    group0 = np.flatnonzero(np.diff(width, prepend=0)).tolist()  # each width's first window
+    for a, b in zip(group0, group0[1:] + [width.size]):
+        size = int(width[a])
+        per = _CHUNK_PAIRS // size ** 2
+        for c in range(a, b, per):
+            k = min(per, b - c)
+            h0, h1 = int(first[c]), int(first[c]) + k * size
+            shape = (k, size, size)
+            u = units[:, h0:h1].reshape(3, k, size, 1)
+            v = units[:, h0:h1].reshape(3, k, 1, size)
+            gram, x = _PAIRS.take("gram", shape), _PAIRS.take("x", shape)
+            np.multiply(u[0], v[0], out=gram)
+            np.add(gram, np.multiply(u[1], v[1], out=x), out=gram)
+            np.add(gram, np.multiply(u[2], v[2], out=x), out=gram)
+            hyp = real[h0:h1]
+            adj = np.greater_equal(gram, hi_cut, out=_PAIRS.take("adj", shape, bool))
+            near = np.greater_equal(gram, lo_cut, out=_PAIRS.take("near", shape, bool))
+            for m in (adj, near):
+                np.logical_and(m, hyp.reshape(k, 1, size), out=m)  # padding is nobody's
+                np.logical_and(m, hyp.reshape(k, size, 1), out=m)  # neighbor
+                m.reshape(k, -1)[:, ::size + 1] = True  # as in _cluster_dense
+            if np.count_nonzero(near) != np.count_nonzero(adj):
+                close = np.not_equal(near, adj, out=near).reshape(k, -1).any(axis=1)
+                tied += (c + np.flatnonzero(close)).tolist()
+            counts[h0:h1] = adj.view(np.uint8).sum(axis=2, dtype=np.uint8).reshape(-1)
+            rows[h0:h1, :size // 8] = np.packbits(adj, axis=2, bitorder="little").reshape(
+                h1 - h0, -1)
+    return counts, rows, tied

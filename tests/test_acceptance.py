@@ -182,7 +182,7 @@ def test_same_velocity_objects_share_one_trajectory():
 
     Representatives are mutually non-parallel and a family holds every
     parallel hypothesis, so parallel lines at different places collapse into
-    one model. This pins the limit as measured on seeds 0-4; ROADMAP item 1
+    one model. This pins the limit as measured on seeds 0-4; ROADMAP item 3c
     (position-aware families) will flip it to two models.
     """
     duration = 0.1
@@ -311,6 +311,62 @@ def test_windows_partition_the_stream(stream):
         prev_end = w.t_end
         cursor += n
     assert cursor == len(stream)
+
+
+@st.composite
+def degenerate_streams(draw):
+    """1-2,000 events on a sensor 8-300 px a side, mostly degenerate.
+
+    Times: one timestamp for all, runs of ten equal timestamps, or uniform
+    over a span of 0, 1 us, 50 ms or 0.5 s, at an offset of 0 or 1e6 s.
+    Pixels: all one pixel, uniform, or one to three points moving in
+    straight lines, which give windows on both sides of the 64 hypotheses
+    that ``select_representatives`` clusters as one ``uint64`` row each.
+    """
+    n = draw(st.integers(1, 2000))
+    width, height = draw(st.integers(8, 300)), draw(st.integers(8, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = draw(st.sampled_from([0.0, 1e-6, 0.05, 0.5]))
+    if draw(st.booleans()):
+        t = np.repeat(np.sort(rng.uniform(0.0, span, -(-n // 10))), 10)[:n]
+    else:
+        t = np.sort(rng.uniform(0.0, span, n))
+    pixels = draw(st.sampled_from(["one", "uniform", "lines"]))
+    if pixels == "one":
+        u, v = np.full(n, rng.integers(width)), np.full(n, rng.integers(height))
+    elif pixels == "uniform":
+        u, v = rng.integers(0, width, n), rng.integers(0, height, n)
+    else:
+        k = rng.integers(0, rng.integers(1, 4), n)  # each event's point
+        start = rng.uniform(0, 1, (3, 2)) * (width - 1, height - 1)
+        velocity = rng.uniform(-1, 1, (3, 2)) * (width, height)
+        along = t / span if span else np.zeros(n)
+        u = np.clip(np.rint(start[k, 0] + velocity[k, 0] * along), 0, width - 1)
+        v = np.clip(np.rint(start[k, 1] + velocity[k, 1] * along), 0, height - 1)
+    offset = draw(st.sampled_from([0.0, 1e6]))
+    return EventStream(SensorGeometry(width, height), offset + t, u, v, rng.integers(0, 2, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(degenerate_streams(), st.sampled_from(["fixed", "ikose"]))
+def test_run_eda_on_degenerate_streams(stream, scale_mode):
+    # windows partition the stream, every id lies in [-1, num_models), and
+    # no numpy warning is raised on the way
+    config = RunConfig(width=stream.geometry.width, height=stream.geometry.height,
+                       scale_mode=scale_mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = run_eda(stream, config)
+        ids = relabel(results, len(stream))
+    cursor = 0
+    for r in results:
+        assert r.window.offset == cursor and len(r.window) > 0
+        cursor += len(r.window)
+        assert r.assignment.shape == (len(r.window),)
+        assert np.all((r.assignment >= NOISE_ID) & (r.assignment < r.num_models))
+    assert cursor == len(stream)
+    assert ids.shape == (len(stream),)
+    assert np.all((ids >= NOISE_ID) & (ids < sum(r.num_models for r in results)))
 
 
 # --- throughput floor -------------------------------------------------------

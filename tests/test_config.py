@@ -143,6 +143,9 @@ def test_flag_overrides_file(tmp_path):
         {"min_inliers": 0},
         {"n_rep": 0},
         {"ikose_k": 0.0},
+        {"width": 4, "height": 4},  # narrower and shorter than the default grid of 8
+        {"width": 7},
+        {"height": 16, "entropy_grid": 17},
     ],
 )
 def test_validation_rejects_bad_values(bad):

@@ -93,34 +93,46 @@ def sliced_windows(draw):
     return window_from_arrays(t, u, v, t_start, t_end), num_slices
 
 
-@st.composite
-def clustering_batches(draw):
-    """The hypothesis sets of a batch of windows, each of one kind.
+def clustering_window(rng, kind: str, jitter: float) -> LineSet:
+    """The hypotheses of one window of a kind, from ``rng``.
 
     ``one``: a single hypothesis. ``parallel``: scaled copies of one direction
     at random positions, so one representative. ``mixed``: small integer
-    directions with jitter, which repeat and tie on neighbor counts. At times
-    a ``large`` window of more than 1,414 hypotheses joins the batch, whose
+    directions with ``jitter``, which repeat and tie on neighbor counts.
+    ``duplicate``: three small integer directions, each repeated exactly
+    (integer starts keep ``end - start`` exact). ``64`` and ``65``: mixed
+    windows on either side of the 64 hypotheses clustered as one ``uint64``
+    row each. ``large``: a mixed window of more than 1,414 hypotheses, whose
     adjacency is computed in row chunks (``2_000_000 // n < n``).
     """
+    n = {"one": 1, "parallel": int(rng.integers(2, 30)), "mixed": int(rng.integers(2, 60)),
+         "duplicate": int(rng.integers(2, 60)), "64": 64, "65": 65,
+         "large": int(rng.integers(1415, 1600))}[kind]
+    starts = rng.uniform(0.0, 64.0, (n, 3))
+    if kind == "parallel":
+        direction = np.array([*rng.integers(-3, 4, 2), rng.integers(1, 4)], dtype=float)
+        dirs = np.outer(rng.uniform(0.5, 4.0, n), direction)
+    elif kind == "duplicate":
+        starts = np.floor(starts)
+        dirs = np.column_stack([rng.integers(-3, 4, (3, 2)), rng.integers(1, 4, 3)])
+        dirs = dirs[rng.integers(0, 3, n)].astype(float)
+    else:
+        dirs = np.column_stack([rng.integers(-3, 4, (n, 2)), rng.integers(1, 4, n)])
+        dirs = dirs + rng.uniform(-jitter, jitter, (n, 3))
+    return LineSet(starts, starts + dirs)
+
+
+@st.composite
+def clustering_batches(draw):
+    """The hypothesis sets of a batch of windows, each of one kind of
+    :func:`clustering_window`; at times a ``large`` window joins the batch."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kinds = draw(st.lists(st.sampled_from(["one", "parallel", "mixed"]), min_size=1, max_size=6))
+    kinds = draw(st.lists(st.sampled_from(["one", "parallel", "mixed", "duplicate", "64", "65"]),
+                          min_size=1, max_size=6))
     if draw(st.booleans()):
         kinds.insert(draw(st.integers(0, len(kinds))), "large")
     jitter = draw(st.sampled_from([0.0, 1e-4, 1e-3]))
-    batch = []
-    for kind in kinds:
-        n = {"one": 1, "parallel": int(rng.integers(2, 30)), "mixed": int(rng.integers(2, 60)),
-             "large": int(rng.integers(1415, 1600))}[kind]
-        starts = rng.uniform(0.0, 64.0, (n, 3))
-        if kind == "parallel":
-            direction = np.array([*rng.integers(-3, 4, 2), rng.integers(1, 4)], dtype=float)
-            dirs = np.outer(rng.uniform(0.5, 4.0, n), direction)
-        else:
-            dirs = np.column_stack([rng.integers(-3, 4, (n, 2)), rng.integers(1, 4, n)])
-            dirs = dirs + rng.uniform(-jitter, jitter, (n, 3))
-        batch.append(LineSet(starts, starts + dirs))
-    return batch
+    return [clustering_window(rng, kind, jitter) for kind in kinds]
 
 
 class TestNormalization:
@@ -451,6 +463,22 @@ class TestSelectRepresentatives:
         want = greedy_representatives(hyps, tol)
         assert got.rep_indices.tolist() == want.rep_indices.tolist()
         assert np.array_equal(got.families[0], want.families[0])
+
+    @pytest.mark.parametrize("tol", [1e-18, 1e-3, 0.2, 1.0, 2.0, 2.5])
+    @pytest.mark.parametrize("jitter", [0.0, 1e-3])
+    def test_windows_at_the_row_cut_match_greedy_search(self, tol, jitter):
+        # one call holds windows of exactly 64 hypotheses (one uint64 row each)
+        # and 65 (the dense path) with 1-hypothesis, all-parallel and
+        # duplicate-direction ones; at 1e-18 duplicates sit on the cut
+        rng = np.random.default_rng(8)
+        kinds = ["64", "one", "65", "parallel", "duplicate", "64", "duplicate", "one", "65"]
+        batch = [clustering_window(rng, kind, jitter) for kind in kinds]
+        got = select_representatives(batch, tol)
+        for hyps, reps, family in zip(batch, got.reps, got.families):
+            want = greedy_representatives(hyps, tol)
+            assert reps.tolist() == want.reps[0].tolist()
+            assert family.shape == want.families[0].shape
+            assert family.tobytes() == want.families[0].tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(clustering_batches(), st.sampled_from([1e-3, 1e-2, 0.2, 0.5, 1.0, 2.5]))
