@@ -32,6 +32,7 @@ from .config import RunConfig
 from .grouping import EntropyInterval, EventWindow, cut_windows
 from .hypotheses import (
     HypothesisError,
+    HypothesisSet,
     LineSet,
     event_voxels,
     generate,
@@ -385,18 +386,18 @@ def associate(
     vox: np.ndarray,
     first: Sequence[int],
     sizes: Sequence[int],
-    hyps: Sequence[LineSet],
-    families: Sequence[np.ndarray],
+    hyps: HypothesisSet,
+    windows: Sequence[int],
     instances: Sequence[Sequence[WeightedModel]],
     scales: Sequence[NoiseScale],
 ) -> List[np.ndarray]:
     """Per-event instance ids of each window of a batch: the instance whose family fits best.
 
-    Window ``w`` holds the voxels ``vox[first[w]:first[w] + sizes[w]]``, the
-    hypotheses ``hyps[w]`` with their (R, H) family block ``families[w]``
-    (:class:`HypothesisSet`), at least one instance ``instances[w]`` and the
-    noise scale ``scales[w]``. An instance's family is
-    ``families[w][instance.rep_index]``, the hypotheses parallel to its
+    Window ``w`` of the batch holds the voxels
+    ``vox[first[w]:first[w] + sizes[w]]``, the hypotheses and family block of
+    window ``windows[w]`` of ``hyps``, at least one instance ``instances[w]``
+    and the noise scale ``scales[w]``. An instance's family is row
+    ``instance.rep_index`` of its block, the hypotheses parallel to its
     representative. An event's residual to an instance is its smallest
     distance to a line of the family; the event goes to the instance with
     the smallest one (ties: the earlier instance), or to noise when that
@@ -436,21 +437,18 @@ def associate(
     event0 = (np.cumsum(sizes) - sizes)[window] - pair0  # pair -> event of the batch
     voxel0 = np.asarray(first, dtype=np.int64)[window] - pair0  # pair -> voxel
     tau = np.array([s.tau for s in scales])[window]
-    # every instance's family members, instance after instance: its row of its
-    # window's (R, H) block, gathered with the batch's blocks laid end to end
-    lines = np.array([len(h) for h in hyps])
-    cells = np.array([f.size for f in families])
-    width = lines[window]
+    # every instance's family members, instance after instance: its row of
+    # its window's block, gathered from the flat flags, as rows of hyps
+    run_window = np.asarray(windows, dtype=np.int64)[window]
+    width = hyps.hyp0[run_window + 1] - hyps.hyp0[run_window]
     flag0 = np.cumsum(width) - width  # each row's first flag among the rows
     rep = np.array([m.rep_index for ms in instances for m in ms])
-    row0 = (np.cumsum(cells) - cells)[window] + rep * width  # and among the blocks
-    flags = np.concatenate(families, axis=None)[np.arange(flag0[-1] + width[-1])
-                                                + np.repeat(row0 - flag0, width)]
+    row0 = hyps.flag0[run_window] + rep * hyps.flag_step[run_window]  # and among the flat flags
+    flags = hyps.flags[np.arange(flag0[-1] + width[-1]) + np.repeat(row0 - flag0, width)]
     size = np.add.reduceat(flags, flag0, dtype=np.int64)
     fam0 = np.cumsum(size) - size
-    member = np.flatnonzero(flags) + np.repeat((np.cumsum(lines) - lines)[window] - flag0, size)
-    family = LineSet(np.concatenate([h.starts for h in hyps])[member],
-                     np.concatenate([h.ends for h in hyps])[member])
+    member = np.flatnonzero(flags) + np.repeat(hyps.hyp0[run_window] - flag0, size)
+    family = LineSet(hyps.starts[member], hyps.ends[member])
     table = _line_table(family)
 
     below = np.zeros(instance.size, dtype=bool)
@@ -500,10 +498,6 @@ SCRATCH = Scratch(_BATCH_PAIRS)
 _CLUSTER_PAIRS = 2_000_000
 
 
-def _failed(window: EventWindow) -> AssociationResult:
-    return AssociationResult(window, [], np.full(len(window), NOISE_ID, dtype=np.int64))
-
-
 def _call_voxels(windows: Sequence[EventWindow]) -> np.ndarray:
     """The voxels of every window of a call, window after window.
 
@@ -545,21 +539,22 @@ def _noise_scales(values: np.ndarray, sizes: np.ndarray, counts: np.ndarray,
     return scales
 
 
-def _fit_batch(vox: np.ndarray, windows: Sequence[EventWindow], first: List[int], batch,
-               config, results: List[AssociationResult]) -> None:
+def _fit_batch(vox: np.ndarray, windows: Sequence[EventWindow], first: List[int],
+               run_slots: Sequence[int], hyps: HypothesisSet, batch: List[int], config,
+               results: List[AssociationResult]) -> None:
     """Residuals through association for a batch of clustered windows.
 
-    ``batch`` holds one ``(slot, hypotheses, representatives, families)``
-    per window. Writes the result of each window that keeps a model into its
-    slot of ``results``.
+    Window ``w`` of ``hyps`` is ``windows[run_slots[w]]``, and ``batch``
+    lists the batch's windows of ``hyps``. Writes the result of each window
+    that keeps a model into its slot of ``results``.
     """
-    slots, lines, reps, families = zip(*batch)
+    run = np.array(batch)
+    slots = [run_slots[w] for w in batch]
     sizes = np.array([len(windows[k]) for k in slots], dtype=np.int64)
-    counts = np.array([len(r) for r in reps], dtype=np.int64)
-    hyp0 = np.cumsum([0] + [len(h) for h in lines[:-1]])  # each window's first hypothesis
-    rows = np.concatenate(reps) + np.repeat(hyp0, counts)
-    models = LineSet(np.concatenate([h.starts for h in lines])[rows],
-                     np.concatenate([h.ends for h in lines])[rows])
+    counts = hyps.rep_count[run]
+    line0 = np.cumsum(counts) - counts  # each window's first representative in the batch
+    rows = hyps.rows[np.arange(counts.sum()) + np.repeat(hyps.rep0[run] - line0, counts)]
+    models = LineSet(hyps.starts[rows], hyps.ends[rows])
     values, voxel, line = _pair_residuals(vox, models, np.array([first[k] for k in slots]),
                                           sizes, counts)
     scales = _noise_scales(values, sizes, counts, config)
@@ -568,7 +563,6 @@ def _fit_batch(vox: np.ndarray, windows: Sequence[EventWindow], first: List[int]
     survivors = select_inliers(values, voxel, line, tau, config.min_inliers)
     if not survivors:
         return
-    line0 = np.cumsum(counts) - counts
     owner = np.searchsorted(line0, [j for j, _ in survivors], side="right") - 1
     per_window = np.bincount(owner, minlength=len(batch))
     s_t = [time_scale(windows[k].geometry) for k in slots]
@@ -576,19 +570,20 @@ def _fit_batch(vox: np.ndarray, windows: Sequence[EventWindow], first: List[int]
     fitted = np.flatnonzero(per_window)
     survivor0 = (np.cumsum(per_window) - per_window)[fitted]  # each window's first survivor
     n_models = select_model_count(finals, per_window[fitted])
-    instances = []
-    for w, k, n in zip(fitted.tolist(), survivor0.tolist(), n_models.tolist()):
-        lo, m = first[slots[w]], int(per_window[w])
-        chosen = []
-        for i in (finals[k:k + m].argsort(kind="stable")[:n] + k).tolist():
-            j, inliers = survivors[i]
-            chosen.append(WeightedModel(models.starts[j], models.ends[j], j - int(line0[w]),
-                                        inliers - lo, float(w1[i]), float(finals[i])))
-        instances.append(chosen)
     fitted = fitted.tolist()
-    assignments = associate(vox, [first[slots[w]] for w in fitted], sizes[fitted],
-                            [lines[w] for w in fitted], [families[w] for w in fitted],
-                            instances, [scales[w] for w in fitted])
+    w1s, weights, rep_first = w1.tolist(), finals.tolist(), line0.tolist()
+    instances = []
+    for w, k, n in zip(fitted, survivor0.tolist(), n_models.tolist()):
+        lo, m = first[slots[w]], int(per_window[w])
+        picks = [k] if m == 1 else (finals[k:k + m].argsort(kind="stable")[:n] + k).tolist()
+        chosen = []
+        for i in picks:
+            j, inliers = survivors[i]
+            chosen.append(WeightedModel(models.starts[j], models.ends[j], j - rep_first[w],
+                                        inliers - lo, w1s[i], weights[i]))
+        instances.append(chosen)
+    assignments = associate(vox, [first[slots[w]] for w in fitted], sizes[fitted], hyps,
+                            run[fitted], instances, [scales[w] for w in fitted])
     for w, chosen, assignment in zip(fitted, instances, assignments):
         results[slots[w]] = AssociationResult(windows[slots[w]], chosen, assignment)
 
@@ -626,7 +621,8 @@ def fit_windows(windows: Sequence[EventWindow], config) -> List[AssociationResul
     ``_CLUSTER_PAIRS``, clustered with one :func:`select_representatives`
     call each; each run splits into batches whose (event, representative)
     pairs stay within ``_BATCH_PAIRS``, and the residuals, inlier selection,
-    weighting, model counts and association run once per batch. Each result
+    weighting, model counts and association run once per batch, on the
+    run's one :class:`HypothesisSet`. Each result
     equals a fit of its window alone. Failures (no usable slices, no
     surviving model) degrade to an all-noise result without instances
     instead of raising.
@@ -641,10 +637,15 @@ def fit_windows(windows: Sequence[EventWindow], config) -> List[AssociationResul
     for run in _runs(hypothesized, lambda h: len(h[1]) ** 2, _CLUSTER_PAIRS):
         slots, lines = zip(*run)
         hyps = select_representatives(lines, config.parallel_tol)
-        clustered = zip(slots, lines, hyps.reps, hyps.families)
-        for batch in _runs(clustered, lambda c: len(windows[c[0]]) * len(c[2]), _BATCH_PAIRS):
-            _fit_batch(vox, windows, first, batch, config, results)
-    return [_failed(w) if res is None else res for w, res in zip(windows, results)]
+        cost = [len(windows[k]) * c for k, c in zip(slots, hyps.rep_count.tolist())]
+        for batch in _runs(range(len(slots)), cost.__getitem__, _BATCH_PAIRS):
+            _fit_batch(vox, windows, first, slots, hyps, batch, config, results)
+    failed = [k for k, res in enumerate(results) if res is None]
+    ends = np.cumsum([len(windows[k]) for k in failed], dtype=np.int64).tolist()
+    noise = np.full(ends[-1] if ends else 0, NOISE_ID, dtype=np.int64)
+    for k, lo, hi in zip(failed, [0, *ends], ends):  # every event of a failed window is noise
+        results[k] = AssociationResult(windows[k], [], noise[lo:hi])
+    return results
 
 
 def fit_window(window: EventWindow, config) -> AssociationResult:

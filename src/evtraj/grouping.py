@@ -228,12 +228,19 @@ def cut_windows(
     ``max_window``. Each window's end time seeds the start of the next, so the
     emitted windows partition the stream. A trailing partial window is emitted
     if it holds at least two events; a single trailing event is folded into
-    the last emitted window.
+    the last emitted window. A ``max_window`` that adding to the last
+    timestamp does not change raises :class:`GroupingError`.
     """
     if len(stream) == 0:
         raise GroupingError("cannot cut an empty stream")
     tl = stream.t.tolist()
     n = len(tl)
+    # timestamps are non-negative and rounding is monotonic, so a span that
+    # moves the last timestamp moves every window start: windows get positive
+    # spans, and the hop over an event-free stretch advances
+    if tl[-1] + max_window == tl[-1]:
+        raise GroupingError(f"max_window {max_window!r} s is below the resolution of "
+                            f"timestamp {tl[-1]!r} s")
 
     bounds: List[Tuple[int, int, float, float]] = []  # (offset, stop, t_start, t_end)
     start_idx = i = 0

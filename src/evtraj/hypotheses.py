@@ -85,24 +85,35 @@ class LineSet:
 
 @dataclass(frozen=True)
 class HypothesisSet:
-    """The hypotheses of a batch of windows plus each window's non-parallel representatives.
+    """The hypotheses of a run of windows, with their representatives and families, in flat arrays.
 
-    Entry ``w`` of each list belongs to window ``w``, and every index counts
-    within that window: ``reps[w]`` are rows of ``lines[w]``, and
-    ``families[w]`` is an (R, H) boolean block whose row ``k`` marks every
-    hypothesis of ``lines[w]`` within the parallel tolerance of its
-    representative ``reps[w][k]``. Families may overlap, and the blocks of
-    windows clustered together may be views of one array.
+    Window ``w``'s H hypotheses are rows ``hyp0[w]`` to ``hyp0[w + 1] - 1``
+    of ``starts`` and ``ends``. Its R representatives are the rows
+    ``rows[rep0[w]:rep0[w] + rep_count[w]]`` of them, in pick order. Its
+    family block is (R, H): row ``k`` marks every hypothesis of the window
+    within the parallel tolerance of its representative ``k``, and is the H
+    flags from ``flag0[w] + k * flag_step[w]`` of ``flags``. Families may
+    overlap. Windows keep their representatives and blocks in no particular
+    order in ``rows`` and ``flags``, which may hold entries that no window
+    points to.
     """
 
-    lines: List[LineSet]
-    reps: List[np.ndarray]
-    families: List[np.ndarray]
+    starts: np.ndarray
+    ends: np.ndarray
+    hyp0: np.ndarray
+    rows: np.ndarray
+    rep0: np.ndarray
+    rep_count: np.ndarray
+    flags: np.ndarray
+    flag0: np.ndarray
+    flag_step: np.ndarray
 
     @property
     def rep_indices(self) -> np.ndarray:
-        """Every window's representatives, window after window."""
-        return np.concatenate(self.reps)
+        """Every window's representatives, window after window, each counted within its window."""
+        count = self.rep_count
+        offset = np.repeat(self.rep0 - (np.cumsum(count) - count), count)
+        return self.rows[np.arange(count.sum()) + offset] - np.repeat(self.hyp0[:-1], count)
 
 
 def _slice_positions(window: EventWindow, num_slices: int) -> np.ndarray:
@@ -216,8 +227,9 @@ def select_representatives(
     a representative and absorbs its unassigned neighbors; repeat until every
     hypothesis is absorbed. Representatives end up mutually non-parallel.
     Each representative's family is all of its parallel neighbors, absorbed
-    earlier or not. A zero-length or non-finite direction raises
-    :class:`HypothesisError`.
+    earlier or not. Every window's hypotheses, representatives and families
+    come back in one call-wide :class:`HypothesisSet`. A zero-length or
+    non-finite direction raises :class:`HypothesisError`.
 
     Each Gram value is compared once with ``parallel_cut(parallel_tol)``,
     which agrees with ``1 - gram <= parallel_tol`` on every value. Neighbor
@@ -227,31 +239,42 @@ def select_representatives(
     hypotheses are clustered together by :func:`_cluster_rows`; each larger
     window by :func:`_cluster_dense`, one window's (H, H) adjacency at a time.
     """
-    if not hyps or not min(len(h) for h in hyps):
+    sizes = np.array([len(h) for h in hyps], dtype=np.int64)
+    if not sizes.size or not sizes.min():
         raise HypothesisError("no hypotheses to cluster")
-    sizes = np.array([len(h) for h in hyps])
-    starts = np.cumsum(sizes) - sizes
-    d = np.concatenate([h.ends for h in hyps]) - np.concatenate([h.starts for h in hyps])
+    hyp0 = np.concatenate([[0], np.cumsum(sizes)])
+    starts = np.concatenate([h.starts for h in hyps])
+    ends = np.concatenate([h.ends for h in hyps])
+    d = ends - starts
     norms = np.linalg.norm(d, axis=1, keepdims=True)
     bad = np.flatnonzero(~((norms > 0) & (norms < np.inf)))  # NaN fails both
     if bad.size:
-        w = int(np.searchsorted(starts, bad[0], side="right")) - 1
-        raise HypothesisError(f"hypothesis {int(bad[0] - starts[w])} of window {w} "
+        w = int(np.searchsorted(hyp0, bad[0], side="right")) - 1
+        raise HypothesisError(f"hypothesis {int(bad[0] - hyp0[w])} of window {w} "
                               "has a zero-length or non-finite direction")
     all_units = d / norms
     cut = parallel_cut(parallel_tol)
-    reps: List[np.ndarray] = [None] * sizes.size
-    families: List[np.ndarray] = [None] * sizes.size
+    rep0, rep_count, flag0 = (np.zeros(sizes.size, dtype=np.int64) for _ in range(3))
+    flag_step = sizes.copy()
+    rows, flags = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=bool)]
     small = np.flatnonzero(sizes <= _ROW_BITS)
     dense = np.flatnonzero(sizes > _ROW_BITS).tolist()
     if small.size:
-        dense += _cluster_rows(all_units, starts, sizes, small, cut, reps, families)
+        row, flag, tied = _cluster_rows(all_units, hyp0, sizes, small, cut, rep0, rep_count)
+        rows, flags, dense = [row], [flag], dense + tied
+        flag0[small], flag_step[small] = rep0[small] * _ROW_BITS, _ROW_BITS
     if dense:
         scratch = _GRAM.take("gram", _GRAM.capacity)  # a window's Gram chunk is its head
+        n_rows, n_flags = rows[0].size, flags[0].size
         for w in dense:
-            units = all_units[starts[w]:starts[w] + sizes[w]]
-            reps[w], families[w] = _cluster_dense(units, cut, scratch)
-    return HypothesisSet(list(hyps), reps, families)
+            rep, block = _cluster_dense(all_units[hyp0[w]:hyp0[w + 1]], cut, scratch)
+            rep0[w], rep_count[w], flag0[w], flag_step[w] = n_rows, rep.size, n_flags, sizes[w]
+            rows.append(rep + hyp0[w])
+            flags.append(block.reshape(-1))
+            n_rows, n_flags = n_rows + rep.size, n_flags + block.size
+        rows, flags = [np.concatenate(rows)], [np.concatenate(flags)]
+    return HypothesisSet(starts, ends, hyp0, rows[0], rep0, rep_count, flags[0], flag0,
+                         flag_step)
 
 
 def _cluster_dense(units: np.ndarray, cut: float, scratch: np.ndarray):
@@ -281,14 +304,16 @@ def _cluster_dense(units: np.ndarray, cut: float, scratch: np.ndarray):
     return rep, adj[rep]
 
 
-def _cluster_rows(all_units: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
-                  windows: np.ndarray, cut: float, reps: list, families: list) -> List[int]:
+def _cluster_rows(all_units: np.ndarray, hyp0: np.ndarray, sizes: np.ndarray,
+                  windows: np.ndarray, cut: float, rep0: np.ndarray, rep_count: np.ndarray):
     """Cluster ``windows``, each of at most 64 hypotheses, all together.
 
-    Fills in their entries of ``reps`` and ``families`` and returns the
-    windows that :func:`_cluster_dense` must cluster instead. Windows are
-    laid out largest first, each in slots for its hypotheses padded with
-    zero directions to a multiple of 8; :func:`_neighbor_rows` gives each
+    Returns their representatives as rows of ``all_units``, the flags of
+    their family rows, 64 per row from ``64 * rep0[w]`` on, and the windows
+    that :func:`_cluster_dense` must cluster instead; fills in their entries
+    of ``rep0`` and ``rep_count`` (:class:`HypothesisSet`). Windows are laid
+    out largest first, each in slots for its hypotheses padded with zero
+    directions to a multiple of 8; :func:`_neighbor_rows` gives each
     slot its neighbor count and its neighbors as the bits of one ``uint64``.
     The greedy scan then takes step ``k`` of every window with over ``k``
     hypotheses at once: those windows are a prefix of the layout, and a
@@ -302,7 +327,7 @@ def _cluster_rows(all_units: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
     local = np.arange(win.size) - first[win]  # and its index there
     real = local < n[win]
     units = np.zeros((3, win.size))
-    units[:, real] = all_units.T[:, np.flatnonzero(real) + np.repeat(starts[windows] - first, n)]
+    units[:, real] = all_units.T[:, np.flatnonzero(real) + np.repeat(hyp0[windows] - first, n)]
     counts, rows, tied = _neighbor_rows(units, real, width, first, cut)
     # each window's hypotheses by descending count, ties by index; a padding
     # slot counts only itself, so it sorts after them
@@ -323,15 +348,13 @@ def _cluster_rows(all_units: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
         np.bitwise_or(done, np.multiply(neighbors[s:s + m], f, t), done)
     picked = np.zeros(win.size, dtype=bool)
     picked[stepwise] = free
-    pos = np.flatnonzero(picked)  # window after window, in pick order
-    chosen = order[pos]
-    rep = local[chosen]
-    flags = np.unpackbits(rows[chosen], axis=1, bitorder="little").view(bool)
-    bounds = np.searchsorted(pos, first).tolist() + [pos.size]
-    for w, size, lo, hi in zip(windows.tolist(), n.tolist(), bounds[:-1], bounds[1:]):
-        reps[w] = rep[lo:hi]
-        families[w] = flags[lo:hi, :size]
-    return windows[tied].tolist()
+    chosen = order[np.flatnonzero(picked)]  # window after window, in pick order
+    owner = win[chosen]
+    count = np.bincount(owner, minlength=n.size)
+    rep0[windows] = np.cumsum(count) - count
+    rep_count[windows] = count
+    flags = np.unpackbits(rows[chosen], axis=1, bitorder="little").view(bool).reshape(-1)
+    return local[chosen] + hyp0[windows][owner], flags, windows[tied].tolist()
 
 
 def _neighbor_rows(units: np.ndarray, real: np.ndarray, width: np.ndarray, first: np.ndarray,

@@ -114,6 +114,21 @@ class EventStream:
 
 
 _COMMENT_LINE = re.compile(r"\n[^\S\n]*#[^\n]*")
+# besides "\n", the ASCII characters that end a line for str.splitlines, and "#"
+_SPECIAL = "#\r\x0b\x0c\x1c\x1d\x1e"
+
+
+def _table_text(text: str) -> str:
+    """``text`` with its lines ended where ``str.splitlines`` ends them, comment lines blank.
+
+    Comment lines are blanked, not removed, so line numbers hold; np.loadtxt
+    skips blank lines. ASCII text without a ``_SPECIAL`` character has no
+    other line ends than ``"\n"`` and no comment, so it is returned as it is:
+    rebuilt, it would hold the same lines, at most one trailing newline shorter.
+    """
+    if text.isascii() and not any(c in text for c in _SPECIAL):
+        return text
+    return _COMMENT_LINE.sub("\n", "\n" + "\n".join(text.splitlines()))[1:]
 
 
 def _loadtxt(lines, dtype: list) -> np.ndarray:
@@ -136,10 +151,7 @@ def _read_table(source: Union[bytes, str], dtype: list, build: Callable[[np.ndar
 
     Every :class:`FormatError`, including an :class:`_InvalidRow` from ``build``, names its line.
     """
-    text = source.decode("utf-8") if isinstance(source, bytes) else source
-    # Lines end where str.splitlines ends them. Comment lines are blanked, not
-    # removed, so line numbers hold; np.loadtxt skips blank lines.
-    text = _COMMENT_LINE.sub("\n", "\n" + "\n".join(text.splitlines()))[1:]
+    text = _table_text(source.decode("utf-8") if isinstance(source, bytes) else source)
     try:
         rows = _loadtxt(_stdio.StringIO(text), dtype)
     except ValueError:

@@ -35,9 +35,18 @@ from evtraj.hypotheses import (
     time_scale,
     window_voxels,
 )
+from evtraj import io
 from evtraj.io import NOISE_ID
 from evtraj.synth import CLUTTER_LABEL
 from evtraj.tracking import BoundingBox, TrackingFailure
+
+
+def rebuilt_table_text(text: str) -> str:
+    """A table's text with its lines ended where ``str.splitlines`` ends them, comment lines blank.
+
+    Every text is rebuilt, whether or not that changes its lines.
+    """
+    return io._COMMENT_LINE.sub("\n", "\n" + "\n".join(text.splitlines()))[1:]
 
 
 def brute_force_lines(
@@ -140,7 +149,50 @@ def greedy_representatives(hyps: LineSet, parallel_tol: float) -> HypothesisSet:
         rep_indices.append(r)
         unassigned[adj[r]] = False
     reps = np.asarray(rep_indices, dtype=np.int64)
-    return HypothesisSet([hyps], [reps], [adj[reps]])
+    return hypothesis_set([hyps], [adj[reps]], [reps])
+
+
+def hypothesis_set(lines: Sequence[LineSet], families: Sequence[np.ndarray],
+                   reps: Sequence[np.ndarray] = None) -> HypothesisSet:
+    """A :class:`HypothesisSet` of windows given one at a time, laid out window after window.
+
+    Window ``w`` holds the hypotheses ``lines[w]``, the (R, H) family block
+    ``families[w]`` and the representatives ``reps[w]``, indices within it;
+    without ``reps``, each family's first member stands for its
+    representative.
+    """
+    families = [np.asarray(f, dtype=bool).reshape(-1, len(h)) for h, f in zip(lines, families)]
+    if reps is None:
+        reps = [f.argmax(axis=1) for f in families]
+    sizes = [len(h) for h in lines]
+    hyp0 = np.cumsum([0, *sizes])
+    count = np.array([len(r) for r in reps], dtype=np.int64)
+    cells = np.array([f.size for f in families], dtype=np.int64)
+    rows = np.concatenate([np.asarray(r, dtype=np.int64) + h0 for r, h0 in zip(reps, hyp0)])
+    return HypothesisSet(np.concatenate([h.starts for h in lines]),
+                         np.concatenate([h.ends for h in lines]), hyp0, rows,
+                         np.cumsum(count) - count, count,
+                         np.concatenate([f.reshape(-1) for f in families]),
+                         np.cumsum(cells) - cells, np.array(sizes, dtype=np.int64))
+
+
+def window_lines(hyps: HypothesisSet, w: int) -> LineSet:
+    """Window ``w``'s hypotheses."""
+    lo, hi = hyps.hyp0[w], hyps.hyp0[w + 1]
+    return LineSet(hyps.starts[lo:hi], hyps.ends[lo:hi])
+
+
+def window_reps(hyps: HypothesisSet, w: int) -> np.ndarray:
+    """Window ``w``'s representatives, as indices within it, in pick order."""
+    lo = hyps.rep0[w]
+    return hyps.rows[lo:lo + hyps.rep_count[w]] - hyps.hyp0[w]
+
+
+def window_families(hyps: HypothesisSet, w: int) -> np.ndarray:
+    """Window ``w``'s (R, H) family block."""
+    count, step, lo = hyps.rep_count[w], hyps.flag_step[w], hyps.flag0[w]
+    rows = hyps.flags[lo:lo + count * step].reshape(count, step)
+    return rows[:, :hyps.hyp0[w + 1] - hyps.hyp0[w]]
 
 
 def matrix_inliers(values: np.ndarray, tau: float,
@@ -173,7 +225,7 @@ def reference_residuals(window: EventWindow, config):
         hyps = greedy_representatives(lines, config.parallel_tol)
     except HypothesisError:
         return None
-    return vox, hyps, residual_matrix(vox, hyps.lines[0].take(hyps.reps[0]))
+    return vox, hyps, residual_matrix(vox, lines.take(window_reps(hyps, 0)))
 
 
 def reference_associate(vox, hyps: LineSet, families: np.ndarray, instances,
@@ -201,7 +253,8 @@ def reference_fit_window(window: EventWindow, config) -> AssociationResult:
     if stages is None:
         return failed
     vox, hyps, values = stages
-    reps = hyps.lines[0].take(hyps.reps[0])
+    lines = window_lines(hyps, 0)
+    reps = lines.take(window_reps(hyps, 0))
     if config.scale_mode == "fixed":
         scale = NoiseScale(config.tau, "fixed")
     else:
@@ -217,7 +270,7 @@ def reference_fit_window(window: EventWindow, config) -> AssociationResult:
         j, inliers = survivors[i]
         instances.append(WeightedModel(reps.starts[j], reps.ends[j], j, inliers,
                                        float(w1[i]), float(finals[i])))
-    assignment = reference_associate(vox, hyps.lines[0], hyps.families[0], instances, scale)
+    assignment = reference_associate(vox, lines, window_families(hyps, 0), instances, scale)
     return AssociationResult(window, instances, assignment)
 
 

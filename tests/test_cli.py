@@ -484,6 +484,18 @@ class TestConfigPlumbing:
         assert captured.err.startswith("error: config key ")
         assert captured.out == "" and not out.exists()
 
+    def test_span_below_the_timestamp_resolution_fails_cleanly(self, tmp_path, capsys):
+        # 0.1 s added to 1e17 s leaves it unchanged: no window can have a span
+        events = tmp_path / "events.txt"
+        events.write_bytes(b"".join(b"%r %d %d 0\n" % (1e17 + 64 * k, k % 32, k % 32)
+                                    for k in range(50)))
+        out = tmp_path / "o.txt"
+        rc = main(["associate", str(events), "--out", str(out), "--geometry", "32x32"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: max_window 0.1 s is below the resolution")
+        assert captured.out == "" and not out.exists()
+
     def test_yaml_syntax_error_in_config_fails_cleanly(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.yaml"
         cfg_file.write_text("geometry: [64, 64\nduration: 0.1\n")

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import evtraj
 from conftest import lane_config, lane_scene, lane_window, pair_windows, window_of
-from evtraj import fitting
+from evtraj import fitting, hypotheses
 from evtraj.fitting import (
     AssociationResult,
     NoiseScale,
@@ -44,11 +44,16 @@ from evtraj.scratch import Scratch
 from evtraj.synth import generate_scene
 from oracles import (
     elbow_count,
+    greedy_representatives,
+    hypothesis_set,
     matrix_inliers,
     reference_associate,
     reference_fit_window,
     reference_relabel,
     reference_residuals,
+    window_families,
+    window_lines,
+    window_reps,
 )
 
 GEOM = SensorGeometry(64, 64)
@@ -529,7 +534,8 @@ class TestSelectModelCount:
 
 def associate_one(vox, lines, families, instances, scale):
     """:func:`associate` on a batch of one window that holds every voxel."""
-    return associate(vox, [0], [len(vox)], [lines], [families], [instances], [scale])[0]
+    return associate(vox, [0], [len(vox)], hypothesis_set([lines], [families]), [0],
+                     [instances], [scale])[0]
 
 
 @st.composite
@@ -587,13 +593,13 @@ class TestAssociate:
             np.array([[10.0, 10, 64], [60.0, 40, 64]]),
         )
         hyps = select_representatives([lines], 1e-3)
-        ends = lines.take(hyps.reps[0])
+        ends = lines.take(window_reps(hyps, 0))
         instances = [
             WeightedModel(ends.starts[j], ends.ends[j], j, np.empty(0, dtype=int), 0.0, 0.0)
             for j in range(2)
         ]
         # the window's hypotheses and family block, as associate takes them
-        return win, (hyps.lines[0], hyps.families[0]), instances, order
+        return win, (window_lines(hyps, 0), window_families(hyps, 0)), instances, order
 
     def test_events_pick_their_line_and_outlier_is_noise(self):
         win, clusters, instances, order = self._setup()
@@ -617,8 +623,8 @@ class TestAssociate:
         with pytest.raises(FitError):
             associate_one(vox, *clusters, [], NoiseScale(0.05))
         with pytest.raises(FitError):  # every window of a batch needs one
-            associate(vox, [0, 0], [len(vox)] * 2, [clusters[0]] * 2, [clusters[1]] * 2,
-                      [instances, []], [NoiseScale(0.05)] * 2)
+            associate(vox, [0, 0], [len(vox)] * 2, hypothesis_set([clusters[0]], [clusters[1]]),
+                      [0, 0], [instances, []], [NoiseScale(0.05)] * 2)
 
     def test_an_event_at_tau_is_noise(self):
         # the vertical line through (0, 0): events 1 and 2 px off it, tau 2 px
@@ -655,7 +661,8 @@ class TestAssociate:
         default = fitting._BATCH_PAIRS
         fitting._BATCH_PAIRS = cap or default
         try:
-            got = associate(vox, first, sizes, lines, families, instances, scales)
+            got = associate(vox, first, sizes, hypothesis_set(lines, families),
+                            range(len(batch)), instances, scales)
         finally:
             fitting._BATCH_PAIRS = default
         assert len(got) == len(batch)
@@ -780,7 +787,7 @@ class TestFitWindow:
             win = lane_window(generate_scene(lane_scene(motions, seed=3, clutter_frac=0.0)))
             vox = window_voxels(win)
             lines = generate(win, vox, cfg.num_slices, cfg.max_pairs)
-            reps = lines.take(select_representatives([lines], cfg.parallel_tol).reps[0])
+            reps = lines.take(window_reps(select_representatives([lines], cfg.parallel_tol), 0))
             s_t = time_scale(win.geometry)
             matrix = residual_matrix(vox, reps)
             survivors = matrix_inliers(matrix, cfg.tau, cfg.min_inliers)
@@ -846,7 +853,66 @@ def assert_same_fit(got: AssociationResult, want: AssociationResult):
         assert a.w_stage1 == b.w_stage1 and a.w_final == b.w_final
 
 
+def sliced_window(rng, n_first: int, n_last: int, duplicate: bool = False) -> EventWindow:
+    """A window whose first and last time slices hold ``n_first`` and ``n_last`` events.
+
+    :func:`generate` gives it ``n_first * n_last`` hypotheses. The events
+    follow a point moving at (600, 300) px/s within 2 px, with 24 more
+    events between the two slices. With ``duplicate``, both slices hold two
+    events one pixel apart at one timestamp, so two hypotheses have the same
+    direction, bit for bit.
+    """
+    span = 0.05
+    f = np.concatenate([rng.uniform(0.0, 0.08, n_first), rng.uniform(0.15, 0.85, 24),
+                        rng.uniform(0.92, 1.0, n_last)])
+    u = np.rint(10 + 30 * f) + rng.integers(-2, 3, f.size)
+    v = np.rint(20 + 15 * f) + rng.integers(-2, 3, f.size)
+    if duplicate:
+        f[[1, -1]], u[[1, -1]], v[[1, -1]] = f[[0, -2]], u[[0, -2]] + 1, v[[0, -2]]
+    order = np.argsort(f, kind="stable")
+    return window_of(GEOM, f[order] * span, u[order].astype(int), v[order].astype(int), 0.0,
+                     span)
+
+
 class TestFitWindows:
+    @pytest.mark.parametrize("tol", [1e-18, 1e-3, 0.2])
+    def test_one_call_across_the_row_cut_matches_the_per_window_references(self, tol,
+                                                                         monkeypatch):
+        # windows of 1, 64 and 65 hypotheses, one with a duplicate direction
+        # (at 1e-18 on the cut, so clustered densely though it is small) and
+        # a dense one of 400, clustered in one call: its representatives and
+        # family blocks are the greedy search's, and its fits the references
+        rng = np.random.default_rng(9)
+        shapes = [(1, 1), (8, 8), (2, 2), (5, 13), (20, 20), (8, 8), (1, 1), (5, 13)]
+        windows = [sliced_window(rng, a, b, duplicate=(a, b) == (2, 2)) for a, b in shapes]
+        config = lane_config(parallel_tol=tol)
+        calls, dense = [], []
+        cluster, cluster_dense = select_representatives, hypotheses._cluster_dense
+
+        def clustering(lines, parallel_tol):
+            calls.append((lines, cluster(lines, parallel_tol)))
+            return calls[-1][1]
+
+        def clustering_dense(units, cut, scratch):
+            dense.append(len(units))
+            return cluster_dense(units, cut, scratch)
+
+        monkeypatch.setattr(fitting, "select_representatives", clustering)
+        monkeypatch.setattr(hypotheses, "_cluster_dense", clustering_dense)
+        results = fit_windows(windows, config)
+        [(lines, got)] = calls
+        assert [len(h) for h in lines] == [a * b for a, b in shapes]
+        assert sorted(dense) == ([4] if tol == 1e-18 else []) + [65, 65, 400]
+        for w, hyps in enumerate(lines):
+            want = greedy_representatives(hyps, tol)
+            assert window_reps(got, w).tolist() == window_reps(want, 0).tolist()
+            family = window_families(got, w)
+            assert family.shape == window_families(want, 0).shape
+            assert family.tobytes() == window_families(want, 0).tobytes()
+        for window, result in zip(windows, results):
+            assert_same_fit(result, reference_fit_window(window, config))
+        assert sum(not r.failed for r in results) > len(windows) // 2
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(fit_batch_windows(), max_size=7),
            st.tuples(fit_batch_windows(kinds=("lone",)), st.integers(0, 7)),
@@ -939,9 +1005,9 @@ class TestFitWindows:
             log.append(("run", len(hyps)))
             return select_representatives(hyps, parallel_tol)
 
-        def fitting_batch(vox, windows, first, batch, config, results):
+        def fitting_batch(vox, windows, first, slots, hyps, batch, config, results):
             log.append(("batch", len(batch)))
-            return fit_batch(vox, windows, first, batch, config, results)
+            return fit_batch(vox, windows, first, slots, hyps, batch, config, results)
 
         monkeypatch.setattr(fitting, "select_representatives", clustering)
         monkeypatch.setattr(fitting, "_fit_batch", fitting_batch)

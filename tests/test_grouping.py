@@ -1,5 +1,6 @@
 """Time surface, grid entropy, and window cutting tests."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -464,6 +465,18 @@ class TestCutWindows:
         got = [(w.offset, len(w), w.t_start, w.t_end)
                for w in cut_windows(stream, interval, 8, 1.0)]
         assert got == dense_cut_windows(stream, interval, 8, 1.0) == [(0, 4, 0.0, 0.2)]
+
+    @pytest.mark.parametrize("t0, step, max_window", [(1e17, 64.0, 0.1), (1e6, 1e-3, 1e-12)],
+                             ids=["late_timestamps", "tiny_span"])
+    def test_span_below_the_timestamp_resolution_rejected(self, t0, step, max_window):
+        # t_last + max_window == t_last: every window would have a zero span
+        k = np.arange(50)
+        stream = EventStream(GEOM, t0 + step * k, k % 32, k * 7 % 32, k % 2)
+        t_last = float(stream.t[-1])
+        assert t_last + max_window == t_last
+        msg = f"max_window {max_window!r} s is below the resolution of timestamp {t_last!r} s"
+        with pytest.raises(GroupingError, match=re.escape(msg)):
+            cut_windows(stream, EntropyInterval(2.5, 4.5), 8, max_window)
 
     def test_empty_stream_rejected(self):
         empty = EventStream(GEOM, np.array([]), np.array([]), np.array([]), np.array([]))

@@ -17,7 +17,13 @@ from evtraj.hypotheses import (
     window_voxels,
 )
 from evtraj.io import SensorGeometry
-from oracles import flatnonzero_slices, greedy_representatives
+from oracles import (
+    flatnonzero_slices,
+    greedy_representatives,
+    window_families,
+    window_lines,
+    window_reps,
+)
 
 GEOM = SensorGeometry(64, 64)
 
@@ -317,8 +323,8 @@ class TestSelectRepresentatives:
         hyps = LineSet(starts, ends)
         result = select_representatives([hyps], 1e-3)
         assert len(result.rep_indices) == 1
-        assert result.families[0].shape == (1, 5)
-        assert result.families[0][0].all()
+        assert window_families(result, 0).shape == (1, 5)
+        assert window_families(result, 0)[0].all()
 
     def test_orthogonal_directions_stay_apart(self):
         dirs = np.array([[1.0, 0, 1], [-1.0, 0, 1], [0, 1.0, 1]])
@@ -326,7 +332,8 @@ class TestSelectRepresentatives:
         result = select_representatives([hyps], 1e-3)
         assert len(result.rep_indices) == 3
         # each family holds its representative only
-        assert np.array_equal(result.families[0], np.eye(3, dtype=bool)[result.rep_indices])
+        assert np.array_equal(window_families(result, 0),
+                              np.eye(3, dtype=bool)[result.rep_indices])
 
     @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [1.0, np.nan, 1.0], [np.inf, 0.0, 1.0]])
     def test_degenerate_direction_raises(self, bad):
@@ -358,7 +365,7 @@ class TestSelectRepresentatives:
         result = select_representatives([hyps], tol)
         assert len(result.rep_indices) == 2
         labels = np.array(labels)
-        for family in result.families[0]:
+        for family in window_families(result, 0):
             assert np.unique(labels[family]).size == 1
 
     def test_coverage_partition(self):
@@ -368,8 +375,8 @@ class TestSelectRepresentatives:
         hyps = LineSet(np.zeros((50, 3)), dirs)
         result = select_representatives([hyps], 1e-2)
         # every hypothesis lies in the family of some representative
-        assert result.families[0].shape == (len(result.rep_indices), 50)
-        assert result.families[0].any(axis=0).all()
+        assert window_families(result, 0).shape == (len(result.rep_indices), 50)
+        assert window_families(result, 0).any(axis=0).all()
 
     def test_member_distance_bound(self):
         rng = np.random.default_rng(3)
@@ -378,7 +385,7 @@ class TestSelectRepresentatives:
         dirs[:, 2] = np.abs(dirs[:, 2]) + 0.1
         hyps = LineSet(np.zeros((80, 3)), dirs)
         result = select_representatives([hyps], tol)
-        for rep, family in zip(result.rep_indices, result.families[0]):
+        for rep, family in zip(result.rep_indices, window_families(result, 0)):
             assert family[rep]
             for m in np.flatnonzero(family):
                 assert cosine_distance(line(hyps, int(rep)), line(hyps, int(m))) <= tol + 1e-12
@@ -390,7 +397,7 @@ class TestSelectRepresentatives:
         hyps = LineSet(np.zeros((60, 3)), dirs)
         tol = 1e-3
         result = select_representatives([hyps], tol)
-        reps = hyps.take(result.reps[0])
+        reps = hyps.take(window_reps(result, 0))
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
                 assert cosine_distance(line(reps, i), line(reps, j)) > tol
@@ -403,7 +410,7 @@ class TestSelectRepresentatives:
         a = select_representatives([hyps], 1e-2)
         b = select_representatives([hyps], 1e-2)
         assert np.array_equal(a.rep_indices, b.rep_indices)
-        assert np.array_equal(a.families[0], b.families[0])
+        assert np.array_equal(window_families(a, 0), window_families(b, 0))
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-2, 0.2])
     def test_families_are_the_parallel_sets(self, tol):
@@ -415,8 +422,8 @@ class TestSelectRepresentatives:
         dirs = np.concatenate([dirs, dirs[:40] + rng.normal(0, 1e-3, (40, 3))])
         hyps = LineSet(np.zeros_like(dirs), dirs)
         result = select_representatives([hyps], tol)
-        assert result.families[0].sum() > len(result.rep_indices)
-        for rep, family in zip(result.rep_indices, result.families[0]):
+        assert window_families(result, 0).sum() > len(result.rep_indices)
+        for rep, family in zip(result.rep_indices, window_families(result, 0)):
             brute = [i for i in range(len(hyps))
                      if cosine_distance(line(hyps, int(rep)), line(hyps, i)) <= tol]
             assert np.flatnonzero(family).tolist() == brute
@@ -434,8 +441,8 @@ class TestSelectRepresentatives:
         dirs[:, 2] = np.abs(dirs[:, 2]) + 0.1
         hyps = LineSet(np.zeros_like(dirs), dirs)
         result = cluster([hyps] if cluster is select_representatives else hyps, 1e-18)
-        reps = result.reps[0]
-        assert result.families[0][np.arange(reps.size), reps].all()
+        reps = window_reps(result, 0)
+        assert window_families(result, 0)[np.arange(reps.size), reps].all()
 
     @pytest.mark.parametrize("tol", [1e-18, 1e-3, 0.2, 0.5, 0.75, 1.0, 1.999, 2.0, 1e300])
     def test_parallel_cut_is_the_least_double_within_the_tolerance(self, tol):
@@ -462,7 +469,7 @@ class TestSelectRepresentatives:
         got = select_representatives([hyps], tol)
         want = greedy_representatives(hyps, tol)
         assert got.rep_indices.tolist() == want.rep_indices.tolist()
-        assert np.array_equal(got.families[0], want.families[0])
+        assert np.array_equal(window_families(got, 0), window_families(want, 0))
 
     @pytest.mark.parametrize("tol", [1e-18, 1e-3, 0.2, 1.0, 2.0, 2.5])
     @pytest.mark.parametrize("jitter", [0.0, 1e-3])
@@ -474,21 +481,25 @@ class TestSelectRepresentatives:
         kinds = ["64", "one", "65", "parallel", "duplicate", "64", "duplicate", "one", "65"]
         batch = [clustering_window(rng, kind, jitter) for kind in kinds]
         got = select_representatives(batch, tol)
-        for hyps, reps, family in zip(batch, got.reps, got.families):
+        for w, hyps in enumerate(batch):
+            reps, family = window_reps(got, w), window_families(got, w)
             want = greedy_representatives(hyps, tol)
-            assert reps.tolist() == want.reps[0].tolist()
-            assert family.shape == want.families[0].shape
-            assert family.tobytes() == want.families[0].tobytes()
+            assert reps.tolist() == window_reps(want, 0).tolist()
+            assert family.shape == window_families(want, 0).shape
+            assert family.tobytes() == window_families(want, 0).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(clustering_batches(), st.sampled_from([1e-3, 1e-2, 0.2, 0.5, 1.0, 2.5]))
     def test_batch_matches_greedy_search_per_window(self, batch, tol):
         got = select_representatives(batch, tol)
-        assert got.lines == batch
-        assert len(got.reps) == len(got.families) == len(batch)
-        for hyps, reps, family in zip(batch, got.reps, got.families):
+        assert len(got.hyp0) - 1 == len(got.rep0) == len(got.flag0) == len(batch)
+        for w, hyps in enumerate(batch):
+            lines = window_lines(got, w)
+            assert np.array_equal(lines.starts, hyps.starts)
+            assert np.array_equal(lines.ends, hyps.ends)
+            reps, family = window_reps(got, w), window_families(got, w)
             want = greedy_representatives(hyps, tol)
-            assert reps.tolist() == want.reps[0].tolist()
-            assert family.shape == want.families[0].shape
-            assert family.tobytes() == want.families[0].tobytes()
+            assert reps.tolist() == window_reps(want, 0).tolist()
+            assert family.shape == window_families(want, 0).shape
+            assert family.tobytes() == window_families(want, 0).tobytes()
 

@@ -3,9 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import events_of
+from evtraj import io
 from evtraj.io import (
     NOISE_ID,
     EventStream,
@@ -19,6 +20,7 @@ from evtraj.io import (
     serialize_stream,
     write_associations,
 )
+from oracles import rebuilt_table_text
 
 GEOM = SensorGeometry(240, 180)
 
@@ -85,6 +87,51 @@ def test_parse_error_counts_comment_and_blank_lines():
 
 def test_parse_comment_only_input():
     assert len(parse_stream(b"# header\n  # more\n\n", GEOM)) == 0
+
+
+# each reader with a row it accepts, a row np.loadtxt rejects and a row the
+# reader rejects after loading (one index or coordinate out of range)
+READERS = {
+    "stream": (lambda s: parse_stream(s, GEOM), "0.{k} 1 2 0", "0.{k} 1 x 0", "0.{k} 1 2 5"),
+    "associations": (read_associations, "{k} {k}", "{k} 1.5", "{k}9 0"),
+    "boxes": (read_box_annotations, "0.{k} 1 2 3 4", "0.{k} 1 2 3", "0.{k} 1 2 3 -4"),
+}
+SEPARATORS = ["\n", "\r\n", "\r", "\f", "\x0b", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+FILLERS = ["", "   ", "\t", "# comment", "  # indented comment", "0.1 # inline"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(READERS)),
+       st.lists(st.one_of(st.sampled_from(["row", "row", "row", "bad_load", "bad_row"]),
+                          st.sampled_from(FILLERS)), max_size=8),
+       st.sampled_from(SEPARATORS), st.sampled_from(["", "\n", "\n\n", "\r\n", " \n"]),
+       st.booleans())
+def test_readers_match_rebuilt_text(reader, items, separator, tail, as_bytes):
+    # a text read as it is, when it is plain ASCII with "\n" line ends and
+    # no "#", gives the same rows or the same error line as the rebuilt text
+    read, row, bad_load, bad_row = READERS[reader]
+    lines, k = [], 0
+    for item in items:
+        if item in ("row", "bad_load", "bad_row"):
+            k += 1
+            item = {"row": row, "bad_load": bad_load, "bad_row": bad_row}[item].format(k=k)
+        lines.append(item)
+    text = separator.join(lines) + tail
+    source = text.encode("utf-8") if as_bytes else text
+
+    def outcome():
+        try:
+            got = read(source)
+        except FormatError as exc:
+            return "error", str(exc)
+        return "rows", (events_of(got) if reader == "stream" else got.tolist())
+
+    got, table_text = outcome(), io._table_text
+    io._table_text = rebuilt_table_text
+    try:
+        assert got == outcome()
+    finally:
+        io._table_text = table_text
 
 
 def _float_parsing_loadtxt(real):
