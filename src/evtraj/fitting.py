@@ -10,9 +10,10 @@ parallel hypothesis family) with the smallest sub-threshold residual, or
 marked as noise.
 
 :func:`fit_windows` fits the windows of one call together. Generation runs
-per window and clustering once per run of consecutive windows; the
-residuals, inlier selection, both weighting stages, the model counts and the
-association run once over a batch of windows. Association settles most
+per window and clustering once per run of consecutive windows. Each run is
+one fit batch: its residuals and inlier selection go in chunks of at most
+``_BATCH_PAIRS`` pairs, and both weighting stages, the model counts and the
+association run once over all the run's survivors. Association settles most
 (event, instance) pairs from the representative's inliers and a few family
 lines before it scans whole families. Each of its passes computes the
 smallest residual of each pair in dense (pairs x lines) blocks, every
@@ -358,17 +359,16 @@ def _nearest(vox, voxel, owner, table, first, step, count) -> np.ndarray:
     pair whose lines alone are more; a row shorter than its block repeats its
     last line, which leaves its minimum unchanged.
     """
-    width = count[owner]
-    order = np.argsort(width, kind="stable")
-    g, width = owner[order], width[order]  # widths ascending
+    order = np.argsort(count[owner], kind="stable")
+    g = owner[order]  # line counts ascending
     nearest = np.empty(order.size)
     lo = 0
     while lo < order.size:
-        # rows lo..reach-1 are at most width[reach - 1] wide, so cap // that many fit the cap
-        reach = min(lo + max(1, _BATCH_PAIRS // int(width[lo])), order.size)
-        hi = min(lo + max(1, _BATCH_PAIRS // int(width[reach - 1])), order.size)
+        # rows lo..reach-1 are at most count[g[reach - 1]] wide, so cap // that many fit the cap
+        reach = min(lo + max(1, _BATCH_PAIRS // int(count[g[lo]])), order.size)
+        hi = min(lo + max(1, _BATCH_PAIRS // int(count[g[reach - 1]])), order.size)
         rows = g[lo:hi]
-        shape = (hi - lo, int(width[hi - 1]))
+        shape = (hi - lo, int(count[g[hi - 1]]))
         line = np.minimum(np.arange(shape[1]), count[rows, None] - 1,
                           out=SCRATCH.take("line", shape, np.int64))
         np.add(np.multiply(line, step[rows, None], out=line), first[rows, None], out=line)
@@ -376,6 +376,16 @@ def _nearest(vox, voxel, owner, table, first, step, count) -> np.ndarray:
         nearest[order[lo:hi]] = _residuals(xyz, table, line).min(axis=1)
         lo = hi
     return nearest
+
+
+def _owned(mask, first):
+    """The indices of ``mask``'s true values, and the segment of each.
+
+    Segment ``g`` starts at ``first[g]`` and is not empty. Counting each
+    segment's hits takes no pair-sized array of segment ids.
+    """
+    return np.flatnonzero(mask), np.repeat(np.arange(first.size),
+                                           np.add.reduceat(mask, first, dtype=np.int64))
 
 
 # family lines that the second stage of association tries per (event, instance) pair
@@ -433,7 +443,6 @@ def associate(
     local = np.arange(len(inliers)) - (np.cumsum(per_window) - per_window)[window]  # its id
     n = sizes[window]
     pair0 = np.cumsum(n) - n  # pair (g, e) of instance g and event e is pair0[g] + e
-    instance = np.repeat(np.arange(len(inliers)), n)
     event0 = (np.cumsum(sizes) - sizes)[window] - pair0  # pair -> event of the batch
     voxel0 = np.asarray(first, dtype=np.int64)[window] - pair0  # pair -> voxel
     tau = np.array([s.tau for s in scales])[window]
@@ -448,13 +457,11 @@ def associate(
     size = np.add.reduceat(flags, flag0, dtype=np.int64)
     fam0 = np.cumsum(size) - size
     member = np.flatnonzero(flags) + np.repeat(hyps.hyp0[run_window] - flag0, size)
-    family = LineSet(hyps.starts[member], hyps.ends[member])
-    table = _line_table(family)
+    table = _line_table(LineSet(hyps.starts[member], hyps.ends[member]))
 
-    below = np.zeros(instance.size, dtype=bool)
+    below = np.zeros(n.sum(), dtype=bool)
     below[np.concatenate(inliers) + np.repeat(pair0, [i.size for i in inliers])] = True
-    pair = np.flatnonzero(~below)
-    g = instance[pair]
+    pair, g = _owned(~below, pair0)
     stride = -(-size // _PROBES)
     probes = -(-size // stride)
     hit = _nearest(vox, pair + voxel0[g], g, table, fam0, stride, probes) < tau[g]
@@ -464,8 +471,7 @@ def associate(
     unit = np.ones_like(size)
     below[pair[_nearest(vox, pair + voxel0[g], g, table, fam0, unit, size) < tau[g]]] = True
 
-    pair = np.flatnonzero(below)
-    g = instance[pair]
+    pair, g = _owned(below, pair0)
     event = pair + event0[g]
     assignment = np.full(sizes.sum(), NOISE_ID, dtype=np.int64)
     assignment[event] = local[g]  # right for every event below tau of one instance
@@ -479,22 +485,24 @@ def associate(
     return [assignment[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
-# (event, representative) pairs whose residuals one batch of windows holds at
-# most; a window with more pairs is a batch of its own. Each block of an
-# association pass holds at most this many (event, family line) residuals,
-# unless one pair's lines alone are more. A batch needs about a dozen pair-sized
-# temporaries at once, 128,000 bytes each at the cap, which glibc serves from
-# the brk heap. Freed after every batch, they would let malloc trim the heap
-# top and the next batch fault the pages back in (~5,500 minor faults per
-# track_eval evaluate, at ~2-3 us each), so they live in SCRATCH, whose
-# buffers hold this many values each: the cap bounds the scratch's size and
-# each batch's work.
+# (event, representative) pairs whose residuals one residual chunk of a fit
+# batch holds at most; a window with more pairs is a chunk of its own. Each
+# block of an association pass holds at most this many (event, family line)
+# residuals, unless one pair's lines alone are more. A chunk needs about a
+# dozen pair-sized temporaries at once, 128,000 bytes each at the cap, which
+# glibc serves from the brk heap. Freed after every chunk, they would let
+# malloc trim the heap top and the next chunk fault the pages back in (~5,500
+# minor faults per track_eval evaluate, at ~2-3 us each), so they live in
+# SCRATCH, whose buffers hold this many values each: the cap bounds the
+# scratch's size and each chunk's work. Without the cap, chunks and blocks
+# the size of a whole batch took ~12,000 minor faults per lanes_fine cycle
+# of run_eda and evaluate, against under 10 with it.
 _BATCH_PAIRS = 16_000
 SCRATCH = Scratch(_BATCH_PAIRS)
 # (hypothesis, hypothesis) pairs within a window, summed over the windows
 # that one clustering call takes, at most; a window with more is clustered
-# alone. A run's hypotheses and families live until its batches are fitted,
-# so this bounds them to a few windows' worth, not the whole call's.
+# alone. A run's hypotheses and families live until the run is fitted, so
+# this bounds them to a few windows' worth, not the whole call's.
 _CLUSTER_PAIRS = 2_000_000
 
 
@@ -540,52 +548,64 @@ def _noise_scales(values: np.ndarray, sizes: np.ndarray, counts: np.ndarray,
 
 
 def _fit_batch(vox: np.ndarray, windows: Sequence[EventWindow], first: List[int],
-               run_slots: Sequence[int], hyps: HypothesisSet, batch: List[int], config,
+               run_slots: Sequence[int], hyps: HypothesisSet, config,
                results: List[AssociationResult]) -> None:
-    """Residuals through association for a batch of clustered windows.
+    """Residuals through association for one clustering run, the fit batch.
 
-    Window ``w`` of ``hyps`` is ``windows[run_slots[w]]``, and ``batch``
-    lists the batch's windows of ``hyps``. Writes the result of each window
-    that keeps a model into its slot of ``results``.
+    Window ``w`` of ``hyps`` is ``windows[run_slots[w]]``. The residuals,
+    noise scales and inliers go in residual chunks of consecutive windows
+    whose (event, representative) pairs stay within ``_BATCH_PAIRS``, or of
+    one window that alone holds more; the weighting, model counts and
+    association then run once over the survivors of every chunk. Writes the
+    result of each window that keeps a model into its slot of ``results``.
     """
-    run = np.array(batch)
-    slots = [run_slots[w] for w in batch]
-    sizes = np.array([len(windows[k]) for k in slots], dtype=np.int64)
-    counts = hyps.rep_count[run]
-    line0 = np.cumsum(counts) - counts  # each window's first representative in the batch
-    rows = hyps.rows[np.arange(counts.sum()) + np.repeat(hyps.rep0[run] - line0, counts)]
+    sizes = np.array([len(windows[k]) for k in run_slots], dtype=np.int64)
+    counts = hyps.rep_count
+    line0 = np.cumsum(counts) - counts  # each window's first representative in the run
+    rows = hyps.rows[np.arange(counts.sum()) + np.repeat(hyps.rep0 - line0, counts)]
     models = LineSet(hyps.starts[rows], hyps.ends[rows])
-    values, voxel, line = _pair_residuals(vox, models, np.array([first[k] for k in slots]),
-                                          sizes, counts)
-    scales = _noise_scales(values, sizes, counts, config)
-    tau = np.take(np.repeat([s.tau for s in scales], counts), line,
-                  out=SCRATCH.take("tau", line.size), mode="clip")
-    survivors = select_inliers(values, voxel, line, tau, config.min_inliers)
+    voxel0 = np.array([first[k] for k in run_slots])
+    scales, survivors = [], []
+    for chunk in _runs(range(sizes.size), (sizes * counts).tolist().__getitem__, _BATCH_PAIRS):
+        c = slice(chunk[0], chunk[-1] + 1)
+        j0 = int(line0[c.start])  # the chunk's first representative
+        j1 = j0 + int(counts[c].sum())
+        chunk_models = LineSet(models.starts[j0:j1], models.ends[j0:j1])
+        values, voxel, line = _pair_residuals(vox, chunk_models, voxel0[c], sizes[c], counts[c])
+        chunk_scales = _noise_scales(values, sizes[c], counts[c], config)
+        tau = np.take(np.repeat([s.tau for s in chunk_scales], counts[c]), line,
+                      out=SCRATCH.take("tau", line.size), mode="clip")
+        survivors += [(j0 + j, inliers) for j, inliers in
+                      select_inliers(values, voxel, line, tau, config.min_inliers)]
+        scales += chunk_scales
     if not survivors:
         return
     owner = np.searchsorted(line0, [j for j, _ in survivors], side="right") - 1
-    per_window = np.bincount(owner, minlength=len(batch))
-    s_t = [time_scale(windows[k].geometry) for k in slots]
+    per_window = np.bincount(owner, minlength=sizes.size)
+    s_t = [time_scale(windows[k].geometry) for k in run_slots]
     w1, finals = weigh_models(vox, models, survivors, np.repeat(s_t, per_window))
     fitted = np.flatnonzero(per_window)
     survivor0 = (np.cumsum(per_window) - per_window)[fitted]  # each window's first survivor
     n_models = select_model_count(finals, per_window[fitted])
-    fitted = fitted.tolist()
     w1s, weights, rep_first = w1.tolist(), finals.tolist(), line0.tolist()
     instances = []
-    for w, k, n in zip(fitted, survivor0.tolist(), n_models.tolist()):
-        lo, m = first[slots[w]], int(per_window[w])
-        picks = [k] if m == 1 else (finals[k:k + m].argsort(kind="stable")[:n] + k).tolist()
+    for w, k, n in zip(fitted.tolist(), survivor0.tolist(), n_models.tolist()):
+        lo, m = first[run_slots[w]], int(per_window[w])
+        # the n lightest survivors; sorted is stable, as an argsort of kind "stable"
+        picks = [k] if m == 1 else sorted(range(k, k + m), key=weights.__getitem__)[:n]
         chosen = []
         for i in picks:
             j, inliers = survivors[i]
             chosen.append(WeightedModel(models.starts[j], models.ends[j], j - rep_first[w],
                                         inliers - lo, w1s[i], weights[i]))
         instances.append(chosen)
-    assignments = associate(vox, [first[slots[w]] for w in fitted], sizes[fitted], hyps,
-                            run[fitted], instances, [scales[w] for w in fitted])
-    for w, chosen, assignment in zip(fitted, instances, assignments):
-        results[slots[w]] = AssociationResult(windows[slots[w]], chosen, assignment)
+    # the survivors' inlier sets and weights go before association's
+    # pair-sized temporaries come, which keeps a large run's peak memory down
+    del survivors, w1, finals, w1s, weights
+    assignments = associate(vox, voxel0[fitted], sizes[fitted], hyps, fitted, instances,
+                            [scales[w] for w in fitted.tolist()])
+    for w, chosen, assignment in zip(fitted.tolist(), instances, assignments):
+        results[run_slots[w]] = AssociationResult(windows[run_slots[w]], chosen, assignment)
 
 
 def _runs(items, cost, cap: int):
@@ -619,11 +639,11 @@ def fit_windows(windows: Sequence[EventWindow], config) -> List[AssociationResul
     Generation runs per window. The windows with hypotheses split into runs
     of consecutive windows whose hypothesis pairs stay within
     ``_CLUSTER_PAIRS``, clustered with one :func:`select_representatives`
-    call each; each run splits into batches whose (event, representative)
-    pairs stay within ``_BATCH_PAIRS``, and the residuals, inlier selection,
-    weighting, model counts and association run once per batch, on the
-    run's one :class:`HypothesisSet`. Each result
-    equals a fit of its window alone. Failures (no usable slices, no
+    call each. Each run is one fit batch (:func:`_fit_batch`), on its one
+    :class:`HypothesisSet`: the residuals and inlier selection go in chunks
+    whose (event, representative) pairs stay within ``_BATCH_PAIRS``, and
+    the weighting, model counts and association run once per run. Each
+    result equals a fit of its window alone. Failures (no usable slices, no
     surviving model) degrade to an all-noise result without instances
     instead of raising.
     """
@@ -637,9 +657,7 @@ def fit_windows(windows: Sequence[EventWindow], config) -> List[AssociationResul
     for run in _runs(hypothesized, lambda h: len(h[1]) ** 2, _CLUSTER_PAIRS):
         slots, lines = zip(*run)
         hyps = select_representatives(lines, config.parallel_tol)
-        cost = [len(windows[k]) * c for k, c in zip(slots, hyps.rep_count.tolist())]
-        for batch in _runs(range(len(slots)), cost.__getitem__, _BATCH_PAIRS):
-            _fit_batch(vox, windows, first, slots, hyps, batch, config, results)
+        _fit_batch(vox, windows, first, slots, hyps, config, results)
     failed = [k for k, res in enumerate(results) if res is None]
     ends = np.cumsum([len(windows[k]) for k in failed], dtype=np.int64).tolist()
     noise = np.full(ends[-1] if ends else 0, NOISE_ID, dtype=np.int64)

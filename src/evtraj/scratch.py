@@ -1,11 +1,12 @@
-"""Per-thread scratch memory for the fit's batch-sized temporaries.
+"""Per-thread scratch memory for the fit's chunk-sized temporaries.
 
-A batch of the fit needs about a dozen arrays of one value per (event,
-representative) pair at once. Allocated afresh, each comes from glibc's brk
-heap (it is under the 128 KiB mmap threshold), and freeing them at the end of
-the batch lets malloc trim the heap top, so the next batch faults the same
-pages back in. A :class:`Scratch` instead keeps one buffer per temporary and
-per thread, and every batch writes into the same pages with ``out=``.
+A residual chunk of the fit needs about a dozen arrays of one value per
+(event, representative) pair at once. Allocated afresh, each comes from
+glibc's brk heap (it is under the 128 KiB mmap threshold), and freeing them
+at the end of the chunk lets malloc trim the heap top, so the next chunk
+faults the same pages back in. A :class:`Scratch` instead keeps one buffer
+per temporary and per thread, and every chunk writes into the same pages
+with ``out=``.
 """
 from __future__ import annotations
 

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import evtraj
-from conftest import lane_config, lane_scene, lane_window, pair_windows, window_of
+from conftest import (
+    framed_track_stream,
+    lane_config,
+    lane_scene,
+    lane_window,
+    pair_windows,
+    window_of,
+)
 from evtraj import fitting, hypotheses
 from evtraj.fitting import (
     AssociationResult,
@@ -991,41 +998,61 @@ class TestFitWindows:
         for a, b in zip(got, want):
             assert_same_fit(a, b)
 
-    def test_batches_nest_inside_clustering_runs(self, monkeypatch):
-        # a cluster cap of a few pair windows' hypothesis pairs gives several
-        # runs of several windows each; every batch takes its windows from
-        # one run and is fitted before the next run is clustered, so a run's
-        # hypotheses and families are released once its batches are fitted
+    @pytest.mark.parametrize("cap", [1, 60, None])
+    @pytest.mark.parametrize("cluster_cap", [1, 100_000, None])
+    def test_one_fit_batch_per_clustering_run(self, cap, cluster_cap, monkeypatch):
+        # the residuals and inliers go in chunks of whole windows within the
+        # pair cap, or of one window alone; the weighting and association run
+        # once per clustering run that keeps a survivor, after its last chunk
+        # and before the next run is clustered
         config = lane_config()
-        windows = pair_windows()
-        want = fit_windows(windows, config)
-        fit_batch, log = fitting._fit_batch, []
+        windows = [r.window for r in run_eda(framed_track_stream(), config)] + pair_windows()
+        windows.insert(3, make_window([0.5, 0.5, 0.5], [1, 2, 3], [1, 2, 3]))  # no hypotheses
+        log = []
 
-        def clustering(hyps, parallel_tol):
-            log.append(("run", len(hyps)))
-            return select_representatives(hyps, parallel_tol)
+        def spy(name):
+            real = getattr(fitting, name)
 
-        def fitting_batch(vox, windows, first, slots, hyps, batch, config, results):
-            log.append(("batch", len(batch)))
-            return fit_batch(vox, windows, first, slots, hyps, batch, config, results)
+            def logged(*args):
+                log.append((name, args))
+                return real(*args)
+            monkeypatch.setattr(fitting, name, logged)
 
-        monkeypatch.setattr(fitting, "select_representatives", clustering)
-        monkeypatch.setattr(fitting, "_fit_batch", fitting_batch)
-        monkeypatch.setattr(fitting, "_CLUSTER_PAIRS", 100_000)
-        got = fit_windows(windows, config)
-        runs = [n for kind, n in log if kind == "run"]
-        assert len(runs) > 1 and min(runs) > 1
-        left = 0  # windows of the current run not yet fitted
-        for kind, n in log:
-            if kind == "run":
-                assert left == 0
-                left = n
+        for name in ("select_representatives", "_pair_residuals", "weigh_models", "associate"):
+            spy(name)
+        monkeypatch.setattr(fitting, "_BATCH_PAIRS", cap or fitting._BATCH_PAIRS)
+        monkeypatch.setattr(fitting, "_CLUSTER_PAIRS", cluster_cap or fitting._CLUSTER_PAIRS)
+        results = fit_windows(windows, config)
+        hypothesized = [k for k, w in enumerate(windows)
+                        if reference_residuals(w, config) is not None]
+        assert len(windows) > len(hypothesized)
+        runs, calls = [], []  # each run's windows, and the calls made after its clustering
+        for name, args in log:
+            if name == "select_representatives":
+                runs.append(hypothesized[:len(args[0])])
+                del hypothesized[:len(args[0])]
+                calls.append([])
             else:
-                assert 0 < n <= left
-                left -= n
-        assert left == 0
-        for a, b in zip(got, want):
-            assert_same_fit(a, b)
+                calls[-1].append((name, args))
+        assert not hypothesized
+        if cluster_cap == 1:
+            assert [len(run) for run in runs] == [1] * len(runs)
+        if cluster_cap == 100_000:
+            assert len(runs) > 1 and max(len(run) for run in runs) > 1
+        multi = 0  # chunks of two or more windows
+        for run, after in zip(runs, calls):
+            names = [name for name, _ in after]
+            chunks = [args for name, args in after if name == "_pair_residuals"]
+            assert names[:len(chunks)] == ["_pair_residuals"] * len(chunks)
+            assert sum(args[3].size for args in chunks) == len(run)
+            for *_, sizes, counts in chunks:
+                assert sizes.size == 1 or (sizes * counts).sum() <= fitting._BATCH_PAIRS
+                multi += sizes.size > 1
+            fitted = any(not results[k].failed for k in run)
+            assert names[len(chunks):] == (["weigh_models", "associate"] if fitted else [])
+        assert (multi > 0) == (cap != 1 and cluster_cap != 1)
+        for window, result in zip(windows, results):
+            assert_same_fit(result, reference_fit_window(window, config))
 
     def test_inliers_are_never_noise_at_a_tiny_parallel_tolerance(self):
         # an inlier is below tau of its representative, a member of its own

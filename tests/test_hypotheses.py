@@ -141,6 +141,28 @@ def clustering_batches(draw):
     return [clustering_window(rng, kind, jitter) for kind in kinds]
 
 
+@st.composite
+def echoes(draw):
+    """A function that inserts echoes of hypotheses into a window's :class:`LineSet`.
+
+    An echo copies a hypothesis verbatim, or doubles both its endpoints,
+    which doubles ``end - start`` exactly and so gives the same unit
+    direction bit for bit.
+    """
+    picks = draw(st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from([1.0, 2.0]),
+                                    st.integers(0, 2**16)), max_size=8))
+
+    def echo(hyps: LineSet) -> LineSet:
+        starts, ends = list(hyps.starts), list(hyps.ends)
+        for source, scale, at in picks:
+            source, at = source % len(starts), at % (len(starts) + 1)
+            starts.insert(at, starts[source] * scale)
+            ends.insert(at, ends[source] * scale)
+        return LineSet(np.array(starts), np.array(ends))
+
+    return echo
+
+
 class TestNormalization:
     def test_time_scale_is_long_side(self):
         assert time_scale(SensorGeometry(240, 180)) == 240.0
@@ -458,18 +480,21 @@ class TestSelectRepresentatives:
     @settings(deadline=None)
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3)),
                     min_size=1, max_size=60),
-           st.floats(0.0, 1e-3), st.sampled_from([1e-18, 1e-3, 1e-2, 0.2, 0.5, 1.0, 2.5]),
-           st.randoms())
-    def test_sorted_scan_matches_greedy_search(self, dirs, jitter, tol, rng):
-        # small integer directions repeat and tie on neighbor counts
+           st.floats(0.0, 1e-3), st.sampled_from([1e-3, 1e-2, 0.2, 0.5, 1.0, 2.5]),
+           echoes(), st.randoms())
+    def test_sorted_scan_matches_greedy_search(self, dirs, jitter, tol, echo, rng):
+        # small integer directions repeat and tie on neighbor counts, and
+        # echoes repeat a jittered direction bit for bit: at 1e-18, where
+        # every window is checked too, their Gram values sit on the cut
         dirs = np.array(dirs, dtype=float)
         dirs += np.array([[rng.uniform(-jitter, jitter) for _ in range(3)] for _ in dirs])
         starts = np.array([[rng.uniform(0, 64) for _ in range(3)] for _ in dirs])
-        hyps = LineSet(starts, starts + dirs)
-        got = select_representatives([hyps], tol)
-        want = greedy_representatives(hyps, tol)
-        assert got.rep_indices.tolist() == want.rep_indices.tolist()
-        assert np.array_equal(window_families(got, 0), window_families(want, 0))
+        hyps = echo(LineSet(starts, starts + dirs))
+        for tol in (tol, 1e-18):
+            got = select_representatives([hyps], tol)
+            want = greedy_representatives(hyps, tol)
+            assert got.rep_indices.tolist() == want.rep_indices.tolist()
+            assert np.array_equal(window_families(got, 0), window_families(want, 0))
 
     @pytest.mark.parametrize("tol", [1e-18, 1e-3, 0.2, 1.0, 2.0, 2.5])
     @pytest.mark.parametrize("jitter", [0.0, 1e-3])
@@ -489,17 +514,21 @@ class TestSelectRepresentatives:
             assert family.tobytes() == window_families(want, 0).tobytes()
 
     @settings(max_examples=60, deadline=None)
-    @given(clustering_batches(), st.sampled_from([1e-3, 1e-2, 0.2, 0.5, 1.0, 2.5]))
-    def test_batch_matches_greedy_search_per_window(self, batch, tol):
-        got = select_representatives(batch, tol)
-        assert len(got.hyp0) - 1 == len(got.rep0) == len(got.flag0) == len(batch)
-        for w, hyps in enumerate(batch):
-            lines = window_lines(got, w)
-            assert np.array_equal(lines.starts, hyps.starts)
-            assert np.array_equal(lines.ends, hyps.ends)
-            reps, family = window_reps(got, w), window_families(got, w)
-            want = greedy_representatives(hyps, tol)
-            assert reps.tolist() == window_reps(want, 0).tolist()
-            assert family.shape == window_families(want, 0).shape
-            assert family.tobytes() == window_families(want, 0).tobytes()
+    @given(clustering_batches(), st.sampled_from([1e-3, 1e-2, 0.2, 0.5, 1.0, 2.5]),
+           st.lists(echoes(), min_size=7, max_size=7))
+    def test_batch_matches_greedy_search_per_window(self, batch, tol, echo):
+        # every batch also at 1e-18, where duplicates and echoes sit on the cut
+        batch = [f(hyps) for f, hyps in zip(echo, batch)]
+        for tol in (tol, 1e-18):
+            got = select_representatives(batch, tol)
+            assert len(got.hyp0) - 1 == len(got.rep0) == len(got.flag0) == len(batch)
+            for w, hyps in enumerate(batch):
+                lines = window_lines(got, w)
+                assert np.array_equal(lines.starts, hyps.starts)
+                assert np.array_equal(lines.ends, hyps.ends)
+                reps, family = window_reps(got, w), window_families(got, w)
+                want = greedy_representatives(hyps, tol)
+                assert reps.tolist() == window_reps(want, 0).tolist()
+                assert family.shape == window_families(want, 0).shape
+                assert family.tobytes() == window_families(want, 0).tobytes()
 
