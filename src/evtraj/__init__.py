@@ -3,7 +3,6 @@
 from .config import RunConfig, load_config
 from .fitting import (
     AssociationResult,
-    NoiseScale,
     WeightedModel,
     fit_window,
     fit_windows,
@@ -25,7 +24,6 @@ __all__ = [
     "EventWindow",
     "HypothesisSet",
     "LineSet",
-    "NoiseScale",
     "RunConfig",
     "SceneData",
     "SensorGeometry",

@@ -30,7 +30,6 @@ def _add_common(parser: argparse.ArgumentParser, geometry=True, fit=True, cut=Tr
     if fit:
         parser.add_argument("--tau", type=float, help="inlier radius (px)")
         parser.add_argument("--slices", type=int, help="number of time slices")
-        parser.add_argument("--scale-mode", choices=("fixed", "ikose"))
     if cut:
         parser.add_argument("--alpha", type=float, help="entropy lower bound (bits)")
         parser.add_argument("--beta", type=float, help="entropy upper bound (bits)")
@@ -43,7 +42,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         "num_slices": getattr(args, "slices", None),
         "entropy_alpha": getattr(args, "alpha", None),
         "entropy_beta": getattr(args, "beta", None),
-        "scale_mode": getattr(args, "scale_mode", None),
         "width": width,
         "height": height,
     })

@@ -27,8 +27,6 @@ class RunConfig:
     parallel_tol: float = 1e-3
     # fitting
     tau: float = 1.5  # inlier radius, px of the (u, v, t_norm) space
-    scale_mode: str = "fixed"  # fixed | ikose
-    ikose_k: float = 0.01
     min_inliers: int = 3
     # tracking / eval
     n_rep: int = 5
@@ -52,10 +50,6 @@ class RunConfig:
             raise ValueError("parallel_tol must be positive")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
-        if self.scale_mode not in ("fixed", "ikose"):
-            raise ValueError("scale_mode must be 'fixed' or 'ikose'")
-        if not 0 < self.ikose_k < 1:
-            raise ValueError("ikose_k must lie in (0, 1)")
         if self.min_inliers < 1:
             raise ValueError("min_inliers must be >= 1")
         if self.n_rep < 1:
@@ -78,8 +72,6 @@ KEY_MAP = {
     "hypo.max_pairs": "max_pairs",
     "hypo.parallel_tol": "parallel_tol",
     "fit.tau": "tau",
-    "fit.scale_mode": "scale_mode",
-    "fit.ikose_k": "ikose_k",
     "fit.min_inliers": "min_inliers",
     "eval.n_rep": "n_rep",
 }
@@ -91,8 +83,6 @@ def _coerce(key: str, name: str, value: Any) -> Any:
     """``value`` as field ``name``'s type. A bool is no number, and an integer
     field takes no non-integral number; neither is rounded."""
     kind = _FIELD_TYPES[name]
-    if kind == "str":
-        return str(value)
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ValueError(f"config key {key!r} needs a number, got {value!r}")
     if kind == "float":

@@ -1,13 +1,13 @@
 """Two-stage robust weighting, model-count selection, and event association.
 
 Per window, voxel-to-line distances to the representative hypotheses, in
-pixels of the (u, v, t_norm) space, are thresholded at the inlier noise scale
-to select inliers, and surviving hypotheses are weighted twice -- first by
-temporal dispersion of their inliers, then by the contrast of the event image
-warped along the hypothesis. The model count comes from the elbow of the
-sorted weights, and every event is finally assigned to the instance (via its
-parallel hypothesis family) with the smallest sub-threshold residual, or
-marked as noise.
+pixels of the (u, v, t_norm) space, are thresholded at the inlier radius
+``config.tau`` to select inliers, and surviving hypotheses are weighted twice
+-- first by temporal dispersion of their inliers, then by the contrast of the
+event image warped along the hypothesis. The model count comes from the elbow
+of the sorted weights, and every event is finally assigned to the instance
+(via its parallel hypothesis family) with the smallest residual below the
+same radius, or marked as noise.
 
 :func:`fit_windows` fits the windows of one call together. Generation runs
 per window and clustering once per run of consecutive windows. Each run is
@@ -22,12 +22,10 @@ bit for bit, a fit of its window alone.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
-from scipy import special
 
 from .config import RunConfig
 from .grouping import EntropyInterval, EventWindow, cut_windows
@@ -43,23 +41,9 @@ from .hypotheses import (
 from .io import NOISE_ID
 from .scratch import Scratch
 
-_TAU_EPS = 1e-12
-
 
 class FitError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class NoiseScale:
-    """Inlier threshold: a point-to-line distance in pixels of the (u, v, t_norm) space."""
-
-    tau: float
-    source: str = "fixed"  # fixed | estimated
-
-    def __post_init__(self) -> None:
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
 
 
 @dataclass(frozen=True)
@@ -191,46 +175,19 @@ def _pair_residuals(vox, lines, first, sizes, counts):
     return _residuals(xyz, _line_table(lines), line), voxel, line
 
 
-def estimate_tau_ikose(column: np.ndarray, k_ratio: float = RunConfig.ikose_k) -> NoiseScale:
-    """K-th ordered residual scale estimate, with one trimming iteration.
-
-    tau = r_(K) / q, K = ceil(k_ratio * n), q the standard normal quantile at
-    (1 + k_ratio) / 2; then recomputed over residuals <= 2.5 tau.
-    """
-    if not 0 < k_ratio < 1:
-        raise ValueError("k_ratio must lie in (0, 1)")
-    r = np.sort(np.asarray(column, dtype=np.float64))
-    if r.size == 0:
-        raise ValueError("empty residual column")
-    q = float(special.ndtri((1 + k_ratio) / 2))
-
-    def kth_scale(res: np.ndarray) -> float:
-        k = max(1, math.ceil(k_ratio * res.size))
-        return float(res[k - 1]) / q
-
-    tau = kth_scale(r)
-    if tau <= 0:
-        return NoiseScale(_TAU_EPS, "estimated")
-    kept = r[r <= 2.5 * tau]
-    tau = kth_scale(kept) if kept.size else tau
-    if tau <= 0:
-        tau = _TAU_EPS
-    return NoiseScale(tau, "estimated")
-
-
 def select_inliers(
     values: np.ndarray,
     events: np.ndarray,
     columns: np.ndarray,
-    tau,
+    tau: float,
     min_inliers: int = RunConfig.min_inliers,
 ) -> List[tuple[int, np.ndarray]]:
     """Inlier sets of the columns of flat (event, column) residuals.
 
-    A pair is an inlier when its residual is below ``tau``, one value or one
-    per pair. Returns ``(column, events)`` for every column with at least
-    ``min_inliers`` inliers, in column order, each column's events in pair
-    order; the other columns are dropped.
+    A pair is an inlier when its residual is below ``tau``. Returns
+    ``(column, events)`` for every column with at least ``min_inliers``
+    inliers, in column order, each column's events in pair order; the other
+    columns are dropped.
     """
     mask = values < tau
     hit = columns[mask]
@@ -399,16 +356,16 @@ def associate(
     hyps: HypothesisSet,
     windows: Sequence[int],
     instances: Sequence[Sequence[WeightedModel]],
-    scales: Sequence[NoiseScale],
+    tau: float,
 ) -> List[np.ndarray]:
     """Per-event instance ids of each window of a batch: the instance whose family fits best.
 
     Window ``w`` of the batch holds the voxels
     ``vox[first[w]:first[w] + sizes[w]]``, the hypotheses and family block of
-    window ``windows[w]`` of ``hyps``, at least one instance ``instances[w]``
-    and the noise scale ``scales[w]``. An instance's family is row
-    ``instance.rep_index`` of its block, the hypotheses parallel to its
-    representative. An event's residual to an instance is its smallest
+    window ``windows[w]`` of ``hyps`` and at least one instance
+    ``instances[w]``; all windows share the inlier radius ``tau``. An
+    instance's family is row ``instance.rep_index`` of its block, the
+    hypotheses parallel to its representative. An event's residual to an instance is its smallest
     distance to a line of the family; the event goes to the instance with
     the smallest one (ties: the earlier instance), or to noise when that
     residual is not below tau. An instance's ``inliers`` must be events below
@@ -445,7 +402,6 @@ def associate(
     pair0 = np.cumsum(n) - n  # pair (g, e) of instance g and event e is pair0[g] + e
     event0 = (np.cumsum(sizes) - sizes)[window] - pair0  # pair -> event of the batch
     voxel0 = np.asarray(first, dtype=np.int64)[window] - pair0  # pair -> voxel
-    tau = np.array([s.tau for s in scales])[window]
     # every instance's family members, instance after instance: its row of
     # its window's block, gathered from the flat flags, as rows of hyps
     run_window = np.asarray(windows, dtype=np.int64)[window]
@@ -464,12 +420,12 @@ def associate(
     pair, g = _owned(~below, pair0)
     stride = -(-size // _PROBES)
     probes = -(-size // stride)
-    hit = _nearest(vox, pair + voxel0[g], g, table, fam0, stride, probes) < tau[g]
+    hit = _nearest(vox, pair + voxel0[g], g, table, fam0, stride, probes) < tau
     below[pair[hit]] = True
     left = ~hit & (probes < size)[g]
     pair, g = pair[left], g[left]
     unit = np.ones_like(size)
-    below[pair[_nearest(vox, pair + voxel0[g], g, table, fam0, unit, size) < tau[g]]] = True
+    below[pair[_nearest(vox, pair + voxel0[g], g, table, fam0, unit, size) < tau]] = True
 
     pair, g = _owned(below, pair0)
     event = pair + event0[g]
@@ -531,31 +487,15 @@ def _call_voxels(windows: Sequence[EventWindow]) -> np.ndarray:
                         per_event([w.span for w in windows]), s_t)
 
 
-def _noise_scales(values: np.ndarray, sizes: np.ndarray, counts: np.ndarray,
-                  config) -> List[NoiseScale]:
-    """Each window's noise scale; ikose takes the median of its columns' estimates."""
-    if config.scale_mode == "fixed":
-        return [NoiseScale(config.tau, "fixed")] * sizes.size
-    if config.scale_mode != "ikose":
-        raise ValueError(f"unknown scale_mode {config.scale_mode!r}")
-    scales = []
-    for block, n in zip(np.split(values, np.cumsum(sizes * counts)[:-1]), sizes.tolist()):
-        matrix = block.reshape(n, -1)
-        taus = [estimate_tau_ikose(matrix[:, j], config.ikose_k).tau
-                for j in range(matrix.shape[1])]
-        scales.append(NoiseScale(float(np.median(taus)), "estimated"))
-    return scales
-
-
 def _fit_batch(vox: np.ndarray, windows: Sequence[EventWindow], first: List[int],
                run_slots: Sequence[int], hyps: HypothesisSet, config,
                results: List[AssociationResult]) -> None:
     """Residuals through association for one clustering run, the fit batch.
 
-    Window ``w`` of ``hyps`` is ``windows[run_slots[w]]``. The residuals,
-    noise scales and inliers go in residual chunks of consecutive windows
-    whose (event, representative) pairs stay within ``_BATCH_PAIRS``, or of
-    one window that alone holds more; the weighting, model counts and
+    Window ``w`` of ``hyps`` is ``windows[run_slots[w]]``. The residuals and
+    their inliers, the pairs below ``config.tau``, go in residual chunks of
+    consecutive windows whose (event, representative) pairs stay within
+    ``_BATCH_PAIRS``, or of one window that alone holds more; the weighting, model counts and
     association then run once over the survivors of every chunk. Writes the
     result of each window that keeps a model into its slot of ``results``.
     """
@@ -565,19 +505,15 @@ def _fit_batch(vox: np.ndarray, windows: Sequence[EventWindow], first: List[int]
     rows = hyps.rows[np.arange(counts.sum()) + np.repeat(hyps.rep0 - line0, counts)]
     models = LineSet(hyps.starts[rows], hyps.ends[rows])
     voxel0 = np.array([first[k] for k in run_slots])
-    scales, survivors = [], []
+    survivors = []
     for chunk in _runs(range(sizes.size), (sizes * counts).tolist().__getitem__, _BATCH_PAIRS):
         c = slice(chunk[0], chunk[-1] + 1)
         j0 = int(line0[c.start])  # the chunk's first representative
         j1 = j0 + int(counts[c].sum())
         chunk_models = LineSet(models.starts[j0:j1], models.ends[j0:j1])
         values, voxel, line = _pair_residuals(vox, chunk_models, voxel0[c], sizes[c], counts[c])
-        chunk_scales = _noise_scales(values, sizes[c], counts[c], config)
-        tau = np.take(np.repeat([s.tau for s in chunk_scales], counts[c]), line,
-                      out=SCRATCH.take("tau", line.size), mode="clip")
         survivors += [(j0 + j, inliers) for j, inliers in
-                      select_inliers(values, voxel, line, tau, config.min_inliers)]
-        scales += chunk_scales
+                      select_inliers(values, voxel, line, config.tau, config.min_inliers)]
     if not survivors:
         return
     owner = np.searchsorted(line0, [j for j, _ in survivors], side="right") - 1
@@ -603,7 +539,7 @@ def _fit_batch(vox: np.ndarray, windows: Sequence[EventWindow], first: List[int]
     # pair-sized temporaries come, which keeps a large run's peak memory down
     del survivors, w1, finals, w1s, weights
     assignments = associate(vox, voxel0[fitted], sizes[fitted], hyps, fitted, instances,
-                            [scales[w] for w in fitted.tolist()])
+                            config.tau)
     for w, chosen, assignment in zip(fitted.tolist(), instances, assignments):
         results[run_slots[w]] = AssociationResult(windows[run_slots[w]], chosen, assignment)
 

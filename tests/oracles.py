@@ -20,9 +20,7 @@ import numpy as np
 from evtraj.fitting import (
     AssociationResult,
     FitError,
-    NoiseScale,
     WeightedModel,
-    estimate_tau_ikose,
     residual_matrix,
     weigh_models,
 )
@@ -229,7 +227,7 @@ def reference_residuals(window: EventWindow, config):
 
 
 def reference_associate(vox, hyps: LineSet, families: np.ndarray, instances,
-                        scale: NoiseScale) -> np.ndarray:
+                        tau: float) -> np.ndarray:
     """One window's association: every event's minimum over each instance's whole family.
 
     An instance's family is ``families[instance.rep_index]``; the event goes
@@ -243,7 +241,7 @@ def reference_associate(vox, hyps: LineSet, families: np.ndarray, instances,
         lines = hyps.take(families[m.rep_index])
         residual_matrix(vox, lines).min(axis=1, initial=np.inf, out=row)
     owner = np.argmin(fam_min, axis=0)
-    return np.where(fam_min.min(axis=0) < scale.tau, owner, NOISE_ID)
+    return np.where(fam_min.min(axis=0) < tau, owner, NOISE_ID)
 
 
 def reference_fit_window(window: EventWindow, config) -> AssociationResult:
@@ -255,13 +253,7 @@ def reference_fit_window(window: EventWindow, config) -> AssociationResult:
     vox, hyps, values = stages
     lines = window_lines(hyps, 0)
     reps = lines.take(window_reps(hyps, 0))
-    if config.scale_mode == "fixed":
-        scale = NoiseScale(config.tau, "fixed")
-    else:
-        taus = [estimate_tau_ikose(values[:, j], config.ikose_k).tau
-                for j in range(values.shape[1])]
-        scale = NoiseScale(float(np.median(taus)), "estimated")
-    survivors = matrix_inliers(values, scale.tau, config.min_inliers)
+    survivors = matrix_inliers(values, config.tau, config.min_inliers)
     if not survivors:
         return failed
     w1, finals = weigh_models(vox, reps, survivors, time_scale(window.geometry))
@@ -270,7 +262,8 @@ def reference_fit_window(window: EventWindow, config) -> AssociationResult:
         j, inliers = survivors[i]
         instances.append(WeightedModel(reps.starts[j], reps.ends[j], j, inliers,
                                        float(w1[i]), float(finals[i])))
-    assignment = reference_associate(vox, lines, window_families(hyps, 0), instances, scale)
+    assignment = reference_associate(vox, lines, window_families(hyps, 0), instances,
+                                     config.tau)
     return AssociationResult(window, instances, assignment)
 
 

@@ -200,6 +200,34 @@ def test_same_velocity_objects_share_one_trajectory():
             assert np.all(res.assignment[data.labels == motion] == 0)
 
 
+# --- known limit: one inlier radius at every speed ---------------------------
+
+def test_fixed_radius_loses_fast_motion_events_to_noise():
+    """At 4,000 px/s the 1.5 px inlier radius sends a fifth or more of the motion events to noise.
+
+    Two points at (v, 0) and (0, 0.75 v) px/s cross 200 and 150 px of a
+    240x180 sensor, at 8,000 events/s each, with 1,600/s clutter and the
+    default config. At v = 4,000 px/s 28.4% / 22.1% / 19.1% of the motion
+    events are noise at seeds 0 / 1 / 2; at v = 400 px/s at most 0.8% are. This pins the limit as measured; ROADMAP item 5 (a scale
+    that holds at every speed) should flip it.
+    """
+    def noise_frac(v, seed):
+        duration = 200.0 / v
+        motions = tuple(
+            MotionSpec("point", (v * dx, v * dy), BoundingBox(x, y, 2.0, 2.0), 8000.0,
+                       LANE_NOISE_SIGMA, time_profile="regular")
+            for (dx, dy), (x, y) in (((1.0, 0.0), (20.0, 40.0)), ((0.0, 0.75), (120.0, 20.0)))
+        )
+        scene = SyntheticScene(SensorGeometry(240, 180), duration, motions, 1600.0, seed)
+        data = generate_scene(scene)
+        ids = relabel(run_eda(data.stream, RunConfig()), len(data.stream))
+        return np.mean(ids[data.labels != CLUTTER_LABEL] == NOISE_ID)
+
+    for seed in range(3):
+        assert noise_frac(4000.0, seed) > 0.15
+        assert noise_frac(400.0, seed) <= 0.008
+
+
 # --- tracking overlap on a translating object ------------------------------
 
 def test_tracking_overlap_and_robustness():
@@ -348,12 +376,11 @@ def degenerate_streams(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(degenerate_streams(), st.sampled_from(["fixed", "ikose"]))
-def test_run_eda_on_degenerate_streams(stream, scale_mode):
+@given(degenerate_streams())
+def test_run_eda_on_degenerate_streams(stream):
     # windows partition the stream, every id lies in [-1, num_models), and
     # no numpy warning is raised on the way
-    config = RunConfig(width=stream.geometry.width, height=stream.geometry.height,
-                       scale_mode=scale_mode)
+    config = RunConfig(width=stream.geometry.width, height=stream.geometry.height)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         results = run_eda(stream, config)

@@ -1,5 +1,7 @@
 """Command-line interface tests, driven through ``main`` with real files."""
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,13 +16,12 @@ from conftest import (
     LANE_GEOMETRY,
     LANE_NOISE_SIGMA,
     LANES,
-    framed_track_stream,
     track_pairs,
     track_stream,
 )
 import evtraj
 from evtraj import fitting, io, synth
-from evtraj.cli import build_parser, main, _build_config
+from evtraj.cli import build_parser, main, _add_common, _build_config
 from evtraj.config import RunConfig
 from evtraj.io import NOISE_ID, SensorGeometry
 from evtraj.tracking import BoundingBox, TrackingPair
@@ -187,19 +188,6 @@ class TestAssociateCommand:
         out = tmp_path / "assoc.txt"
         assert main(["associate", str(events), "--out", str(out)]) == 0
         assert io.read_associations(out.read_bytes()).size == 3
-
-    def test_ikose_scale_mode_runs_end_to_end(self, tmp_path, capsys):
-        stream = framed_track_stream()
-        events, out = tmp_path / "events.txt", tmp_path / "assoc.txt"
-        events.write_bytes(io.serialize_stream(stream))
-        assert main(["associate", str(events), "--out", str(out), "--geometry", "64x64",
-                     "--scale-mode", "ikose"]) == 0
-        summary = capsys.readouterr().out
-        models = sum(int(l.split("models=")[1].split()[0]) for l in summary.splitlines()
-                     if l.startswith("window"))
-        assignment = io.read_associations(out.read_bytes())
-        assert assignment.size == len(stream)
-        assert np.all((assignment >= NOISE_ID) & (assignment < models))
 
     def test_missing_input_fails_cleanly(self, tmp_path, capsys):
         rc = main(["associate", str(tmp_path / "nope.txt"),
@@ -433,15 +421,16 @@ class TestConfigPlumbing:
         assert cfg.width == 32 and cfg.height == 48
         assert cfg.num_slices == 6
 
-    @pytest.mark.parametrize("flag", ["--threads", "--seed"])
-    def test_removed_flags_are_rejected(self, flag):
+    @pytest.mark.parametrize("flag", ["--threads", "--seed", "--scale-mode"])
+    def test_removed_flags_are_rejected(self, capsys, flag):
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["associate", "e", "--out", "o", flag, "2"])
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, flag", [
         *((["plot", "e", "a", "--out", "o"], flag)
-          for flag in ("--tau", "--slices", "--alpha", "--beta", "--scale-mode")),
+          for flag in ("--tau", "--slices", "--alpha", "--beta")),
         (["track", "e", "b", "--out", "o"], "--alpha"),
         (["track", "e", "b", "--out", "o"], "--beta"),
         (["eval", "e", "b"], "--alpha"),
@@ -455,14 +444,41 @@ class TestConfigPlumbing:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
+    def test_readme_flag_table_matches_the_parser(self):
+        # README's common-flag table: one row per flag group, one column per
+        # command group, "yes" where those commands take those flags
+        def cells(row):  # a cell may hold an escaped pipe
+            return [c.strip() for c in re.split(r"(?<!\\)\|", row.strip(" |"))]
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        head, _, *rows = readme.split("\n| flag |", 1)[1].split("\n\n", 1)[0].splitlines()
+        columns = [c.split(", ") for c in cells(head)]
+        listed = {command: set() for group in columns for command in group}
+        for row in rows:
+            flags, *marks = cells(row)
+            for group, mark in zip(columns, marks):
+                for command in group if mark == "yes" else ():
+                    listed[command] |= set(re.findall(r"--[a-z][a-z-]*", flags))
+        every = argparse.ArgumentParser()
+        _add_common(every)
+        common = {s for a in every._actions for s in a.option_strings} - {"-h", "--help",
+                                                                        "--config"}
+        assert set().union(*listed.values()) == common
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        assert {name: common & {s for a in commands[name]._actions for s in a.option_strings}
+                for name in listed} == listed
+
     def test_bad_geometry_flag(self):
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["associate", "e", "--out", "o", "--geometry", "big"])
 
-    def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value", [("run.seed", 3), ("fit.scale_mode", "fixed"),
+                                            ("fit.ikose_k", 0.01), ("scale_mode", "fixed")])
+    def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys, key, value):
         cfg_file = tmp_path / "old.yaml"
-        cfg_file.write_text(yaml.safe_dump({"run.seed": 3}))
+        cfg_file.write_text(yaml.safe_dump({key: value}))
         events = tmp_path / "events.txt"
         events.write_bytes(b"0.1 1 1 0\n")
         rc = main(["associate", str(events), "--out", str(tmp_path / "o.txt"),

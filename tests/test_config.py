@@ -19,8 +19,6 @@ SAMPLE_VALUES = {
     "max_pairs": 99,
     "parallel_tol": 5e-4,
     "tau": 0.02,
-    "scale_mode": "ikose",
-    "ikose_k": 0.05,
     "min_inliers": 4,
     "n_rep": 2,
 }
@@ -32,7 +30,6 @@ def test_defaults():
     assert cfg.entropy_alpha == 2.5 and cfg.entropy_beta == 4.5
     assert cfg.num_slices == 10
     assert cfg.tau == 1.5  # px
-    assert cfg.scale_mode == "fixed"
     assert cfg.n_rep == 5
     assert cfg.geometry == SensorGeometry(240, 180)
 
@@ -138,11 +135,8 @@ def test_flag_overrides_file(tmp_path):
         {"max_pairs": 0},
         {"parallel_tol": 0.0},
         {"tau": 0.0},
-        {"scale_mode": "adaptive"},
-        {"ikose_k": 1.0},
         {"min_inliers": 0},
         {"n_rep": 0},
-        {"ikose_k": 0.0},
         {"width": 4, "height": 4},  # narrower and shorter than the default grid of 8
         {"width": 7},
         {"height": 16, "entropy_grid": 17},

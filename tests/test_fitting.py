@@ -1,4 +1,4 @@
-"""Residuals, scale estimation, two-stage weighting, and association tests."""
+"""Residuals, inlier selection, two-stage weighting, and association tests."""
 import hashlib
 import os
 import subprocess
@@ -22,10 +22,8 @@ from conftest import (
 from evtraj import fitting, hypotheses
 from evtraj.fitting import (
     AssociationResult,
-    NoiseScale,
     WeightedModel,
     associate,
-    estimate_tau_ikose,
     fit_window,
     fit_windows,
     point_line_distances,
@@ -274,34 +272,6 @@ class TestPixelThreshold:
             assert all(ids[e] == NOISE_ID for e in events if e not in structure)
 
 
-class TestIkose:
-    def test_recovers_half_normal_scale(self):
-        rng = np.random.default_rng(2)
-        sigma = 0.02
-        column = np.abs(rng.normal(0.0, sigma, 10000))
-        scale = estimate_tau_ikose(column, k_ratio=0.1)
-        assert scale.source == "estimated"
-        assert scale.tau == pytest.approx(sigma, rel=0.15)
-
-    def test_scales_linearly(self):
-        rng = np.random.default_rng(3)
-        column = np.abs(rng.normal(0.0, 1.0, 2000))
-        base = estimate_tau_ikose(column, 0.1).tau
-        assert estimate_tau_ikose(7.5 * column, 0.1).tau == pytest.approx(7.5 * base)
-
-    def test_all_zero_column_gives_tiny_positive_tau(self):
-        scale = estimate_tau_ikose(np.zeros(100))
-        assert 0 < scale.tau < 1e-9
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            estimate_tau_ikose(np.array([]))
-        with pytest.raises(ValueError):
-            estimate_tau_ikose(np.ones(10), k_ratio=0.0)
-        with pytest.raises(ValueError):
-            estimate_tau_ikose(np.ones(10), k_ratio=1.0)
-
-
 def matrix_pairs(values):
     """A residual matrix as flat event-major ``(values, events, columns)`` pairs."""
     n, m = values.shape
@@ -331,34 +301,27 @@ class TestSelectInliers:
     @given(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 5)), min_size=1, max_size=6),
            st.integers(1, 4), st.randoms())
     def test_flat_batch_matches_each_matrix(self, shapes, min_inliers, rng):
-        # several windows' matrices, each with its own tau, in one flat call
+        # several windows' matrices, sharing one tau, in one flat call
         mats = [np.array([[rng.choice([0.001, 0.01, 0.5]) for _ in range(m)]
                           for _ in range(n)]) for n, m in shapes]
-        taus = [rng.choice([0.005, 0.01, 0.02]) for _ in mats]
-        values, events, columns, tau = [], [], [], []
+        tau = rng.choice([0.005, 0.01, 0.02])
+        values, events, columns = [], [], []
         ev0 = col0 = 0
-        for mat, t in zip(mats, taus):
+        for mat in mats:
             v, e, c = matrix_pairs(mat)
             values.append(v)
             events.append(e + ev0)
             columns.append(c + col0)
-            tau.append(np.full(v.size, t))
             ev0, col0 = ev0 + mat.shape[0], col0 + mat.shape[1]
         got = select_inliers(np.concatenate(values), np.concatenate(events),
-                             np.concatenate(columns), np.concatenate(tau), min_inliers)
+                             np.concatenate(columns), tau, min_inliers)
         want = []
         ev0 = col0 = 0
-        for mat, t in zip(mats, taus):
-            want += [(j + col0, idx + ev0) for j, idx in matrix_inliers(mat, t, min_inliers)]
+        for mat in mats:
+            want += [(j + col0, idx + ev0) for j, idx in matrix_inliers(mat, tau, min_inliers)]
             ev0, col0 = ev0 + mat.shape[0], col0 + mat.shape[1]
         assert [j for j, _ in got] == [j for j, _ in want]
         assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
-
-    def test_noise_scale_validation(self):
-        with pytest.raises(ValueError):
-            NoiseScale(0.0)
-        with pytest.raises(ValueError):
-            NoiseScale(-1.0)
 
 
 class TestStage1Weight:
@@ -539,22 +502,19 @@ class TestSelectModelCount:
         assert got.tolist() == [elbow_count(g) for g in groups]
 
 
-def associate_one(vox, lines, families, instances, scale):
+def associate_one(vox, lines, families, instances, tau):
     """:func:`associate` on a batch of one window that holds every voxel."""
     return associate(vox, [0], [len(vox)], hypothesis_set([lines], [families]), [0],
-                     [instances], [scale])[0]
+                     [instances], tau)[0]
 
 
 @st.composite
-def association_windows(draw):
-    """One window's association inputs, on integer coordinates so that residuals repeat.
+def association_window(draw):
+    """One window's voxels, hypotheses, representatives and families, on integer coordinates.
 
-    1-12 events and 1-24 hypotheses on a small grid; 1-4 representatives,
-    each in its own family of a random (R, H) block, so families overlap and
-    often hold more than eight members; 1-4 instances of those
-    representatives (twins fit every event equally well), each with its
-    representative's inliers. tau is a residual to a hypothesis (an event
-    sits exactly at tau), the next float above one, or the ikose scale.
+    1-12 events and 1-24 hypotheses on a small grid, so that residuals
+    repeat; 1-4 representatives, each in its own family of a random (R, H)
+    block, so families overlap and often hold more than eight members.
     """
     coord = st.integers(0, 6)
     vox = np.array(draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=12)),
@@ -570,21 +530,33 @@ def association_windows(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     families = rng.uniform(size=(len(reps), n_hyps)) < density
     families[np.arange(len(reps)), reps] = True
-    residuals = residual_matrix(vox, lines)
-    mode = draw(st.sampled_from(["residual", "above", "ikose"]))
-    if mode == "ikose":
-        at_reps = residuals[:, reps]
-        tau = float(np.median([estimate_tau_ikose(at_reps[:, j]).tau for j in range(len(reps))]))
-    else:
-        tau = float(residuals.flat[draw(st.integers(0, residuals.size - 1))])
-        tau = float(np.nextafter(tau, np.inf)) if mode == "above" or tau == 0 else tau
-    instances = []
-    for k in draw(st.lists(st.integers(0, len(reps) - 1), min_size=1, max_size=4)):
-        inliers = np.flatnonzero(residuals[:, reps[k]] < tau)
-        line = lines.take([reps[k]])
-        instances.append(WeightedModel(line.starts[0], line.ends[0], k, inliers, 0.0, 0.0))
-    return vox, lines, families, instances, NoiseScale(tau, "estimated" if mode == "ikose"
-                                                       else "fixed")
+    return vox, lines, reps, families
+
+
+@st.composite
+def association_batches(draw):
+    """1-3 windows' association inputs and the tau they share.
+
+    tau is a residual of one window to one of its hypotheses (an event sits
+    exactly at tau) or the next float above one. Each window gets 1-4
+    instances of its representatives (twins fit every event equally well),
+    each with its representative's inliers.
+    """
+    windows = draw(st.lists(association_window(), min_size=1, max_size=3))
+    residuals = [residual_matrix(vox, lines) for vox, lines, *_ in windows]
+    at = draw(st.sampled_from(residuals))
+    tau = float(at.flat[draw(st.integers(0, at.size - 1))])
+    if tau == 0 or draw(st.sampled_from(["residual", "above"])) == "above":
+        tau = float(np.nextafter(tau, np.inf))
+    batch = []
+    for (vox, lines, reps, families), values in zip(windows, residuals):
+        instances = []
+        for k in draw(st.lists(st.integers(0, len(reps) - 1), min_size=1, max_size=4)):
+            inliers = np.flatnonzero(values[:, reps[k]] < tau)
+            line = lines.take([reps[k]])
+            instances.append(WeightedModel(line.starts[0], line.ends[0], k, inliers, 0.0, 0.0))
+        batch.append((vox, lines, families, instances))
+    return batch, tau
 
 
 class TestAssociate:
@@ -610,7 +582,7 @@ class TestAssociate:
 
     def test_events_pick_their_line_and_outlier_is_noise(self):
         win, clusters, instances, order = self._setup()
-        assignment = associate_one(window_voxels(win), *clusters, instances, NoiseScale(0.05))
+        assignment = associate_one(window_voxels(win), *clusters, instances, 0.05)
         truth = np.array([0, 0, 0, 1, 1, 1, NOISE_ID])[order]
         assert assignment.dtype == np.int64
         assert np.array_equal(assignment, truth)
@@ -621,24 +593,24 @@ class TestAssociate:
         vox = window_voxels(make_window([0.1, 0.3, 0.5, 0.9], [10, 11, 10, 12], [10, 10, 11, 10]))
         twins = [instances[0], instances[0]]
         # up to 2 px from the static point's line, all below a 3 px radius
-        assert associate_one(vox, *clusters, twins, NoiseScale(3.0)).tolist() == [0, 0, 0, 0]
+        assert associate_one(vox, *clusters, twins, 3.0).tolist() == [0, 0, 0, 0]
 
     def test_requires_instances(self):
         win, clusters, instances, _ = self._setup()
         from evtraj.fitting import FitError
         vox = window_voxels(win)
         with pytest.raises(FitError):
-            associate_one(vox, *clusters, [], NoiseScale(0.05))
+            associate_one(vox, *clusters, [], 0.05)
         with pytest.raises(FitError):  # every window of a batch needs one
             associate(vox, [0, 0], [len(vox)] * 2, hypothesis_set([clusters[0]], [clusters[1]]),
-                      [0, 0], [instances, []], [NoiseScale(0.05)] * 2)
+                      [0, 0], [instances, []], 0.05)
 
     def test_an_event_at_tau_is_noise(self):
         # the vertical line through (0, 0): events 1 and 2 px off it, tau 2 px
         lines = LineSet(np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]))
         vox = np.array([[1.0, 0.0, 5.0], [0.0, 2.0, 5.0]])
         instance = WeightedModel(lines.starts[0], lines.ends[0], 0, np.array([0]), 0.0, 0.0)
-        got = associate_one(vox, lines, np.ones((1, 1), dtype=bool), [instance], NoiseScale(2.0))
+        got = associate_one(vox, lines, np.ones((1, 1), dtype=bool), [instance], 2.0)
         assert got.tolist() == [0, NOISE_ID]
 
     def test_a_contested_event_goes_to_the_nearest_family(self):
@@ -652,16 +624,16 @@ class TestAssociate:
         vox = np.array([[2.0, 0.0, 0.0], [2.75, 0.0, 0.0]])
         reps = [WeightedModel(lines.starts[j], lines.ends[j], k, np.empty(0, dtype=np.int64),
                               0.0, 0.0) for k, j in enumerate([0, 2])]
-        assert associate_one(vox, lines, families, reps, NoiseScale(1.5)).tolist() == [1, 0]
-        assert associate_one(vox, lines, families[::-1], reps, NoiseScale(1.5)).tolist() == [0, 0]
+        assert associate_one(vox, lines, families, reps, 1.5).tolist() == [1, 0]
+        assert associate_one(vox, lines, families[::-1], reps, 1.5).tolist() == [0, 0]
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(association_windows(), min_size=1, max_size=3),
-           st.sampled_from([1, 5, 40, None]), st.integers(0, 3))
-    def test_matches_the_per_instance_reference(self, batch, cap, pad):
+    @given(association_batches(), st.sampled_from([1, 5, 40, None]), st.integers(0, 3))
+    def test_matches_the_per_instance_reference(self, batch_tau, cap, pad):
         # the windows sit one after another behind ``pad`` voxels of no
         # window; a small cap splits every gathered pass into chunks
-        voxels, lines, families, instances, scales = zip(*batch)
+        batch, tau = batch_tau
+        voxels, lines, families, instances = zip(*batch)
         vox = np.concatenate([np.full((pad, 3), 99.0), *voxels])
         sizes = [len(v) for v in voxels]
         first = (pad + np.cumsum(sizes) - sizes).tolist()
@@ -669,13 +641,13 @@ class TestAssociate:
         fitting._BATCH_PAIRS = cap or default
         try:
             got = associate(vox, first, sizes, hypothesis_set(lines, families),
-                            range(len(batch)), instances, scales)
+                            range(len(batch)), instances, tau)
         finally:
             fitting._BATCH_PAIRS = default
         assert len(got) == len(batch)
         for assignment, window in zip(got, batch):
             assert assignment.dtype == np.int64
-            assert assignment.tolist() == reference_associate(*window).tolist()
+            assert assignment.tolist() == reference_associate(*window, tau).tolist()
 
     def test_passes_split_at_the_pair_cap(self, monkeypatch):
         # 30 events, none an inlier, against a 40-member family: stage 2
@@ -688,8 +660,8 @@ class TestAssociate:
         vox = rng.uniform(0, 20, (30, 3))
         instance = WeightedModel(lines.starts[0], lines.ends[0], 0, np.empty(0, dtype=np.int64),
                                  0.0, 0.0)
-        families, scale = np.ones((1, 40), dtype=bool), NoiseScale(1.0)
-        want = reference_associate(vox, lines, families, [instance], scale)
+        families = np.ones((1, 40), dtype=bool)
+        want = reference_associate(vox, lines, families, [instance], 1.0)
         assert 0 < (want != NOISE_ID).sum() < 30
         blocks, residuals = [], fitting._residuals
 
@@ -701,7 +673,7 @@ class TestAssociate:
         for cap, chunk in [(100, 100), (30, 40)]:
             monkeypatch.setattr(fitting, "_BATCH_PAIRS", cap)
             blocks.clear()
-            assert np.array_equal(associate_one(vox, lines, families, [instance], scale), want)
+            assert np.array_equal(associate_one(vox, lines, families, [instance], 1.0), want)
             passes = [rows * width for rows, width in blocks]
             assert sum(passes) > 30 * 8 + 40 and max(passes) <= chunk
         assert 40 in passes
@@ -757,15 +729,14 @@ class TestFitWindow:
                  min_size=1, max_size=40),
         st.booleans(),
         st.booleans(),
-        st.sampled_from(["fixed", "ikose"]),
     )
-    def test_degenerate_windows_never_raise(self, events, single_pixel, equal_t, scale_mode):
+    def test_degenerate_windows_never_raise(self, events, single_pixel, equal_t):
         t, u, v = (np.array(x) for x in zip(*sorted(events)))
         if single_pixel:
             u, v = np.full_like(u, u[0]), np.full_like(v, v[0])
         if equal_t:
             t = np.full_like(t, t[0])
-        res = fit_window(make_window(t, u, v), lane_config(scale_mode=scale_mode))
+        res = fit_window(make_window(t, u, v), lane_config())
         assert res.assignment.shape == (t.size,)
         assert np.all((res.assignment >= NOISE_ID) & (res.assignment < res.num_models))
         if res.failed:
@@ -923,12 +894,10 @@ class TestFitWindows:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(fit_batch_windows(), max_size=7),
            st.tuples(fit_batch_windows(kinds=("lone",)), st.integers(0, 7)),
-           st.sampled_from(["fixed", "ikose"]),
            st.one_of(st.sampled_from([0.5, 1.5, 4.0]), st.integers(0, 10 ** 6)),
            st.sampled_from([1, 60, None]),
            st.sampled_from([1, 400, None]))
-    def test_bit_identical_to_per_window_reference(self, windows, lone, scale_mode, tau, cap,
-                                                   cluster_cap):
+    def test_bit_identical_to_per_window_reference(self, windows, lone, tau, cap, cluster_cap):
         # an integer tau picks a residual of the reference, and the fit runs
         # with tau on it and just above it, so one rounding step in that
         # residual changes an inlier set; a small pair cap splits the call
@@ -949,7 +918,7 @@ class TestFitWindows:
         fitting._CLUSTER_PAIRS = cluster_cap or cluster_default
         try:
             for tau in taus:
-                config = lane_config(scale_mode=scale_mode, tau=tau)
+                config = lane_config(tau=tau)
                 results = fit_windows(windows, config)
                 assert len(results) == len(windows)
                 for window, got in zip(windows, results):
