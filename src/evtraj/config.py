@@ -86,10 +86,16 @@ def _coerce(key: str, name: str, value: Any) -> Any:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ValueError(f"config key {key!r} needs a number, got {value!r}")
     if kind == "float":
-        return float(value)
+        try:
+            return float(value)
+        except ValueError:
+            raise ValueError(f"config key {key!r} needs a number, got {value!r}") from None
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"config key {key!r} needs an integer, got {value!r}")
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"config key {key!r} needs an integer, got {value!r}") from None
 
 
 def _resolve_key(key: str) -> str:

@@ -60,6 +60,8 @@ def test_apply_overrides_coerces_strings():
     ("fit.tau", True),
     ("entropy.alpha", False),
     ("fit.tau", [0.1]),
+    ("fit.tau", "abc"),
+    ("hypo.num_slices", "1.5"),
 ])
 def test_apply_overrides_rejects_values_it_would_round(key, value):
     with pytest.raises(ValueError, match=f"config key '{key}'"):
@@ -140,6 +142,9 @@ def test_flag_overrides_file(tmp_path):
         {"width": 4, "height": 4},  # narrower and shorter than the default grid of 8
         {"width": 7},
         {"height": 16, "entropy_grid": 17},
+        {"entropy_alpha": float("nan")},
+        {"entropy_beta": float("nan")},
+        {"max_window_s": -0.1},
     ],
 )
 def test_validation_rejects_bad_values(bad):
