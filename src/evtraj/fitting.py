@@ -15,10 +15,12 @@ one fit batch: its residuals and inlier selection go in chunks of at most
 ``_BATCH_PAIRS`` pairs, and both weighting stages, the model counts and the
 association run once over all the run's survivors. Association settles most
 (event, instance) pairs from the representative's inliers and a few family
-lines before it scans whole families. Each of its passes computes the
-smallest residual of each pair in dense (pairs x lines) blocks, every
-residual with the bits of :func:`residual_matrix`, so every result equals,
-bit for bit, a fit of its window alone.
+lines, and most of the rest by an exact lower bound on the family's
+residuals, before it scans whole families. Each of its passes computes the
+smallest residual of each pair in dense (pairs x lines) blocks that gather
+each instance's lines once, every residual with the bits of
+:func:`residual_matrix`, so every result equals, bit for bit, a fit of its
+window alone.
 """
 from __future__ import annotations
 
@@ -131,22 +133,43 @@ def _line_table(lines: LineSet) -> np.ndarray:
     return np.vstack([lines.starts.T, d.T, _lengths(d)])
 
 
-def _residuals(xyz, table, line):
+def _residuals(xyz, lines):
     """Point-to-line residuals with the bits of :func:`residual_matrix`.
 
     ``xyz`` holds the three point components, each broadcasting against the
-    indices ``line`` into a :func:`_line_table`: one point per index, or one
-    per row of a block of them. Each line's seven values are gathered from
-    the table. The result has ``line``'s shape and is the scratch buffer
-    ``"cross"``.
+    line fields: ``lines(k, name)`` gives row ``k`` of a :func:`_line_table`
+    for every residual, in the scratch buffer ``name``. The result is the
+    scratch buffer ``"cross"``.
     """
-    def gather(row, name):  # the indices are in range: "clip" takes unbuffered
-        return np.take(table[row], line, out=SCRATCH.take(name, line.shape), mode="clip")
+    p = []
+    for k in range(3):
+        start = lines(k, "tmp")
+        p.append(np.subtract(xyz[k], start, out=SCRATCH.take(f"p{k}", start.shape)))
+    raw = _cross_norms(*p, *(lines(3 + k, f"d{k}") for k in range(3)))
+    return np.divide(raw, lines(6, "tmp"), out=raw)
 
-    p = [np.subtract(xyz[k], gather(k, "tmp"), out=SCRATCH.take(f"p{k}", line.shape))
-         for k in range(3)]
-    raw = _cross_norms(*p, *(gather(3 + k, f"d{k}") for k in range(3)))
-    return np.divide(raw, gather(6, "tmp"), out=raw)
+
+def _gathered(table, line):
+    """Line fields for :func:`_residuals`: each of the lines ``line`` of a :func:`_line_table`."""
+    def lines(k, name):  # the indices are in range: "clip" takes unbuffered
+        return table[k].take(line, out=SCRATCH.take(name, line.shape), mode="clip")
+    return lines
+
+
+def _block_lines(table, line, run):
+    """Line fields for :func:`_residuals` of a block of pairs, gathered once per run.
+
+    Row ``r`` of the (runs x W) ``line`` holds the lines of run ``r`` of the
+    block's pairs, as columns of a :func:`_line_table`; ``run`` gives each
+    pair's run. A field is gathered at ``line``, then each run's row is
+    copied to its pairs, (pairs x W).
+    """
+    shape, rows = (run.size, line.shape[1]), SCRATCH.take("rows", line.shape)
+
+    def lines(k, name):
+        table[k].take(line, out=rows, mode="clip")
+        return rows.take(run, axis=0, out=SCRATCH.take(name, shape), mode="clip")
+    return lines
 
 
 def _pair_residuals(vox, lines, first, sizes, counts):
@@ -172,7 +195,7 @@ def _pair_residuals(vox, lines, first, sizes, counts):
                        out=SCRATCH.take("line", n, np.int64))
     xyz = [np.take(vox[:, k], voxel, out=SCRATCH.take(f"p{k}", n), mode="clip")
            for k in range(3)]
-    return _residuals(xyz, _line_table(lines), line), voxel, line
+    return _residuals(xyz, _gathered(_line_table(lines), line)), voxel, line
 
 
 def select_inliers(
@@ -314,23 +337,34 @@ def _nearest(vox, voxel, owner, table, first, step, count) -> np.ndarray:
     a :func:`_line_table`. The pairs, stable-sorted by line count, go in
     dense (pairs x W) blocks of at most ``_BATCH_PAIRS`` residuals, or of one
     pair whose lines alone are more; a row shorter than its block repeats its
-    last line, which leaves its minimum unchanged.
+    last line, which leaves its minimum unchanged. A block gathers the lines
+    once for each run of pairs of one owner (:func:`_block_lines`); with
+    ``owner`` ascending, as association passes it, each owner's pairs of a
+    block are one run.
     """
     order = np.argsort(count[owner], kind="stable")
     g = owner[order]  # line counts ascending
+    new = np.empty(g.size, dtype=bool)  # the first pair of each run
+    new[:1] = True
+    np.not_equal(g[1:], g[:-1], out=new[1:])
+    head = np.flatnonzero(new)
+    runs = g[head, None]
+    last, run_step, run_first = count[runs] - 1, step[runs], first[runs]
     nearest = np.empty(order.size)
     lo = 0
     while lo < order.size:
         # rows lo..reach-1 are at most count[g[reach - 1]] wide, so cap // that many fit the cap
         reach = min(lo + max(1, _BATCH_PAIRS // int(count[g[lo]])), order.size)
         hi = min(lo + max(1, _BATCH_PAIRS // int(count[g[reach - 1]])), order.size)
-        rows = g[lo:hi]
-        shape = (hi - lo, int(count[g[hi - 1]]))
-        line = np.minimum(np.arange(shape[1]), count[rows, None] - 1,
-                          out=SCRATCH.take("line", shape, np.int64))
-        np.add(np.multiply(line, step[rows, None], out=line), first[rows, None], out=line)
-        xyz = vox[voxel[order[lo:hi]]].T[:, :, None]
-        nearest[order[lo:hi]] = _residuals(xyz, table, line).min(axis=1)
+        run = np.cumsum(new[lo:hi], out=SCRATCH.take("run", hi - lo, np.int64))
+        run -= run[0]  # each pair's run, counted from the block's first
+        r0, width = int(head.searchsorted(lo, side="right")) - 1, int(count[g[hi - 1]])
+        r1 = r0 + int(run[-1]) + 1
+        line = np.minimum(np.arange(width), last[r0:r1],
+                          out=SCRATCH.take("line", (r1 - r0, width), np.int64))
+        np.add(np.multiply(line, run_step[r0:r1], out=line), run_first[r0:r1], out=line)
+        xyz = vox.take(voxel[order[lo:hi]], axis=0).T[:, :, None]
+        nearest[order[lo:hi]] = _residuals(xyz, _block_lines(table, line, run)).min(axis=1)
         lo = hi
     return nearest
 
@@ -347,6 +381,81 @@ def _owned(mask, first):
 
 # family lines that the second stage of association tries per (event, instance) pair
 _PROBES = 8
+# the family bound is trusted for magnitudes from 1 / _BIG to _BIG, where it rounds finely
+_BIG = 2.0 ** 200
+# how far the family bound must pass tau, as a share of tau plus the magnitudes
+_BOUND_SLACK = 2.0 ** -40
+
+
+def _far(vox, voxel, g, table, fam0, tau) -> np.ndarray:
+    """Which pairs no line of their instance's family can reach within tau, as a mask.
+
+    Pair ``i`` takes the voxel ``x = vox[voxel[i]]`` and the family of
+    instance ``g[i]`` (ascending): the lines of a :func:`_line_table` from
+    column ``fam0[g]`` up to the next family's. The pairs lie at times
+    ``t_lo`` to ``t_hi``, the least and the greatest ``x_t``.
+
+    A line through ``s`` along ``d`` with ``d_t > 0`` meets time t at the
+    in-plane point ``c(t) = s_uv + (t - s_t) / d_t * d_uv``, linear in t. The
+    smallest u (or v) of a family's points is a minimum of linear functions,
+    so concave, and the largest a maximum, so convex: the box interpolated
+    linearly between the family's (u, v) boxes at ``t_lo`` and ``t_hi``
+    holds every ``c(t)`` between them. The offset from ``(c(x_t), x_t)`` to
+    ``x`` is in-plane, at least the distance D from ``x`` to that box at
+    ``x_t``, and the sine of its angle to ``d`` is at least
+    ``cos = d_t / |d|``. So each residual of ``x`` to the family is at least
+    ``b = cos_min * D``, with ``cos_min`` the family's smallest ``cos``. A
+    pair is far when ``b`` exceeds ``tau + _BOUND_SLACK * (tau + S)``, S the
+    largest magnitude of a start component or a pair's voxel component.
+
+    Rounding. ``b`` is trusted only where ``tau >= 1 / _BIG``, ``S <=
+    _BIG`` and every member has ``cos`` and ``|d|`` of at least ``1 /
+    _BIG``; elsewhere it is 0. A finite ``|d|`` is below ``2 ** 512``, so
+    underflow moves a computed residual or ``b`` by under ``2 ** -330``,
+    against a margin of at least ``2 ** -240``, and a step that overflows
+    leaves ``b`` infinite or NaN, or loosens the box: such a pair is never
+    far. Every other operation rounds within ``u = 2 ** -53`` of its
+    result. Scaled by ``cos_min``, which is at most each member's ``cos``,
+    every value a box edge is computed from is at most 4S: ``|s_uv| <= S``,
+    ``cos |c(t) - s_uv| <= |t - s_t| <= 2S``, and ``cos`` times an edge's
+    rate per unit of t is at most 1. So the computed ``b`` is off by under
+    64u S + 4u b. A residual's cross product rounds relative to
+    ``|x - s| |d|``, with ``|x - s| <= 2 sqrt(3) S``, so a computed residual
+    is off by under 16u S + 6u of itself. A computed residual below tau thus
+    needs a computed ``b`` below ``tau (1 + 11u) + 81u S``, far inside the
+    margin ``2 ** -40 = 8192u``.
+    """
+    xyz = vox.take(voxel, axis=0).T
+    scale = max(np.abs(table[:3]).max(), np.abs(xyz).max(initial=0.0))
+    if not (voxel.size and tau * _BIG >= 1.0 and scale <= _BIG):  # NaN fails too
+        return np.zeros(voxel.size, dtype=bool)
+    t_lo, t_hi = xyz[2].min(), xyz[2].max()
+    with np.errstate(all="ignore"):
+        # each line's u, v, -u, -v at t_lo, then at t_hi, and its cos, 0 where not
+        # trusted: each family's least of these is its box and its cos_min
+        rows = np.empty((9, table.shape[1]))
+        ends = rows[:8].reshape(2, 4, -1)
+        q = (np.array([[t_lo], [t_hi]]) - table[2]) / table[5]  # (t - s_t) / d_t
+        np.add(table[:2], np.multiply(q[:, None], table[3:5], out=ends[:, :2]), out=ends[:, :2])
+        np.negative(ends[:, :2], out=ends[:, 2:])
+        cos = np.divide(table[5], table[6], out=rows[8])
+        np.multiply(cos, np.minimum(cos, table[6]) * _BIG >= 1.0, out=cos)
+        family = np.minimum.reduceat(rows, fam0, axis=1)
+        # each instance's box edges (lower u, v, then negated upper u, v): their values at
+        # t = 0 and their rates per unit of t, then its cos_min
+        rate = ((family[4:8] - family[:4]) / (t_hi - t_lo) if t_hi > t_lo
+                else np.zeros_like(family[:4]))
+        per = np.vstack([family[:4] - t_lo * rate, rate, family[8]])
+        per = per.repeat(np.bincount(g, minlength=fam0.size), axis=1)
+        # each pair's gaps below the box's lower edges and above its upper ones
+        gap = np.add(per[:4], np.multiply(per[4:8], xyz[2], out=per[4:8]), out=per[:4])
+        np.subtract(gap[:2], xyz[:2], out=gap[:2])
+        np.add(gap[2:], xyz[:2], out=gap[2:])
+        gap = np.maximum(np.maximum(gap[:2], gap[2:], out=gap[:2]), 0.0, out=gap[:2])
+        np.multiply(gap, gap, out=gap)
+        bound = np.multiply(np.sqrt(np.add(gap[0], gap[1], out=gap[0]), out=gap[0]), per[8],
+                            out=gap[0])
+    return (bound > tau + _BOUND_SLACK * (tau + scale)) & (bound < np.inf)
 
 
 def associate(
@@ -381,8 +490,13 @@ def associate(
     2. one pass takes the open pairs to at most ``_PROBES`` lines of the
        family, at a stride of ``ceil(F / _PROBES)``; a pair with a residual
        below tau is settled, and so is one whose family it covered;
-    3. one pass takes the pairs still open to the whole family;
-    4. one pass takes each event below tau of two or more instances to each
+    3. a pair still open is settled as not below tau when its event lies
+       beyond tau of a box that holds every line of the family at the
+       event's time (:func:`_far`, exact with a margin for rounding); this
+       runs only when the open pairs' families hold more lines than one
+       block, since it costs about as much as a block;
+    4. one pass takes the pairs still open to the whole family;
+    5. one pass takes each event below tau of two or more instances to each
        of their whole families.
 
     Each pass is one :func:`_nearest` call, which gives every pair its
@@ -424,6 +538,9 @@ def associate(
     below[pair[hit]] = True
     left = ~hit & (probes < size)[g]
     pair, g = pair[left], g[left]
+    if size[g].sum() > _BATCH_PAIRS:  # stage 3 costs about as much as a block
+        near = ~_far(vox, pair + voxel0[g], g, table, fam0, tau)
+        pair, g = pair[near], g[near]
     unit = np.ones_like(size)
     below[pair[_nearest(vox, pair + voxel0[g], g, table, fam0, unit, size) < tau]] = True
 

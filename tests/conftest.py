@@ -2,7 +2,8 @@
 
 The builders freeze the scene families used across the fitting, tracking,
 and acceptance tests: well-separated constant-velocity lanes for multi-model
-recovery, and a translating rigid group of point emitters for box tracking.
+recovery (and the larger two-lane tile of the benchmark), and a translating
+rigid group of point emitters for box tracking.
 ``events_of`` lists a stream's events as plain tuples, and ``window_of``
 builds a window from bare event arrays.
 """
@@ -60,6 +61,24 @@ def lane_scene(num_motions: int, seed: int, clutter_frac: float = 0.2) -> Synthe
         clutter_rate=clutter_frac * num_motions * rate,
         seed=seed,
         clutter_span=(0.12, 0.88),
+    )
+
+
+def lanes_tile(seed: int) -> SyntheticScene:
+    """The 240x180 two-lane tile of the throughput floor: 0.5 s, ~8,700 events.
+
+    Its default-band windows hold ~65 events, and their representatives
+    gather families of dozens of lines.
+    """
+    return SyntheticScene(
+        geometry=SensorGeometry(240, 180),
+        duration=0.5,
+        motions=(
+            MotionSpec("point", (400.0, 0.0), BoundingBox(20, 40, 2, 2), 8000.0, 0.32, "regular"),
+            MotionSpec("point", (0.0, 300.0), BoundingBox(120, 20, 2, 2), 8000.0, 0.32, "regular"),
+        ),
+        clutter_rate=1600.0,
+        seed=seed,
     )
 
 

@@ -16,10 +16,12 @@ from conftest import (
     lane_config,
     lane_scene,
     lane_window,
+    lanes_tile,
     pair_windows,
     window_of,
 )
 from evtraj import fitting, hypotheses
+from evtraj.config import RunConfig
 from evtraj.fitting import (
     AssociationResult,
     WeightedModel,
@@ -514,7 +516,10 @@ def association_window(draw):
 
     1-12 events and 1-24 hypotheses on a small grid, so that residuals
     repeat; 1-4 representatives, each in its own family of a random (R, H)
-    block, so families overlap and often hold more than eight members.
+    block, so families overlap and often hold more than eight members. A
+    hypothesis steps -1 to 3 in time, never by the zero vector, so some
+    families hold lines that do not advance in time, which the family bound
+    must leave open.
     """
     coord = st.integers(0, 6)
     vox = np.array(draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=12)),
@@ -522,8 +527,8 @@ def association_window(draw):
     n_hyps = draw(st.integers(1, 24))
     starts = np.array(draw(st.lists(st.tuples(coord, coord, coord), min_size=n_hyps,
                                     max_size=n_hyps)), dtype=float)
-    steps = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(1, 3)),
-                          min_size=n_hyps, max_size=n_hyps))
+    step = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-1, 3)).filter(any)
+    steps = draw(st.lists(step, min_size=n_hyps, max_size=n_hyps))
     lines = LineSet(starts, starts + np.array(steps, dtype=float))
     reps = draw(st.permutations(range(n_hyps)))[:draw(st.integers(1, min(4, n_hyps)))]
     density = draw(st.sampled_from([0.2, 0.6, 1.0]))
@@ -651,9 +656,10 @@ class TestAssociate:
 
     def test_passes_split_at_the_pair_cap(self, monkeypatch):
         # 30 events, none an inlier, against a 40-member family: stage 2
-        # computes 30 x 8 residuals and stage 3 up to 30 x 40, so at a cap of
-        # 100 every pass splits into blocks within the cap; at a cap of 30 a
-        # pair of stage 3 costs more than the cap and is a block of its own
+        # computes 30 x 8 residuals and the whole-family pass up to 30 x 40,
+        # so at a cap of 100 every pass splits into blocks within the cap; at
+        # a cap of 30 a pair of the whole-family pass costs more than the cap
+        # and is a block of its own
         rng = np.random.default_rng(3)
         starts = rng.uniform(0, 20, (40, 3))
         lines = LineSet(starts, starts + np.array([1.0, 0.5, 4.0]))
@@ -663,13 +669,13 @@ class TestAssociate:
         families = np.ones((1, 40), dtype=bool)
         want = reference_associate(vox, lines, families, [instance], 1.0)
         assert 0 < (want != NOISE_ID).sum() < 30
-        blocks, residuals = [], fitting._residuals
+        blocks, block_lines = [], fitting._block_lines
 
-        def spy(xyz, table, line):
-            blocks.append(line.shape)
-            return residuals(xyz, table, line)
+        def spy(table, line, run):
+            blocks.append((run.size, line.shape[1]))
+            return block_lines(table, line, run)
 
-        monkeypatch.setattr(fitting, "_residuals", spy)
+        monkeypatch.setattr(fitting, "_block_lines", spy)
         for cap, chunk in [(100, 100), (30, 40)]:
             monkeypatch.setattr(fitting, "_BATCH_PAIRS", cap)
             blocks.clear()
@@ -694,25 +700,155 @@ class TestAssociate:
         first = rng.integers(0, 120 - step * (count - 1))
         n_pairs = data.draw(st.integers(0, 30))
         owner, voxel = rng.integers(0, len(runs), n_pairs), rng.integers(0, 20, n_pairs)
-        blocks, residuals = [], fitting._residuals
+        blocks, block_lines = [], fitting._block_lines
 
-        def spy(xyz, table, line):
-            blocks.append(line.shape)
-            return residuals(xyz, table, line)
+        def spy(table, line, run):
+            blocks.append((run.size, line.shape[1]))
+            return block_lines(table, line, run)
 
         default = fitting._BATCH_PAIRS
-        fitting._BATCH_PAIRS, fitting._residuals = cap or default, spy
+        fitting._BATCH_PAIRS, fitting._block_lines = cap or default, spy
         try:
             got = fitting._nearest(vox, voxel, owner, fitting._line_table(lines), first, step,
                                    count)
         finally:
-            fitting._BATCH_PAIRS, fitting._residuals = default, residuals
+            fitting._BATCH_PAIRS, fitting._block_lines = default, block_lines
         want = [residual_matrix(vox[[v]], lines.take(first[g] + step[g] * np.arange(count[g])))
                 .min() for v, g in zip(voxel, owner)]
         assert got.tobytes() == np.array(want, dtype=float).tobytes()
         assert sum(rows for rows, _ in blocks) == n_pairs
         for rows, width in blocks:
             assert rows * width <= (cap or default) or rows == 1
+
+
+@st.composite
+def bound_case(draw):
+    """Voxels, 1-3 families of lines and a tau for :func:`fitting._far`.
+
+    A family's 1-20 lines are near-parallel to one direction that advances
+    in time, or point anywhere; their starts spread over 1 to 40 px. A
+    family may hold a line that does not advance in time (``d_t`` of 0,
+    -1e-300 or -0.5, never the zero vector), one that advances by as little
+    as 1e-300 (its start at t = 0, so that its end keeps the step), or one
+    whose whole direction is 1e-160 or 1e-300 long, whose residuals lose
+    their bits to underflow. The events
+    spread over 40 or 160 px and sometimes share one timestamp. tau is a
+    family minimum of an event, the next float above one or above the least
+    of them, or a radius of 0.1 to 10 px.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vox = rng.uniform(-1, 1, (draw(st.integers(1, 12)), 3)) * draw(st.sampled_from([20.0, 80.0]))
+    if draw(st.booleans()):
+        vox[:, 2] = vox[0, 2]
+    families = []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, 20))
+        starts = rng.uniform(-1, 1, (size, 3)) * draw(st.sampled_from([0.5, 5.0, 20.0]))
+        base = rng.normal(size=3) * [1.0, 1.0, 0.0] + [0.0, 0.0, draw(st.sampled_from(
+            [1e-3, 0.3, 1.0, 5.0]))]
+        spread = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.1, None]))
+        d = rng.normal(size=(size, 3)) if spread is None else base + rng.normal(
+            scale=spread, size=(size, 3))
+        odd = draw(st.sampled_from([None, 0.0, -1e-300, -0.5, 1e-300, 1e-200, "short"]))
+        if odd is not None:
+            k = rng.integers(size)
+            if odd == "short":  # from the origin, so that the end keeps the step
+                starts[k], d[k] = 0.0, [0.0, 0.0, draw(st.sampled_from([1e-160, 1e-300]))]
+            else:
+                starts[k, 2], d[k] = 0.0, [1.0 + rng.uniform(), rng.uniform(), odd]
+        families.append(LineSet(starts, starts + d))
+    with np.errstate(invalid="ignore"):  # a 1e-300 step has a zero length: NaN residuals
+        minima = np.array([residual_matrix(vox, f).min(axis=1) for f in families])
+    finite = minima[np.isfinite(minima)]
+    kind = draw(st.sampled_from(["minimum", "above", "least", "radius"]))
+    tau = (float(rng.uniform(0.1, 10.0)) if kind == "radius" or not finite.size else
+           float(finite.min() if kind == "least" else finite[rng.integers(finite.size)]))
+    if kind != "minimum":
+        tau = float(np.nextafter(tau, np.inf))
+    return vox, families, minima, tau
+
+
+class TestFamilyBound:
+    """``_far`` settles only pairs that no line of their family reaches within tau."""
+
+    @staticmethod
+    def far(vox, families, tau):
+        # every (family, event) pair, family after family
+        lines = LineSet(np.concatenate([f.starts for f in families]),
+                        np.concatenate([f.ends for f in families]))
+        sizes = np.array([len(f) for f in families])
+        g = np.repeat(np.arange(len(families)), len(vox))
+        voxel = np.tile(np.arange(len(vox)), len(families))
+        table = fitting._line_table(lines)
+        got = fitting._far(vox, voxel, g, table, np.cumsum(sizes) - sizes, tau)
+        return got.reshape(len(families), len(vox)), table
+
+    @settings(max_examples=400, deadline=None)
+    @given(bound_case())
+    def test_settled_pairs_are_beyond_tau(self, case):
+        vox, families, minima, tau = case
+        far, table = self.far(vox, families, tau)
+        assert (minima[far] >= tau).all()
+        sizes = [len(f) for f in families]
+        retreats = np.add.reduceat(table[5] <= 0, np.cumsum(sizes) - sizes) > 0
+        assert not far[retreats].any()
+
+    def test_settles_what_the_box_keeps_out(self):
+        # lines along (1, 0, 1) from u = 0 and u = 2: at time t the family spans u in
+        # [t, t + 2], and a residual is the in-plane gap over sqrt(2). At t = 4, u = 9
+        # is 3 px past the box, u = 8 is 2 px, u = 0 is 4 px below it, and (5, 3) is
+        # 3 px off it in v; at t = 0, u = 5 is 3 px past it, and at t = 8 inside it
+        family = LineSet(np.array([[0.0, 0, 0], [2.0, 0, 0]]), np.array([[1.0, 0, 1], [3.0, 0, 1]]))
+        vox = np.array([[9.0, 0, 4], [8.0, 0, 4], [0.0, 0, 4], [5.0, 3, 4], [5.0, 0, 0],
+                        [9.0, 0, 8]])
+        far, _ = self.far(vox, [family], 2.0)
+        assert far.tolist() == [[True, False, True, True, True, False]]
+        at = float(residual_matrix(vox[:1], family).min())  # 3 / sqrt(2): the bound itself
+        assert not self.far(vox[:1], [family], at)[0].any()
+        assert self.far(vox[:1], [family], at * (1 - 1e-9))[0].all()
+        # a line that does not advance in time leaves its family open
+        flat = LineSet(np.vstack([family.starts, [[50.0, 50, 0]]]),
+                       np.vstack([family.ends, [[51.0, 50, 0]]]))
+        assert not self.far(vox, [flat], 2.0)[0].any()
+
+    def test_settles_nothing_a_computed_residual_keeps_below_tau(self):
+        # events offset from a line's point at their time along its in-plane
+        # direction, where the bound equals the residual, and tau just above
+        # the computed residual: rounding puts the computed bound on either
+        # side, and only the margin keeps every pair open
+        t, a = (x.ravel() for x in np.meshgrid(np.linspace(-9.7, 9.7, 25),
+                                               np.linspace(0.3, 29.9, 25)))
+        start = np.array([3.1, -2.2, 0.7])
+        cases = []
+        for d in (np.array([1.7, 0.0, 1.0]), np.array([1.3, -0.8, 0.6])):
+            at = start[:2] + np.outer((t - start[2]) / d[2], d[:2])
+            cases.append((LineSet(start[None], (start + d)[None]),
+                          np.column_stack([at + np.outer(a, d[:2] / np.hypot(*d[:2])), t])))
+        # a vertical step of 1e-160 from the origin: its residuals lose their
+        # bits to underflow, which no margin covers
+        cases.append((LineSet(np.zeros((1, 3)), np.array([[0.0, 0.0, 1e-160]])),
+                      np.column_stack([a, np.zeros_like(a), t])))
+        for line, vox in cases:
+            for x, r in zip(vox, residual_matrix(vox, line)[:, 0]):
+                assert not self.far(x[None], [line], float(np.nextafter(r, np.inf)))[0].any()
+
+    def test_settles_pairs_on_a_lanes_tile(self, monkeypatch):
+        # on the benchmark's tile most pairs that reach the bound are far; the
+        # ids are those of association without it
+        stream, config = generate_scene(lanes_tile(1)).stream, RunConfig(width=240, height=180)
+        reached, settled, far = [], [], fitting._far
+
+        def spy(*args):
+            got = far(*args)
+            reached.append(got.size)
+            settled.append(int(got.sum()))
+            return got
+
+        monkeypatch.setattr(fitting, "_far", spy)
+        ids = relabel(run_eda(stream, config), len(stream))
+        assert sum(settled) > sum(reached) / 2
+        monkeypatch.setattr(fitting, "_far", lambda vox, voxel, *_: np.zeros(voxel.size, bool))
+        assert np.array_equal(relabel(run_eda(stream, config), len(stream)), ids)
 
 
 class TestFitWindow:
@@ -1118,10 +1254,21 @@ class TestScratch:
         assert not any(t.is_alive() for t in threads)
         assert got == [[want[0]] * 20, [want[1]] * 20]
 
+    @staticmethod
+    def fresh_faults(*lines) -> int:
+        """The number a script prints, run in a fresh interpreter.
+
+        glibc's malloc thresholds adapt to what the process freed before, so
+        earlier tests could hide the faults.
+        """
+        path = os.pathsep.join([str(Path(evtraj.__file__).parents[1]), str(Path(__file__).parent)])
+        run = subprocess.run([sys.executable, "-c", "\n".join(lines)], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": path})
+        assert run.returncode == 0, run.stderr
+        return int(run.stdout)
+
     def test_warm_fits_do_not_page_fault(self):
-        # in a fresh interpreter: glibc's malloc thresholds adapt to what the
-        # process freed before, so earlier tests could hide the faults
-        code = "\n".join([
+        assert self.fresh_faults(
             "import resource",
             "from conftest import lane_config, pair_windows",
             "from evtraj.fitting import fit_windows",
@@ -1131,12 +1278,37 @@ class TestScratch:
             "for _ in range(3):",
             "    fit_windows(windows, config)",
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
-        ])
-        path = os.pathsep.join([str(Path(evtraj.__file__).parents[1]), str(Path(__file__).parent)])
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": path})
-        assert run.returncode == 0, run.stderr
-        assert int(run.stdout) < 300
+        ) < 300
+
+    def test_warm_association_of_long_families_does_not_page_fault(self):
+        # the lanes tiles' families of dozens of lines take the family bound and
+        # blocks of many residuals per pair, which pair windows never reach. Two
+        # tiles take turns, so that malloc's adaptive mmap threshold cannot hide
+        # temporaries past it (run-sized blocks fault ~3,800 pages here). Only
+        # association is counted: clustering's faults on a tile vary with the scene
+        assert self.fresh_faults(
+            "import resource",
+            "from conftest import lanes_tile",
+            "from evtraj import fitting",
+            "from evtraj.config import RunConfig",
+            "from evtraj.synth import generate_scene",
+            "streams = [generate_scene(lanes_tile(seed)).stream for seed in (1, 2)]",
+            "config = RunConfig(width=240, height=180)",
+            "faults, associate = [0], fitting.associate",
+            "def counted(*args):",
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+            "    result = associate(*args)",
+            "    faults[0] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before",
+            "    return result",
+            "fitting.associate = counted",
+            "for stream in streams:",  # warm-up
+            "    fitting.run_eda(stream, config)",
+            "faults[0] = 0",
+            "for _ in range(3):",
+            "    for stream in streams:",
+            "        fitting.run_eda(stream, config)",
+            "print(faults[0])",
+        ) < 300
 
 
 class TestRunEda:
