@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from typing import List, Optional
@@ -58,15 +59,18 @@ def cmd_associate(args: argparse.Namespace) -> int:
     results = fitting.run_eda(stream, config)
     io.write_associations(fitting.relabel(results, len(stream)), args.out)
 
+    lines = []
     for i, res in enumerate(results):
-        sizes = ",".join(str(int(m.inliers.size)) for m in res.instances) or "-"
-        weights = ",".join(f"{m.w_final:.4g}" for m in res.instances) or "-"
-        flag = " FAILED" if res.failed else ""
-        print(
-            f"window {i}: t=[{res.window.t_start:.6f},{res.window.t_end:.6f}] "
-            f"events={len(res.window)} models={res.num_models} "
-            f"inliers={sizes} weights={weights}{flag}"
-        )
+        window, models = res.window, res.instances
+        if models:
+            sizes = ",".join([str(m.inliers.size) for m in models])
+            weights = ",".join([f"{m.w_final:.4g}" for m in models])
+            tail = f"models={len(models)} inliers={sizes} weights={weights}\n"
+        else:  # a fit keeps at least one instance unless it failed
+            tail = "models=0 inliers=- weights=- FAILED\n"
+        lines.append(f"window {i}: t=[{window.t_start:.6f},{window.t_end:.6f}] "
+                     f"events={len(window)} {tail}")
+    sys.stdout.write("".join(lines))
     return 0
 
 
@@ -135,7 +139,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.out_labels:
         with open(args.out_labels, "wb") as fh:
             fh.write(b"# event_index label\n")
-            fh.write(io.format_rows("%d %d\n", np.arange(data.labels.size), data.labels))
+            fh.write(io.format_int_rows(np.arange(data.labels.size), data.labels))
     if args.out_boxes:
         times = np.linspace(0.0, scene.duration, args.frames)
         rows = []
@@ -211,21 +215,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("events")
     p.add_argument("--out", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_associate)
 
     p = sub.add_parser("track", help="propagate ground-truth boxes along trajectories")
     p.add_argument("events")
     p.add_argument("boxes")
     p.add_argument("--out", required=True)
     _add_common(p, cut=False)
-    p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("eval", help="frame-wise tracking evaluation (AOR/AR)")
     p.add_argument("events")
     p.add_argument("pairs")
     p.add_argument("--machine", action="store_true", help="line-oriented output")
     _add_common(p, cut=False)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("synth", help="generate a synthetic scene")
     p.add_argument("scene", help="scene spec YAML")
@@ -235,29 +236,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--motion", type=int, default=0, help="motion index for --out-boxes")
     p.add_argument("--frames", type=int, default=21, help="frame count for --out-boxes")
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("plot", help="export trajectory/voxel plot data")
     p.add_argument("events")
     p.add_argument("assoc")
     p.add_argument("--out", required=True)
     _add_common(p, fit=False, cut=False)
-    p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("bench", help="pipeline throughput in events per second")
     p.add_argument("scene", help="scene spec YAML")
     p.add_argument("--runs", type=int, default=3)
     _add_common(p, geometry=False)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: building it costs more than a parse."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up by name at each call, so a wrapped command is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except (OSError, io.FormatError, ValueError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

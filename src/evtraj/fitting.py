@@ -191,10 +191,13 @@ def _pair_residuals(vox, lines, first, sizes, counts):
     n = int(per_event.sum())
     voxel = SCRATCH.take("voxel", n, np.int64)
     voxel[:] = np.repeat(np.arange(sizes.sum()) + np.repeat(first - event0, sizes), per_event)
+    # component k of voxel i is flat[3 * i + k]; a gather from the strided
+    # column vox[:, k] would copy the whole column first. The indices borrow
+    # the "line" buffer until the lines go there
+    flat, at = vox.reshape(-1), np.multiply(voxel, 3, out=SCRATCH.take("line", n, np.int64))
+    xyz = [np.take(flat[k:], at, out=SCRATCH.take(f"p{k}", n), mode="clip") for k in range(3)]
     line = np.subtract(np.arange(n), np.repeat(pair0 - np.repeat(line0, sizes), per_event),
                        out=SCRATCH.take("line", n, np.int64))
-    xyz = [np.take(vox[:, k], voxel, out=SCRATCH.take(f"p{k}", n), mode="clip")
-           for k in range(3)]
     return _residuals(xyz, _gathered(_line_table(lines), line)), voxel, line
 
 

@@ -196,6 +196,62 @@ def format_rows(row_format: str, *columns: np.ndarray) -> bytes:
     return ((row_format * n) % tuple(values)).encode("utf-8")
 
 
+# 10**1 .. 10**19: a uint64 has one digit more than the number of these it reaches
+_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
+# rows per pass of format_int_rows, which bounds its temporaries
+_INT_ROWS = 4096
+
+
+def format_int_rows(*columns) -> bytes:
+    """UTF-8 text of integer columns, one space-separated row per line, each value as ``"%d"``.
+
+    The columns are integer arrays of any dtype, or sequences that numpy
+    reads as such, all of one length. Each pass over ``_INT_ROWS`` rows
+    writes the digits into a byte table by integer division, every value
+    right-aligned in a field as wide as its column's widest in the pass, and
+    one mask drops the padding.
+    """
+    columns = [np.asarray(c) for c in columns]
+    for c in columns:
+        if c.size and c.dtype.kind not in "biu":
+            raise TypeError(f"integer column expected, got dtype {c.dtype}")
+    n = len(columns[0]) if columns else 0
+    return b"".join(_int_rows([c[lo:lo + _INT_ROWS] for c in columns])
+                    for lo in range(0, n, _INT_ROWS))
+
+
+def _int_rows(columns) -> bytes:
+    fields, width = [], 0
+    for c in columns:
+        mag = c.astype(np.uint64)  # a negative value wraps to 2**64 - |x|, even -2**63
+        neg = np.flatnonzero(c < 0)
+        mag[neg] = -mag[neg]
+        digits = len(str(int(mag.max())))
+        neg_digits = np.searchsorted(_POW10, mag[neg], side="right") + 1
+        width += max(digits, int(neg_digits.max()) + 1) if neg.size else digits
+        fields.append((mag, neg, neg_digits, digits, width))  # width: the separator's column
+        width += 1
+    n = len(columns[0])
+    table = np.empty((n, width), np.uint8)
+    keep = np.zeros((n, width), bool)
+    q, r = np.empty(n, np.uint64), np.empty(n, np.uint64)
+    for mag, _, _, digits, end in fields:
+        keep[:, end - 1] = True
+        for d in range(digits):  # digit d of every value goes to column end - 1 - d
+            if d:
+                np.not_equal(mag, 0, out=keep[:, end - 1 - d])
+            np.floor_divide(mag, 10, out=q)
+            table[:, end - 1 - d] = np.subtract(mag, np.multiply(q, 10, out=r), out=r)
+            mag, q = q, mag
+    table += ord("0")
+    for _, neg, neg_digits, _, end in fields:
+        table[neg, end - 1 - neg_digits] = ord("-")
+        keep[neg, end - 1 - neg_digits] = True
+        table[:, end], keep[:, end] = ord(" "), True
+    table[:, -1] = ord("\n")
+    return table[keep].tobytes()
+
+
 def serialize_stream(stream: EventStream) -> bytes:
     """Inverse of :func:`parse_stream`; timestamps keep full double precision."""
     return format_rows("%r %d %d %d\n", stream.t, stream.u, stream.v, stream.p)
@@ -207,8 +263,8 @@ ASSOCIATION_HEADER = "# event_index trajectory_id"
 def format_associations(assignment: np.ndarray) -> bytes:
     """Render a per-event trajectory assignment (noise = -1) as text."""
     labels = np.asarray(assignment)
-    return (ASSOCIATION_HEADER + "\n").encode("utf-8") + format_rows(
-        "%d %d\n", np.arange(labels.size), labels)
+    return (ASSOCIATION_HEADER + "\n").encode("utf-8") + format_int_rows(
+        np.arange(labels.size), labels)
 
 
 def write_associations(assignment: np.ndarray, path) -> None:

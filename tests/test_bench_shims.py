@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 
 from conftest import framed_track_stream, lane_config, track_pairs
-from evtraj import fitting, grouping, tracking
+from evtraj import cli, fitting, grouping, tracking
 from evtraj.hypotheses import HypothesisError, generate, window_voxels
-from evtraj.io import EventStream, SensorGeometry
+from evtraj.io import EventStream, SensorGeometry, serialize_stream
 from evtraj.tracking import BoundingBox, TrackingFailure, TrackingPair
 from oracles import (
     flatnonzero_slices,
@@ -41,6 +41,33 @@ def test_every_traced_stage_function_exists():
     finally:
         tracer.uninstall()
     assert fitting.fit_window is original
+
+
+def test_traced_associate_command_records_its_write(tmp_path, capsys):
+    # cli.main keeps one parser per process; it must still call the command
+    # that the tracer installed after the parser was built, or the
+    # benchmark's cli.associate_self_s would read 0
+    events = tmp_path / "events.txt"
+    events.write_bytes(serialize_stream(framed_track_stream()))
+
+    def associate(out):
+        assert cli.main(["associate", str(events), "--out", str(out), "--geometry", "64x64"]) == 0
+
+    associate(tmp_path / "untraced.txt")
+    shims = load_shims()
+    tracer = shims.Tracer()
+    tracer.install()
+    try:
+        associate(tmp_path / "traced.txt")
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = [rec[shims.NAME] for rec in tracer.spans]
+    assert names.count("cli.cmd_associate") == 1
+    command = names.index("cli.cmd_associate")
+    children = [rec[shims.NAME] for rec in tracer.spans if rec[shims.PARENT] == command]
+    assert "io.write_associations" in children
+    assert (tmp_path / "traced.txt").read_bytes() == (tmp_path / "untraced.txt").read_bytes()
 
 
 def close_counts(shims, stream, interval, max_window):

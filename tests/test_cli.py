@@ -16,6 +16,7 @@ from conftest import (
     LANE_GEOMETRY,
     LANE_NOISE_SIGMA,
     LANES,
+    framed_track_stream,
     track_pairs,
     track_stream,
 )
@@ -82,6 +83,19 @@ class TestSynthCommand:
         # the box translates with the first motion's velocity
         vel, box = LANES[0]
         assert rows[-1][1] == pytest.approx(box.x + vel[0] * LANE_DURATION)
+
+    def test_long_label_file_matches_a_per_line_reference(self, tmp_path, scene_file):
+        # labels 0, 1 and the noise id, over more rows than the integer
+        # formatter takes in one pass
+        doc = lane_scene_doc(2, seed=4)
+        doc["clutter_rate"] = 250_000.0
+        scene = scene_file(doc)
+        events, labels = tmp_path / "events.txt", tmp_path / "labels.txt"
+        assert main(["synth", scene, "--out", str(events), "--out-labels", str(labels)]) == 0
+        truth = synth.generate_scene(synth.scene_from_file(scene)).labels.tolist()
+        assert {NOISE_ID, 0, 1} <= set(truth) and len(truth) > 2 * io._INT_ROWS
+        expected = "# event_index label\n" + "".join("%d %d\n" % row for row in enumerate(truth))
+        assert labels.read_bytes() == expected.encode("utf-8")
 
     def test_seed_flag_changes_the_stream(self, tmp_path, scene_file):
         scene = scene_file(lane_scene_doc(1, clutter_frac=1.0))
@@ -179,6 +193,28 @@ class TestAssociateCommand:
         assert "models=2" in capsys.readouterr().out
         assignment = io.read_associations(out.read_bytes())
         assert {0, 1} <= set(np.unique(assignment))
+
+    def test_summary_matches_a_per_window_print_reference(self, tmp_path, capsys):
+        # the summary is written at once; it must hold the bytes that one
+        # print per window gave
+        stream = framed_track_stream()
+        events, out = tmp_path / "events.txt", tmp_path / "assoc.txt"
+        events.write_bytes(io.serialize_stream(stream))
+        assert main(["associate", str(events), "--out", str(out), "--geometry", "64x64"]) == 0
+        got = capsys.readouterr().out
+        results = fitting.run_eda(stream, RunConfig(width=64, height=64))
+        assert any(res.failed for res in results)
+        assert max(res.num_models for res in results) >= 2
+        for i, res in enumerate(results):
+            sizes = ",".join(str(int(m.inliers.size)) for m in res.instances) or "-"
+            weights = ",".join(f"{m.w_final:.4g}" for m in res.instances) or "-"
+            flag = " FAILED" if res.failed else ""
+            print(
+                f"window {i}: t=[{res.window.t_start:.6f},{res.window.t_end:.6f}] "
+                f"events={len(res.window)} models={res.num_models} "
+                f"inliers={sizes} weights={weights}{flag}"
+            )
+        assert got == capsys.readouterr().out
 
     def test_event_at_the_span_limit_is_associated(self, tmp_path):
         # the second event lies within max_window_s of the first by

@@ -379,10 +379,53 @@ def test_serialize_matches_per_line_formatter(stream):
     assert serialize_stream(stream) == per_line_serialize(stream)
 
 
-@given(st.lists(st.integers(-1, 2 ** 63 - 1), max_size=60))
+# the int64 extremes and every digit-count boundary 10**k - 1 / 10**k, both signs
+INT64_EDGES = [-2 ** 63, -1, 0, 2 ** 63 - 1] + [
+    s * v for k in range(1, 19) for v in (10 ** k - 1, 10 ** k) for s in (1, -1)]
+
+
+@given(st.lists(st.one_of(st.sampled_from(INT64_EDGES), st.integers(-2 ** 63, 2 ** 63 - 1)),
+                max_size=60))
 def test_format_associations_matches_per_line_formatter(labels):
     arr = np.array(labels, dtype=np.int64)
     assert format_associations(arr) == per_line_associations(arr)
+
+
+@pytest.mark.parametrize("labels", [
+    np.array(INT64_EDGES, dtype=np.int64),
+    np.array([-2 ** 31, -1, 0, 9, 10, 2 ** 31 - 1], dtype=np.int32),
+    np.array([0, 9, 10, 99, 100, 255], dtype=np.uint8),
+    [3, NOISE_ID, 0, 12],
+    [],
+], ids=["int64-edges", "int32", "uint8", "list", "empty-list"])
+def test_format_associations_accepts_integer_arrays_and_lists(labels):
+    assert format_associations(labels) == per_line_associations(labels)
+
+
+def per_line_int_rows(*columns):
+    return "".join(" ".join("%d" % v for v in row) + "\n"
+                   for row in zip(*(np.asarray(c).tolist() for c in columns))).encode()
+
+
+def test_format_int_rows_matches_per_line_formatter_across_passes():
+    # more rows than one pass formats, with each pass's widest value in
+    # another place; the uint64 column reaches 2**64 - 1, past every int64
+    rng = np.random.default_rng(5)
+    n = 2 * io._INT_ROWS + 7
+    wide = rng.choice(np.array(INT64_EDGES, dtype=np.int64), n)
+    wide[:io._INT_ROWS] //= 10 ** 12
+    small = rng.integers(-1, 40, n).astype(np.int16)
+    unsigned = rng.integers(0, 2 ** 64 - 1, n, dtype=np.uint64, endpoint=True)
+    unsigned[[0, n - 1]] = 2 ** 64 - 1, 0
+    columns = (np.arange(n), wide, small, unsigned)
+    assert io.format_int_rows(*columns) == per_line_int_rows(*columns)
+    assert io.format_int_rows(small) == per_line_int_rows(small)
+
+
+@pytest.mark.parametrize("column", [np.array([1.0, 2.0]), np.array(["1"])])
+def test_format_int_rows_rejects_non_integer_columns(column):
+    with pytest.raises(TypeError, match="integer column"):
+        io.format_int_rows(column)
 
 
 @given(st.lists(st.lists(st.one_of(st.sampled_from(ODD_FLOATS + [-0.0, -2.5]), st.floats()),
