@@ -189,6 +189,9 @@ def _pair_residuals(vox, lines, first, sizes, counts):
     event0 = np.cumsum(sizes) - sizes  # each window's first event in the batch
     pair0 = np.cumsum(per_event) - per_event  # each event's first pair
     n = int(per_event.sum())
+    # np.repeat has no out, so each index is one pair-sized temporary until
+    # it lands in its buffer; building them in place as a cumsum over run
+    # starts took twice as long
     voxel = SCRATCH.take("voxel", n, np.int64)
     voxel[:] = np.repeat(np.arange(sizes.sum()) + np.repeat(first - event0, sizes), per_event)
     # component k of voxel i is flat[3 * i + k]; a gather from the strided
@@ -196,7 +199,8 @@ def _pair_residuals(vox, lines, first, sizes, counts):
     # the "line" buffer until the lines go there
     flat, at = vox.reshape(-1), np.multiply(voxel, 3, out=SCRATCH.take("line", n, np.int64))
     xyz = [np.take(flat[k:], at, out=SCRATCH.take(f"p{k}", n), mode="clip") for k in range(3)]
-    line = np.subtract(np.arange(n), np.repeat(pair0 - np.repeat(line0, sizes), per_event),
+    index = _PAIR_INDEX[:n] if n <= _PAIR_INDEX.size else np.arange(n)
+    line = np.subtract(index, np.repeat(pair0 - np.repeat(line0, sizes), per_event),
                        out=SCRATCH.take("line", n, np.int64))
     return _residuals(xyz, _gathered(_line_table(lines), line)), voxel, line
 
@@ -575,6 +579,7 @@ def associate(
 # of run_eda and evaluate, against under 10 with it.
 _BATCH_PAIRS = 16_000
 SCRATCH = Scratch(_BATCH_PAIRS)
+_PAIR_INDEX = np.arange(_BATCH_PAIRS)  # each pair's index in its residual chunk
 # (hypothesis, hypothesis) pairs within a window, summed over the windows
 # that one clustering call takes, at most; a window with more is clustered
 # alone. A run's hypotheses and families live until the run is fitted, so

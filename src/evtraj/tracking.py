@@ -16,7 +16,7 @@ import numpy as np
 from .config import RunConfig
 from .fitting import AssociationResult, fit_windows
 from .grouping import EventWindow
-from .hypotheses import event_voxels, time_scale
+from .hypotheses import time_scale
 from .io import NOISE_ID, EventStream
 
 SUCCESS_THRESHOLD = 0.5
@@ -112,33 +112,28 @@ def propagate_box(
     u, v, ids = window.u, window.v, assoc.assignment
     cand = (u >= box.x) & (u < box.x + box.w) & (v >= box.y) & (v < box.y + box.h)
     cand &= ids != NOISE_ID
-    found = int(cand.sum())
-    if found < min_events:
-        raise TrackingFailure(f"only {found} associated events inside the box")
-    owner = int(np.bincount(ids[cand]).argmax())
-    sel = np.flatnonzero(cand & (ids == owner))
+    sel = np.flatnonzero(cand)
+    if sel.size < min_events:
+        raise TrackingFailure(f"only {sel.size} associated events inside the box")
+    owner = 0
+    if len(assoc.instances) > 1:
+        owned = ids[sel]
+        owner = int(np.bincount(owned).argmax())
+        sel = sel[owned == owner]
+    # event_voxels' normalised time, of the selected events only
     s_t = time_scale(window.geometry)
-    vox = event_voxels(window.t[sel], u[sel], v[sel], window.t_start, window.span, s_t)
-    tn_target = (t_target - window.t_start) / window.span * s_t
+    tn = (window.t[sel] - window.t_start) / window.span * s_t
+    dt = (t_target - window.t_start) / window.span * s_t - tn
     d = assoc.instances[owner].direction
-    du, dv = d[0] / d[2], d[1] / d[2]
-    pu = vox[:, 0] + du * (tn_target - vox[:, 2])
-    pv = vox[:, 1] + dv * (tn_target - vox[:, 2])
+    p = np.array([[d[0] / d[2]], [d[1] / d[2]]]) * dt  # each event's shift along u and v
+    p[0] += u[sel]
+    p[1] += v[sel]
+    # clipping is monotonic: the clipped extremes are those of the clipped events
+    (x0, y0), (x1, y1) = p.min(axis=1).tolist(), p.max(axis=1).tolist()
     geom = window.geometry
-    pu = np.clip(pu, 0.0, geom.width - 1.0)
-    pv = np.clip(pv, 0.0, geom.height - 1.0)
-    x0, x1 = float(pu.min()), float(pu.max())
-    y0, y1 = float(pv.min()), float(pv.max())
+    x0, x1 = (min(max(x, 0.0), geom.width - 1.0) for x in (x0, x1))
+    y0, y1 = (min(max(y, 0.0), geom.height - 1.0) for y in (y0, y1))
     return BoundingBox(x0, y0, max(x1 - x0, 1.0), max(y1 - y0, 1.0))
-
-
-def _pair_window(stream: EventStream, pair: TrackingPair, min_events: int) -> EventWindow:
-    """The events between the pair's frames; too few of them fail the pair."""
-    lo = int(np.searchsorted(stream.t, pair.t_curr, side="left"))
-    hi = int(np.searchsorted(stream.t, pair.t_next, side="right"))
-    if hi - lo < min_events:
-        raise TrackingFailure(f"only {hi - lo} events between the frames")
-    return EventWindow(stream, lo, hi, pair.t_curr, pair.t_next)
 
 
 def track(
@@ -152,12 +147,14 @@ def track(
     or too few associated events inside the box.
     """
     out: list = [None] * len(pairs)
+    lo = np.searchsorted(stream.t, [p.t_curr for p in pairs], side="left").tolist()
+    hi = np.searchsorted(stream.t, [p.t_next for p in pairs], side="right").tolist()
     windows = {}
-    for k, pair in enumerate(pairs):
-        try:
-            windows[k] = _pair_window(stream, pair, config.min_inliers)
-        except TrackingFailure as exc:
-            out[k] = exc
+    for k, (pair, a, b) in enumerate(zip(pairs, lo, hi)):
+        if b - a < config.min_inliers:
+            out[k] = TrackingFailure(f"only {b - a} events between the frames")
+        else:
+            windows[k] = EventWindow(stream, a, b, pair.t_curr, pair.t_next)
     for k, result in zip(windows, fit_windows(list(windows.values()), config)):
         pair = pairs[k]
         try:

@@ -1,7 +1,7 @@
 """Box overlap metrics and trajectory-based box propagation tests."""
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     TRACK_FRAME,
@@ -14,7 +14,7 @@ from conftest import (
 from evtraj import tracking
 from evtraj.fitting import AssociationResult, WeightedModel, fit_window
 from evtraj.grouping import EventWindow
-from evtraj.io import SensorGeometry
+from evtraj.io import NOISE_ID, SensorGeometry
 from evtraj.synth import MotionSpec, SyntheticScene, generate_scene
 from evtraj.tracking import (
     BoundingBox,
@@ -26,9 +26,10 @@ from evtraj.tracking import (
     propagate_box,
     track,
 )
-from oracles import reference_track
+from oracles import reference_propagate_box, reference_track
 
 GEOM = SensorGeometry(64, 64)
+SMALL = SensorGeometry(24, 16)  # not square, so that a swapped axis shows
 
 boxes = st.builds(
     BoundingBox,
@@ -124,6 +125,40 @@ def _point_scene(velocity, x0, y0, rate=1200.0, seed=0, duration=TRACK_FRAME,
     return generate_scene(SyntheticScene(GEOM, duration, (motion,), 0.0, seed))
 
 
+@st.composite
+def propagations(draw):
+    """A window's association with 1-3 instances and noise, a box and a target time.
+
+    The box may cross any sensor edge. Target times before and after the
+    events, and steep directions, carry projected events past every edge.
+    """
+    n = draw(st.integers(1, 30))
+    t = sorted(draw(st.lists(st.floats(0.0, TRACK_FRAME), min_size=n, max_size=n)))
+    u = draw(st.lists(st.integers(0, SMALL.width - 1), min_size=n, max_size=n))
+    v = draw(st.lists(st.integers(0, SMALL.height - 1), min_size=n, max_size=n))
+    k = draw(st.integers(1, 3))
+    ids = np.array(draw(st.lists(st.integers(NOISE_ID, k - 1), min_size=n, max_size=n)))
+    step, pace = st.floats(-1.5, 1.5), st.floats(0.5, 2.0) | st.floats(-2.0, -0.5)
+    instances = [
+        WeightedModel(np.zeros(3), np.array([draw(step), draw(step), draw(pace)]), j,
+                      np.flatnonzero(ids == j), 1.0, 1.0)
+        for j in range(k)
+    ]
+    box = BoundingBox(draw(st.floats(-8.0, SMALL.width)), draw(st.floats(-8.0, SMALL.height)),
+                      draw(st.floats(0.5, SMALL.width + 16.0)),
+                      draw(st.floats(0.5, SMALL.height + 16.0)))
+    window = window_of(SMALL, t, u, v, 0.0, TRACK_FRAME)
+    return AssociationResult(window, instances, ids), box, draw(st.floats(-0.5, 1.5)) * TRACK_FRAME
+
+
+def propagated(propagate, *args):
+    """The propagated box, or the failure's type and message."""
+    try:
+        return propagate(*args)
+    except TrackingFailure as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 class TestPropagateBox:
     def test_static_object_keeps_its_box(self):
         data = _point_scene((0.0, 0.0), 20.0, 24.0, sigma=0.0)
@@ -168,6 +203,28 @@ class TestPropagateBox:
         res = AssociationResult(window, [still, moving], np.array([1, 1, 1, 0, 0, 0]))
         est = propagate_box(res, BoundingBox(0, 0, 40, 40), TRACK_FRAME)
         assert est == BoundingBox(20.0, 20.0, 2.0, 1.0)
+
+    def test_events_past_every_edge_clip_to_the_sensor(self):
+        # the target time is mid-window, so along (2, 2, 1) the first event
+        # moves 24 px forward and the last 24 px back: past all four edges
+        window = window_of(SMALL, [0.0, TRACK_FRAME], [10, 12], [8, 8], 0.0, TRACK_FRAME)
+        model = WeightedModel(np.zeros(3), np.array([2.0, 2.0, 1.0]), 0, np.arange(2), 1.0, 1.0)
+        res = AssociationResult(window, [model], np.array([0, 0]))
+        est = propagate_box(res, BoundingBox(0, 0, 24, 16), TRACK_FRAME / 2, min_events=2)
+        assert est == BoundingBox(0.0, 0.0, 23.0, 15.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_reference(self, data):
+        # the box, or the failure type and message, with min_events at the
+        # count of associated events inside the box and one past it
+        assoc, box, t_target = data.draw(propagations())
+        u, v = assoc.window.u, assoc.window.v
+        inside = (u >= box.x) & (u < box.x + box.w) & (v >= box.y) & (v < box.y + box.h)
+        found = int(np.count_nonzero(inside & (assoc.assignment != NOISE_ID)))
+        min_events = max(found + data.draw(st.integers(0, 1)), 1)
+        assert (propagated(propagate_box, assoc, box, t_target, min_events)
+                == propagated(reference_propagate_box, assoc, box, t_target, min_events))
 
     def test_min_events_floor(self):
         data = _point_scene((0.0, 0.0), 20.0, 24.0, sigma=0.0)
@@ -270,6 +327,35 @@ class TestTrack:
             "TrackingFailure: no trajectory fitted between the frames",
         ]
         assert sum(isinstance(b, BoundingBox) for b in got) >= 5
+
+    def test_edge_times_match_the_per_pair_reference(self):
+        # frames before the first event, after the last and exactly on
+        # timestamps, and windows one event short of min_inliers and at it
+        stream, config = framed_track_stream(), lane_config()
+        t, m = stream.t, config.min_inliers
+        # events i - 1 .. i + m with distinct timestamps, so that frames on
+        # them bound exactly m - 1 or m events
+        i = next(i for i in range(t.size // 2, t.size - m)
+                 if np.all(np.diff(t[i - 1:i + m + 1]) > 0))
+        times = [
+            (t[0] - 0.05, t[0] - 0.01),  # before the first event
+            (t[0] - 0.01, t[0]),  # ends on the first event
+            (t[0] - 0.01, t[0] + TRACK_FRAME),
+            (t[-1] - TRACK_FRAME, t[-1]),  # ends on the last event
+            (t[-1], t[-1] + 0.01),  # starts on the last event
+            (t[-1] + 0.01, t[-1] + 0.03),  # after the last event
+            (t[i], t[i + m - 2]),  # m - 1 events
+            (t[i], t[i + m - 1]),  # m events
+            (t[i - 1], t[i + 40]),
+        ]
+        box = BoundingBox(0, 0, 64, 64)
+        pairs = [TrackingPair(float(a), float(b), box, box) for a, b in times]
+        got = outcomes(track(stream, pairs, config))
+        assert got == outcomes(reference_track(stream, pairs, config))
+        few = f"TrackingFailure: only {m - 1} events between the frames"
+        assert got[0] == got[5] == "TrackingFailure: only 0 events between the frames"
+        assert got[6] == few and got[7] != few
+        assert sum(isinstance(b, BoundingBox) for b in got) >= 3
 
     def test_too_few_events_fail(self):
         late = TrackingPair(10.0, 10.02, BoundingBox(0, 0, 4, 4), BoundingBox(0, 0, 4, 4))
