@@ -25,8 +25,9 @@ class HypothesisError(ValueError):
     pass
 
 
-# each thread's Gram chunk of a window with up to 252 hypotheses (252² <= 64,000; a
-# tracking pair window has ~150); a larger window's chunk is an array of its own
+# each thread's Gram of a window with up to 252 hypotheses (252² <= 64,000; a tracking
+# pair window has ~150), or a row block of a larger window's: a product this small
+# runs on the calling thread, where a larger one wakes OpenBLAS's helper threads
 _GRAM = Scratch(64_000)
 # Windows of up to _ROW_BITS hypotheses keep each hypothesis's neighbors as the
 # bits of one uint64; their (hypothesis, hypothesis) pairs are computed in
@@ -237,7 +238,11 @@ def select_representatives(
     unassigned hypothesis in one stable sort by descending count. The unit
     directions are computed once for all windows. The windows of up to 64
     hypotheses are clustered together by :func:`_cluster_rows`; each larger
-    window by :func:`_cluster_dense`, one window's (H, H) adjacency at a time.
+    window on its own, from its (H, H) adjacency: by :func:`_cluster_dense`,
+    the reference, when its Gram fits ``_GRAM``, and otherwise by
+    :func:`_cluster_blocked`. Each path but the reference keeps its result
+    only if no off-diagonal Gram value lies within ``_GRAM_SLACK`` of the
+    cut, and hands the window to the reference otherwise.
     """
     sizes = np.array([len(h) for h in hyps], dtype=np.int64)
     if not sizes.size or not sizes.min():
@@ -267,7 +272,9 @@ def select_representatives(
         scratch = _GRAM.take("gram", _GRAM.capacity)  # a window's Gram chunk is its head
         n_rows, n_flags = rows[0].size, flags[0].size
         for w in dense:
-            rep, block = _cluster_dense(all_units[hyp0[w]:hyp0[w + 1]], cut, scratch)
+            units = all_units[hyp0[w]:hyp0[w + 1]]
+            found = _cluster_blocked(units, cut) if sizes[w] ** 2 > scratch.size else None
+            rep, block = found or _cluster_dense(units, cut, scratch)
             rep0[w], rep_count[w], flag0[w], flag_step[w] = n_rows, rep.size, n_flags, sizes[w]
             rows.append(rep + hyp0[w])
             flags.append(block.reshape(-1))
@@ -280,8 +287,9 @@ def select_representatives(
 def _cluster_dense(units: np.ndarray, cut: float, scratch: np.ndarray):
     """One window's representatives and (R, H) families from its unit directions.
 
-    The (H, H) adjacency comes from one BLAS product per row chunk, written
-    into the head of ``scratch`` when it fits.
+    The reference path: the (H, H) adjacency comes from one BLAS product per
+    row chunk of up to 2,000,000 values, written into the head of ``scratch``
+    when it fits.
     """
     n = len(units)
     # chunked pairwise adjacency to bound memory on large hypothesis sets
@@ -293,11 +301,43 @@ def _cluster_dense(units: np.ndarray, cut: float, scratch: np.ndarray):
         gram = scratch[:size].reshape(len(block), n) if size <= scratch.size else None
         np.greater_equal(np.matmul(block, units.T, out=gram), cut, out=adj[lo:lo + chunk])
     adj.reshape(-1)[::n + 1] = True  # a rounded self-product may miss a tiny tolerance
-    assigned = np.zeros(n, dtype=bool)
+    return _pick(adj, adj.view(np.uint8).sum(axis=1, dtype=np.int32))
+
+
+def _cluster_blocked(units: np.ndarray, cut: float):
+    """:func:`_cluster_dense`'s result for a window whose Gram exceeds ``_GRAM``, or None.
+
+    The Gram is computed in row blocks that fit ``_GRAM``, products small
+    enough to run on the calling thread alone. A block's product may round a
+    value otherwise than the reference's, by less than ``_GRAM_SLACK``; so
+    the result stands only if no off-diagonal value lies that close to the
+    cut, and None sends the window to :func:`_cluster_dense`.
+    """
+    n = len(units)
+    rows = max(1, _GRAM.capacity // n)
+    gram, near = _GRAM.take("gram", (rows, n)), _GRAM.take("near", (rows, n), bool)
+    adj = np.empty((n, n), dtype=bool)
+    counts = np.empty(n, dtype=np.int32)
+    lo_cut, hi_cut = cut - _GRAM_SLACK, cut + _GRAM_SLACK
+    for lo in range(0, n, rows):
+        k = min(rows, n - lo)
+        g = np.matmul(units[lo:lo + k], units.T, out=gram[:k])
+        a = np.greater_equal(g, hi_cut, out=adj[lo:lo + k])
+        m = np.greater_equal(g, lo_cut, out=near[:k])
+        a.reshape(-1)[lo::n + 1] = m.reshape(-1)[lo::n + 1] = True  # as in _cluster_dense
+        counts[lo:lo + k] = a.view(np.uint8).sum(axis=1, dtype=np.int32)
+        if np.count_nonzero(m) != counts[lo:lo + k].sum():
+            return None
+    return _pick(adj, counts)
+
+
+def _pick(adj: np.ndarray, counts: np.ndarray):
+    """The greedy scan over an (H, H) adjacency and its row counts: representatives, families."""
+    assigned = np.zeros(len(adj), dtype=bool)
+    taken = memoryview(assigned)  # reads a Python bool, not a numpy scalar
     picked: List[int] = []
-    counts = adj.view(np.uint8).sum(axis=1, dtype=np.int32)
     for r in (-counts).argsort(kind="stable").tolist():
-        if not assigned[r]:
+        if not taken[r]:
             picked.append(r)
             assigned |= adj[r]
     rep = np.array(picked, dtype=np.int64)
@@ -365,14 +405,17 @@ def _neighbor_rows(units: np.ndarray, real: np.ndarray, width: np.ndarray, first
     :func:`_cluster_rows`, ``real`` marks the slots that hold a hypothesis,
     and window ``w`` has ``width[w]`` slots from ``first[w]``. Windows of
     one width are computed together as dense (windows, width, width) blocks
-    of at most ``_CHUNK_PAIRS`` pairs. Each Gram value is
-    ``(ux_i*ux_j + uy_i*uy_j) + uz_i*uz_j``. A BLAS product may round it
-    otherwise, by less than ``_GRAM_SLACK``; so a window with an off-diagonal
-    value that close to the cut is also returned, by position, so that every
-    window gets the adjacency of :func:`_cluster_dense`.
+    of at most ``_CHUNK_PAIRS`` pairs, each block's Gram by one stacked
+    ``np.matmul``. That product may round a value otherwise than
+    :func:`_cluster_dense`'s, by less than ``_GRAM_SLACK``; so a window with
+    an off-diagonal value that close to the cut is also returned, by
+    position, so that every window gets the adjacency of that path.
     """
     counts = np.empty(real.size, dtype=np.uint8)
     rows = np.zeros((real.size, 8), dtype=np.uint8)
+    # the left factors in a buffer of their own: on one buffer and its
+    # transpose numpy calls syrk per window, up to 8x slower than gemm here
+    left = units.T.copy()
     lo_cut, hi_cut = cut - _GRAM_SLACK, cut + _GRAM_SLACK
     tied: List[int] = []
     group0 = np.flatnonzero(np.diff(width, prepend=0)).tolist()  # each width's first window
@@ -383,12 +426,9 @@ def _neighbor_rows(units: np.ndarray, real: np.ndarray, width: np.ndarray, first
             k = min(per, b - c)
             h0, h1 = int(first[c]), int(first[c]) + k * size
             shape = (k, size, size)
-            u = units[:, h0:h1].reshape(3, k, size, 1)
-            v = units[:, h0:h1].reshape(3, k, 1, size)
-            gram, x = _PAIRS.take("gram", shape), _PAIRS.take("x", shape)
-            np.multiply(u[0], v[0], out=gram)
-            np.add(gram, np.multiply(u[1], v[1], out=x), out=gram)
-            np.add(gram, np.multiply(u[2], v[2], out=x), out=gram)
+            gram = np.matmul(left[h0:h1].reshape(k, size, 3),
+                             units[:, h0:h1].reshape(3, k, size).transpose(1, 0, 2),
+                             out=_PAIRS.take("gram", shape))
             hyp = real[h0:h1]
             adj = np.greater_equal(gram, hi_cut, out=_PAIRS.take("adj", shape, bool))
             near = np.greater_equal(gram, lo_cut, out=_PAIRS.take("near", shape, bool))

@@ -106,14 +106,15 @@ def propagate_box(
     plurality of non-noise events inside the box (ties: the lowest id) is
     taken as the object's motion: its events move along the instance's
     ``direction``. Returns the minimum enclosing rectangle of the projected
-    events, clipped to the sensor.
+    events, clipped to the sensor. Raises :class:`TrackingFailure` when the
+    box holds fewer than ``min_events`` associated events, or none.
     """
     window = assoc.window
     u, v, ids = window.u, window.v, assoc.assignment
     cand = (u >= box.x) & (u < box.x + box.w) & (v >= box.y) & (v < box.y + box.h)
     cand &= ids != NOISE_ID
     sel = np.flatnonzero(cand)
-    if sel.size < min_events:
+    if sel.size < max(min_events, 1):
         raise TrackingFailure(f"only {sel.size} associated events inside the box")
     owner = 0
     if len(assoc.instances) > 1:

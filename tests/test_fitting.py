@@ -994,14 +994,15 @@ class TestFitWindows:
                                                                          monkeypatch):
         # windows of 1, 64 and 65 hypotheses, one with a duplicate direction
         # (at 1e-18 on the cut, so clustered densely though it is small) and
-        # a dense one of 400, clustered in one call: its representatives and
-        # family blocks are the greedy search's, and its fits the references
+        # one of 400, in row blocks, clustered in one call: its representatives
+        # and family blocks are the greedy search's, and its fits the references
         rng = np.random.default_rng(9)
         shapes = [(1, 1), (8, 8), (2, 2), (5, 13), (20, 20), (8, 8), (1, 1), (5, 13)]
         windows = [sliced_window(rng, a, b, duplicate=(a, b) == (2, 2)) for a, b in shapes]
         config = lane_config(parallel_tol=tol)
-        calls, dense = [], []
+        calls, dense, blocked = [], [], []
         cluster, cluster_dense = select_representatives, hypotheses._cluster_dense
+        cluster_blocked = hypotheses._cluster_blocked
 
         def clustering(lines, parallel_tol):
             calls.append((lines, cluster(lines, parallel_tol)))
@@ -1011,12 +1012,18 @@ class TestFitWindows:
             dense.append(len(units))
             return cluster_dense(units, cut, scratch)
 
+        def clustering_blocked(units, cut):
+            blocked.append(len(units))
+            return cluster_blocked(units, cut)
+
         monkeypatch.setattr(fitting, "select_representatives", clustering)
         monkeypatch.setattr(hypotheses, "_cluster_dense", clustering_dense)
+        monkeypatch.setattr(hypotheses, "_cluster_blocked", clustering_blocked)
         results = fit_windows(windows, config)
         [(lines, got)] = calls
         assert [len(h) for h in lines] == [a * b for a, b in shapes]
-        assert sorted(dense) == ([4] if tol == 1e-18 else []) + [65, 65, 400]
+        assert sorted(dense) == ([4] if tol == 1e-18 else []) + [65, 65]
+        assert blocked == [400]
         for w, hyps in enumerate(lines):
             want = greedy_representatives(hyps, tol)
             assert window_reps(got, w).tolist() == window_reps(want, 0).tolist()

@@ -1,11 +1,13 @@
 """Line hypothesis generation and representative clustering tests."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import window_of
+from evtraj import hypotheses
 from evtraj.hypotheses import (
     HypothesisError,
     LineSet,
@@ -109,11 +111,12 @@ def clustering_window(rng, kind: str, jitter: float) -> LineSet:
     (integer starts keep ``end - start`` exact). ``64`` and ``65``: mixed
     windows on either side of the 64 hypotheses clustered as one ``uint64``
     row each. ``large``: a mixed window of more than 1,414 hypotheses, whose
-    adjacency is computed in row chunks (``2_000_000 // n < n``).
+    adjacency is computed in row chunks (``2_000_000 // n < n``). ``4096``: a
+    mixed window of 4,096 hypotheses.
     """
     n = {"one": 1, "parallel": int(rng.integers(2, 30)), "mixed": int(rng.integers(2, 60)),
          "duplicate": int(rng.integers(2, 60)), "64": 64, "65": 65,
-         "large": int(rng.integers(1415, 1600))}[kind]
+         "large": int(rng.integers(1415, 1600)), "4096": 4096}[kind]
     starts = rng.uniform(0.0, 64.0, (n, 3))
     if kind == "parallel":
         direction = np.array([*rng.integers(-3, 4, 2), rng.integers(1, 4)], dtype=float)
@@ -338,6 +341,25 @@ class TestCosineDistance:
         assert cosine_distance(a, a) == pytest.approx(0.0, abs=1e-12)
 
 
+def tie_window(n: int, rng) -> LineSet:
+    """``n`` hypotheses in jittered random directions, with hypotheses 0 and 1
+    along (0, 0, 1) and (3, 0, 4): their Gram value is the double nearest 0.8
+    on every BLAS kernel, since every other term of it is a product by 0."""
+    dirs = rng.normal(0.0, 1.0, (n, 3))
+    dirs[:, 2] = np.abs(dirs[:, 2]) + 0.1
+    dirs[:2] = [[0.0, 0.0, 1.0], [3.0, 0.0, 4.0]]
+    starts = rng.uniform(0.0, 64.0, (n, 3))
+    return LineSet(starts, starts + dirs)
+
+
+def dense_spy(monkeypatch) -> list:
+    """The hypothesis count of every window that :func:`_cluster_dense` clusters from now on."""
+    seen, dense = [], hypotheses._cluster_dense
+    monkeypatch.setattr(hypotheses, "_cluster_dense",
+                        lambda units, *args: seen.append(len(units)) or dense(units, *args))
+    return seen
+
+
 class TestSelectRepresentatives:
     def test_parallel_bundle_collapses(self):
         starts = np.zeros((5, 3))
@@ -512,6 +534,50 @@ class TestSelectRepresentatives:
             assert reps.tolist() == window_reps(want, 0).tolist()
             assert family.shape == window_families(want, 0).shape
             assert family.tobytes() == window_families(want, 0).tobytes()
+
+    @pytest.mark.parametrize("n", [40, 253, 702, 4096])
+    @pytest.mark.parametrize("offset", [-2.0 ** -49, -2.0 ** -53, 0.0, 2.0 ** -53, 2.0 ** -49])
+    def test_a_gram_value_near_the_cut_takes_the_full_product(self, monkeypatch, n, offset):
+        # the cut lies within _GRAM_SLACK of a Gram value, or exactly on it:
+        # a window of up to 64 hypotheses (one stacked product per block) and
+        # windows of 253 and more (row blocks) go to the full product instead
+        hyps = tie_window(n, np.random.default_rng(n))
+        units = hyps.directions()[:2] / np.linalg.norm(hyps.directions()[:2], axis=1)[:, None]
+        assert units[0] @ units[1] == 0.8
+        cut = 0.8 + offset
+        tol = 1.0 - cut  # exact, so the cut is ``cut``
+        assert parallel_cut(tol) == cut
+        seen = dense_spy(monkeypatch)
+        got = select_representatives([hyps], tol)
+        assert seen == [n]
+        want = greedy_representatives(hyps, tol)
+        assert window_reps(got, 0).tolist() == window_reps(want, 0).tolist()
+        assert window_families(got, 0).tobytes() == window_families(want, 0).tobytes()
+
+    @pytest.mark.parametrize("n", [40, 253, 702, 4096])
+    def test_a_window_far_from_the_cut_keeps_its_own_product(self, monkeypatch, n):
+        # the same windows at a cut far from every Gram value (none of the
+        # random ones lies within 2^-48 of it) never reach the full product
+        hyps = tie_window(n, np.random.default_rng(n))
+        seen = dense_spy(monkeypatch)
+        got = select_representatives([hyps], 0.25)
+        assert seen == []
+        want = greedy_representatives(hyps, 0.25)
+        assert window_reps(got, 0).tolist() == window_reps(want, 0).tolist()
+        assert window_families(got, 0).tobytes() == window_families(want, 0).tobytes()
+
+    def test_a_large_window_clusters_in_scratch_sized_blocks(self):
+        # a 4,096-hypothesis window holds its (H, H) bool adjacency (16 MiB)
+        # and Gram blocks of at most 64,000 values; the full product's row
+        # chunks of 2,000,000 float64 values took another 15 MiB
+        hyps = clustering_window(np.random.default_rng(9), "4096", 1e-3)
+        tracemalloc.start()
+        try:
+            select_representatives([hyps], 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
 
     @settings(max_examples=60, deadline=None)
     @given(clustering_batches(), st.sampled_from([1e-3, 1e-2, 0.2, 0.5, 1.0, 2.5]),

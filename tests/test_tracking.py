@@ -191,6 +191,19 @@ class TestPropagateBox:
         with pytest.raises(TrackingFailure):
             propagate_box(res, far, TRACK_FRAME)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_box_without_associated_events_fails_at_every_floor(self, k):
+        # the box holds two noise events and one associated event lies outside
+        # it: with nothing to move, even min_events=0 is a tracking failure
+        window = window_of(GEOM, [1e-3, 2e-3, 3e-3], [10, 11, 40], [10, 10, 40],
+                           0.0, TRACK_FRAME)
+        models = [WeightedModel(np.zeros(3), np.array([1.0, 0.0, 1.0]), j, np.array([2]), 1.0, 1.0)
+                  for j in range(k)]
+        res = AssociationResult(window, models, np.array([NOISE_ID, NOISE_ID, k - 1]))
+        for min_events in (0, 1):
+            with pytest.raises(TrackingFailure, match="only 0 associated events inside the box"):
+                propagate_box(res, BoundingBox(0, 0, 20, 20), TRACK_FRAME, min_events=min_events)
+
     def test_plurality_tie_goes_to_the_lower_id(self):
         # three events of each instance in the box, instance 1's first: the
         # tie goes to instance 0, whose direction along the time axis leaves
