@@ -25,16 +25,15 @@ class HypothesisError(ValueError):
     pass
 
 
-# each thread's Gram of a window with up to 252 hypotheses (252² <= 64,000; a tracking
-# pair window has ~150), or a row block of a larger window's: a product this small
-# runs on the calling thread, where a larger one wakes OpenBLAS's helper threads
+# each thread's Gram blocks: a block of whole windows of up to _ROW_BITS hypotheses,
+# or a row block of a larger window's. A product this small runs on the calling
+# thread, where a larger one wakes OpenBLAS's helper threads. Its two factors lie
+# in separate buffers: on one buffer and its transpose numpy calls syrk, which is
+# two to eight times slower than gemm on these shapes
 _GRAM = Scratch(64_000)
 # Windows of up to _ROW_BITS hypotheses keep each hypothesis's neighbors as the
-# bits of one uint64; their (hypothesis, hypothesis) pairs are computed in
-# blocks of whole windows, at most _CHUNK_PAIRS at a time, in _PAIRS.
+# bits of one uint64.
 _ROW_BITS = 64
-_CHUNK_PAIRS = 16_000
-_PAIRS = Scratch(_CHUNK_PAIRS)
 _BIT = np.left_shift(np.uint64(1), np.arange(_ROW_BITS, dtype=np.uint64))
 # Any two orders of operations (with or without fused multiply-adds) round the
 # dot product of two unit 3-vectors to values less than 8 * 2**-53 apart, so a
@@ -238,11 +237,10 @@ def select_representatives(
     unassigned hypothesis in one stable sort by descending count. The unit
     directions are computed once for all windows. The windows of up to 64
     hypotheses are clustered together by :func:`_cluster_rows`; each larger
-    window on its own, from its (H, H) adjacency: by :func:`_cluster_dense`,
-    the reference, when its Gram fits ``_GRAM``, and otherwise by
-    :func:`_cluster_blocked`. Each path but the reference keeps its result
-    only if no off-diagonal Gram value lies within ``_GRAM_SLACK`` of the
-    cut, and hands the window to the reference otherwise.
+    window on its own, from its (H, H) adjacency, by :func:`_cluster_blocked`.
+    Both keep a window's result only if no off-diagonal Gram value lies
+    within ``_GRAM_SLACK`` of the cut, and hand the window to
+    :func:`_cluster_dense`, the reference, otherwise.
     """
     sizes = np.array([len(h) for h in hyps], dtype=np.int64)
     if not sizes.size or not sizes.min():
@@ -263,18 +261,18 @@ def select_representatives(
     flag_step = sizes.copy()
     rows, flags = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=bool)]
     small = np.flatnonzero(sizes <= _ROW_BITS)
-    dense = np.flatnonzero(sizes > _ROW_BITS).tolist()
+    alone = np.flatnonzero(sizes > _ROW_BITS).tolist()
     if small.size:
         row, flag, tied = _cluster_rows(all_units, hyp0, sizes, small, cut, rep0, rep_count)
-        rows, flags, dense = [row], [flag], dense + tied
+        rows, flags, alone = [row], [flag], alone + tied
         flag0[small], flag_step[small] = rep0[small] * _ROW_BITS, _ROW_BITS
-    if dense:
-        scratch = _GRAM.take("gram", _GRAM.capacity)  # a window's Gram chunk is its head
+    if alone:
+        size = max(_GRAM.capacity, int(sizes.max()))  # once per call: a take costs ~1.6 µs
+        gram, near = _GRAM.take("gram", size), _GRAM.take("near", size, bool)
         n_rows, n_flags = rows[0].size, flags[0].size
-        for w in dense:
+        for w in alone:
             units = all_units[hyp0[w]:hyp0[w + 1]]
-            found = _cluster_blocked(units, cut) if sizes[w] ** 2 > scratch.size else None
-            rep, block = found or _cluster_dense(units, cut, scratch)
+            rep, block = _cluster_blocked(units, cut, gram, near) or _cluster_dense(units, cut)
             rep0[w], rep_count[w], flag0[w], flag_step[w] = n_rows, rep.size, n_flags, sizes[w]
             rows.append(rep + hyp0[w])
             flags.append(block.reshape(-1))
@@ -284,46 +282,43 @@ def select_representatives(
                          flag_step)
 
 
-def _cluster_dense(units: np.ndarray, cut: float, scratch: np.ndarray):
+def _cluster_dense(units: np.ndarray, cut: float):
     """One window's representatives and (R, H) families from its unit directions.
 
     The reference path: the (H, H) adjacency comes from one BLAS product per
-    row chunk of up to 2,000,000 values, written into the head of ``scratch``
-    when it fits.
+    row chunk of up to 2,000,000 values.
     """
     n = len(units)
     # chunked pairwise adjacency to bound memory on large hypothesis sets
     adj = np.empty((n, n), dtype=bool)
     chunk = max(1, 2_000_000 // n)
     for lo in range(0, n, chunk):
-        block = units[lo:lo + chunk]
-        size = len(block) * n
-        gram = scratch[:size].reshape(len(block), n) if size <= scratch.size else None
-        np.greater_equal(np.matmul(block, units.T, out=gram), cut, out=adj[lo:lo + chunk])
+        np.greater_equal(units[lo:lo + chunk] @ units.T, cut, out=adj[lo:lo + chunk])
     adj.reshape(-1)[::n + 1] = True  # a rounded self-product may miss a tiny tolerance
     return _pick(adj, adj.view(np.uint8).sum(axis=1, dtype=np.int32))
 
 
-def _cluster_blocked(units: np.ndarray, cut: float):
-    """:func:`_cluster_dense`'s result for a window whose Gram exceeds ``_GRAM``, or None.
+def _cluster_blocked(units: np.ndarray, cut: float, gram: np.ndarray, near: np.ndarray):
+    """:func:`_cluster_dense`'s result for one window, or None.
 
-    The Gram is computed in row blocks that fit ``_GRAM``, products small
-    enough to run on the calling thread alone. A block's product may round a
-    value otherwise than the reference's, by less than ``_GRAM_SLACK``; so
-    the result stands only if no off-diagonal value lies that close to the
-    cut, and None sends the window to :func:`_cluster_dense`.
+    The Gram is computed in row blocks that fit the flat buffers ``gram`` and
+    ``near`` (at least H values each), products small enough to run on the
+    calling thread alone. A block's product may round a value otherwise than
+    the reference's, by less than ``_GRAM_SLACK``; so the result stands only
+    if no off-diagonal value lies that close to the cut, and None sends the
+    window to :func:`_cluster_dense`.
     """
     n = len(units)
-    rows = max(1, _GRAM.capacity // n)
-    gram, near = _GRAM.take("gram", (rows, n)), _GRAM.take("near", (rows, n), bool)
+    rows = gram.size // n
+    right = units.T.copy()
     adj = np.empty((n, n), dtype=bool)
     counts = np.empty(n, dtype=np.int32)
     lo_cut, hi_cut = cut - _GRAM_SLACK, cut + _GRAM_SLACK
     for lo in range(0, n, rows):
         k = min(rows, n - lo)
-        g = np.matmul(units[lo:lo + k], units.T, out=gram[:k])
+        g = np.matmul(units[lo:lo + k], right, out=gram[:k * n].reshape(k, n))
         a = np.greater_equal(g, hi_cut, out=adj[lo:lo + k])
-        m = np.greater_equal(g, lo_cut, out=near[:k])
+        m = np.greater_equal(g, lo_cut, out=near[:k * n].reshape(k, n))
         a.reshape(-1)[lo::n + 1] = m.reshape(-1)[lo::n + 1] = True  # as in _cluster_dense
         counts[lo:lo + k] = a.view(np.uint8).sum(axis=1, dtype=np.int32)
         if np.count_nonzero(m) != counts[lo:lo + k].sum():
@@ -350,7 +345,7 @@ def _cluster_rows(all_units: np.ndarray, hyp0: np.ndarray, sizes: np.ndarray,
 
     Returns their representatives as rows of ``all_units``, the flags of
     their family rows, 64 per row from ``64 * rep0[w]`` on, and the windows
-    that :func:`_cluster_dense` must cluster instead; fills in their entries
+    to be clustered on their own instead; fills in their entries
     of ``rep0`` and ``rep_count`` (:class:`HypothesisSet`). Windows are laid
     out largest first, each in slots for its hypotheses padded with zero
     directions to a multiple of 8; :func:`_neighbor_rows` gives each
@@ -405,33 +400,31 @@ def _neighbor_rows(units: np.ndarray, real: np.ndarray, width: np.ndarray, first
     :func:`_cluster_rows`, ``real`` marks the slots that hold a hypothesis,
     and window ``w`` has ``width[w]`` slots from ``first[w]``. Windows of
     one width are computed together as dense (windows, width, width) blocks
-    of at most ``_CHUNK_PAIRS`` pairs, each block's Gram by one stacked
-    ``np.matmul``. That product may round a value otherwise than
-    :func:`_cluster_dense`'s, by less than ``_GRAM_SLACK``; so a window with
-    an off-diagonal value that close to the cut is also returned, by
-    position, so that every window gets the adjacency of that path.
+    that fit ``_GRAM``, each block's Gram by one stacked ``np.matmul``. That
+    product may round a value otherwise than :func:`_cluster_dense`'s, by
+    less than ``_GRAM_SLACK``; so a window with an off-diagonal value that
+    close to the cut is also returned, by position, to be clustered on its
+    own, so that every window gets the adjacency of that path.
     """
     counts = np.empty(real.size, dtype=np.uint8)
     rows = np.zeros((real.size, 8), dtype=np.uint8)
-    # the left factors in a buffer of their own: on one buffer and its
-    # transpose numpy calls syrk per window, up to 8x slower than gemm here
     left = units.T.copy()
     lo_cut, hi_cut = cut - _GRAM_SLACK, cut + _GRAM_SLACK
     tied: List[int] = []
     group0 = np.flatnonzero(np.diff(width, prepend=0)).tolist()  # each width's first window
     for a, b in zip(group0, group0[1:] + [width.size]):
         size = int(width[a])
-        per = _CHUNK_PAIRS // size ** 2
+        per = _GRAM.capacity // size ** 2
         for c in range(a, b, per):
             k = min(per, b - c)
             h0, h1 = int(first[c]), int(first[c]) + k * size
             shape = (k, size, size)
             gram = np.matmul(left[h0:h1].reshape(k, size, 3),
                              units[:, h0:h1].reshape(3, k, size).transpose(1, 0, 2),
-                             out=_PAIRS.take("gram", shape))
+                             out=_GRAM.take("gram", shape))
             hyp = real[h0:h1]
-            adj = np.greater_equal(gram, hi_cut, out=_PAIRS.take("adj", shape, bool))
-            near = np.greater_equal(gram, lo_cut, out=_PAIRS.take("near", shape, bool))
+            adj = np.greater_equal(gram, hi_cut, out=_GRAM.take("adj", shape, bool))
+            near = np.greater_equal(gram, lo_cut, out=_GRAM.take("near", shape, bool))
             for m in (adj, near):
                 np.logical_and(m, hyp.reshape(k, 1, size), out=m)  # padding is nobody's
                 np.logical_and(m, hyp.reshape(k, size, 1), out=m)  # neighbor

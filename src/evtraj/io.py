@@ -293,8 +293,11 @@ def read_associations(source: Union[bytes, str]) -> np.ndarray:
 
 def _boxes(rows: np.ndarray) -> np.ndarray:
     boxes = rows.view(np.float64).reshape(-1, 5)
+    t = boxes[:, 0]
     ok = np.isfinite(boxes).all(axis=1) & (boxes[:, 3] > 0) & (boxes[:, 4] > 0)
-    _first_failure([(~ok, lambda i: "box fields must be finite, with positive w and h")])
+    _first_failure([(~ok, lambda i: "box fields must be finite, with positive w and h"),
+                    (np.r_[False, t[1:] <= t[:-1]],
+                     lambda i: f"frame timestamps must increase ({t[i]} after {t[i - 1]})")])
     return boxes
 
 

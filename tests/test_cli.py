@@ -322,6 +322,21 @@ class TestTrackCommand:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "track"])
+def test_box_file_whose_frames_do_not_advance_fails_with_its_line(tmp_path, capsys, command):
+    rows = frame_rows(track_pairs(3))
+    rows[2][0] = rows[1][0]  # the third frame repeats the second's timestamp
+    events, boxes = write_track_files(tmp_path, rows)
+    out = tmp_path / "tracked.txt"
+    argv = [command, str(events), str(boxes), "--geometry", "64x64"]
+    rc = main(argv + (["--out", str(out)] if command == "track" else []))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: line 3: frame timestamps must increase")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 class TestPlotCommand:
     def test_plot_records_every_event(self, tmp_path, scene_file, capsys):
         scene = scene_file(lane_scene_doc(1))

@@ -992,10 +992,12 @@ class TestFitWindows:
     @pytest.mark.parametrize("tol", [1e-18, 1e-3, 0.2])
     def test_one_call_across_the_row_cut_matches_the_per_window_references(self, tol,
                                                                          monkeypatch):
-        # windows of 1, 64 and 65 hypotheses, one with a duplicate direction
-        # (at 1e-18 on the cut, so clustered densely though it is small) and
-        # one of 400, in row blocks, clustered in one call: its representatives
-        # and family blocks are the greedy search's, and its fits the references
+        # windows of 1, 64, 65 and 400 hypotheses, one with a duplicate
+        # direction, clustered in one call: the 65 and 400 go to row blocks and,
+        # at 1e-18, the duplicate sits on the cut, so its small window goes to
+        # row blocks too and, like them, to the full product only when tied.
+        # Its representatives and family blocks are the greedy search's, and
+        # its fits the references
         rng = np.random.default_rng(9)
         shapes = [(1, 1), (8, 8), (2, 2), (5, 13), (20, 20), (8, 8), (1, 1), (5, 13)]
         windows = [sliced_window(rng, a, b, duplicate=(a, b) == (2, 2)) for a, b in shapes]
@@ -1008,13 +1010,14 @@ class TestFitWindows:
             calls.append((lines, cluster(lines, parallel_tol)))
             return calls[-1][1]
 
-        def clustering_dense(units, cut, scratch):
+        def clustering_dense(units, cut):
             dense.append(len(units))
-            return cluster_dense(units, cut, scratch)
+            return cluster_dense(units, cut)
 
-        def clustering_blocked(units, cut):
-            blocked.append(len(units))
-            return cluster_blocked(units, cut)
+        def clustering_blocked(units, cut, *scratch):
+            found = cluster_blocked(units, cut, *scratch)
+            blocked.append((len(units), found is None))
+            return found
 
         monkeypatch.setattr(fitting, "select_representatives", clustering)
         monkeypatch.setattr(hypotheses, "_cluster_dense", clustering_dense)
@@ -1022,8 +1025,9 @@ class TestFitWindows:
         results = fit_windows(windows, config)
         [(lines, got)] = calls
         assert [len(h) for h in lines] == [a * b for a, b in shapes]
-        assert sorted(dense) == ([4] if tol == 1e-18 else []) + [65, 65]
-        assert blocked == [400]
+        assert sorted(blocked) == ([(4, True)] if tol == 1e-18 else []) + [
+            (65, False), (65, False), (400, False)]
+        assert sorted(dense) == [n for n, tied in sorted(blocked) if tied]
         for w, hyps in enumerate(lines):
             want = greedy_representatives(hyps, tol)
             assert window_reps(got, w).tolist() == window_reps(want, 0).tolist()

@@ -19,6 +19,7 @@ from evtraj.hypotheses import (
     window_voxels,
 )
 from evtraj.io import SensorGeometry
+from evtraj.scratch import Scratch
 from oracles import (
     flatnonzero_slices,
     greedy_representatives,
@@ -535,12 +536,13 @@ class TestSelectRepresentatives:
             assert family.shape == window_families(want, 0).shape
             assert family.tobytes() == window_families(want, 0).tobytes()
 
-    @pytest.mark.parametrize("n", [40, 253, 702, 4096])
+    @pytest.mark.parametrize("n", [40, 150, 253, 702, 4096])
     @pytest.mark.parametrize("offset", [-2.0 ** -49, -2.0 ** -53, 0.0, 2.0 ** -53, 2.0 ** -49])
     def test_a_gram_value_near_the_cut_takes_the_full_product(self, monkeypatch, n, offset):
         # the cut lies within _GRAM_SLACK of a Gram value, or exactly on it:
         # a window of up to 64 hypotheses (one stacked product per block) and
-        # windows of 253 and more (row blocks) go to the full product instead
+        # larger ones (row blocks; 150 is an evaluate pair window's size, one
+        # block) go to the full product instead
         hyps = tie_window(n, np.random.default_rng(n))
         units = hyps.directions()[:2] / np.linalg.norm(hyps.directions()[:2], axis=1)[:, None]
         assert units[0] @ units[1] == 0.8
@@ -554,11 +556,24 @@ class TestSelectRepresentatives:
         assert window_reps(got, 0).tolist() == window_reps(want, 0).tolist()
         assert window_families(got, 0).tobytes() == window_families(want, 0).tobytes()
 
-    @pytest.mark.parametrize("n", [40, 253, 702, 4096])
+    @pytest.mark.parametrize("n", [40, 150, 253, 702, 4096])
     def test_a_window_far_from_the_cut_keeps_its_own_product(self, monkeypatch, n):
         # the same windows at a cut far from every Gram value (none of the
         # random ones lies within 2^-48 of it) never reach the full product
         hyps = tie_window(n, np.random.default_rng(n))
+        seen = dense_spy(monkeypatch)
+        got = select_representatives([hyps], 0.25)
+        assert seen == []
+        want = greedy_representatives(hyps, 0.25)
+        assert window_reps(got, 0).tolist() == window_reps(want, 0).tolist()
+        assert window_families(got, 0).tobytes() == window_families(want, 0).tobytes()
+
+    def test_a_window_larger_than_the_gram_scratch_is_clustered_a_row_at_a_time(
+            self, monkeypatch):
+        # with a 100-value Gram scratch, a 150-hypothesis window's buffers
+        # come fresh at its own size, one Gram row per block
+        monkeypatch.setattr(hypotheses, "_GRAM", Scratch(100))
+        hyps = tie_window(150, np.random.default_rng(150))
         seen = dense_spy(monkeypatch)
         got = select_representatives([hyps], 0.25)
         assert seen == []

@@ -334,6 +334,17 @@ def test_box_annotations_reject_non_finite_field(payload):
         read_box_annotations(payload)
 
 
+@pytest.mark.parametrize("payload, line", [
+    (b"0.0 1 1 5 5\n0.5 1 1 5 5\n0.25 1 1 5 5\n", 3),
+    (b"# frames\n0.0 1 1 5 5\n\n0.0 1 1 5 5\n", 4),
+])
+def test_box_annotations_reject_frames_that_do_not_advance(payload, line):
+    # a repeated or earlier frame timestamp names its line, as a timestamp
+    # regression in an event stream does
+    with pytest.raises(FormatError, match=f"^line {line}: frame timestamps must increase"):
+        read_box_annotations(payload)
+
+
 def test_box_annotations_reject_bad_field_count():
     with pytest.raises(FormatError, match="line 1"):
         read_box_annotations(b"0.0 1 1 5\n")
