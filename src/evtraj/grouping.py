@@ -8,12 +8,13 @@ maximum span is exceeded (safety valve for near-static scenes).
 
 The decayed value of a cell written at time ``s`` is ``(s - t0) / (t - t0)``
 where ``t0`` is the window start and ``t`` the last update. Internally only
-raw write offsets ``s - t0`` are stored, and only for the pixels and grid
-tiles written since the window start; normalization happens on read. Since
-the grid entropy is invariant under a common positive rescaling of all tile
-sums, the entropy can be maintained incrementally in O(1) per event directly
-on the raw offsets. One frame is reset at every window start, and the
-per-event update runs inside one frame method over each window's events.
+raw write offsets ``s - t0`` are stored, in one flat list entry per sensor
+pixel and per grid tile (8 bytes each, per frame); normalization happens on
+read. Since the grid entropy is invariant under a common positive rescaling
+of all tile sums, the entropy can be maintained incrementally in O(1) per
+event directly on the raw offsets. One frame is reset at every window start,
+which zeroes only the entries written since the last one, and the per-event
+update runs inside one frame method over each window's events.
 """
 from __future__ import annotations
 
@@ -98,10 +99,12 @@ class EventWindow:
 class AtsltdFrame:
     """Time surface with linear decay and incremental grid entropy.
 
-    Only the pixels and tiles written since the window start hold state (the
-    raw offset of each pixel's last write, raw sums per tile), so a frame costs
-    nothing per sensor pixel and :meth:`reset` starts the next window on the
-    same frame. :meth:`scan` applies a range of events of a validated
+    The raw offset of each pixel's last write and the raw sum of each tile sit
+    in two flat lists, indexed as :meth:`locate` gives them, so a frame costs
+    8 bytes per sensor pixel and per tile. The frame lists the pixels and
+    tiles written since the window start: :meth:`reset` zeroes only those to
+    start the next window on the same frame, and :attr:`surface` reads only
+    those. :meth:`scan` applies a range of events of a validated
     :class:`EventStream`; :meth:`update_raw` checks and applies one raw event.
     """
 
@@ -114,16 +117,26 @@ class AtsltdFrame:
         self.geometry = geometry
         self.grid = int(grid)
         self._tiles_per_row = -(-geometry.width // self.grid)
-        self._latest: Dict[int, float] = {}   # pixel -> raw offset of its last write
-        self._tiles: Dict[int, float] = {}    # tile -> sum of its pixels' latest offsets
+        n_tiles = self._tiles_per_row * -(-geometry.height // self.grid)
+        self._latest = [0.0] * (geometry.width * geometry.height)  # last write's raw offset
+        self._sums = [0.0] * n_tiles    # sum of the tile's pixels' latest offsets
+        # since the window start: pixels written (again after a write at
+        # offset 0), and tiles whose sum is positive
+        self._written: List[int] = []
+        self._filled: List[int] = []
         self.reset(window_start)
 
     def reset(self, window_start: float) -> None:
         """Empty the surface and start a new window at ``window_start``."""
         self.window_start = float(window_start)
         self.last_update = self.window_start
-        self._latest.clear()
-        self._tiles.clear()
+        latest, sums = self._latest, self._sums
+        for k in self._written:
+            latest[k] = 0.0
+        for c in self._filled:
+            sums[c] = 0.0
+        self._written.clear()
+        self._filled.clear()
         self._tile_total = 0.0          # S  = sum of tile sums
         self._tile_xlog = 0.0           # T  = sum of tile * log2(tile)
         self._entropy = 0.0
@@ -166,7 +179,8 @@ class AtsltdFrame:
         """
         alpha, beta = (interval.alpha, interval.beta) if interval else (math.inf, -math.inf)
         w0 = self.window_start
-        latest, sums = self._latest, self._tiles
+        latest, sums = self._latest, self._sums
+        written, filled = self._written.append, self._filled.append
         total, xlog, h = self._tile_total, self._tile_xlog, self._entropy
         log2 = math.log2
         closed = hi
@@ -174,11 +188,16 @@ class AtsltdFrame:
             ti = t[i]
             raw = ti - w0
             k = pixels[i]
-            delta = raw - latest.get(k, 0.0)
+            a = latest[k]
+            if a == 0.0:
+                written(k)
             latest[k] = raw
+            delta = raw - a
             if delta != 0.0:
                 c = tiles[i]
-                a = sums.get(c, 0.0)
+                a = sums[c]
+                if a == 0.0:
+                    filled(c)
                 b = a + delta
                 sums[c] = b
                 total += delta
@@ -205,13 +224,12 @@ class AtsltdFrame:
         """The decayed surface, H x W: each pixel's last write in [0, 1], 0 if unwritten."""
         h, w = self.geometry.height, self.geometry.width
         out = np.zeros(h * w)
-        raw = self._latest
-        if raw:
-            cells = np.fromiter(raw.keys(), dtype=np.int64, count=len(raw))
-            offsets = np.fromiter(raw.values(), dtype=np.float64, count=len(raw))
+        written, latest = self._written, self._latest
+        if written:
             denom = self.last_update - self.window_start
             # with no time elapsed every write sits at the window start
-            out[cells] = 1.0 if denom <= 0.0 else offsets / denom
+            offsets = np.array([latest[k] for k in written])
+            out[written] = 1.0 if denom <= 0.0 else offsets / denom
         return out.reshape(h, w)
 
 
@@ -303,8 +321,13 @@ def estimate_interval(
     if not 0 < confidence < 1:
         raise ValueError("confidence must lie in (0, 1)")
     samples = []
+    frames: Dict[SensorGeometry, AtsltdFrame] = {}  # a frame holds a list per sensor pixel
     for win in windows:
-        frame = AtsltdFrame(win.geometry, win.t_start, grid)
+        frame = frames.get(win.geometry)
+        if frame is None:
+            frame = frames[win.geometry] = AtsltdFrame(win.geometry, win.t_start, grid)
+        else:
+            frame.reset(win.t_start)
         pixels, tiles = frame.locate(win.u, win.v)
         frame.scan(win.t.tolist(), pixels, tiles, 0, len(win))
         samples.append(frame.entropy)

@@ -1,11 +1,12 @@
 """Time surface, grid entropy, and window cutting tests."""
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from conftest import events_of, window_of
 from evtraj.grouping import (
@@ -52,9 +53,10 @@ def _xlog2(x: float) -> float:
 
 
 class DenseFrame:
-    """Reference frame: full H x W raw surfaces and a full tile array, one
-    method call per event. This is the dense form that the sparse
-    AtsltdFrame replaced; results must match it bit for bit."""
+    """Reference frame: one H x W raw surface per polarity and a tile array,
+    one method call per event. AtsltdFrame keeps one flat list per sensor
+    pixel and per tile and scans a range of events; results must match this
+    bit for bit."""
 
     def __init__(self, geometry, window_start, grid):
         self.window_start = float(window_start)
@@ -154,13 +156,13 @@ def dense_entropies(stream, grid):
 
 
 @st.composite
-def scan_streams(draw, max_window=0.05):
+def scan_streams(draw, max_window=0.05, max_side=None):
     """Streams with equal timestamps, repeated pixels, both polarities, gaps
     longer than ``max_window`` and geometries that are not a multiple of the
-    grid."""
+    grid, with sides up to ``max_side`` (default: three tiles and 5 px)."""
     grid = draw(st.integers(1, 8))
-    width = draw(st.integers(grid, 3 * grid + 5))
-    height = draw(st.integers(grid, 3 * grid + 5))
+    width = draw(st.integers(grid, max_side or 3 * grid + 5))
+    height = draw(st.integers(grid, max_side or 3 * grid + 5))
     pool = draw(st.lists(st.tuples(st.integers(0, width - 1), st.integers(0, height - 1)),
                          min_size=1, max_size=12))
     n = draw(st.integers(1, 60))
@@ -176,6 +178,13 @@ def scan_streams(draw, max_window=0.05):
     p = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     u, v = zip(*pixels)
     return EventStream(SensorGeometry(width, height), t, u, v, p), grid
+
+
+SCAN_BANDS = st.one_of(
+    st.just((50.0, 60.0)),                    # never fires
+    st.just((0.0, 64.0)),                     # fires on every later event
+    st.tuples(st.floats(0.0, 6.0), st.floats(0.0, 6.0)).map(sorted),
+)
 
 
 class TestUpdateFrame:
@@ -238,24 +247,30 @@ class TestUpdateFrame:
         assert not frame.surface.any()
 
     @settings(deadline=None)
-    @given(scan_streams(), st.integers(0, 60))
-    def test_bit_identical_to_dense_frame(self, case, reset_at):
-        # one frame reset mid-stream stands in for a window cut
+    @given(scan_streams(), st.dictionaries(st.integers(0, 60), st.booleans(), max_size=6))
+    # two windows whose first two events fall on the window start
+    @example((make_stream([(0.0, 1, 1, 1), (0.0, 9, 9, 0), (0.01, 1, 1, 0), (0.02, 5, 5, 1),
+                           (0.02, 6, 6, 0), (0.03, 5, 5, 0)]), 8), {3: True})
+    def test_bit_identical_to_dense_frame(self, case, resets):
+        # frame resets stand in for window cuts. A window starts at its first
+        # event (True), so that event and any at the same timestamp write raw
+        # offset 0 and read 1.0 until time passes, or at the last update (False)
         stream, grid = case
         t0 = float(stream.t[0])
         frame = AtsltdFrame(stream.geometry, t0, grid)
         dense = DenseFrame(stream.geometry, t0, grid)
         for i, (t, u, v, p) in enumerate(events_of(stream)):
-            if i == reset_at:
-                frame.reset(t)
-                dense = DenseFrame(stream.geometry, t, grid)
+            if i in resets:
+                start = t if resets[i] else frame.last_update
+                frame.reset(start)
+                dense = DenseFrame(stream.geometry, start, grid)
             frame.update_raw(u, v, p, t)
             dense.update_raw(u, v, p, t)
             assert frame.entropy == dense.entropy
-        # offsets only grow within a window, so a pixel's last write is the
-        # larger of its two polarity channels
-        assert np.array_equal(frame.surface, np.maximum(dense.channel(dense.raw_on),
-                                                        dense.channel(dense.raw_off)))
+            # offsets only grow within a window, so a pixel's last write is
+            # the larger of its two polarity channels
+            assert np.array_equal(frame.surface, np.maximum(dense.channel(dense.raw_on),
+                                                            dense.channel(dense.raw_off)))
 
     def test_surface_stays_in_unit_range(self):
         rng = np.random.default_rng(0)
@@ -419,15 +434,7 @@ class TestCutWindows:
         assert got == oracle
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        case=scan_streams(0.05),
-        band=st.one_of(
-            st.just((50.0, 60.0)),                    # never fires
-            st.just((0.0, 64.0)),                     # fires on every later event
-            st.tuples(st.floats(0.0, 6.0), st.floats(0.0, 6.0)).map(sorted),
-        ),
-        max_window=st.just(0.05),
-    )
+    @given(case=scan_streams(0.05), band=SCAN_BANDS, max_window=st.just(0.05))
     # in each stream an event lies within max_window of its window start by
     # subtraction, but past w_start + max_window
     @example(case=(make_stream(SPAN_LIMIT_EVENTS), 8), band=(2.5, 4.5), max_window=0.1)
@@ -498,6 +505,42 @@ class TestCutWindows:
         assert got == [(0, 1, 0.00102, 0.10102), (1, 2, 0.10102, 0.3)]
 
 
+class TestLargeSensors:
+    """Sensors up to 1,000 px: a frame holds a flat list per pixel and per tile."""
+
+    @pytest.mark.parametrize("width, height", [(1000, 1000), (1000, 8)])
+    def test_cut_matches_dense_scan(self, width, height):
+        rng = np.random.default_rng(width + height)
+        n = 300
+        # a moving point with scattered clutter, in microsecond steps
+        t = np.cumsum(rng.integers(0, 2000, n)) / 1e6
+        u = np.where(rng.random(n) < 0.8, (t * 2e3).astype(int) % width,
+                     rng.integers(0, width, n))
+        v = np.where(rng.random(n) < 0.8, height // 2, rng.integers(0, height, n))
+        stream = EventStream(SensorGeometry(width, height), t, u, v, rng.integers(0, 2, n))
+        for band in ((50.0, 60.0), (1.0, 1.5), (2.0, 2.5)):
+            interval = EntropyInterval(*band)
+            got = [(w.offset, len(w), w.t_start, w.t_end)
+                   for w in cut_windows(stream, interval, 8, 0.02)]
+            assert got == dense_cut_windows(stream, interval, 8, 0.02)
+
+    def test_a_megapixel_frame_stays_under_10_mib(self):
+        # 8 bytes per pixel and per tile: 7.75 MiB at 1000 x 1000, grid 8
+        rng = np.random.default_rng(0)
+        t = np.cumsum(rng.integers(0, 100, 5000)) / 1e6
+        u, v = rng.integers(0, 1000, 5000), rng.integers(0, 1000, 5000)
+        tracemalloc.start()
+        try:
+            frame = AtsltdFrame(SensorGeometry(1000, 1000), 0.0)
+            pixels, tiles = frame.locate(u, v)
+            frame.scan(t.tolist(), pixels, tiles, 0, 5000)
+            frame.reset(1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+
 class TestEstimateInterval:
     def tile_window(self, k, t=1.0):
         """A window whose terminal entropy is exactly log2(k)."""
@@ -522,6 +565,33 @@ class TestEstimateInterval:
     def test_single_sample_rejected(self):
         with pytest.raises(GroupingError):
             estimate_interval([self.tile_window(4)])
+
+    def test_reused_frames_give_the_samples_of_fresh_frames(self):
+        # the windows of two sensors, interleaved: each sensor's frame is
+        # reset for its next window, and no window's state reaches another
+        windows = []
+        for seed, geometry in enumerate((SensorGeometry(32, 32), SensorGeometry(37, 21))):
+            rng = np.random.default_rng(seed)
+            n = 400
+            stream = EventStream(geometry, np.cumsum(rng.integers(0, 500, n)) / 1e6,
+                                 rng.integers(0, geometry.width, n),
+                                 rng.integers(0, geometry.height, n), rng.integers(0, 2, n))
+            windows.append(cut_windows(stream, EntropyInterval(3.0, 3.5), 8, 0.05)[:5])
+        windows = [w for pair in zip(*windows) for w in pair]
+        assert len(windows) == 10 and len({w.geometry for w in windows}) == 2
+        samples = []
+        for win in windows:
+            dense = DenseFrame(win.geometry, win.t_start, 8)
+            for t, u, v, p in events_of(win.stream)[win.offset:win.stop]:
+                dense.update_raw(u, v, p, t)
+            samples.append(dense.entropy)
+        assert len(set(samples)) == len(samples)
+        # the t interval of the fresh samples, in the library's order of operations
+        arr = np.asarray(samples)
+        mean, sd = float(arr.mean()), float(arr.std(ddof=1))
+        half = float(special.stdtrit(arr.size - 1, 0.975)) * sd / math.sqrt(arr.size)
+        interval = estimate_interval(windows, grid=8, confidence=0.95)
+        assert (interval.alpha, interval.beta) == (max(0.0, mean - half), mean + half)
 
 
 class TestEventWindow:
