@@ -246,9 +246,12 @@ def cut_windows(
     ``max_window``. Each window's end time seeds the start of the next, so the
     emitted windows partition the stream. A trailing partial window is emitted
     if it holds at least two events; a single trailing event is folded into
-    the last emitted window. A ``max_window`` that adding to the last
-    timestamp does not change raises :class:`GroupingError`.
+    the last emitted window. A ``max_window`` that is not positive (NaN
+    included), or that adding to the last timestamp does not change, raises
+    :class:`GroupingError`; ``inf`` means no span limit.
     """
+    if not max_window > 0:
+        raise GroupingError(f"max_window {max_window!r} s must be positive")
     if len(stream) == 0:
         raise GroupingError("cannot cut an empty stream")
     tl = stream.t.tolist()

@@ -156,6 +156,8 @@ def generate(
     exceeds ``max_pairs``, both slices are strided with a fixed step so the
     result stays deterministic. Pairs that do not advance in time are skipped.
     """
+    if max_pairs < 1:
+        raise ValueError("max_pairs must be >= 1")
     x = _slice_positions(window, num_slices)
     n = x.size
     # Bound k is the count of events with x <= k. The first non-empty slice

@@ -342,8 +342,8 @@ def test_windows_partition_the_stream(stream):
 
 
 @st.composite
-def degenerate_streams(draw):
-    """1-2,000 events on a sensor 8-300 px a side, mostly degenerate.
+def degenerate_streams(draw, max_side=300):
+    """1-2,000 events on a sensor 8 to ``max_side`` px a side, mostly degenerate.
 
     Times: one timestamp for all, runs of ten equal timestamps, or uniform
     over a span of 0, 1 us, 50 ms or 0.5 s, at an offset of 0 or 1e6 s.
@@ -352,7 +352,7 @@ def degenerate_streams(draw):
     that ``select_representatives`` clusters as one ``uint64`` row each.
     """
     n = draw(st.integers(1, 2000))
-    width, height = draw(st.integers(8, 300)), draw(st.integers(8, 300))
+    width, height = draw(st.integers(8, max_side)), draw(st.integers(8, max_side))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     span = draw(st.sampled_from([0.0, 1e-6, 0.05, 0.5]))
     if draw(st.booleans()):
@@ -375,11 +375,9 @@ def degenerate_streams(draw):
     return EventStream(SensorGeometry(width, height), offset + t, u, v, rng.integers(0, 2, n))
 
 
-@settings(max_examples=100, deadline=None)
-@given(degenerate_streams())
-def test_run_eda_on_degenerate_streams(stream):
-    # windows partition the stream, every id lies in [-1, num_models), and
-    # no numpy warning is raised on the way
+def check_run_eda(stream):
+    """Windows partition the stream, every id lies in [-1, num_models), and
+    no numpy warning is raised on the way."""
     config = RunConfig(width=stream.geometry.width, height=stream.geometry.height)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -394,6 +392,12 @@ def test_run_eda_on_degenerate_streams(stream):
     assert cursor == len(stream)
     assert ids.shape == (len(stream),)
     assert np.all((ids >= NOISE_ID) & (ids < sum(r.num_models for r in results)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(degenerate_streams())
+def test_run_eda_on_degenerate_streams(stream):
+    check_run_eda(stream)
 
 
 # --- throughput floor -------------------------------------------------------

@@ -485,6 +485,23 @@ class TestCutWindows:
         with pytest.raises(GroupingError, match=re.escape(msg)):
             cut_windows(stream, EntropyInterval(2.5, 4.5), 8, max_window)
 
+    @pytest.mark.parametrize("max_window", [-0.05, math.nan, 0.0])
+    def test_non_positive_max_window_rejected(self, max_window):
+        # a negative span would hop backwards forever and NaN would mean no
+        # limit, so both are refused before the scan starts
+        events = [(0.0, 1, 1, 1), (0.01, 9, 9, 0), (0.02, 1, 9, 1), (0.03, 9, 1, 1)]
+        msg = f"max_window {max_window!r} s must be positive"
+        with pytest.raises(GroupingError, match=re.escape(msg)):
+            cut_windows(make_stream(events), EntropyInterval(2.5, 4.5), 8, max_window)
+
+    def test_infinite_max_window_means_no_span_limit(self):
+        events = [(0.0, 1, 1, 1), (0.01, 9, 9, 0), (0.02, 1, 9, 1), (5.0, 9, 1, 1), (9.0, 1, 1, 0)]
+        stream, interval = make_stream(events), EntropyInterval(0.9, 2.0)
+        got = [(w.offset, len(w), w.t_start, w.t_end)
+               for w in cut_windows(stream, interval, 8, math.inf)]
+        assert got == dense_cut_windows(stream, interval, 8, math.inf) == [(0, 3, 0.0, 0.02),
+                                                                            (3, 2, 0.02, 9.0)]
+
     def test_empty_stream_rejected(self):
         empty = EventStream(GEOM, np.array([]), np.array([]), np.array([]), np.array([]))
         with pytest.raises(GroupingError):

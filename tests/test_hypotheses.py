@@ -259,6 +259,12 @@ class TestGenerate:
         with pytest.raises(HypothesisError):
             generate(win, window_voxels(win), 10, 100)
 
+    @pytest.mark.parametrize("max_pairs", [0, -3])
+    def test_max_pairs_below_one_rejected(self, max_pairs):
+        win = window_from_arrays([0.01, 0.02, 0.95, 0.96], [1, 2, 3, 4], [1, 2, 3, 4])
+        with pytest.raises(ValueError, match="max_pairs must be >= 1"):
+            generate(win, window_voxels(win), max_pairs=max_pairs)
+
     # (timestamps, t_start, t_end, num_slices); 8.48606654242795 / 7 slices puts
     # t_end just past the last slice bound, at 7.000000000000001 slice widths
     EDGES = {
