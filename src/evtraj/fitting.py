@@ -11,16 +11,16 @@ same radius, or marked as noise.
 
 :func:`fit_windows` fits the windows of one call together. Generation runs
 per window and clustering once per run of consecutive windows. Each run is
-one fit batch: its residuals and inlier selection go in chunks of at most
-``_BATCH_PAIRS`` pairs, and both weighting stages, the model counts and the
-association run once over all the run's survivors. Association settles most
-(event, instance) pairs from the representative's inliers and a few family
-lines, and most of the rest by an exact lower bound on the family's
-residuals, before it scans whole families. Each of its passes computes the
-smallest residual of each pair in dense (pairs x lines) blocks that gather
-each instance's lines once, every residual with the bits of
-:func:`residual_matrix`, so every result equals, bit for bit, a fit of its
-window alone.
+one fit batch: inlier selection goes in chunks of at most ``_BATCH_PAIRS``
+pairs, and both weighting stages, the model counts and the association run
+once over all the run's survivors. Both inlier selection and association
+test residuals against the radius through one kernel: a voxel's squared
+residual to a line is a quadratic form, so a block of them is one small BLAS
+product of voxel features by line coefficients, and a product outside a
+narrow band around tau² (:func:`_band`) decides the test exactly. Only the
+pairs inside it, and the events below tau of two or more instances, take
+residuals with the bits of :func:`residual_matrix`, so every result equals,
+bit for bit, a fit of its window alone.
 """
 from __future__ import annotations
 
@@ -149,13 +149,6 @@ def _residuals(xyz, lines):
     return np.divide(raw, lines(6, "tmp"), out=raw)
 
 
-def _gathered(table, line):
-    """Line fields for :func:`_residuals`: each of the lines ``line`` of a :func:`_line_table`."""
-    def lines(k, name):  # the indices are in range: "clip" takes unbuffered
-        return table[k].take(line, out=SCRATCH.take(name, line.shape), mode="clip")
-    return lines
-
-
 def _block_lines(table, line, run):
     """Line fields for :func:`_residuals` of a block of pairs, gathered once per run.
 
@@ -172,37 +165,109 @@ def _block_lines(table, line, run):
     return lines
 
 
-def _pair_residuals(vox, lines, first, sizes, counts):
-    """Residuals of every (voxel, line) pair of a batch of windows.
+# the component pairs of x², y², z², xy, xz, yz
+_PRODUCTS = ([0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2])
+# the magnitudes of components and direction lengths that the band's rounding bound covers
+_TINY, _HUGE = 2.0 ** -200, 2.0 ** 200
 
-    Window ``w`` holds the voxels ``vox[first[w]:first[w] + sizes[w]]`` and
-    the next ``counts[w]`` lines of ``lines``. Its pairs come event-major, so
-    its run of residuals reshaped to ``(sizes[w], counts[w])`` is its
-    :func:`residual_matrix`, bit for bit. The pairs stay ragged: each
-    gathers its voxel and its line by index (:func:`_residuals`). Returns
-    the residuals and each pair's voxel and line, in the scratch buffers
-    ``"cross"``, ``"voxel"`` and ``"line"``: they last until the thread's
-    next residual computation.
+
+def _features(vox: np.ndarray) -> np.ndarray:
+    """(n, 10) features ``x², y², z², xy, xz, yz, x, y, z, 1`` of voxels, in table "features"."""
+    features = TABLES.take("features", (len(vox), 10))
+    for k, (i, j) in enumerate(zip(*_PRODUCTS)):
+        np.multiply(vox[:, i], vox[:, j], out=features[:, k])
+    features[:, 6:9] = vox
+    features[:, 9] = 1.0
+    return features
+
+
+def _quadrics(lines: LineSet) -> np.ndarray:
+    """(m, 10) coefficients of each line's squared residual in the :func:`_features`.
+
+    With ``û = d / |d|`` and ``M = I - ûûᵀ``, p lies ``(p - s)ᵀ M (p - s)``
+    squared from the line through s along d, so the coefficients are
+    ``1 - û_k²``, ``-2 û_k û_l``, ``-2 w`` and ``s · w`` with ``w = M s = s -
+    û (û · s)``. A line whose ``|d|`` lies outside ``_TINY`` to ``_HUGE``
+    gets NaN ones, which :func:`_band` never settles. The result is table
+    ``"quads"``.
     """
-    per_event = np.repeat(counts, sizes)  # lines each event pairs with
-    line0 = np.cumsum(counts) - counts  # each window's first line
-    event0 = np.cumsum(sizes) - sizes  # each window's first event in the batch
-    pair0 = np.cumsum(per_event) - per_event  # each event's first pair
-    n = int(per_event.sum())
-    # np.repeat has no out, so each index is one pair-sized temporary until
-    # it lands in its buffer; building them in place as a cumsum over run
-    # starts took twice as long
-    voxel = SCRATCH.take("voxel", n, np.int64)
-    voxel[:] = np.repeat(np.arange(sizes.sum()) + np.repeat(first - event0, sizes), per_event)
-    # component k of voxel i is flat[3 * i + k]; a gather from the strided
-    # column vox[:, k] would copy the whole column first. The indices borrow
-    # the "line" buffer until the lines go there
-    flat, at = vox.reshape(-1), np.multiply(voxel, 3, out=SCRATCH.take("line", n, np.int64))
-    xyz = [np.take(flat[k:], at, out=SCRATCH.take(f"p{k}", n), mode="clip") for k in range(3)]
-    index = _PAIR_INDEX[:n] if n <= _PAIR_INDEX.size else np.arange(n)
-    line = np.subtract(index, np.repeat(pair0 - np.repeat(line0, sizes), per_event),
-                       out=SCRATCH.take("line", n, np.int64))
-    return _residuals(xyz, _gathered(_line_table(lines), line)), voxel, line
+    d, s = lines.directions(), lines.starts
+    quads = TABLES.take("quads", (len(d), 10))
+    with np.errstate(all="ignore"):  # lines out of range get NaN below
+        length = _lengths(d)
+        unit = np.divide(d, length[:, None], out=TABLES.take("unit", d.shape))
+        for k, (i, j) in enumerate(zip(*_PRODUCTS)):
+            np.multiply(unit[:, i], unit[:, j], out=quads[:, k])
+        np.subtract(1.0, quads[:, :3], out=quads[:, :3])
+        quads[:, 3:6] *= -2.0
+        w = np.subtract(s, unit * np.einsum("ij,ij->i", unit, s)[:, None], out=unit)
+        quads[:, 9] = np.einsum("ij,ij->i", s, w)
+        np.multiply(w, -2.0, out=quads[:, 6:9])
+    quads[~((length >= _TINY) & (length <= _HUGE))] = np.nan
+    return quads
+
+
+def _band(tau: float, vox: np.ndarray, starts: np.ndarray) -> tuple[float, float]:
+    """The band ``(lo, hi)`` outside of which a squared product decides ``residual < tau``.
+
+    A (voxel, line) pair whose product q of :func:`_features` and
+    :func:`_quadrics`, summed in any order, is below ``lo`` has a
+    :func:`residual_matrix` residual below tau, and one above ``hi`` has not;
+    a pair inside the band or with a NaN q needs its exact residual. The band
+    is ``tau² ∓ E``, ``E = 2 ** -30 (tau + S)²`` with S the largest magnitude
+    of a component of ``vox`` or ``starts``. It is NaN where S lies outside
+    ``_TINY`` to ``_HUGE`` or tau is NaN, and ``(NaN, inf)`` where tau² or E
+    overflows: then no q is settled.
+
+    Rounding, with ``u = 2 ** -53``. Let r be the exact distance from p to
+    the line through s along the computed d, and ``û = d / |d|``. With every
+    component at most S, ``|p - s| <= 2 sqrt(3) S``; M is a projection, so
+    ``|M_kl| <= 1`` and ``|w| <= |s| <= sqrt(3) S``. A computed ``û_k`` is
+    within ``4u |û_k|`` of ``û_k``, so a quadratic coefficient is off by
+    under 10u, ``û · s`` by 13u S, ``w_k`` by 23u S, ``s · w`` by 80u S² and
+    a feature by u S². A dot product of K = 10 terms, in any order, with or
+    without FMA, is off by at most ``γ_10 ≈ 10u`` times the sum of its
+    terms' magnitudes (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, §3.1), here 15 S². So q is within 440u S² < 2 ** -44
+    S² of r². Underflow adds under 2 ** -1074 per operation, far below u S²
+    for S of at least ``_TINY``; with S and ``|d|`` at most ``_HUGE``
+    nothing overflows. The computed residual is within 16u S + 8u r of r:
+    the cross product rounds relative to ``|p - s| |d|``, and the norm, the
+    length and the quotient add a few u of r (underflow under 2 ** -330 for
+    ``|d| >= _TINY``).
+
+    So q < lo gives ``r² < tau² - E / 2`` and ``r < tau - E / (4 tau) <= tau
+    - 2 ** -32 (tau + S)``, below tau by far more than the computed
+    residual's error there, under ``24u (tau + S)``. And q > hi gives ``r² >
+    tau² + E / 2``, so ``r - tau > (E / 2) / (r + tau) >= 2 ** -32 (tau +
+    S)`` at the least such r, under ``2 (tau + S)``, and the computed
+    residual grows with r. Rounding tau², E, lo and hi costs a few u of
+    ``tau² + E``, inside the other half of E.
+    """
+    scale = max(float(vox.max(initial=0.0)), -float(vox.min(initial=0.0)),
+                float(starts.max(initial=0.0)), -float(starts.min(initial=0.0)))
+    margin = 2.0 ** -30 * (tau + scale) * (tau + scale) if _TINY <= scale <= _HUGE else np.nan
+    return tau * tau - margin, tau * tau + margin
+
+
+def _row_blocks(voxel0: int, rows: int, line0: int, width: int) -> list:
+    """A product of voxels by lines, in row blocks of at most ``_BATCH_PAIRS`` values or one row."""
+    step = max(1, _BATCH_PAIRS // width)
+    return [(voxel0 + r, min(step, rows - r), line0, width) for r in range(0, rows, step)]
+
+
+def _squared(features: np.ndarray, quads: np.ndarray, blocks) -> np.ndarray:
+    """The products of row blocks, block after block, each event-major, in scratch ``"q"``.
+
+    Block ``(v, n, j, m)`` takes rows ``v`` to ``v + n`` of ``features`` by
+    rows ``j`` to ``j + m`` of ``quads`` in one ``np.dot``, a BLAS gemm.
+    """
+    q = SCRATCH.take("q", sum(n * m for _, n, _, m in blocks))
+    at = 0
+    for v, n, j, m in blocks:
+        np.dot(features[v:v + n], quads[j:j + m].T, out=q[at:at + n * m].reshape(n, m))
+        at += n * m
+    return q
 
 
 def select_inliers(
@@ -336,12 +401,12 @@ def weigh_models(
     return w1, w1 * (1.0 - contrast)
 
 
-def _nearest(vox, voxel, owner, table, first, step, count) -> np.ndarray:
+def _nearest(vox, voxel, owner, table, first, count) -> np.ndarray:
     """Each pair's smallest residual to a run of lines, with the bits of :func:`residual_matrix`.
 
     Pair ``i`` takes the voxel ``vox[voxel[i]]`` and, with ``g = owner[i]``,
-    the lines ``first[g] + step[g] * k``, ``k < count[g]`` (at least one), of
-    a :func:`_line_table`. The pairs, stable-sorted by line count, go in
+    the ``count[g]`` lines (at least one) from column ``first[g]`` of a
+    :func:`_line_table`. The pairs, stable-sorted by line count, go in
     dense (pairs x W) blocks of at most ``_BATCH_PAIRS`` residuals, or of one
     pair whose lines alone are more; a row shorter than its block repeats its
     last line, which leaves its minimum unchanged. A block gathers the lines
@@ -356,7 +421,7 @@ def _nearest(vox, voxel, owner, table, first, step, count) -> np.ndarray:
     np.not_equal(g[1:], g[:-1], out=new[1:])
     head = np.flatnonzero(new)
     runs = g[head, None]
-    last, run_step, run_first = count[runs] - 1, step[runs], first[runs]
+    last, run_first = count[runs] - 1, first[runs]
     nearest = np.empty(order.size)
     lo = 0
     while lo < order.size:
@@ -369,7 +434,7 @@ def _nearest(vox, voxel, owner, table, first, step, count) -> np.ndarray:
         r1 = r0 + int(run[-1]) + 1
         line = np.minimum(np.arange(width), last[r0:r1],
                           out=SCRATCH.take("line", (r1 - r0, width), np.int64))
-        np.add(np.multiply(line, run_step[r0:r1], out=line), run_first[r0:r1], out=line)
+        np.add(line, run_first[r0:r1], out=line)
         xyz = vox.take(voxel[order[lo:hi]], axis=0).T[:, :, None]
         nearest[order[lo:hi]] = _residuals(xyz, _block_lines(table, line, run)).min(axis=1)
         lo = hi
@@ -386,85 +451,6 @@ def _owned(mask, first):
                                            np.add.reduceat(mask, first, dtype=np.int64))
 
 
-# family lines that the second stage of association tries per (event, instance) pair
-_PROBES = 8
-# the family bound is trusted for magnitudes from 1 / _BIG to _BIG, where it rounds finely
-_BIG = 2.0 ** 200
-# how far the family bound must pass tau, as a share of tau plus the magnitudes
-_BOUND_SLACK = 2.0 ** -40
-
-
-def _far(vox, voxel, g, table, fam0, tau) -> np.ndarray:
-    """Which pairs no line of their instance's family can reach within tau, as a mask.
-
-    Pair ``i`` takes the voxel ``x = vox[voxel[i]]`` and the family of
-    instance ``g[i]`` (ascending): the lines of a :func:`_line_table` from
-    column ``fam0[g]`` up to the next family's. The pairs lie at times
-    ``t_lo`` to ``t_hi``, the least and the greatest ``x_t``.
-
-    A line through ``s`` along ``d`` with ``d_t > 0`` meets time t at the
-    in-plane point ``c(t) = s_uv + (t - s_t) / d_t * d_uv``, linear in t. The
-    smallest u (or v) of a family's points is a minimum of linear functions,
-    so concave, and the largest a maximum, so convex: the box interpolated
-    linearly between the family's (u, v) boxes at ``t_lo`` and ``t_hi``
-    holds every ``c(t)`` between them. The offset from ``(c(x_t), x_t)`` to
-    ``x`` is in-plane, at least the distance D from ``x`` to that box at
-    ``x_t``, and the sine of its angle to ``d`` is at least
-    ``cos = d_t / |d|``. So each residual of ``x`` to the family is at least
-    ``b = cos_min * D``, with ``cos_min`` the family's smallest ``cos``. A
-    pair is far when ``b`` exceeds ``tau + _BOUND_SLACK * (tau + S)``, S the
-    largest magnitude of a start component or a pair's voxel component.
-
-    Rounding. ``b`` is trusted only where ``tau >= 1 / _BIG``, ``S <=
-    _BIG`` and every member has ``cos`` and ``|d|`` of at least ``1 /
-    _BIG``; elsewhere it is 0. A finite ``|d|`` is below ``2 ** 512``, so
-    underflow moves a computed residual or ``b`` by under ``2 ** -330``,
-    against a margin of at least ``2 ** -240``, and a step that overflows
-    leaves ``b`` infinite or NaN, or loosens the box: such a pair is never
-    far. Every other operation rounds within ``u = 2 ** -53`` of its
-    result. Scaled by ``cos_min``, which is at most each member's ``cos``,
-    every value a box edge is computed from is at most 4S: ``|s_uv| <= S``,
-    ``cos |c(t) - s_uv| <= |t - s_t| <= 2S``, and ``cos`` times an edge's
-    rate per unit of t is at most 1. So the computed ``b`` is off by under
-    64u S + 4u b. A residual's cross product rounds relative to
-    ``|x - s| |d|``, with ``|x - s| <= 2 sqrt(3) S``, so a computed residual
-    is off by under 16u S + 6u of itself. A computed residual below tau thus
-    needs a computed ``b`` below ``tau (1 + 11u) + 81u S``, far inside the
-    margin ``2 ** -40 = 8192u``.
-    """
-    xyz = vox.take(voxel, axis=0).T
-    scale = max(np.abs(table[:3]).max(), np.abs(xyz).max(initial=0.0))
-    if not (voxel.size and tau * _BIG >= 1.0 and scale <= _BIG):  # NaN fails too
-        return np.zeros(voxel.size, dtype=bool)
-    t_lo, t_hi = xyz[2].min(), xyz[2].max()
-    with np.errstate(all="ignore"):
-        # each line's u, v, -u, -v at t_lo, then at t_hi, and its cos, 0 where not
-        # trusted: each family's least of these is its box and its cos_min
-        rows = np.empty((9, table.shape[1]))
-        ends = rows[:8].reshape(2, 4, -1)
-        q = (np.array([[t_lo], [t_hi]]) - table[2]) / table[5]  # (t - s_t) / d_t
-        np.add(table[:2], np.multiply(q[:, None], table[3:5], out=ends[:, :2]), out=ends[:, :2])
-        np.negative(ends[:, :2], out=ends[:, 2:])
-        cos = np.divide(table[5], table[6], out=rows[8])
-        np.multiply(cos, np.minimum(cos, table[6]) * _BIG >= 1.0, out=cos)
-        family = np.minimum.reduceat(rows, fam0, axis=1)
-        # each instance's box edges (lower u, v, then negated upper u, v): their values at
-        # t = 0 and their rates per unit of t, then its cos_min
-        rate = ((family[4:8] - family[:4]) / (t_hi - t_lo) if t_hi > t_lo
-                else np.zeros_like(family[:4]))
-        per = np.vstack([family[:4] - t_lo * rate, rate, family[8]])
-        per = per.repeat(np.bincount(g, minlength=fam0.size), axis=1)
-        # each pair's gaps below the box's lower edges and above its upper ones
-        gap = np.add(per[:4], np.multiply(per[4:8], xyz[2], out=per[4:8]), out=per[:4])
-        np.subtract(gap[:2], xyz[:2], out=gap[:2])
-        np.add(gap[2:], xyz[:2], out=gap[2:])
-        gap = np.maximum(np.maximum(gap[:2], gap[2:], out=gap[:2]), 0.0, out=gap[:2])
-        np.multiply(gap, gap, out=gap)
-        bound = np.multiply(np.sqrt(np.add(gap[0], gap[1], out=gap[0]), out=gap[0]), per[8],
-                            out=gap[0])
-    return (bound > tau + _BOUND_SLACK * (tau + scale)) & (bound < np.inf)
-
-
 def associate(
     vox: np.ndarray,
     first: Sequence[int],
@@ -473,6 +459,7 @@ def associate(
     windows: Sequence[int],
     instances: Sequence[Sequence[WeightedModel]],
     tau: float,
+    features: np.ndarray = None,
 ) -> List[np.ndarray]:
     """Per-event instance ids of each window of a batch: the instance whose family fits best.
 
@@ -481,48 +468,39 @@ def associate(
     window ``windows[w]`` of ``hyps`` and at least one instance
     ``instances[w]``; all windows share the inlier radius ``tau``. An
     instance's family is row ``instance.rep_index`` of its block, the
-    hypotheses parallel to its representative. An event's residual to an instance is its smallest
-    distance to a line of the family; the event goes to the instance with
-    the smallest one (ties: the earlier instance), or to noise when that
-    residual is not below tau. An instance's ``inliers`` must be events below
-    tau of its family: the fit's are below tau of the representative, which
-    belongs to its own family.
+    hypotheses parallel to its representative. An event's residual to an
+    instance is its smallest distance to a line of the family; the event goes
+    to the instance with the smallest one (ties: the earlier instance), or to
+    noise when that residual is not below tau. ``features`` are the
+    :func:`_features` of ``vox``, computed here when not given.
 
     Only the instances an event is below tau of, and among two or more of
-    them the exact family minima, decide its id. An (event, instance) pair is
-    below tau as soon as one residual to a family line is, so the pairs are
-    settled in stages:
+    them the exact family minima, decide its id. The (event, instance) pairs
+    are settled in three steps:
 
-    1. the inliers of the instance's representative are below tau;
-    2. one pass takes the open pairs to at most ``_PROBES`` lines of the
-       family, at a stride of ``ceil(F / _PROBES)``; a pair with a residual
-       below tau is settled, and so is one whose family it covered;
-    3. a pair still open is settled as not below tau when its event lies
-       beyond tau of a box that holds every line of the family at the
-       event's time (:func:`_far`, exact with a margin for rounding); this
-       runs only when the open pairs' families hold more lines than one
-       block, since it costs about as much as a block;
-    4. one pass takes the pairs still open to the whole family;
-    5. one pass takes each event below tau of two or more instances to each
+    1. each instance's window voxels go against its family's lines in
+       :func:`_squared` products, chunk by chunk, and one
+       ``np.minimum.reduceat`` per chunk gives each pair's smallest product;
+       below the :func:`_band` the pair is below tau, above it not;
+    2. one pass takes each pair inside the band to its whole family;
+    3. one pass takes each event below tau of two or more instances to each
        of their whole families.
 
-    Each pass is one :func:`_nearest` call, which gives every pair its
-    smallest residual to the lines it takes, computed in dense blocks with
-    the bits of :func:`residual_matrix`. So the instances below tau of each
-    event, and so every id, are those of the per-instance minima over whole
-    families.
+    Each pass is one :func:`_nearest` call, with the bits of
+    :func:`residual_matrix`. So the instances below tau of each event, and
+    so every id, are those of the per-instance minima over whole families.
     """
     if not instances or not all(instances):
         raise FitError("no instances to associate against")
     sizes = np.asarray(sizes, dtype=np.int64)
     per_window = np.array([len(ms) for ms in instances])
-    inliers = [m.inliers for ms in instances for m in ms]
     window = np.repeat(np.arange(sizes.size), per_window)  # each instance's window
-    local = np.arange(len(inliers)) - (np.cumsum(per_window) - per_window)[window]  # its id
+    local = np.arange(window.size) - (np.cumsum(per_window) - per_window)[window]  # its id
     n = sizes[window]
     pair0 = np.cumsum(n) - n  # pair (g, e) of instance g and event e is pair0[g] + e
     event0 = (np.cumsum(sizes) - sizes)[window] - pair0  # pair -> event of the batch
-    voxel0 = np.asarray(first, dtype=np.int64)[window] - pair0  # pair -> voxel
+    start = np.asarray(first, dtype=np.int64)[window]  # each instance's first voxel
+    voxel0 = start - pair0  # pair -> voxel
     # every instance's family members, instance after instance: its row of
     # its window's block, gathered from the flat flags, as rows of hyps
     run_window = np.asarray(windows, dtype=np.int64)[window]
@@ -534,22 +512,25 @@ def associate(
     size = np.add.reduceat(flags, flag0, dtype=np.int64)
     fam0 = np.cumsum(size) - size
     member = np.flatnonzero(flags) + np.repeat(hyps.hyp0[run_window] - flag0, size)
-    table = _line_table(LineSet(hyps.starts[member], hyps.ends[member]))
+    lines = LineSet(hyps.starts[member], hyps.ends[member])
 
-    below = np.zeros(n.sum(), dtype=bool)
-    below[np.concatenate(inliers) + np.repeat(pair0, [i.size for i in inliers])] = True
-    pair, g = _owned(~below, pair0)
-    stride = -(-size // _PROBES)
-    probes = -(-size // stride)
-    hit = _nearest(vox, pair + voxel0[g], g, table, fam0, stride, probes) < tau
-    below[pair[hit]] = True
-    left = ~hit & (probes < size)[g]
-    pair, g = pair[left], g[left]
-    if size[g].sum() > _BATCH_PAIRS:  # stage 3 costs about as much as a block
-        near = ~_far(vox, pair + voxel0[g], g, table, fam0, tau)
-        pair, g = pair[near], g[near]
-    unit = np.ones_like(size)
-    below[pair[_nearest(vox, pair + voxel0[g], g, table, fam0, unit, size) < tau]] = True
+    features = _features(vox) if features is None else features
+    quads, (lo, hi) = _quadrics(lines), _band(tau, vox, lines.starts)
+    blocks = [b for g in zip(start.tolist(), n.tolist(), fam0.tolist(), size.tolist())
+              for b in _row_blocks(*g)]
+    below, band = np.empty(n.sum(), dtype=bool), np.empty(n.sum(), dtype=bool)
+    at = 0
+    for chunk in _runs(blocks, lambda b: b[1] * b[3], _BATCH_PAIRS):
+        row = np.repeat([m for *_, m in chunk], [rows for _, rows, *_ in chunk])  # row widths
+        nearest = np.minimum.reduceat(_squared(features, quads, chunk), np.cumsum(row) - row,
+                                      out=SCRATCH.take("nearest", row.size))
+        np.less(nearest, lo, out=below[at:at + row.size])
+        np.greater(nearest, hi, out=band[at:at + row.size])
+        at += row.size
+    np.logical_not(np.logical_or(below, band, out=band), out=band)  # neither below nor above
+    table = _line_table(lines)
+    pair, g = _owned(band, pair0)
+    below[pair[_nearest(vox, pair + voxel0[g], g, table, fam0, size) < tau]] = True
 
     pair, g = _owned(below, pair0)
     event = pair + event0[g]
@@ -557,7 +538,7 @@ def associate(
     assignment[event] = local[g]  # right for every event below tau of one instance
     contested = np.bincount(event, minlength=assignment.size)[event] > 1
     pair, g, event = pair[contested], g[contested], event[contested]
-    nearest = _nearest(vox, pair + voxel0[g], g, table, fam0, unit, size)
+    nearest = _nearest(vox, pair + voxel0[g], g, table, fam0, size)
     best = np.lexsort((g, nearest, event))  # per event: smallest minimum, then earliest
     best = best[np.diff(event[best], prepend=-1) != 0]
     assignment[event[best]] = local[g[best]]
@@ -565,21 +546,19 @@ def associate(
     return [assignment[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
-# (event, representative) pairs whose residuals one residual chunk of a fit
-# batch holds at most; a window with more pairs is a chunk of its own. Each
-# block of an association pass holds at most this many (event, family line)
-# residuals, unless one pair's lines alone are more. A chunk needs about a
-# dozen pair-sized temporaries at once, 128,000 bytes each at the cap, which
-# glibc serves from the brk heap. Freed after every chunk, they would let
-# malloc trim the heap top and the next chunk fault the pages back in (~5,500
-# minor faults per track_eval evaluate, at ~2-3 us each), so they live in
-# SCRATCH, whose buffers hold this many values each: the cap bounds the
-# scratch's size and each chunk's work. Without the cap, chunks and blocks
-# the size of a whole batch took ~12,000 minor faults per lanes_fine cycle
-# of run_eda and evaluate, against under 10 with it.
+# (event, representative) pairs of one inlier chunk of a fit batch, at most;
+# a window with more pairs is a chunk of its own. Every product of voxels by
+# lines, and every block of exact residuals, holds at most this many values
+# (or one row), small enough that OpenBLAS stays on the calling thread. The
+# chunk-sized temporaries live in SCRATCH, whose buffers hold this many
+# values each: freed after every chunk, they would let malloc trim the heap
+# top and the next chunk fault the pages back in.
 _BATCH_PAIRS = 16_000
 SCRATCH = Scratch(_BATCH_PAIRS)
-_PAIR_INDEX = np.arange(_BATCH_PAIRS)  # each pair's index in its residual chunk
+# the voxel features and line coefficients of a fit batch, up to 2 ** 16
+# rows of 10 values each, reuse per-thread buffers: fresh arrays took
+# ~1,400 minor faults per lanes_fine cycle of run_eda, against ~1
+TABLES = Scratch(10 * 2 ** 16)
 # (hypothesis, hypothesis) pairs within a window, summed over the windows
 # that one clustering call takes, at most; a window with more is clustered
 # alone. A run's hypotheses and families live until the run is fitted, so
@@ -615,30 +594,50 @@ def _call_voxels(windows: Sequence[EventWindow]) -> np.ndarray:
 def _fit_batch(vox: np.ndarray, windows: Sequence[EventWindow], first: List[int],
                run_slots: Sequence[int], hyps: HypothesisSet, config,
                results: List[AssociationResult]) -> None:
-    """Residuals through association for one clustering run, the fit batch.
+    """Inliers through association for one clustering run, the fit batch.
 
-    Window ``w`` of ``hyps`` is ``windows[run_slots[w]]``. The residuals and
-    their inliers, the pairs below ``config.tau``, go in residual chunks of
-    consecutive windows whose (event, representative) pairs stay within
-    ``_BATCH_PAIRS``, or of one window that alone holds more; the weighting, model counts and
-    association then run once over the survivors of every chunk. Writes the
-    result of each window that keeps a model into its slot of ``results``.
+    Window ``w`` of ``hyps`` is ``windows[run_slots[w]]``. The run's voxels
+    get one table of :func:`_features`, built after clustering, so that it
+    never adds to clustering's peak memory. The inliers go in chunks of whole
+    windows within ``_BATCH_PAIRS`` (event, representative) pairs, or of one
+    window alone: each pair that the :func:`_band` of its :func:`_squared`
+    product does not put above tau goes to :func:`select_inliers`, with its
+    exact residual when the band does not settle it. The weighting, model
+    counts and association then run once over the survivors of every chunk,
+    and each window that keeps a model gets its result in ``results``.
     """
     sizes = np.array([len(windows[k]) for k in run_slots], dtype=np.int64)
     counts = hyps.rep_count
     line0 = np.cumsum(counts) - counts  # each window's first representative in the run
     rows = hyps.rows[np.arange(counts.sum()) + np.repeat(hyps.rep0 - line0, counts)]
     models = LineSet(hyps.starts[rows], hyps.ends[rows])
-    voxel0 = np.array([first[k] for k in run_slots])
+    vox = vox[first[run_slots[0]]:first[run_slots[-1] + 1]]  # the run's voxels
+    voxel0 = np.array([first[k] for k in run_slots]) - first[run_slots[0]]
+    features, quads = _features(vox), _quadrics(models)
+    lo, hi = _band(config.tau, vox, models.starts)
+    products = zip(voxel0.tolist(), sizes.tolist(), line0.tolist(), counts.tolist())
     survivors = []
-    for chunk in _runs(range(sizes.size), (sizes * counts).tolist().__getitem__, _BATCH_PAIRS):
-        c = slice(chunk[0], chunk[-1] + 1)
-        j0 = int(line0[c.start])  # the chunk's first representative
-        j1 = j0 + int(counts[c].sum())
-        chunk_models = LineSet(models.starts[j0:j1], models.ends[j0:j1])
-        values, voxel, line = _pair_residuals(vox, chunk_models, voxel0[c], sizes[c], counts[c])
+    for chunk in _runs(products, lambda p: p[1] * p[3], _BATCH_PAIRS):
+        blocks = [b for p in chunk for b in _row_blocks(*p)]
+        q = _squared(features, quads, blocks)
+        above = np.greater(q, hi, out=SCRATCH.take("above", q.size, bool))
+        pair = np.flatnonzero(np.logical_not(above, out=above))
+        values = q[pair]
+        # each pair's block, then its voxel and its line
+        v, n, j, m = (np.array(x) for x in zip(*blocks))
+        end = np.cumsum(n * m)
+        b = np.searchsorted(end, pair, side="right")
+        event, line = np.divmod(pair - (end - n * m)[b], m[b])
+        voxel, line = event + v[b], line + j[b]
+        band = ~(values < lo)
+        values[~band] = -np.inf  # settled below tau
+        if band.any():
+            one = np.ones(len(models), dtype=np.int64)
+            values[band] = _nearest(vox, voxel[band], line[band], _line_table(models),
+                                    np.arange(len(models)), one)
+        j0 = chunk[0][2]  # the chunk's first representative
         survivors += [(j0 + j, inliers) for j, inliers in
-                      select_inliers(values, voxel, line, config.tau, config.min_inliers)]
+                      select_inliers(values, voxel, line - j0, config.tau, config.min_inliers)]
     if not survivors:
         return
     owner = np.searchsorted(line0, [j for j, _ in survivors], side="right") - 1
@@ -651,20 +650,20 @@ def _fit_batch(vox: np.ndarray, windows: Sequence[EventWindow], first: List[int]
     w1s, weights, rep_first = w1.tolist(), finals.tolist(), line0.tolist()
     instances = []
     for w, k, n in zip(fitted.tolist(), survivor0.tolist(), n_models.tolist()):
-        lo, m = first[run_slots[w]], int(per_window[w])
+        m = int(per_window[w])
         # the n lightest survivors; sorted is stable, as an argsort of kind "stable"
         picks = [k] if m == 1 else sorted(range(k, k + m), key=weights.__getitem__)[:n]
         chosen = []
         for i in picks:
             j, inliers = survivors[i]
             chosen.append(WeightedModel(models.starts[j], models.ends[j], j - rep_first[w],
-                                        inliers - lo, w1s[i], weights[i]))
+                                        inliers - voxel0[w], w1s[i], weights[i]))
         instances.append(chosen)
     # the survivors' inlier sets and weights go before association's
     # pair-sized temporaries come, which keeps a large run's peak memory down
     del survivors, w1, finals, w1s, weights
     assignments = associate(vox, voxel0[fitted], sizes[fitted], hyps, fitted, instances,
-                            config.tau)
+                            config.tau, features)
     for w, chosen, assignment in zip(fitted.tolist(), instances, assignments):
         results[run_slots[w]] = AssociationResult(windows[run_slots[w]], chosen, assignment)
 
@@ -700,13 +699,10 @@ def fit_windows(windows: Sequence[EventWindow], config) -> List[AssociationResul
     Generation runs per window. The windows with hypotheses split into runs
     of consecutive windows whose hypothesis pairs stay within
     ``_CLUSTER_PAIRS``, clustered with one :func:`select_representatives`
-    call each. Each run is one fit batch (:func:`_fit_batch`), on its one
-    :class:`HypothesisSet`: the residuals and inlier selection go in chunks
-    whose (event, representative) pairs stay within ``_BATCH_PAIRS``, and
-    the weighting, model counts and association run once per run. Each
-    result equals a fit of its window alone. Failures (no usable slices, no
-    surviving model) degrade to an all-noise result without instances
-    instead of raising.
+    call each. Each run is one fit batch (:func:`_fit_batch`) on its one
+    :class:`HypothesisSet`. Each result equals a fit of its window alone.
+    Failures (no usable slices, no surviving model) degrade to an all-noise
+    result without instances instead of raising.
     """
     windows = list(windows)
     if not windows:

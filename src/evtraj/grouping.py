@@ -246,9 +246,11 @@ def cut_windows(
     ``max_window``. Each window's end time seeds the start of the next, so the
     emitted windows partition the stream. A trailing partial window is emitted
     if it holds at least two events; a single trailing event is folded into
-    the last emitted window. A ``max_window`` that is not positive (NaN
-    included), or that adding to the last timestamp does not change, raises
-    :class:`GroupingError`; ``inf`` means no span limit.
+    the last emitted window. A stream whose events share one timestamp and
+    close no window is one window that ends ``max_window`` later, or at the
+    next float when ``max_window`` is ``inf``. A ``max_window`` that is not
+    positive (NaN included), or that adding to the last timestamp does not
+    change, raises :class:`GroupingError`; ``inf`` means no span limit.
     """
     if not max_window > 0:
         raise GroupingError(f"max_window {max_window!r} s must be positive")
@@ -305,7 +307,9 @@ def cut_windows(
             lo, _, t0, t1 = bounds.pop()
             bounds.append((lo, n, t0, max(t1, t_last)))
         else:
-            bounds.append((start_idx, n, w_start, max(t_last, w_start + max_window)))
+            t_end = w_start + max_window
+            bounds.append((start_idx, n, w_start,
+                           t_end if t_end < math.inf else math.nextafter(w_start, math.inf)))
     return [EventWindow(stream, *b) for b in bounds]
 
 

@@ -551,6 +551,18 @@ class TestConfigPlumbing:
         assert captured.err.startswith("error: config key ")
         assert captured.out == "" and not out.exists()
 
+    def test_no_span_limit_on_one_timestamp_prints_a_finite_end(self, tmp_path, capsys):
+        # three events at t = 0.5 and no span limit: the one window ends at the
+        # next float above 0.5, which prints as 0.5, not inf
+        cfg_file = tmp_path / "run.yaml"
+        cfg_file.write_text("entropy.max_window_s: .inf\n")
+        events = tmp_path / "events.txt"
+        events.write_bytes(b"0.5 1 1 1\n0.5 9 9 0\n0.5 1 9 1\n")
+        rc = main(["associate", str(events), "--out", str(tmp_path / "o.txt"),
+                   "--geometry", "16x16", "--config", str(cfg_file)])
+        assert rc == 0
+        assert "window 0: t=[0.500000,0.500000] events=3 " in capsys.readouterr().out
+
     def test_span_below_the_timestamp_resolution_fails_cleanly(self, tmp_path, capsys):
         # 0.1 s added to 1e17 s leaves it unchanged: no window can have a span
         events = tmp_path / "events.txt"

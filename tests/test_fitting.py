@@ -1,5 +1,6 @@
 """Residuals, inlier selection, two-stage weighting, and association tests."""
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -654,12 +655,11 @@ class TestAssociate:
             assert assignment.dtype == np.int64
             assert assignment.tolist() == reference_associate(*window, tau).tolist()
 
-    def test_passes_split_at_the_pair_cap(self, monkeypatch):
-        # 30 events, none an inlier, against a 40-member family: stage 2
-        # computes 30 x 8 residuals and the whole-family pass up to 30 x 40,
-        # so at a cap of 100 every pass splits into blocks within the cap; at
-        # a cap of 30 a pair of the whole-family pass costs more than the cap
-        # and is a block of its own
+    def test_products_split_at_the_pair_cap(self, monkeypatch):
+        # 30 events, none an inlier, against a 40-member family: at a cap of
+        # 100 the instance's (30 x 40) product goes in row blocks of two rows,
+        # and at a cap of 30 one row alone holds more than the cap, so each
+        # row is a product of its own
         rng = np.random.default_rng(3)
         starts = rng.uniform(0, 20, (40, 3))
         lines = LineSet(starts, starts + np.array([1.0, 0.5, 4.0]))
@@ -669,37 +669,27 @@ class TestAssociate:
         families = np.ones((1, 40), dtype=bool)
         want = reference_associate(vox, lines, families, [instance], 1.0)
         assert 0 < (want != NOISE_ID).sum() < 30
-        blocks, block_lines = [], fitting._block_lines
-
-        def spy(table, line, run):
-            blocks.append((run.size, line.shape[1]))
-            return block_lines(table, line, run)
-
-        monkeypatch.setattr(fitting, "_block_lines", spy)
-        for cap, chunk in [(100, 100), (30, 40)]:
+        products = spy_products(monkeypatch)
+        for cap, shape in [(100, (2, 40)), (30, (1, 40))]:
             monkeypatch.setattr(fitting, "_BATCH_PAIRS", cap)
-            blocks.clear()
+            products.clear()
             assert np.array_equal(associate_one(vox, lines, families, [instance], 1.0), want)
-            passes = [rows * width for rows, width in blocks]
-            assert sum(passes) > 30 * 8 + 40 and max(passes) <= chunk
-        assert 40 in passes
+            assert set(products) == {shape} and len(products) == 30 // shape[0]
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), st.integers(1, 10), st.sampled_from([1, 5, 40, None]))
     def test_nearest_is_the_residual_matrix_minimum(self, data, distinct, cap):
         # 120 lines drawn from a few distinct ones, so minima tie; runs of
-        # 1-40 lines at steps of 1-3, and 0-30 pairs on them
+        # 1-40 lines, and 0-30 pairs on them
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         base = rng.integers(0, 7, (distinct, 3)).astype(float)
         pick = rng.integers(0, distinct, 120)
         lines = LineSet(base[pick], base[pick] + rng.integers(1, 4, (distinct, 3))[pick])
         vox = rng.integers(0, 7, (20, 3)).astype(float)
-        runs = data.draw(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 3)),
-                                  min_size=1, max_size=5))
-        count, step = (np.array(x) for x in zip(*runs))
-        first = rng.integers(0, 120 - step * (count - 1))
+        count = np.array(data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=5)))
+        first = rng.integers(0, 121 - count)
         n_pairs = data.draw(st.integers(0, 30))
-        owner, voxel = rng.integers(0, len(runs), n_pairs), rng.integers(0, 20, n_pairs)
+        owner, voxel = rng.integers(0, count.size, n_pairs), rng.integers(0, 20, n_pairs)
         blocks, block_lines = [], fitting._block_lines
 
         def spy(table, line, run):
@@ -709,146 +699,202 @@ class TestAssociate:
         default = fitting._BATCH_PAIRS
         fitting._BATCH_PAIRS, fitting._block_lines = cap or default, spy
         try:
-            got = fitting._nearest(vox, voxel, owner, fitting._line_table(lines), first, step,
-                                   count)
+            got = fitting._nearest(vox, voxel, owner, fitting._line_table(lines), first, count)
         finally:
             fitting._BATCH_PAIRS, fitting._block_lines = default, block_lines
-        want = [residual_matrix(vox[[v]], lines.take(first[g] + step[g] * np.arange(count[g])))
-                .min() for v, g in zip(voxel, owner)]
+        want = [residual_matrix(vox[[v]], lines.take(first[g] + np.arange(count[g]))).min()
+                for v, g in zip(voxel, owner)]
         assert got.tobytes() == np.array(want, dtype=float).tobytes()
         assert sum(rows for rows, _ in blocks) == n_pairs
         for rows, width in blocks:
             assert rows * width <= (cap or default) or rows == 1
 
 
-@st.composite
-def bound_case(draw):
-    """Voxels, 1-3 families of lines and a tau for :func:`fitting._far`.
+# inlier radii the band must decide exactly: RunConfig accepts any positive tau, inf included
+BAND_TAUS = [1e-300, 1e-3, 0.75, 1.5, 3.0, 40.0, 1e150, math.inf]
+BAND_SENSORS = [(16, 16), (240, 180), (1000, 1000)]
 
-    A family's 1-20 lines are near-parallel to one direction that advances
-    in time, or point anywhere; their starts spread over 1 to 40 px. A
-    family may hold a line that does not advance in time (``d_t`` of 0,
-    -1e-300 or -0.5, never the zero vector), one that advances by as little
-    as 1e-300 (its start at t = 0, so that its end keeps the step), or one
-    whose whole direction is 1e-160 or 1e-300 long, whose residuals lose
-    their bits to underflow. The events
-    spread over 40 or 160 px and sometimes share one timestamp. tau is a
-    family minimum of an event, the next float above one or above the least
-    of them, or a radius of 0.1 to 10 px.
+
+@st.composite
+def band_cases(draw, max_side=1000):
+    """Lines and voxels on a sensor of up to ``max_side`` px a side, the voxels near tau of the lines.
+
+    1-6 lines cross the sensor's (u, v, t_norm) box, each through a point in
+    it along a random direction 1e-3 to 50 px long, or along the time axis
+    from an integer start. Each of 1-30 voxels lies at a distance of 0, 1e-3,
+    0.75, 1.5, 3 or 40 px from a point of a line, off it along a random
+    normal. tau is one of ``BAND_TAUS`` or a residual of a voxel to a line,
+    nudged by -3 to 3 ulps.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    vox = rng.uniform(-1, 1, (draw(st.integers(1, 12)), 3)) * draw(st.sampled_from([20.0, 80.0]))
+    width, height = draw(st.integers(16, max_side)), draw(st.integers(16, max_side))
+    box = np.array([width - 1.0, height - 1.0, max(width, height)])
+    n_lines = draw(st.integers(1, 6))
+    d = rng.normal(size=(n_lines, 3))
+    d *= draw(st.sampled_from([1e-3, 1.0, 50.0])) / np.linalg.norm(d, axis=1, keepdims=True)
+    foot = rng.uniform(0.0, 1.0, (n_lines, 3)) * box
+    starts = foot - rng.uniform(-1.0, 1.0, (n_lines, 1)) * d
+    axis = rng.uniform(size=n_lines) < 0.3
+    starts[axis], d[axis] = np.rint(foot[axis]), [0.0, 0.0, 1.0]
+    lines = LineSet(starts, starts + d)
+    n_vox = draw(st.integers(1, 30))
+    line = rng.integers(0, n_lines, n_vox)
+    unit = d[line] / np.linalg.norm(d[line], axis=1, keepdims=True)
+    normal = rng.normal(size=(n_vox, 3))
+    normal -= unit * (normal * unit).sum(axis=1, keepdims=True)
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    along = rng.uniform(-1.0, 1.0, (n_vox, 1)) * d[line]
+    radius = rng.choice([0.0, 1e-3, 0.75, 1.5, 3.0, 40.0], size=(n_vox, 1))
+    vox = starts[line] + along + radius * normal
+    values = residual_matrix(vox, lines)
     if draw(st.booleans()):
-        vox[:, 2] = vox[0, 2]
-    families = []
-    for _ in range(draw(st.integers(1, 3))):
-        size = draw(st.integers(1, 20))
-        starts = rng.uniform(-1, 1, (size, 3)) * draw(st.sampled_from([0.5, 5.0, 20.0]))
-        base = rng.normal(size=3) * [1.0, 1.0, 0.0] + [0.0, 0.0, draw(st.sampled_from(
-            [1e-3, 0.3, 1.0, 5.0]))]
-        spread = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.1, None]))
-        d = rng.normal(size=(size, 3)) if spread is None else base + rng.normal(
-            scale=spread, size=(size, 3))
-        odd = draw(st.sampled_from([None, 0.0, -1e-300, -0.5, 1e-300, 1e-200, "short"]))
-        if odd is not None:
-            k = rng.integers(size)
-            if odd == "short":  # from the origin, so that the end keeps the step
-                starts[k], d[k] = 0.0, [0.0, 0.0, draw(st.sampled_from([1e-160, 1e-300]))]
-            else:
-                starts[k, 2], d[k] = 0.0, [1.0 + rng.uniform(), rng.uniform(), odd]
-        families.append(LineSet(starts, starts + d))
-    with np.errstate(invalid="ignore"):  # a 1e-300 step has a zero length: NaN residuals
-        minima = np.array([residual_matrix(vox, f).min(axis=1) for f in families])
-    finite = minima[np.isfinite(minima)]
-    kind = draw(st.sampled_from(["minimum", "above", "least", "radius"]))
-    tau = (float(rng.uniform(0.1, 10.0)) if kind == "radius" or not finite.size else
-           float(finite.min() if kind == "least" else finite[rng.integers(finite.size)]))
-    if kind != "minimum":
-        tau = float(np.nextafter(tau, np.inf))
-    return vox, families, minima, tau
+        tau = draw(st.sampled_from(BAND_TAUS))
+    else:
+        tau = float(values.flat[draw(st.integers(0, values.size - 1))])
+        for _ in range(abs(ulps := draw(st.integers(-3, 3)))):
+            tau = float(np.nextafter(tau, np.copysign(np.inf, ulps)))
+        tau = max(tau, 5e-324)  # RunConfig wants a positive tau
+    return vox, lines, tau
 
 
-class TestFamilyBound:
-    """``_far`` settles only pairs that no line of their family reaches within tau."""
+def check_band(vox, lines, tau) -> int:
+    """Assert that the band settles only what :func:`residual_matrix` decides the same way.
 
-    @staticmethod
-    def far(vox, families, tau):
-        # every (family, event) pair, family after family
-        lines = LineSet(np.concatenate([f.starts for f in families]),
-                        np.concatenate([f.ends for f in families]))
-        sizes = np.array([len(f) for f in families])
-        g = np.repeat(np.arange(len(families)), len(vox))
-        voxel = np.tile(np.arange(len(vox)), len(families))
-        table = fitting._line_table(lines)
-        got = fitting._far(vox, voxel, g, table, np.cumsum(sizes) - sizes, tau)
-        return got.reshape(len(families), len(vox)), table
+    Every pair whose product is below the band has a residual below tau,
+    every pair above it one that is not; every pair of one family and of
+    each line alone is associated as :func:`reference_associate` does.
+    Returns the number of pairs inside the band.
+    """
+    blocks = fitting._row_blocks(0, len(vox), 0, len(lines))
+    q = fitting._squared(fitting._features(vox), fitting._quadrics(lines), blocks)
+    q = q.reshape(len(vox), len(lines)).copy()
+    lo, hi = fitting._band(tau, vox, lines.starts)
+    values = residual_matrix(vox, lines)
+    assert (values[q < lo] < tau).all()
+    assert not (values[q > hi] < tau).any()
+    families = np.vstack([np.ones(len(lines), dtype=bool), np.eye(len(lines), dtype=bool)])
+    instances = [WeightedModel(lines.starts[0], lines.ends[0], k, np.empty(0, dtype=np.int64),
+                               0.0, 0.0) for k in range(len(families))]
+    want = reference_associate(vox, lines, families, instances, tau)
+    assert associate_one(vox, lines, families, instances, tau).tolist() == want.tolist()
+    return int((~(q < lo) & ~(q > hi)).sum())
 
-    @settings(max_examples=400, deadline=None)
-    @given(bound_case())
-    def test_settled_pairs_are_beyond_tau(self, case):
-        vox, families, minima, tau = case
-        far, table = self.far(vox, families, tau)
-        assert (minima[far] >= tau).all()
-        sizes = [len(f) for f in families]
-        retreats = np.add.reduceat(table[5] <= 0, np.cumsum(sizes) - sizes) > 0
-        assert not far[retreats].any()
 
-    def test_settles_what_the_box_keeps_out(self):
-        # lines along (1, 0, 1) from u = 0 and u = 2: at time t the family spans u in
-        # [t, t + 2], and a residual is the in-plane gap over sqrt(2). At t = 4, u = 9
-        # is 3 px past the box, u = 8 is 2 px, u = 0 is 4 px below it, and (5, 3) is
-        # 3 px off it in v; at t = 0, u = 5 is 3 px past it, and at t = 8 inside it
-        family = LineSet(np.array([[0.0, 0, 0], [2.0, 0, 0]]), np.array([[1.0, 0, 1], [3.0, 0, 1]]))
-        vox = np.array([[9.0, 0, 4], [8.0, 0, 4], [0.0, 0, 4], [5.0, 3, 4], [5.0, 0, 0],
-                        [9.0, 0, 8]])
-        far, _ = self.far(vox, [family], 2.0)
-        assert far.tolist() == [[True, False, True, True, True, False]]
-        at = float(residual_matrix(vox[:1], family).min())  # 3 / sqrt(2): the bound itself
-        assert not self.far(vox[:1], [family], at)[0].any()
-        assert self.far(vox[:1], [family], at * (1 - 1e-9))[0].all()
-        # a line that does not advance in time leaves its family open
-        flat = LineSet(np.vstack([family.starts, [[50.0, 50, 0]]]),
-                       np.vstack([family.ends, [[51.0, 50, 0]]]))
-        assert not self.far(vox, [flat], 2.0)[0].any()
+def sensor_windows(width: int, height: int, seed: int) -> list:
+    """Four windows of two point motions and 20% clutter across a ``width`` x ``height`` sensor."""
+    rng = np.random.default_rng(seed)
+    geometry, windows = SensorGeometry(width, height), []
+    for _ in range(4):
+        f = np.sort(rng.uniform(0.0, 1.0, 60))
+        motion = rng.integers(0, 3, f.size)  # 2: clutter
+        a, b = rng.uniform(0.1, 0.9, (2, 2, 2)) * [width - 1, height - 1]
+        path = a[motion % 2] + f[:, None] * (b - a)[motion % 2] * 0.2
+        clutter = rng.uniform(0.0, 1.0, (f.size, 2)) * [width - 1, height - 1]
+        uv = np.rint(np.where((motion == 2)[:, None], clutter, path)).astype(int)
+        windows.append(window_of(geometry, f * 0.01, uv[:, 0], uv[:, 1], 0.0, 0.01))
+    return windows
 
-    def test_settles_nothing_a_computed_residual_keeps_below_tau(self):
-        # events offset from a line's point at their time along its in-plane
-        # direction, where the bound equals the residual, and tau just above
-        # the computed residual: rounding puts the computed bound on either
-        # side, and only the margin keeps every pair open
-        t, a = (x.ravel() for x in np.meshgrid(np.linspace(-9.7, 9.7, 25),
-                                               np.linspace(0.3, 29.9, 25)))
-        start = np.array([3.1, -2.2, 0.7])
-        cases = []
-        for d in (np.array([1.7, 0.0, 1.0]), np.array([1.3, -0.8, 0.6])):
-            at = start[:2] + np.outer((t - start[2]) / d[2], d[:2])
-            cases.append((LineSet(start[None], (start + d)[None]),
-                          np.column_stack([at + np.outer(a, d[:2] / np.hypot(*d[:2])), t])))
-        # a vertical step of 1e-160 from the origin: its residuals lose their
-        # bits to underflow, which no margin covers
-        cases.append((LineSet(np.zeros((1, 3)), np.array([[0.0, 0.0, 1e-160]])),
-                      np.column_stack([a, np.zeros_like(a), t])))
-        for line, vox in cases:
-            for x, r in zip(vox, residual_matrix(vox, line)[:, 0]):
-                assert not self.far(x[None], [line], float(np.nextafter(r, np.inf)))[0].any()
 
-    def test_settles_pairs_on_a_lanes_tile(self, monkeypatch):
-        # on the benchmark's tile most pairs that reach the bound are far; the
-        # ids are those of association without it
-        stream, config = generate_scene(lanes_tile(1)).stream, RunConfig(width=240, height=180)
-        reached, settled, far = [], [], fitting._far
+def spy_products(monkeypatch) -> list:
+    """The (rows, columns) of every fit product: each ``np.dot`` of voxel features by lines."""
+    products, dot = [], np.dot
 
-        def spy(*args):
-            got = far(*args)
-            reached.append(got.size)
-            settled.append(int(got.sum()))
-            return got
+    def spied(a, b, out=None):
+        if np.ndim(a) == 2 and np.shape(a)[1] == 10:
+            products.append(out.shape)
+        return dot(a, b, out=out)
 
-        monkeypatch.setattr(fitting, "_far", spy)
-        ids = relabel(run_eda(stream, config), len(stream))
-        assert sum(settled) > sum(reached) / 2
-        monkeypatch.setattr(fitting, "_far", lambda vox, voxel, *_: np.zeros(voxel.size, bool))
-        assert np.array_equal(relabel(run_eda(stream, config), len(stream)), ids)
+    monkeypatch.setattr(np, "dot", spied)
+    return products
+
+
+class TestResidualBand:
+    """The squared products decide ``residual < tau`` as :func:`residual_matrix` does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(band_cases())
+    def test_settles_only_what_the_residuals_decide(self, case):
+        check_band(*case)
+
+    @pytest.mark.parametrize("width, height", BAND_SENSORS)
+    def test_fits_near_tau_match_the_references(self, width, height):
+        # every tau of BAND_TAUS, then a residual of each window's reference
+        # matrix and 1 and 2 ulps either side of it: the inlier sets and ids
+        # equal the per-window references
+        windows = sensor_windows(width, height, seed=width)
+        stages = [reference_residuals(w, lane_config()) for w in windows]
+        matrices = [m for *_, m in filter(None, stages)]
+        assert len(matrices) > 1
+        taus = list(BAND_TAUS)
+        for values in matrices[:2]:
+            r = float(np.sort(values, axis=None)[values.size // 2])
+            for way in (-np.inf, np.inf):
+                tau = r
+                for _ in range(3):  # the residual, then 1 and 2 ulps away
+                    taus.append(tau)
+                    tau = float(np.nextafter(tau, way))
+        fitted = 0
+        for tau in taus:
+            config = lane_config(tau=tau)
+            for window, got in zip(windows, fit_windows(windows, config)):
+                assert_same_fit(got, reference_fit_window(window, config))
+                fitted += not got.failed
+        assert fitted > len(taus)
+
+    @pytest.mark.parametrize("width, height", BAND_SENSORS)
+    def test_events_at_tau_of_lines(self, width, height):
+        # 40 voxels at 1.5 px along random normals of five lines through the
+        # sensor, and tau on each computed residual and 1-3 ulps either side
+        rng = np.random.default_rng(width)
+        s_t = max(width, height)
+        d = rng.normal(size=(5, 3)) * 20.0
+        starts = rng.uniform(0.0, 1.0, (5, 3)) * [width - 1, height - 1, s_t]
+        lines = LineSet(starts, starts + d)
+        unit = d / np.linalg.norm(d, axis=1, keepdims=True)
+        line = np.arange(40) % 5
+        normal = rng.normal(size=(40, 3))
+        normal -= unit[line] * (normal * unit[line]).sum(axis=1, keepdims=True)
+        normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+        vox = starts[line] + rng.uniform(-1.0, 1.0, (40, 1)) * d[line] + 1.5 * normal
+        inside = 0
+        for r in residual_matrix(vox, lines)[np.arange(40), line][:8]:
+            for way in (-np.inf, np.inf):
+                tau = float(r)
+                for _ in range(4):  # the residual, then 1-3 ulps away
+                    inside += check_band(vox, lines, tau)
+                    tau = float(np.nextafter(tau, way))
+        assert inside > 0  # pairs at tau do reach the exact residuals
+
+    def test_band_is_nan_where_its_bound_does_not_hold(self):
+        vox, starts = np.array([[3.0, 4.0, 5.0]]), np.zeros((1, 3))
+        lo, hi = fitting._band(1.5, vox, starts)
+        assert lo < 2.25 < hi and hi - lo == pytest.approx(2 * 2.0 ** -30 * 6.5 ** 2)
+        for tau, vox_scale in [(math.inf, 1.0), (1e300, 1.0), (1.5, 2.0 ** 198),
+                               (1.5, 2.0 ** -203), (1.5, 0.0), (math.nan, 1.0)]:
+            lo, hi = fitting._band(tau, vox * vox_scale, starts * vox_scale)
+            assert math.isnan(lo) and not hi < math.inf
+        # a line of zero or underflowing length gets NaN coefficients
+        lines = LineSet(np.zeros((3, 3)), np.array([[0.0, 0, 0], [0, 0, 1e-300], [0, 0, 1]]))
+        assert np.isnan(fitting._quadrics(lines)[:2]).all()
+        assert not np.isnan(fitting._quadrics(lines)[2]).any()
+
+    @pytest.mark.parametrize("cap", [None, 300])
+    def test_every_fit_product_holds_at_most_the_pair_cap(self, cap, monkeypatch):
+        # windows of band [5, 6] on a lanes tile hold thousands of events, so
+        # their products are split into row blocks of at most the cap, as
+        # are association's products of every instance by its family
+        stream = generate_scene(lanes_tile(1)).stream
+        config = RunConfig(width=240, height=180, entropy_alpha=5.0, entropy_beta=6.0)
+        want = relabel(run_eda(stream, config), len(stream))
+        products = spy_products(monkeypatch)
+        if cap:
+            monkeypatch.setattr(fitting, "_BATCH_PAIRS", cap)
+        got = relabel(run_eda(stream, config), len(stream))
+        limit = cap or fitting._BATCH_PAIRS
+        assert np.array_equal(got, want)
+        assert all(rows * columns <= limit or rows == 1 for rows, columns in products)
+        assert max(rows * columns for rows, columns in products) > limit // 2
+        assert max(rows for rows, _ in products) > 1
 
 
 class TestFitWindow:
@@ -1074,9 +1120,11 @@ class TestFitWindows:
             fitting._BATCH_PAIRS, fitting._CLUSTER_PAIRS = default, cluster_default
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(fit_batch_windows(), min_size=1, max_size=6))
-    def test_residual_runs_are_the_window_matrices(self, windows):
-        # one to three lines per window, through its first voxel
+    @given(st.lists(fit_batch_windows(), min_size=1, max_size=6), st.sampled_from([1, 7, None]))
+    def test_products_are_the_squared_window_matrices(self, windows, cap):
+        # one to three lines per window, through its first voxel: each
+        # window's run of products, in row blocks within the cap, is its
+        # residual matrix squared, within the 2 ** -44 S² that _band derives
         vox = [window_voxels(w) for w in windows if len(w)]
         if not vox:
             return
@@ -1086,11 +1134,22 @@ class TestFitWindows:
         counts = np.array([len(r) for r in reps])
         lines = LineSet(np.concatenate([r.starts for r in reps]),
                         np.concatenate([r.ends for r in reps]))
-        values = fitting._pair_residuals(np.concatenate(vox), lines, np.cumsum(sizes) - sizes,
-                                         sizes, counts)[0].copy()
+        default = fitting._BATCH_PAIRS
+        fitting._BATCH_PAIRS = cap or default
+        try:
+            blocks = [b for p in zip((np.cumsum(sizes) - sizes).tolist(), sizes.tolist(),
+                                     (np.cumsum(counts) - counts).tolist(), counts.tolist())
+                      for b in fitting._row_blocks(*p)]
+            assert all(n * m <= (cap or default) or n == 1 for _, n, _, m in blocks)
+            values = fitting._squared(fitting._features(np.concatenate(vox)),
+                                      fitting._quadrics(lines), blocks).copy()
+        finally:
+            fitting._BATCH_PAIRS = default
+        scale = max(np.abs(np.concatenate(vox)).max(), np.abs(lines.starts).max())
         runs = np.split(values, np.cumsum(sizes * counts)[:-1])
         for v, r, run in zip(vox, reps, runs):
-            assert np.array_equal(run.reshape(len(v), len(r)), residual_matrix(v, r))
+            want = residual_matrix(v, r) ** 2
+            assert np.abs(run.reshape(len(v), len(r)) - want).max() <= 2.0 ** -44 * scale ** 2
 
     def test_cluster_cap_splits_clustering_runs(self, monkeypatch):
         # one window's hypothesis pairs alone exceed a cap of 1, so every
@@ -1117,24 +1176,27 @@ class TestFitWindows:
     @pytest.mark.parametrize("cap", [1, 60, None])
     @pytest.mark.parametrize("cluster_cap", [1, 100_000, None])
     def test_one_fit_batch_per_clustering_run(self, cap, cluster_cap, monkeypatch):
-        # the residuals and inliers go in chunks of whole windows within the
-        # pair cap, or of one window alone; the weighting and association run
+        # the inliers go in chunks of whole windows within the pair cap, or of
+        # one window alone, each one _squared call of row blocks within the
+        # cap and one select_inliers call; the weighting and association run
         # once per clustering run that keeps a survivor, after its last chunk
         # and before the next run is clustered
         config = lane_config()
         windows = [r.window for r in run_eda(framed_track_stream(), config)] + pair_windows()
         windows.insert(3, make_window([0.5, 0.5, 0.5], [1, 2, 3], [1, 2, 3]))  # no hypotheses
+        first = np.cumsum([0] + [len(w) for w in windows])
         log = []
 
         def spy(name):
             real = getattr(fitting, name)
 
-            def logged(*args):
+            def logged(*args, **kwargs):
                 log.append((name, args))
-                return real(*args)
+                return real(*args, **kwargs)
             monkeypatch.setattr(fitting, name, logged)
 
-        for name in ("select_representatives", "_pair_residuals", "weigh_models", "associate"):
+        for name in ("select_representatives", "_squared", "select_inliers", "weigh_models",
+                     "associate"):
             spy(name)
         monkeypatch.setattr(fitting, "_BATCH_PAIRS", cap or fitting._BATCH_PAIRS)
         monkeypatch.setattr(fitting, "_CLUSTER_PAIRS", cluster_cap or fitting._CLUSTER_PAIRS)
@@ -1158,14 +1220,23 @@ class TestFitWindows:
         multi = 0  # chunks of two or more windows
         for run, after in zip(runs, calls):
             names = [name for name, _ in after]
-            chunks = [args for name, args in after if name == "_pair_residuals"]
-            assert names[:len(chunks)] == ["_pair_residuals"] * len(chunks)
-            assert sum(args[3].size for args in chunks) == len(run)
-            for *_, sizes, counts in chunks:
-                assert sizes.size == 1 or (sizes * counts).sum() <= fitting._BATCH_PAIRS
-                multi += sizes.size > 1
             fitted = any(not results[k].failed for k in run)
-            assert names[len(chunks):] == (["weigh_models", "associate"] if fitted else [])
+            fit = names.index("weigh_models") if fitted else len(names)
+            chunks = [args[2] for name, args in after[:fit] if name == "_squared"]
+            assert names[:fit] == ["_squared", "select_inliers"] * len(chunks)
+            rows = dict.fromkeys(run, 0)  # each window's rows over the chunks
+            for blocks in chunks:  # block voxels count from the run's first
+                owners = np.searchsorted(first, [first[run[0]] + v for v, *_ in blocks],
+                                         side="right") - 1
+                assert len(set(owners)) == 1 or sum(n * m for _, n, _, m in blocks) <= \
+                    fitting._BATCH_PAIRS
+                multi += len(set(owners)) > 1
+                for k, (_, n, _, m) in zip(owners.tolist(), blocks):
+                    assert n * m <= fitting._BATCH_PAIRS or n == 1
+                    rows[k] += n
+            assert rows == {k: len(windows[k]) for k in run}
+            assert names[fit:fit + 2] == (["weigh_models", "associate"] if fitted else [])
+            assert set(names[fit + 2:]) <= {"_squared"}  # association's products
         assert (multi > 0) == (cap != 1 and cluster_cap != 1)
         for window, result in zip(windows, results):
             assert_same_fit(result, reference_fit_window(window, config))

@@ -139,8 +139,10 @@ def dense_cut_windows(stream, interval, grid, max_window):
         elif windows:
             lo, _, t0, t1 = windows.pop()
             windows.append((lo, n - lo, t0, max(t1, t_last)))
-        else:
-            windows.append((start_idx, n - start_idx, w_start, max(t_last, w_start + max_window)))
+        else:  # one timestamp: the window ends max_window after it, or at the next float
+            t_end = w_start + max_window
+            windows.append((start_idx, n - start_idx, w_start,
+                            t_end if t_end < math.inf else math.nextafter(w_start, math.inf)))
     return windows
 
 
@@ -501,6 +503,21 @@ class TestCutWindows:
                for w in cut_windows(stream, interval, 8, math.inf)]
         assert got == dense_cut_windows(stream, interval, 8, math.inf) == [(0, 3, 0.0, 0.02),
                                                                             (3, 2, 0.02, 9.0)]
+
+    @pytest.mark.parametrize("events", [[(0.5, 1, 1, 1), (0.5, 9, 9, 0), (0.5, 1, 9, 1)],
+                                        [(5.0, 3, 3, 1)]])
+    def test_a_lone_window_at_one_timestamp_ends_at_a_finite_time(self, events):
+        # no event closes a window and all share one timestamp: with no span
+        # limit the window ends at the next float, so its span is positive and
+        # finite; a finite limit still ends it max_window after its start
+        stream, interval = make_stream(events), EntropyInterval(2.5, 4.5)
+        t = events[0][0]
+        for max_window, t_end in [(math.inf, math.nextafter(t, math.inf)), (0.05, t + 0.05)]:
+            got = [(w.offset, len(w), w.t_start, w.t_end)
+                   for w in cut_windows(stream, interval, 8, max_window)]
+            assert got == dense_cut_windows(stream, interval, 8, max_window)
+            assert got == [(0, len(events), t, t_end)]
+            assert 0.0 < got[0][3] - got[0][2] < math.inf
 
     def test_empty_stream_rejected(self):
         empty = EventStream(GEOM, np.array([]), np.array([]), np.array([]), np.array([]))
