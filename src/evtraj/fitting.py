@@ -224,11 +224,11 @@ def _band(tau: float, vox: np.ndarray, starts: np.ndarray) -> tuple[float, float
     component at most S, ``|p - s| <= 2 sqrt(3) S``; M is a projection, so
     ``|M_kl| <= 1`` and ``|w| <= |s| <= sqrt(3) S``. A computed ``û_k`` is
     within ``4u |û_k|`` of ``û_k``, so a quadratic coefficient is off by
-    under 10u, ``û · s`` by 13u S, ``w_k`` by 23u S, ``s · w`` by 80u S² and
+    under 11u, ``û · s`` by 13u S, ``w_k`` by 23u S, ``s · w`` by 80u S² and
     a feature by u S². A dot product of K = 10 terms, in any order, with or
     without FMA, is off by at most ``γ_10 ≈ 10u`` times the sum of its
     terms' magnitudes (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2002, §3.1), here 15 S². So q is within 440u S² < 2 ** -44
+    Algorithms*, 2002, §3.1), here 13 S². So q is within 440u S² < 2 ** -44
     S² of r². Underflow adds under 2 ** -1074 per operation, far below u S²
     for S of at least ``_TINY``; with S and ``|d|`` at most ``_HUGE``
     nothing overflows. The computed residual is within 16u S + 8u r of r:
@@ -635,9 +635,7 @@ def _fit_batch(vox: np.ndarray, windows: Sequence[EventWindow], first: List[int]
             one = np.ones(len(models), dtype=np.int64)
             values[band] = _nearest(vox, voxel[band], line[band], _line_table(models),
                                     np.arange(len(models)), one)
-        j0 = chunk[0][2]  # the chunk's first representative
-        survivors += [(j0 + j, inliers) for j, inliers in
-                      select_inliers(values, voxel, line - j0, config.tau, config.min_inliers)]
+        survivors += select_inliers(values, voxel, line, config.tau, config.min_inliers)
     if not survivors:
         return
     owner = np.searchsorted(line0, [j for j, _ in survivors], side="right") - 1

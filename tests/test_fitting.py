@@ -720,22 +720,24 @@ def band_cases(draw, max_side=1000):
     """Lines and voxels on a sensor of up to ``max_side`` px a side, the voxels near tau of the lines.
 
     1-6 lines cross the sensor's (u, v, t_norm) box, each through a point in
-    it along a random direction 1e-3 to 50 px long, or along the time axis
-    from an integer start. Each of 1-30 voxels lies at a distance of 0, 1e-3,
-    0.75, 1.5, 3 or 40 px from a point of a line, off it along a random
-    normal. tau is one of ``BAND_TAUS`` or a residual of a voxel to a line,
-    nudged by -3 to 3 ulps.
+    it along a random direction 1e-6 to 1e6 px long (the longest put their
+    starts far outside the box), or along the time axis from an integer
+    start. Each of 1-30 voxels lies 0, 1e-3, 0.75, 1.5, 3 or 40 px from a
+    point of a line near the box, off it along a random normal. tau is one
+    of ``BAND_TAUS`` or a residual of a voxel to a line, nudged by -3 to 3
+    ulps.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     width, height = draw(st.integers(16, max_side)), draw(st.integers(16, max_side))
     box = np.array([width - 1.0, height - 1.0, max(width, height)])
     n_lines = draw(st.integers(1, 6))
     d = rng.normal(size=(n_lines, 3))
-    d *= draw(st.sampled_from([1e-3, 1.0, 50.0])) / np.linalg.norm(d, axis=1, keepdims=True)
+    d *= draw(st.sampled_from([1e-6, 1e-3, 1.0, 50.0, 1e6])) / np.linalg.norm(d, axis=1,
+                                                                             keepdims=True)
     foot = rng.uniform(0.0, 1.0, (n_lines, 3)) * box
-    starts = foot - rng.uniform(-1.0, 1.0, (n_lines, 1)) * d
     axis = rng.uniform(size=n_lines) < 0.3
-    starts[axis], d[axis] = np.rint(foot[axis]), [0.0, 0.0, 1.0]
+    foot[axis], d[axis] = np.rint(foot[axis]), [0.0, 0.0, 1.0]
+    starts = np.where(axis[:, None], foot, foot - rng.uniform(-1.0, 1.0, (n_lines, 1)) * d)
     lines = LineSet(starts, starts + d)
     n_vox = draw(st.integers(1, 30))
     line = rng.integers(0, n_lines, n_vox)
@@ -743,15 +745,16 @@ def band_cases(draw, max_side=1000):
     normal = rng.normal(size=(n_vox, 3))
     normal -= unit * (normal * unit).sum(axis=1, keepdims=True)
     normal /= np.linalg.norm(normal, axis=1, keepdims=True)
-    along = rng.uniform(-1.0, 1.0, (n_vox, 1)) * d[line]
+    along = rng.uniform(-0.5, 0.5, (n_vox, 1)) * box[2] * unit
     radius = rng.choice([0.0, 1e-3, 0.75, 1.5, 3.0, 40.0], size=(n_vox, 1))
-    vox = starts[line] + along + radius * normal
+    vox = foot[line] + along + radius * normal
     values = residual_matrix(vox, lines)
     if draw(st.booleans()):
         tau = draw(st.sampled_from(BAND_TAUS))
     else:
         tau = float(values.flat[draw(st.integers(0, values.size - 1))])
-        for _ in range(abs(ulps := draw(st.integers(-3, 3)))):
+        ulps = draw(st.integers(-3, 3))
+        for _ in range(abs(ulps)):
             tau = float(np.nextafter(tau, np.copysign(np.inf, ulps)))
         tau = max(tau, 5e-324)  # RunConfig wants a positive tau
     return vox, lines, tau
