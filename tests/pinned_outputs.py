@@ -56,7 +56,7 @@ PINNED = [
      "0cbbf7cdb82177730ab1294f57fa36351d0380830debc2441c3519e4a77726ac"),
     ("relabelled", "lanes_fine", 1009, BAND_5_6,
      "84fec120f88167a5b4865658bf4d63bb454525b205bb837e6c90d9c5b771ada9"),
-    # far pairs are settled by a bound that must pass tau by a margin
+    # the squared-residual band must decide residual < tau exactly at other radii
     ("relabelled", "lanes_fine", 1, {"tau": 0.75},
      "aad5ce97ab5c3624b5456a87eea0705f4710183d43f2785949c2ae9ba79af4a2"),
     ("relabelled", "lanes_fine", 1, {"tau": 3.0},

@@ -519,8 +519,7 @@ def association_window(draw):
     repeat; 1-4 representatives, each in its own family of a random (R, H)
     block, so families overlap and often hold more than eight members. A
     hypothesis steps -1 to 3 in time, never by the zero vector, so some
-    families hold lines that do not advance in time, which the family bound
-    must leave open.
+    families hold lines that do not advance in time.
     """
     coord = st.integers(0, 6)
     vox = np.array(draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=12)),
@@ -1366,8 +1365,8 @@ class TestScratch:
         ) < 300
 
     def test_warm_association_of_long_families_does_not_page_fault(self):
-        # the lanes tiles' families of dozens of lines take the family bound and
-        # blocks of many residuals per pair, which pair windows never reach. Two
+        # the lanes tiles' families of dozens of lines take many chunks of
+        # products and their coefficient tables, which pair windows never reach. Two
         # tiles take turns, so that malloc's adaptive mmap threshold cannot hide
         # temporaries past it (run-sized blocks fault ~3,800 pages here). Only
         # association is counted: clustering's faults on a tile vary with the scene
